@@ -381,8 +381,9 @@ def evaluate_all(
     """Evaluate every registry entry in deterministic id order.
 
     B10 fans out over ``rs`` and B11 over ``qr_pairs``.  Entries whose
-    guarded invariants overflow their guard come back with verdict
-    ``skipped`` instead of aborting the sequence.
+    guarded invariants overflow their guard, or whose walk counts leave the
+    64-bit range, come back with verdict ``skipped`` instead of aborting
+    the sequence.
     """
     plan: list[tuple[str, dict[str, int]]] = []
     for bound_id in BOUND_ORDER:
@@ -398,7 +399,7 @@ def evaluate_all(
     for bound_id, params in plan:
         try:
             out.append(evaluate_bound(g, bound_id, params, force=force))
-        except TooLargeError as exc:
+        except (TooLargeError, OverflowError) as exc:
             out.append(
                 BoundEvaluation(
                     bound_id=bound_id,

@@ -2,7 +2,8 @@
 
 Subcommands: ``spectrum``, ``invariants``, ``bounds``, ``search``, ``gen``.
 Exit codes: 0 success, 1 a hypothesis-enforced bound came back violated,
-2 usage or input error, 3 an exact-computation guard was exceeded.
+2 usage or input error, 3 an exact-computation guard was exceeded or an
+exact walk count left the 64-bit integer range.
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return 2
     except TooLargeError as exc:
         print(f"error: guard exceeded: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, InvalidParamsError, InvalidConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

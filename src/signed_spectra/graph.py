@@ -250,7 +250,7 @@ def serialize_signed_graph(g: SignedGraph) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
-    """Dense symmetric real matrix with read-only entries."""
+    """Dense symmetric real matrix with finite, read-only entries."""
 
     entries: np.ndarray
 
@@ -258,6 +258,8 @@ class SymmetricMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise InvalidParamsError("matrix entries must be finite (no NaN or infinity)")
         if a.size and float(np.max(np.abs(a - a.T))) > 1e-12:
             raise NotSymmetricError("matrix is not symmetric within 1e-12")
         a.setflags(write=False)

@@ -1,10 +1,13 @@
 """Exact and heuristic computation of the combinatorial invariants.
 
 Frustration index, edge bipartiteness and the r-frustration index are
-computed exactly by enumerating all 2^(n-1) switchings (vertex 0 is pinned,
-eta and -eta coincide).  Enumeration is chunked and vectorized, so results
-are independent of chunk size; guards cap the exponent and can be lifted
-with ``force=True`` or the ``SIGNED_SPECTRA_MAX_N`` environment variable.
+minima over the switching class, and each is one maximisation of a
+quadratic form x^T M x over the 2^(n-1) switchings x (vertex 0 is pinned,
+x and -x coincide): M is the signed adjacency matrix A for eps, -|A| for
+eps_b and A^(r-1) for eps_r.  One kernel, ``_max_switching_form``, does
+every such maximisation exactly with blocked matrix products.  Guards cap
+the exponent and can be lifted with ``force=True`` or the
+``SIGNED_SPECTRA_MAX_N`` environment variable.
 
 Walk counts are exact integer matrix powers with 64-bit overflow detection.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -27,7 +31,7 @@ R_FRUSTRATION_MAX_N = 20
 CLIQUE_MAX_N = 40
 
 _INT64_MAX = 2**63 - 1
-_CHUNK_BITS = 18  # switching enumeration chunk size: 2^18 masks
+_BLOCK_ENTRIES = (1 << 18) // 8  # one 256 KiB GEMM block of the switching kernel
 
 
 def _guard_limit(default: int) -> int:
@@ -56,45 +60,74 @@ def _check_guard(n: int, default: int, force: bool, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Frustration index
+# Switching-class kernel
 # ---------------------------------------------------------------------------
 
-def _switching_mask_chunks(n: int):
-    """Yield uint32 arrays of switching masks, bit v set <=> eta(v) = -1.
+def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ...]]:
+    """max x^T M x over x in {+-1}^n with x_0 = +1, and an x attaining it.
 
-    Vertex 0 is pinned to +1, so masks are the 2^(n-1) values shifted left
-    by one (bit 0 always clear).
+    ``mat`` is a symmetric int64 matrix with n >= 1 and ``bound`` is at
+    least sum |M_ij|.  The vertices split into L = [0, a) and H = [a, n);
+    with X_L and X_H the +-1 tables of the halves (x_0 pinned in X_L),
+
+        x^T M x = q_L + q_H + x_L^T (2 M_LH) x_H,
+
+    so the product of the rows [X_L 2M_LH | q_L | 1] with the columns
+    [X_H | 1 | q_H] holds x^T M x for every switching.  It is taken one
+    GEMM block of at most ``_BLOCK_ENTRIES`` values at a time.  Every
+    partial sum is an integer of magnitude at most sum |M_ij|, so float64
+    is exact in any summation order while ``bound`` is below 2^53; from
+    there on the products run in int64.
     """
-    total = 1 << max(n - 1, 0)
-    step = 1 << _CHUNK_BITS
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        yield np.arange(start, stop, dtype=np.uint32) << np.uint32(1)
+    n = mat.shape[0]
+    a = (n + 1) // 2
+    h = n - a
+    dtype = np.float64 if bound < 1 << 53 else np.int64
+    m = mat.astype(dtype)
+    # row i of the table is the +-1 vector of the bits of i (bit v set <=> -1)
+    table = (1 - 2 * ((np.arange(1 << a)[:, None] >> np.arange(a)) & 1)).astype(dtype)
+    xl, xh = table[::2], table[: 1 << h, :h]
+    xl_m = xl @ m[:a]
+    left = np.empty((len(xl), h + 2), dtype=dtype)
+    left[:, :h] = 2 * xl_m[:, a:]
+    left[:, h] = (xl_m[:, :a] * xl).sum(axis=1)
+    left[:, h + 1] = 1
+    right = np.empty((h + 2, len(xh)), dtype=dtype)
+    right[:h] = xh.T
+    right[h] = 1
+    right[h + 1] = ((xh @ m[a:, a:]) * xh).sum(axis=1)
+    col_step = min(len(xh), _BLOCK_ENTRIES)
+    row_step = max(1, _BLOCK_ENTRIES // col_step)
+    best, code = -bound - 1, 0
+    for c0, r0 in product(range(0, len(xh), col_step), range(0, len(xl), row_step)):
+        block = left[r0 : r0 + row_step] @ right[:, c0 : c0 + col_step]
+        k = int(block.argmax())
+        if block.flat[k] > best:
+            best = int(block.flat[k])
+            i, j = divmod(k, block.shape[1])
+            code = (r0 + i) << 1 | (c0 + j) << a
+        if best == bound:
+            break
+    return best, tuple(1 - 2 * (code >> v & 1) for v in range(n))
 
+
+# ---------------------------------------------------------------------------
+# Frustration index
+# ---------------------------------------------------------------------------
 
 def frustration_index_exact(g: SignedGraph, *, force: bool = False) -> int:
     """Minimum number of negative edges over the whole switching class.
 
     This equals the minimum number of edge deletions that leave a balanced
     graph; the deletion formulation is kept as an independent test oracle.
-    Exponential in n (guard: n <= 25).
+    A switching x leaves (m - x^T A x / 2) / 2 negative edges, so this is
+    one switching-class maximisation.  Exponential in n (guard: n <= 25).
     """
     _check_guard(g.n, FRUSTRATION_MAX_N, force, "frustration_index_exact")
     if g.m == 0:
         return 0
-    us = np.array([u for u, _, _ in g.sorted_edges()], dtype=np.uint32)
-    vs = np.array([v for _, v, _ in g.sorted_edges()], dtype=np.uint32)
-    neg = np.array([1 if s < 0 else 0 for _, _, s in g.sorted_edges()], dtype=np.uint32)
-    best = g.m
-    for masks in _switching_mask_chunks(g.n):
-        count = np.zeros(masks.shape, dtype=np.uint32)
-        for u, v, isneg in zip(us, vs, neg):
-            diff = ((masks >> u) ^ (masks >> v)) & np.uint32(1)
-            count += diff ^ isneg
-        best = min(best, int(count.min()))
-        if best == 0:
-            break
-    return best
+    best, _ = _max_switching_form(_int_matrices(g)[1], 2 * g.m)
+    return (g.m - best // 2) // 2
 
 
 def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> int:
@@ -338,10 +371,11 @@ def walk_census(g: SignedGraph, r: int) -> WalkCensus:
 def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
     """Minimum count of negative r-walks over the switching class.
 
-    Uses A(switched)^(r-1) = D A^(r-1) D, so one integer matrix power plus a
-    quadratic form per switching suffices.  Guard: n <= 20.  Note the
-    ordered-walk convention: every negative edge yields two negative
-    2-walks, hence eps_2 = 2 * eps.
+    Uses A(switched)^(r-1) = D A^(r-1) D: a switching x leaves
+    (w_total - x^T A^(r-1) x) / 2 negative r-walks, so one integer matrix
+    power and one switching-class maximisation suffice.  Guard: n <= 20.
+    Note the ordered-walk convention: every negative edge yields two
+    negative 2-walks, hence eps_2 = 2 * eps.
     """
     if r < 1:
         raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
@@ -352,14 +386,8 @@ def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
     w_total = int(pu.sum(dtype=object))
     if w_total > _INT64_MAX:
         raise OverflowError("walk counts exceed the 64-bit integer range")
-    best_signed = -w_total
-    for masks in _switching_mask_chunks(g.n):
-        signs = np.ones((masks.shape[0], g.n), dtype=np.int64)
-        for v in range(1, g.n):
-            signs[:, v] -= 2 * (((masks >> np.uint32(v)) & np.uint32(1)).astype(np.int64))
-        vals = np.einsum("ij,ij->i", signs @ ps, signs)
-        best_signed = max(best_signed, int(vals.max()))
-    return (w_total - best_signed) // 2
+    best, _ = _max_switching_form(ps, w_total)
+    return (w_total - best) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParamsError, NoConvergenceError, NotSymmetricError
+from .errors import InvalidParamsError, NoConvergenceError
 from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix
 from .invariants import _max_balanced_clique
 
@@ -107,20 +107,13 @@ def eigen_decomposition(
 ) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
-    The input must be symmetric within 1e-12.  Eigenvalues come back sorted
+    The input must be finite (else InvalidParamsError) and symmetric within
+    1e-12 (else NotSymmetricError).  Eigenvalues come back sorted
     descending (stable order on ties), with eigenvector columns permuted
     accordingly.  ``zero_tol_factor`` scales the zero-eigenvalue tolerance
     used for the inertia: tau_z = zero_tol_factor * max(1, ||A||_F).
     """
-    if isinstance(a, SymmetricMatrix):
-        entries = a.entries
-    else:
-        arr = np.asarray(a, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NotSymmetricError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.size and float(np.max(np.abs(arr - arr.T))) > 1e-12:
-            raise NotSymmetricError("matrix is not symmetric within 1e-12")
-        entries = arr
+    entries = (a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a)).entries
     diag, vecs = _jacobi(entries)
     vals = np.diag(diag).copy()
     order = np.argsort(-vals, kind="stable")

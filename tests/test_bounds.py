@@ -168,6 +168,16 @@ class TestEvaluateAll:
         assert "B8u" not in ids
         assert {f"B{k}" for k in range(1, 15)} <= ids
 
+    def test_walk_overflow_entries_skip_not_abort(self):
+        # |A|^59 of K14 leaves the 64-bit range
+        evals = evaluate_all(all_negative_complete(14), rs=(2, 60), qr_pairs=((1, 60),))
+        assert len(evals) == 16
+        by_key = {(ev.bound_id, ev.params.get("r")): ev for ev in evals}
+        for key in (("B10", 60), ("B11", 60)):
+            assert by_key[key].verdict == "skipped"
+            assert "64-bit" in by_key[key].note
+        assert by_key[("B10", 2)].verdict == "holds"
+
     def test_custom_walk_parameters(self, c5):
         evals = evaluate_all(c5, rs=(4,), qr_pairs=((5, 2),))
         b10 = [ev for ev in evals if ev.bound_id == "B10"]

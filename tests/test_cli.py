@@ -94,6 +94,14 @@ class TestBounds:
         assert [e["params"] for e in b10] == [{"r": 2}]
         assert [e["params"] for e in b11] == [{"q": 3, "r": 2}]
 
+    def test_walk_overflow_skips_entries(self, tmp_path, capsys):
+        path = tmp_path / "k30.sg"
+        assert run_cli(["gen", "all_negative_complete", "30", "-o", str(path)]) == 0
+        assert run_cli(["bounds", str(path), "--r", "40", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        walk_entries = [e for e in data if e["bound_id"] in ("B10", "B11")]
+        assert walk_entries and all(e["verdict"] == "skipped" for e in walk_entries)
+
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(["bounds"]) == 2
 
@@ -156,6 +164,14 @@ class TestSearch:
         args = [a for a in self.ARGS]
         args[4] = "five"
         assert run_cli(args) == 2
+
+    def test_walk_overflow_exit_3(self, capsys):
+        # |A|^59 of K14 leaves the 64-bit range
+        args = "search --target B10 --n 14:14 --p 1.0 --qneg 0.5 --samples 1 --r 60".split()
+        assert run_cli(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "64-bit" in err
+        assert "Traceback" not in err
 
     def test_text_output(self, capsys):
         args = [a for a in self.ARGS if a != "--json"]

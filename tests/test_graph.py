@@ -137,6 +137,13 @@ class TestAdjacency:
         with pytest.raises(NotSymmetricError):
             SymmetricMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", (np.inf, np.nan))
+    def test_non_finite_rejected(self, bad):
+        from signed_spectra import InvalidParamsError
+
+        with pytest.raises(InvalidParamsError):
+            SymmetricMatrix(np.array([[bad, 1.0], [1.0, 0.0]]))
+
     @given(signed_graphs(max_n=6))
     def test_negation_negates_matrix(self, g):
         assert np.array_equal(

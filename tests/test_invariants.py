@@ -1,9 +1,12 @@
 """Frustration, bipartiteness, balanced cliques, triangle and walk censuses."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from signed_spectra import invariants
 from signed_spectra import (
     InvalidParamsError,
     SignedGraph,
@@ -14,6 +17,7 @@ from signed_spectra import (
     balanced_clique_number,
     compute_invariant_report,
     edge_bipartiteness,
+    erdos_renyi_signed,
     frustration_index_exact,
     frustration_index_upper,
     paper_c5,
@@ -34,6 +38,26 @@ from .oracles import (
 
 def k4_underlying(sign: int = 1) -> SignedGraph:
     return all_negative_complete(4) if sign < 0 else all_negative_complete(4).with_all_signs(1)
+
+
+def switching_min_negative_edges(g: SignedGraph) -> int:
+    """Least negative-edge count over the switchings, by plain enumeration."""
+    return min(
+        sum(1 for u, v, s in g.edges if x[u] * s * x[v] < 0)
+        for x in ((1,) + bits for bits in product((1, -1), repeat=g.n - 1))
+    )
+
+
+#: Orders for the switching kernel: n = 1 leaves the H half empty, the rest
+#: mix even and odd orders.
+KERNEL_ORDERS = (1, 2, 3, 4, 5, 8, 9, 12, 13)
+
+
+def kernel_graphs(n: int) -> list[SignedGraph]:
+    return [
+        erdos_renyi_signed(n=n, p=p, q_neg=0.5, seed=10 * n + i)
+        for i, p in enumerate((0.3, 0.6, 1.0))
+    ]
 
 
 class TestFrustrationIndex:
@@ -72,6 +96,27 @@ class TestFrustrationIndex:
     def test_matches_deletion_oracle_property(self, g):
         assert frustration_index_exact(g) == deletion_frustration(g)
 
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_kernel_matches_enumeration_with_certificate(self, n):
+        for g in kernel_graphs(n):
+            eps = frustration_index_exact(g)
+            assert eps == switching_min_negative_edges(g), g.to_sg()
+            best, x = invariants._max_switching_form(invariants._int_matrices(g)[1], 2 * g.m)
+            assert x[0] == 1 and len(x) == n
+            assert best == 2 * (g.m - 2 * eps)
+            assert apply_switching(g, Switching(x)).m_minus == eps
+
+    @pytest.mark.parametrize("n", (2, 5, 8, 9))
+    def test_block_size_does_not_change_result(self, n, monkeypatch):
+        graphs = kernel_graphs(n)
+        expected = [frustration_index_exact(g) for g in graphs]
+        monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", 2)
+        assert [frustration_index_exact(g) for g in graphs] == expected
+
+    def test_kernel_on_one_vertex(self):
+        # the H half is empty: one switching, one value
+        assert invariants._max_switching_form(np.zeros((1, 1), dtype=np.int64), 0) == (0, (1,))
+
 
 class TestFrustrationUpper:
     def test_balanced_graph_reaches_zero(self):
@@ -105,6 +150,11 @@ class TestEdgeBipartiteness:
 
     def test_sign_independent(self, c5):
         assert edge_bipartiteness(c5) == edge_bipartiteness(c5.with_all_signs(1)) == 1
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_matches_enumeration(self, n):
+        for g in kernel_graphs(n):
+            assert edge_bipartiteness(g) == switching_min_negative_edges(g.with_all_signs(-1))
 
 
 class TestBalancedClique:
@@ -231,13 +281,46 @@ class TestRFrustration:
         with pytest.raises(TooLargeError):
             r_frustration_index(SignedGraph(21), 2)
 
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_kernel_certificate(self, n):
+        for g in kernel_graphs(n):
+            for r in (2, 3, 4):
+                eps_r = r_frustration_index(g, r)
+                if g.m == 0:
+                    assert eps_r == 0
+                    continue
+                census = walk_census(g, r)
+                _, ps = invariants._walk_power_matrices(g, r)
+                best, x = invariants._max_switching_form(ps, census.w_total)
+                assert eps_r == (census.w_total - best) // 2
+                assert walk_census(apply_switching(g, Switching(x)), r).w_neg == eps_r
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_int64_path_beyond_float_exactness(self, sign):
+        # all-negative K8 at r = 20 has w_total = 8 * 7^19 > 2^53, where
+        # float64 no longer holds every integer; compare with Python ints
+        g = all_negative_complete(8).with_all_signs(sign)
+        r = 20
+        a = [[0 if i == j else sign for j in range(8)] for i in range(8)]
+        power = [[int(i == j) for j in range(8)] for i in range(8)]
+        for _ in range(r - 1):
+            power = [[sum(power[i][k] * a[k][j] for k in range(8)) for j in range(8)] for i in range(8)]
+        w_total = 8 * 7 ** (r - 1)
+        assert w_total >= 2**53 and walk_census(g, r).w_total == w_total
+        best = max(
+            sum(x[i] * power[i][j] * x[j] for i in range(8) for j in range(8))
+            for x in ((1,) + bits for bits in product((1, -1), repeat=7))
+        )
+        expected = (w_total - best) // 2
+        assert r_frustration_index(g, r) == expected
+        if sign > 0:
+            assert expected == 0
+
 
 class TestPositiveEdgeLemma:
     """Every switching representative has at most m - eps positive edges."""
 
     def test_over_all_switchings(self):
-        from itertools import product
-
         for g in random_graphs(20, max_n=7, seed=23):
             eps = frustration_index_exact(g)
             for bits in product((1, -1), repeat=max(g.n - 1, 0)):

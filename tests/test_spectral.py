@@ -63,6 +63,12 @@ class TestJacobiQuality:
         with pytest.raises(NotSymmetricError):
             eigen_decomposition(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+    def test_non_finite_rejected(self, bad):
+        # infinity once came back as an all-zero spectrum, NaN as 64 wasted sweeps
+        with pytest.raises(InvalidParamsError):
+            eigen_decomposition(np.array([[0.0, bad], [bad, 0.0]]))
+
     def test_reconstruction_and_orthogonality(self):
         rng = random.Random(5)
         for _ in range(25):
