@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import MissingParamError, TooLargeError, UnknownBoundError
@@ -49,7 +50,7 @@ from .invariants import (
     triangle_census,
     walk_census,
 )
-from .spectral import Spectrum, eigen_decomposition, ms_index, ms_index_search, ms_witness
+from .spectral import Spectrum, _clique_witness, eigen_decomposition, ms_index_search
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -90,8 +91,8 @@ def _cached_frustration(g: SignedGraph) -> int:
 
 
 @lru_cache(maxsize=8192)
-def _cached_omega(g: SignedGraph) -> int:
-    return _max_balanced_clique(g, force=True)[0]
+def _cached_clique(g: SignedGraph) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    return _max_balanced_clique(g, force=True)
 
 
 @lru_cache(maxsize=8192)
@@ -135,9 +136,13 @@ class _Ctx:
         return _cached_frustration(self.g.with_all_signs(-1) if self.g.m else self.g)
 
     @property
-    def omega_b(self) -> int:
+    def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         _check_guard(self.g.n, CLIQUE_MAX_N, self.force, "balanced_clique_number")
-        return _cached_omega(self.g)
+        return _cached_clique(self.g)
+
+    @property
+    def omega_b(self) -> int:
+        return self.clique[0]
 
     @property
     def census(self) -> TriangleCensus:
@@ -263,8 +268,9 @@ def _eval_b12(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 
 def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
-    exact = ms_index(ctx.g, force=ctx.force)
-    _, witness_value = ms_witness(ctx.g, force=ctx.force)
+    clique = ctx.clique
+    exact = Fraction(clique[0] - 1, 2 * clique[0])  # ms_index closed form
+    _, witness_value = _clique_witness(ctx.g, clique)
     lhs = ms_index_search(
         ctx.g, iters=p.get("iters", 2), seed=p.get("seed", 0), force=ctx.force
     )

@@ -59,7 +59,7 @@ class NotSymmetricError(SignedSpectraError, ValueError):
 
 
 class NoConvergenceError(SignedSpectraError, RuntimeError):
-    """The eigensolver did not reach its target accuracy in 64 sweeps."""
+    """The LAPACK eigensolver failed to converge (a ``numpy.linalg.LinAlgError``)."""
 
 
 class UnknownBoundError(SignedSpectraError, LookupError):

@@ -145,19 +145,25 @@ def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> 
     for u, v, s in g.edges:
         incident[u].append((v, s))
         incident[v].append((u, s))
+    deg = [len(inc) for inc in incident]
 
     def descend(eta: list[int]) -> int:
-        m_minus = sum(1 for u, v, s in g.edges if eta[u] * s * eta[v] < 0)
+        # neg[v]: edges at v left negative by eta; a flip of v changes only
+        # the counts of v and its neighbours
+        neg = [sum(1 for w, s in incident[v] if eta[v] * s * eta[w] < 0) for v in range(g.n)]
+        m_minus = sum(neg) // 2
         while True:
             best_delta, best_v = 0, -1
             for v in range(g.n):
-                neg_inc = sum(1 for w, s in incident[v] if eta[v] * s * eta[w] < 0)
-                delta = (len(incident[v]) - neg_inc) - neg_inc
+                delta = deg[v] - 2 * neg[v]
                 if delta < best_delta:
                     best_delta, best_v = delta, v
             if best_v < 0:
                 return m_minus
             eta[best_v] = -eta[best_v]
+            for w, s in incident[best_v]:
+                neg[w] += 1 if eta[best_v] * s * eta[w] < 0 else -1
+            neg[best_v] = deg[best_v] - neg[best_v]
             m_minus += best_delta
 
     labels, _, _ = propagation_labels(g)

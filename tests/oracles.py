@@ -3,14 +3,22 @@
 Everything here is deliberately naive and separate from the library's
 computation paths: balance by parity union-find instead of BFS labeling,
 frustration by exhaustive edge deletion instead of switching enumeration,
-cliques by subset enumeration, walks by explicit sequence enumeration.
+cliques by subset enumeration, walks by explicit sequence enumeration,
+eigenvalues by cyclic Jacobi rotations instead of LAPACK, the frustration
+local search with a full recount after every flip instead of incremental
+counts, and the MS-index polish on numpy arrays instead of Python lists.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from itertools import combinations, product
 
-from signed_spectra import SignedGraph
+import numpy as np
+
+from signed_spectra import SignedGraph, adjacency_matrix, ms_witness
+from signed_spectra.switching import propagation_labels
 
 
 def _find(parent, parity, x):
@@ -97,3 +105,133 @@ def min_negative_walks(g: SignedGraph, r: int) -> int:
         _, _, _, w_neg = enumerate_walks(apply_switching(g, eta), r)
         best = w_neg if best is None else min(best, w_neg)
     return 0 if best is None else best
+
+
+def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending, by cyclic-by-row Jacobi.
+
+    Sweeps until the off-diagonal Frobenius norm is below 1e-12 ||A||_F.
+    """
+    n = a.shape[0]
+    work = np.array(a, dtype=float)
+    threshold = 1e-12 * float(np.linalg.norm(work))
+    for _ in range(64):
+        if float(np.linalg.norm(work - np.diag(np.diag(work)))) <= threshold:
+            return np.sort(np.diag(work))[::-1]
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = work[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (work[q, q] - work[p, p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p, col_q = work[:, p].copy(), work[:, q].copy()
+                work[:, p] = c * col_p - s * col_q
+                work[:, q] = s * col_p + c * col_q
+                row_p, row_q = work[p, :].copy(), work[q, :].copy()
+                work[p, :] = c * row_p - s * row_q
+                work[q, :] = s * row_p + c * row_q
+                work[p, q] = work[q, p] = 0.0
+    raise AssertionError("Jacobi oracle did not converge in 64 sweeps")
+
+
+def frustration_upper_by_recount(g: SignedGraph, iters: int, seed: int) -> int:
+    """``frustration_index_upper`` recounting every vertex after each flip.
+
+    Same trajectory as the library: start from the propagation labeling,
+    then ``iters`` seeded random restarts, lowest-index tie-break.
+    """
+    if g.m == 0:
+        return 0
+    incident = [[] for _ in range(g.n)]
+    for u, v, s in g.edges:
+        incident[u].append((v, s))
+        incident[v].append((u, s))
+
+    def descend(eta):
+        m_minus = sum(1 for u, v, s in g.edges if eta[u] * s * eta[v] < 0)
+        while True:
+            best_delta, best_v = 0, -1
+            for v in range(g.n):
+                neg_inc = sum(1 for w, s in incident[v] if eta[v] * s * eta[w] < 0)
+                delta = (len(incident[v]) - neg_inc) - neg_inc
+                if delta < best_delta:
+                    best_delta, best_v = delta, v
+            if best_v < 0:
+                return m_minus
+            eta[best_v] = -eta[best_v]
+            m_minus += best_delta
+
+    best = descend(list(propagation_labels(g)[0]))
+    rng = random.Random(seed)
+    for _ in range(iters):
+        if best == 0:
+            break
+        best = min(best, descend([rng.choice((1, -1)) for _ in range(g.n)]))
+    return best
+
+
+def ms_search_on_arrays(g: SignedGraph, iters: int, seed: int) -> float:
+    """``ms_index_search`` with the pair polish on numpy arrays and scalars.
+
+    Same restarts and the same arithmetic in the same order as the library,
+    so results must agree bit for bit.
+    """
+    best = float(ms_witness(g)[1])
+    if g.n < 2 or g.m == 0:
+        return best
+    a = adjacency_matrix(g).entries
+    rng = random.Random(seed)
+
+    def polish(x):
+        y = a @ x
+        for _ in range(40):
+            improved = False
+            for i in range(g.n):
+                for j in range(i + 1, g.n):
+                    budget = abs(x[i]) + abs(x[j])
+                    if budget == 0.0:
+                        continue
+                    w = a[i, j]
+                    gi = y[i] - w * x[j]
+                    gj = y[j] - w * x[i]
+                    cur = x[i] * gi + x[j] * gj + w * x[i] * x[j]
+                    cand_val, cand = cur, None
+                    for su in (1.0, -1.0):
+                        for sj in (1.0, -1.0):
+                            a2 = -su * sj * w
+                            a1 = su * gi - sj * gj + su * sj * w * budget
+                            a0 = sj * gj * budget
+                            rrs = [0.0, budget]
+                            if a2 < 0.0:
+                                peak = -a1 / (2.0 * a2)
+                                if 0.0 < peak < budget:
+                                    rrs.append(peak)
+                            for rr in rrs:
+                                val = a0 + a1 * rr + a2 * rr * rr
+                                if val > cand_val + 1e-13 * (1.0 + abs(cur)):
+                                    cand_val, cand = val, (su * rr, sj * (budget - rr))
+                    if cand is not None:
+                        old_i, old_j = x[i], x[j]
+                        x[i], x[j] = cand
+                        y += a[:, i] * (x[i] - old_i) + a[:, j] * (x[j] - old_j)
+                        improved = True
+            if not improved:
+                break
+            norm = float(np.sum(np.abs(x)))
+            if norm > 0.0:
+                x /= norm
+                y = a @ x
+        return float(x @ (a @ x) / 2.0)
+
+    for _ in range(iters):
+        x = np.array([rng.uniform(-1.0, 1.0) for _ in range(g.n)])
+        norm = float(np.sum(np.abs(x)))
+        if norm == 0.0:
+            continue
+        best = max(best, polish(x / norm))
+    return best

@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from signed_spectra import BoundEvaluation, paper_c5
@@ -45,6 +46,17 @@ class TestSpectrum:
         path.write_text("3\n0 1 *\n", encoding="utf-8")
         assert run_cli(["spectrum", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_eigensolver_failure_exit_2(self, c5_file, capsys, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        assert run_cli(["spectrum", c5_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "did not converge" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestInvariants:

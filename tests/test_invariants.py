@@ -32,6 +32,7 @@ from .oracles import (
     brute_balanced_clique,
     deletion_frustration,
     enumerate_walks,
+    frustration_upper_by_recount,
     min_negative_walks,
 )
 
@@ -134,6 +135,14 @@ class TestFrustrationUpper:
     def test_iters_validated(self, c5):
         with pytest.raises(InvalidParamsError):
             frustration_index_upper(c5, iters=0)
+
+    def test_matches_full_recount(self):
+        # incremental counts must follow the recounting search step for step
+        for g in random_graphs(60, max_n=30, seed=41, p=(0.1, 0.3, 0.6), q=(0.3, 0.5)):
+            for iters, seed in ((1, 0), (7, 3), (30, 11)):
+                assert frustration_index_upper(g, iters=iters, seed=seed) == (
+                    frustration_upper_by_recount(g, iters=iters, seed=seed)
+                )
 
 
 class TestEdgeBipartiteness:
