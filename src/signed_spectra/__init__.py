@@ -38,7 +38,6 @@ from .graph import (
     all_negative_complete,
     erdos_renyi_signed,
     generate,
-    negate,
     paper_c5,
     parse_signed_graph,
     serialize_signed_graph,

@@ -31,20 +31,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import MissingParamError, TooLargeError, UnknownBoundError
 from .graph import SignedGraph, adjacency_matrix
 from .invariants import (
-    CLIQUE_MAX_N,
     FRUSTRATION_MAX_N,
-    R_FRUSTRATION_MAX_N,
     TriangleCensus,
     WalkCensus,
     _check_guard,
     _max_balanced_clique,
+    edge_bipartiteness,
     frustration_index_exact,
     r_frustration_index,
     triangle_census,
@@ -75,101 +74,82 @@ class BoundEvaluation:
     note: str = ""
 
 
-# Cross-graph caches: quantities of the underlying unsigned graph are shared
-# by all 2^m signings, which matters for exhaustive sweeps.  Guards run at
-# access time (in _Ctx), never inside a cached call, so the environment
-# override keeps working regardless of cache state.
+# Cross-graph sharing: of everything the registry reads, only the unsigned
+# lambda_n (B3, B4) and eps_b depend on the underlying graph alone.  One entry
+# suffices because sweeps visit all 2^m signings of an underlying graph in a
+# row.  It holds just those two scalars, each filled in on first use.
 
-@lru_cache(maxsize=8192)
-def _cached_spectrum(g: SignedGraph) -> Spectrum:
-    return eigen_decomposition(adjacency_matrix(g))
-
-
-@lru_cache(maxsize=8192)
-def _cached_frustration(g: SignedGraph) -> int:
-    return frustration_index_exact(g, force=True)
-
-
-@lru_cache(maxsize=8192)
-def _cached_clique(g: SignedGraph) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    return _max_balanced_clique(g, force=True)
-
-
-@lru_cache(maxsize=8192)
-def _cached_walks(g: SignedGraph, r: int) -> WalkCensus:
-    return walk_census(g, r)
-
-
-@lru_cache(maxsize=8192)
-def _cached_eps_r(g: SignedGraph, r: int) -> int:
-    return r_frustration_index(g, r, force=True)
+@lru_cache(maxsize=1)
+def _underlying(n: int, pairs: frozenset[tuple[int, int]]) -> dict[str, float]:
+    return {}
 
 
 class _Ctx:
-    """Lazily computed shared quantities for one evaluation target."""
+    """Every quantity of one signed graph the registry reads, computed once."""
 
     def __init__(self, g: SignedGraph, force: bool):
         self.g = g
         self.force = force
-        self._census: TriangleCensus | None = None
+        self._walks: dict[int, WalkCensus] = {}
+        self._eps_r: dict[int, int] = {}
 
-    @property
+    @cached_property
     def spectrum(self) -> Spectrum:
-        return _cached_spectrum(self.g)
+        return eigen_decomposition(adjacency_matrix(self.g))
 
     @property
-    def unsigned(self) -> SignedGraph:
-        return self.g.with_all_signs(1) if self.g.m else self.g
+    def unsigned_lambda_n(self) -> float:
+        shared = _underlying(self.g.n, self.g.underlying_pairs)
+        if "lambda_n" not in shared:
+            unsigned = eigen_decomposition(adjacency_matrix(self.g.with_all_signs(1)))
+            shared["lambda_n"] = float(unsigned.eigenvalues[-1])
+        return shared["lambda_n"]
 
-    @property
-    def unsigned_spectrum(self) -> Spectrum:
-        return _cached_spectrum(self.unsigned)
-
-    @property
+    @cached_property
     def eps(self) -> int:
-        _check_guard(self.g.n, FRUSTRATION_MAX_N, self.force, "frustration_index_exact")
-        return _cached_frustration(self.g)
+        return frustration_index_exact(self.g, force=self.force)
 
     @property
     def eps_b(self) -> int:
+        # checked on every read: a forced evaluation may have filled the entry
         _check_guard(self.g.n, FRUSTRATION_MAX_N, self.force, "edge_bipartiteness")
-        return _cached_frustration(self.g.with_all_signs(-1) if self.g.m else self.g)
+        shared = _underlying(self.g.n, self.g.underlying_pairs)
+        if "eps_b" not in shared:
+            shared["eps_b"] = edge_bipartiteness(self.g, force=self.force)
+        return shared["eps_b"]
 
-    @property
+    @cached_property
     def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        _check_guard(self.g.n, CLIQUE_MAX_N, self.force, "balanced_clique_number")
-        return _cached_clique(self.g)
+        return _max_balanced_clique(self.g, force=self.force)
 
     @property
     def omega_b(self) -> int:
         return self.clique[0]
 
-    @property
+    @cached_property
     def census(self) -> TriangleCensus:
-        if self._census is None:
-            self._census = triangle_census(self.g)
-        return self._census
+        return triangle_census(self.g)
 
     def walks(self, r: int) -> WalkCensus:
-        return _cached_walks(self.g, r)
-
-    def unsigned_walks(self, r: int) -> int:
-        return _cached_walks(self.unsigned, r).w_total
+        if r not in self._walks:
+            self._walks[r] = walk_census(self.g, r)
+        return self._walks[r]
 
     def eps_r(self, r: int) -> int:
-        _check_guard(self.g.n, R_FRUSTRATION_MAX_N, self.force, "r_frustration_index")
-        return _cached_eps_r(self.g, r)
+        if r not in self._eps_r:
+            self._eps_r[r] = r_frustration_index(self.g, r, force=self.force)
+        return self._eps_r[r]
 
-    @property
+    @cached_property
     def lambda1(self) -> float:
         return float(self.spectrum.eigenvalues[0])
 
-    @property
+    @cached_property
     def lambda2(self) -> float:
         vals = self.spectrum.eigenvalues
         return float(vals[1]) if len(vals) > 1 else 0.0
 
-    @property
+    @cached_property
     def lambda_n(self) -> float:
         return float(self.spectrum.eigenvalues[-1])
 
@@ -187,18 +167,16 @@ def _eval_b2(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 
 def _eval_b3(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
-    lam_n = float(ctx.unsigned_spectrum.eigenvalues[-1])
-    return True, lam_n ** 2, float(ctx.g.m - ctx.eps_b), ""
+    return True, ctx.unsigned_lambda_n ** 2, float(ctx.g.m - ctx.eps_b), ""
 
 
 def _eval_b4(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
-    lam_n = float(ctx.unsigned_spectrum.eigenvalues[-1])
     if ctx.g.n % 2 == 0:
         rhs = ctx.g.n / 2.0
     else:
         k = (ctx.g.n - 1) // 2
         rhs = math.sqrt(k * (k + 1))
-    return True, abs(lam_n), rhs, ""
+    return True, abs(ctx.unsigned_lambda_n), rhs, ""
 
 
 def _eval_b5(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
@@ -248,7 +226,7 @@ def _eval_b9(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 def _eval_b10(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     r = p["r"]
-    rhs = (ctx.unsigned_walks(r) - ctx.eps_r(r)) * (1.0 - 1.0 / ctx.omega_b)
+    rhs = (ctx.walks(r).w_total - ctx.eps_r(r)) * (1.0 - 1.0 / ctx.omega_b)
     return True, ctx.lambda1 ** r, rhs, ""
 
 
@@ -349,7 +327,10 @@ def evaluate_bound(
     for name in info.required_params:
         if name not in params:
             raise MissingParamError(f"{bound_id} requires parameter {name!r}")
-    ctx = _Ctx(g, force)
+    return _evaluate(_Ctx(g, force), info, params)
+
+
+def _evaluate(ctx: _Ctx, info: BoundInfo, params: dict[str, int]) -> BoundEvaluation:
     hyp, lhs, rhs, note = info.evaluator(ctx, params)
     tolerance = _REL_TOL * max(1.0, abs(rhs))
     if note.startswith("skipped"):
@@ -363,7 +344,7 @@ def evaluate_bound(
     else:
         verdict = VIOLATED
     return BoundEvaluation(
-        bound_id=bound_id,
+        bound_id=info.bound_id,
         hypothesis_met=hyp,
         lhs=float(lhs),
         rhs=float(rhs),
@@ -401,10 +382,11 @@ def evaluate_all(
             plan.append((bound_id, {"iters": ms_iters, "seed": ms_seed}))
         else:
             plan.append((bound_id, {}))
+    ctx = _Ctx(g, force)
     out: list[BoundEvaluation] = []
     for bound_id, params in plan:
         try:
-            out.append(evaluate_bound(g, bound_id, params, force=force))
+            out.append(_evaluate(ctx, REGISTRY[bound_id], params))
         except (TooLargeError, OverflowError) as exc:
             out.append(
                 BoundEvaluation(
@@ -446,7 +428,10 @@ def evaluation_to_json(ev: BoundEvaluation) -> str:
     )
 
 
+def _json_array(items: Sequence[str]) -> str:
+    """JSON objects one per line inside brackets; ``[]`` when empty."""
+    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
+
+
 def evaluations_to_json(evals: Sequence[BoundEvaluation]) -> str:
-    if not evals:
-        return "[]"
-    return "[\n  " + ",\n  ".join(evaluation_to_json(ev) for ev in evals) + "\n]"
+    return _json_array([evaluation_to_json(ev) for ev in evals])

@@ -162,11 +162,6 @@ class SignedGraph:
         return serialize_signed_graph(self)
 
 
-def negate(g: SignedGraph) -> SignedGraph:
-    """Flip every edge sign; the spectrum of the result is the input's negated."""
-    return g.negate()
-
-
 # ---------------------------------------------------------------------------
 # .sg text format
 # ---------------------------------------------------------------------------

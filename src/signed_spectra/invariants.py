@@ -425,24 +425,25 @@ def compute_invariant_report(
 ) -> InvariantReport:
     """Compute all report invariants, falling back to heuristics over guard."""
     flags: dict[str, bool] = {}
-    try:
-        frustration = frustration_index_exact(g, force=force)
-        flags["frustration"] = True
-    except TooLargeError:
-        frustration = frustration_index_upper(g, iters=heuristic_iters, seed=seed)
-        flags["frustration"] = False
-    try:
-        eps_b = edge_bipartiteness(g, force=force)
-        flags["edge_bipartiteness"] = True
-    except TooLargeError:
-        eps_b = frustration_index_upper(all_negative(g), iters=heuristic_iters, seed=seed)
-        flags["edge_bipartiteness"] = False
-    try:
-        omega_b = balanced_clique_number(g, force=force)
-        flags["balanced_clique"] = True
-    except TooLargeError:
-        omega_b = greedy_balanced_clique(g)
-        flags["balanced_clique"] = False
+
+    def exact_or(name: str, exact, fallback) -> int:
+        try:
+            value, flags[name] = exact(g, force=force), True
+        except TooLargeError:
+            value, flags[name] = fallback(), False
+        return value
+
+    frustration = exact_or(
+        "frustration",
+        frustration_index_exact,
+        lambda: frustration_index_upper(g, iters=heuristic_iters, seed=seed),
+    )
+    eps_b = exact_or(
+        "edge_bipartiteness",
+        edge_bipartiteness,
+        lambda: frustration_index_upper(all_negative(g), iters=heuristic_iters, seed=seed),
+    )
+    omega_b = exact_or("balanced_clique", balanced_clique_number, lambda: greedy_balanced_clique(g))
     flags["triangle_census"] = True  # polynomial, always exact
     return InvariantReport(
         frustration=frustration,

@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .bounds import REGISTRY, VIOLATED, _fmt_float, evaluate_bound
+from .bounds import REGISTRY, VIOLATED, _fmt_float, _json_array, evaluate_bound
 from .errors import InvalidConfigError
-from .graph import SignedGraph, parse_signed_graph
+from .graph import SignedGraph
+from .invariants import triangle_census
 from .switching import is_switching_equivalent
 
 
@@ -84,14 +85,6 @@ def sample_signed_graph(cfg: SearchConfig, sample_index: int) -> SignedGraph:
     return SignedGraph.from_edges(n, edges)
 
 
-def _has_triangle(g: SignedGraph) -> bool:
-    masks = [0] * g.n
-    for u, v, _ in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return any(masks[u] & masks[v] for u, v, _ in g.edges)
-
-
 def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:
     """Run the configured sweep, deduplicated up to switching equivalence.
 
@@ -101,7 +94,7 @@ def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:
     kept: list[tuple[SignedGraph, SearchFinding]] = []
     for index in range(cfg.samples):
         g = sample_signed_graph(cfg, index)
-        if cfg.triangle_free_filter and _has_triangle(g):
+        if cfg.triangle_free_filter and triangle_census(g).total > 0:
             continue
         ev = evaluate_bound(g, cfg.target, dict(cfg.params))
         if ev.verdict != VIOLATED:
@@ -131,18 +124,10 @@ def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:
     return [finding for _, finding in kept]
 
 
-def replay_finding(finding: SearchFinding) -> SignedGraph:
-    """Graph recorded in a finding (for verification against re-sampling)."""
-    return parse_signed_graph(finding.graph)
-
-
 def findings_to_json(findings: Sequence[SearchFinding]) -> str:
     """Deterministic JSON with floats at 12 significant digits."""
-    if not findings:
-        return "[]"
-    items = []
-    for f in findings:
-        items.append(
+    return _json_array(
+        [
             "{"
             f'"graph": {json.dumps(f.graph)}, '
             f'"bound_id": "{f.bound_id}", '
@@ -152,5 +137,6 @@ def findings_to_json(findings: Sequence[SearchFinding]) -> str:
             f'"seed": {f.seed}, '
             f'"sample_index": {f.sample_index}'
             "}"
-        )
-    return "[\n  " + ",\n  ".join(items) + "\n]"
+            for f in findings
+        ]
+    )

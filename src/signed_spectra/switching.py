@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .errors import (
     InvalidParamsError,
@@ -46,16 +44,6 @@ class Switching:
     @classmethod
     def all_positive(cls, n: int) -> "Switching":
         return cls((1,) * n)
-
-    @classmethod
-    def from_negative_set(cls, n: int, flipped: Iterable[int]) -> "Switching":
-        """Switching that is -1 exactly on the given vertex set."""
-        flip = set(flipped)
-        return cls(tuple(-1 if v in flip else 1 for v in range(n)))
-
-    def diagonal(self) -> np.ndarray:
-        """The conjugating diagonal matrix diag(eta)."""
-        return np.diag(np.array(self.signs, dtype=float))
 
 
 @dataclass(frozen=True)

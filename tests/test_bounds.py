@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from signed_spectra import (
     TooLargeError,
     UnknownBoundError,
     all_negative_complete,
+    apply_switching,
     evaluate_all,
     evaluate_bound,
     evaluations_to_json,
@@ -18,7 +20,7 @@ from signed_spectra import (
     paper_c5,
     signed_cycle,
 )
-from signed_spectra.bounds import BOUND_ORDER
+from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
 
 from .conftest import random_graphs
 
@@ -177,6 +179,53 @@ class TestEvaluateAll:
             assert by_key[key].verdict == "skipped"
             assert "64-bit" in by_key[key].note
         assert by_key[("B10", 2)].verdict == "holds"
+
+    def test_one_memo_per_graph_matches_single_evaluations(self):
+        diamond = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+        corpus = [(g, DEFAULT_B10_RS) for g in random_graphs(40, max_n=8, seed=71)]
+        corpus += [
+            (SignedGraph.from_edges(4, [(u, v, s) for (u, v), s in zip(diamond, signs)]), DEFAULT_B10_RS)
+            for signs in product((1, -1), repeat=len(diamond))
+        ]
+        corpus += [
+            (all_negative_complete(5), DEFAULT_B10_RS),
+            (apply_switching(all_negative_complete(5), (1, -1, 1, -1, -1)), DEFAULT_B10_RS),
+            (SignedGraph(30), DEFAULT_B10_RS),
+            (all_negative_complete(14), (2, 60)),
+        ]
+        # evaluate_all shares one memo within a graph and the underlying
+        # graph's scalars from one graph to the next; each single
+        # evaluation below starts from a cold cross-graph entry
+        shared = [evaluate_all(g, rs=rs) for g, rs in corpus]
+        for (g, rs), evals in zip(corpus, shared):
+            plan = []
+            for bound_id in BOUND_ORDER:
+                if bound_id == "B10":
+                    plan += [(bound_id, {"r": r}) for r in rs]
+                elif bound_id == "B11":
+                    plan += [(bound_id, {"q": q, "r": r}) for q, r in DEFAULT_B11_QRS]
+                elif bound_id == "B13":
+                    plan.append((bound_id, {"iters": 2, "seed": 0}))
+                else:
+                    plan.append((bound_id, {}))
+            assert [(ev.bound_id, ev.params) for ev in evals] == plan
+            for ev, (bound_id, params) in zip(evals, plan):
+                _underlying.cache_clear()
+                try:
+                    assert ev == evaluate_bound(g, bound_id, params), (g, bound_id)
+                except (TooLargeError, OverflowError) as exc:
+                    assert ev.verdict == "skipped" and ev.note == f"skipped: {exc}"
+
+    def test_forced_evaluation_does_not_lift_the_eps_b_guard(self, monkeypatch):
+        monkeypatch.setenv("SIGNED_SPECTRA_MAX_N", "3")
+        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+        first = SignedGraph.from_edges(4, [(u, v, 1) for u, v in edges])
+        second = SignedGraph.from_edges(4, [(u, v, -1 if u == 0 else 1) for u, v in edges])
+        assert evaluate_bound(first, "B3", force=True).verdict == "holds"
+        with pytest.raises(TooLargeError):
+            evaluate_bound(second, "B3")
+        b3 = next(ev for ev in evaluate_all(second) if ev.bound_id == "B3")
+        assert b3.verdict == "skipped" and "edge_bipartiteness" in b3.note
 
     def test_custom_walk_parameters(self, c5):
         evals = evaluate_all(c5, rs=(4,), qr_pairs=((5, 2),))

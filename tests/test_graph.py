@@ -16,7 +16,6 @@ from signed_spectra import (
     adjacency_matrix,
     all_negative_complete,
     generate,
-    negate,
     paper_c5,
     parse_signed_graph,
     serialize_signed_graph,
@@ -147,18 +146,18 @@ class TestAdjacency:
     @given(signed_graphs(max_n=6))
     def test_negation_negates_matrix(self, g):
         assert np.array_equal(
-            adjacency_matrix(negate(g)).entries, -adjacency_matrix(g).entries
+            adjacency_matrix(g.negate()).entries, -adjacency_matrix(g).entries
         )
 
 
 class TestNegate:
     def test_flips_all_signs(self):
         g = all_negative_complete(3)
-        assert negate(g) == g.with_all_signs(1)
+        assert g.negate() == g.with_all_signs(1)
 
     @given(signed_graphs())
     def test_involution(self, g):
-        assert negate(negate(g)) == g
+        assert g.negate().negate() == g
 
     def test_spectrum_reverses_and_negates(self):
         from signed_spectra import spectrum_of
