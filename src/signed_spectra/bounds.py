@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import MissingParamError, TooLargeError, UnknownBoundError
+from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError
 from .graph import SignedGraph, adjacency_matrix
 from .invariants import (
     FRUSTRATION_MAX_N,
@@ -88,6 +88,8 @@ class _Ctx:
     """Every quantity of one signed graph the registry reads, computed once."""
 
     def __init__(self, g: SignedGraph, force: bool):
+        if g.n == 0:
+            raise InvalidParamsError("bounds need at least one vertex")
         self.g = g
         self.force = force
         self._walks: dict[int, WalkCensus] = {}
@@ -362,8 +364,6 @@ def evaluate_all(
     rs: Sequence[int] = DEFAULT_B10_RS,
     qr_pairs: Sequence[tuple[int, int]] = DEFAULT_B11_QRS,
     force: bool = False,
-    ms_iters: int = 2,
-    ms_seed: int = 0,
 ) -> list[BoundEvaluation]:
     """Evaluate every registry entry in deterministic id order.
 
@@ -379,7 +379,7 @@ def evaluate_all(
         elif bound_id == "B11":
             plan.extend((bound_id, {"q": int(q), "r": int(r)}) for q, r in qr_pairs)
         elif bound_id == "B13":
-            plan.append((bound_id, {"iters": ms_iters, "seed": ms_seed}))
+            plan.append((bound_id, {"iters": 2, "seed": 0}))
         else:
             plan.append((bound_id, {}))
     ctx = _Ctx(g, force)

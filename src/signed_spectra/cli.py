@@ -2,8 +2,9 @@
 
 Subcommands: ``spectrum``, ``invariants``, ``bounds``, ``search``, ``gen``.
 Exit codes: 0 success, 1 a hypothesis-enforced bound came back violated,
-2 usage or input error, 3 an exact-computation guard was exceeded or an
-exact walk count left the 64-bit integer range.
+2 usage or input error (an unreadable path, a malformed file, a graph
+without vertices for ``bounds``), 3 an exact-computation guard was
+exceeded or an exact walk count left the 64-bit integer range.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from .bounds import (
     evaluate_all,
     evaluations_to_json,
 )
-from .errors import (
-    InvalidConfigError,
-    InvalidParamsError,
-    ParseError,
-    SignedSpectraError,
-    TooLargeError,
-)
+from .errors import InvalidConfigError, InvalidParamsError, SignedSpectraError, TooLargeError
 from .graph import SignedGraph, adjacency_matrix, generate, parse_signed_graph
 from .invariants import compute_invariant_report
 from .search import SearchConfig, findings_to_json, search_counterexamples
@@ -243,10 +238,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, InvalidParamsError, InvalidConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SignedSpectraError as exc:
+    except (SignedSpectraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

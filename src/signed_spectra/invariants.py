@@ -9,7 +9,9 @@ every such maximisation exactly with blocked matrix products.  Guards cap
 the exponent and can be lifted with ``force=True`` or the
 ``SIGNED_SPECTRA_MAX_N`` environment variable.
 
-Walk counts are exact integer matrix powers with 64-bit overflow detection.
+Walk counts are exact integer walk sums, taken by matrix-vector steps on
+Python integers; they raise OverflowError once the count of unsigned walks
+exceeds 2^63 - 1, the one overflow rule of the walk layer.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ CLIQUE_MAX_N = 40
 
 _INT64_MAX = 2**63 - 1
 _BLOCK_ENTRIES = (1 << 18) // 8  # one 256 KiB GEMM block of the switching kernel
+_HEURISTIC_ITERS, _HEURISTIC_SEED = 200, 0  # local-search fallback of the report
 
 
 def _guard_limit(default: int) -> int:
@@ -126,7 +129,7 @@ def frustration_index_exact(g: SignedGraph, *, force: bool = False) -> int:
     _check_guard(g.n, FRUSTRATION_MAX_N, force, "frustration_index_exact")
     if g.m == 0:
         return 0
-    best, _ = _max_switching_form(_int_matrices(g)[1], 2 * g.m)
+    best, _ = _max_switching_form(_signed_matrix(g), 2 * g.m)
     return (g.m - best // 2) // 2
 
 
@@ -317,54 +320,45 @@ class WalkCensus:
     w_neg: int
 
 
-def _int_matrices(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
-    unsigned = np.zeros((g.n, g.n), dtype=np.int64)
-    signed = np.zeros((g.n, g.n), dtype=np.int64)
+def _signed_matrix(g: SignedGraph) -> np.ndarray:
+    """The signed adjacency matrix A as int64."""
+    a = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v, s in g.edges:
-        unsigned[u, v] = unsigned[v, u] = 1
-        signed[u, v] = signed[v, u] = s
-    return unsigned, signed
+        a[u, v] = a[v, u] = s
+    return a
 
 
-def _walk_power_matrices(g: SignedGraph, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(|A|^(r-1), A^(r-1)) as exact integer matrices.
+def _walk_sums(g: SignedGraph, r: int) -> tuple[int, int]:
+    """(e^T |A|^(r-1) e, e^T A^(r-1) e) as exact Python integers.
 
-    Raises OverflowError once entries leave the 64-bit range.  Entrywise
-    |A^k| <= |A|^k, so checking the unsigned power covers both.  When a
-    step might overflow int64 it is redone exactly (object dtype) for
-    n <= 64; beyond that the predictive bound itself raises.
+    Takes r - 1 matrix-vector steps over the edges from the all-ones
+    vector, and raises OverflowError as soon as the unsigned sum leaves the
+    64-bit range.  From step 1 on that sum never decreases: every vertex a
+    walk reaches has a neighbour, so each walk extends by one more step.
+    So an entry of some |A|^k (k <= r - 1) above 2^63 - 1 forces the final
+    sum above it too, and the one rule "raise when e^T |A|^(r-1) e exceeds
+    2^63 - 1" is the same as checking every entry of every power.  The
+    counts are exact, so the rule needs no prediction.
     """
     if r < 1:
         raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
-    au, asn = _int_matrices(g)
-    pu = np.eye(g.n, dtype=np.int64)
-    ps = np.eye(g.n, dtype=np.int64)
-    max_degree = int(au.sum(axis=0).max()) if g.n else 0
+    unsigned, signed = [1] * g.n, [1] * g.n
     for _ in range(r - 1):
-        cur_max = int(pu.max()) if g.n else 0
-        if max_degree and cur_max > _INT64_MAX // max_degree:
-            if g.n > 64:
-                raise OverflowError(
-                    "walk counts exceed the 64-bit integer range"
-                )
-            exact = pu.astype(object) @ au.astype(object)
-            if int(max(map(max, exact.tolist()), default=0)) > _INT64_MAX:
-                raise OverflowError("walk counts exceed the 64-bit integer range")
-            pu = exact.astype(np.int64)
-            ps = (ps.astype(object) @ asn.astype(object)).astype(np.int64)
-        else:
-            pu = pu @ au
-            ps = ps @ asn
-    return pu, ps
+        nu, ns = [0] * g.n, [0] * g.n
+        for u, v, s in g.edges:
+            nu[u] += unsigned[v]
+            nu[v] += unsigned[u]
+            ns[u] += s * signed[v]
+            ns[v] += s * signed[u]
+        unsigned, signed = nu, ns
+        if sum(unsigned) > _INT64_MAX:
+            raise OverflowError("walk counts exceed the 64-bit integer range")
+    return sum(unsigned), sum(signed)
 
 
 def walk_census(g: SignedGraph, r: int) -> WalkCensus:
-    """Exact walk counts: w_total from |A|^(r-1), w_signed = e^T A^(r-1) e."""
-    pu, ps = _walk_power_matrices(g, r)
-    w_total = int(pu.sum(dtype=object)) if g.n else 0
-    w_signed = int(ps.sum(dtype=object)) if g.n else 0
-    if w_total > _INT64_MAX:
-        raise OverflowError("walk counts exceed the 64-bit integer range")
+    """Exact walk counts: w_total = e^T |A|^(r-1) e, w_signed = e^T A^(r-1) e."""
+    w_total, w_signed = _walk_sums(g, r)
     return WalkCensus(
         r=r,
         w_total=w_total,
@@ -379,20 +373,20 @@ def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
 
     Uses A(switched)^(r-1) = D A^(r-1) D: a switching x leaves
     (w_total - x^T A^(r-1) x) / 2 negative r-walks, so one integer matrix
-    power and one switching-class maximisation suffice.  Guard: n <= 20.
-    Note the ordered-walk convention: every negative edge yields two
-    negative 2-walks, hence eps_2 = 2 * eps.
+    power and one switching-class maximisation suffice.  The power is taken
+    in int64: binary powering multiplies only A^i by A^j with i + j <= r - 1,
+    and every partial sum of such a product is bounded by an entry of
+    |A|^(i+j), hence by w_total, which ``_walk_sums`` has checked.
+    Guard: n <= 20.  Note the ordered-walk convention: every
+    negative edge yields two negative 2-walks, hence eps_2 = 2 * eps.
     """
     if r < 1:
         raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
     _check_guard(g.n, R_FRUSTRATION_MAX_N, force, "r_frustration_index")
     if g.n == 0 or g.m == 0 or r == 1:
         return 0
-    pu, ps = _walk_power_matrices(g, r)
-    w_total = int(pu.sum(dtype=object))
-    if w_total > _INT64_MAX:
-        raise OverflowError("walk counts exceed the 64-bit integer range")
-    best, _ = _max_switching_form(ps, w_total)
+    w_total, _ = _walk_sums(g, r)
+    best, _ = _max_switching_form(np.linalg.matrix_power(_signed_matrix(g), r - 1), w_total)
     return (w_total - best) // 2
 
 
@@ -416,13 +410,7 @@ class InvariantReport:
     exact_flags: Mapping[str, bool]
 
 
-def compute_invariant_report(
-    g: SignedGraph,
-    *,
-    force: bool = False,
-    heuristic_iters: int = 200,
-    seed: int = 0,
-) -> InvariantReport:
+def compute_invariant_report(g: SignedGraph, *, force: bool = False) -> InvariantReport:
     """Compute all report invariants, falling back to heuristics over guard."""
     flags: dict[str, bool] = {}
 
@@ -436,12 +424,12 @@ def compute_invariant_report(
     frustration = exact_or(
         "frustration",
         frustration_index_exact,
-        lambda: frustration_index_upper(g, iters=heuristic_iters, seed=seed),
+        lambda: frustration_index_upper(g, iters=_HEURISTIC_ITERS, seed=_HEURISTIC_SEED),
     )
     eps_b = exact_or(
         "edge_bipartiteness",
         edge_bipartiteness,
-        lambda: frustration_index_upper(all_negative(g), iters=heuristic_iters, seed=seed),
+        lambda: frustration_index_upper(all_negative(g), iters=_HEURISTIC_ITERS, seed=_HEURISTIC_SEED),
     )
     omega_b = exact_or("balanced_clique", balanced_clique_number, lambda: greedy_balanced_clique(g))
     flags["triangle_census"] = True  # polynomial, always exact

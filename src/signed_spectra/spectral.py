@@ -52,16 +52,14 @@ class Spectrum:
         return float(np.sum(self.eigenvalues[len(self.eigenvalues) - n_neg :] ** 2))
 
 
-def eigen_decomposition(
-    a: SymmetricMatrix | np.ndarray, *, zero_tol_factor: float = ZERO_TOL_FACTOR
-) -> Spectrum:
+def eigen_decomposition(a: SymmetricMatrix | np.ndarray) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
     The input must be finite (else InvalidParamsError) and symmetric within
     1e-12 (else NotSymmetricError).  Eigenvalues come back sorted
     descending (stable order on ties), with eigenvector columns permuted
-    accordingly.  ``zero_tol_factor`` scales the zero-eigenvalue tolerance
-    used for the inertia: tau_z = zero_tol_factor * max(1, ||A||_F).
+    accordingly.  The inertia counts an eigenvalue as zero within
+    tau_z = ZERO_TOL_FACTOR * max(1, ||A||_F).
     """
     entries = (a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a)).entries
     try:
@@ -72,7 +70,7 @@ def eigen_decomposition(
     vals = vals[order]
     vecs = vecs[:, order]
     fro = float(np.linalg.norm(entries))
-    tau_z = zero_tol_factor * max(1.0, fro)
+    tau_z = ZERO_TOL_FACTOR * max(1.0, fro)
     n_pos = int(np.sum(vals > tau_z))
     n_neg = int(np.sum(vals < -tau_z))
     coeffs = vecs.sum(axis=0) ** 2

@@ -4,9 +4,10 @@ Everything here is deliberately naive and separate from the library's
 computation paths: balance by parity union-find instead of BFS labeling,
 frustration by exhaustive edge deletion instead of switching enumeration,
 cliques by subset enumeration, walks by explicit sequence enumeration,
-eigenvalues by cyclic Jacobi rotations instead of LAPACK, the frustration
-local search with a full recount after every flip instead of incremental
-counts, and the MS-index polish on numpy arrays instead of Python lists.
+walk sums by Python-int matrix powers instead of vector steps, eigenvalues
+by cyclic Jacobi rotations instead of LAPACK, the frustration local search
+with a full recount after every flip instead of incremental counts, and
+the MS-index polish on numpy arrays instead of Python lists.
 """
 
 from __future__ import annotations
@@ -105,6 +106,19 @@ def min_negative_walks(g: SignedGraph, r: int) -> int:
         _, _, _, w_neg = enumerate_walks(apply_switching(g, eta), r)
         best = w_neg if best is None else min(best, w_neg)
     return 0 if best is None else best
+
+
+def walk_sums_by_matrix_power(g: SignedGraph, r: int) -> tuple[int, int]:
+    """(e^T |A|^(r-1) e, e^T A^(r-1) e) from whole matrix powers.
+
+    Object dtype holds Python ints, so every entry stays exact at any size:
+    no overflow check, no vector steps.
+    """
+    signed = np.zeros((g.n, g.n), dtype=object)
+    for u, v, s in g.edges:
+        signed[u, v] = signed[v, u] = s
+    unsigned = abs(signed)
+    return tuple(int(np.linalg.matrix_power(a, r - 1).sum()) for a in (unsigned, signed))
 
 
 def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from signed_spectra import (
+    InvalidParamsError,
     MissingParamError,
     SignedGraph,
     TooLargeError,
@@ -110,6 +111,11 @@ class TestSingleEvaluations:
     def test_guard_propagates(self):
         with pytest.raises(TooLargeError):
             evaluate_bound(SignedGraph(30), "B2")
+
+    def test_empty_graph_rejected(self):
+        for evaluate in (lambda g: evaluate_bound(g, "B1"), evaluate_all):
+            with pytest.raises(InvalidParamsError, match="at least one vertex"):
+                evaluate(SignedGraph(0))
 
 
 class TestStanleyChain:

@@ -117,6 +117,19 @@ class TestBounds:
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(["bounds"]) == 2
 
+    def test_empty_graph_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.sg"
+        path.write_text("0\n", encoding="utf-8")
+        assert run_cli(["bounds", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: bounds need at least one vertex\n"
+        assert captured.out == ""
+
+    def test_directory_exit_2(self, tmp_path, capsys):
+        assert run_cli(["bounds", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
 
 class TestExitOne:
     def test_violated_enforced_helper(self):
@@ -225,3 +238,8 @@ class TestGen:
     def test_gen_bad_params_exit_2(self, capsys):
         assert run_cli(["gen", "erdos_renyi_signed", "8"]) == 2
         assert run_cli(["gen", "nonsense_kind"]) == 2
+
+    def test_gen_output_directory_exit_2(self, tmp_path, capsys):
+        assert run_cli(["gen", "paper_c5", "-o", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err

@@ -34,6 +34,7 @@ from .oracles import (
     enumerate_walks,
     frustration_upper_by_recount,
     min_negative_walks,
+    walk_sums_by_matrix_power,
 )
 
 
@@ -102,7 +103,7 @@ class TestFrustrationIndex:
         for g in kernel_graphs(n):
             eps = frustration_index_exact(g)
             assert eps == switching_min_negative_edges(g), g.to_sg()
-            best, x = invariants._max_switching_form(invariants._int_matrices(g)[1], 2 * g.m)
+            best, x = invariants._max_switching_form(invariants._signed_matrix(g), 2 * g.m)
             assert x[0] == 1 and len(x) == n
             assert best == 2 * (g.m - 2 * eps)
             assert apply_switching(g, Switching(x)).m_minus == eps
@@ -258,6 +259,33 @@ class TestWalkCensus:
         with pytest.raises(OverflowError):
             walk_census(g, 60)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_matrix_power_oracle(self, seed):
+        # sparse to near-complete graphs, half of them with n > 64, so the
+        # first order past 2^63 - 1 ranges from r = 12 to beyond r = 60
+        p = (0.05, 0.15, 0.6, 0.95)
+        graphs = random_graphs(3, max_n=70, seed=70 + seed, p=p) + random_graphs(
+            3, max_n=70, seed=80 + seed, p=p, min_n=65
+        )
+        for g in graphs:
+            for r in (*range(1, 9), 12, 20, 40, 60):
+                w_total, w_signed = walk_sums_by_matrix_power(g, r)
+                if w_total > 2**63 - 1:
+                    with pytest.raises(OverflowError):
+                        walk_census(g, r)
+                    continue
+                census = walk_census(g, r)
+                assert (census.w_total, census.w_signed) == (w_total, w_signed), (g.to_sg(), r)
+
+    def test_overflow_boundary_on_positive_k14(self):
+        # 14 * 13^15 < 2^63 - 1 < 14 * 13^16
+        g = all_negative_complete(14).with_all_signs(1)
+        assert walk_census(g, 16).w_total == 14 * 13**15
+        assert r_frustration_index(g, 16) == 0
+        for walks in (walk_census, r_frustration_index):
+            with pytest.raises(OverflowError):
+                walks(g, 17)
+
 
 class TestRFrustration:
     def test_balanced_graph_any_r(self):
@@ -299,7 +327,7 @@ class TestRFrustration:
                     assert eps_r == 0
                     continue
                 census = walk_census(g, r)
-                _, ps = invariants._walk_power_matrices(g, r)
+                ps = np.linalg.matrix_power(invariants._signed_matrix(g), r - 1)
                 best, x = invariants._max_switching_form(ps, census.w_total)
                 assert eps_r == (census.w_total - best) // 2
                 assert walk_census(apply_switching(g, Switching(x)), r).w_neg == eps_r
