@@ -44,11 +44,9 @@ from .graph import (
     signed_cycle,
 )
 from .invariants import (
-    InvariantReport,
     TriangleCensus,
     WalkCensus,
     balanced_clique_number,
-    compute_invariant_report,
     edge_bipartiteness,
     frustration_index_exact,
     frustration_index_upper,

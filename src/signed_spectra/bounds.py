@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError
-from .graph import SignedGraph, adjacency_matrix
+from .graph import SignedGraph, adjacency_matrix, all_negative
 from .invariants import (
     FRUSTRATION_MAX_N,
     TriangleCensus,
@@ -45,6 +45,8 @@ from .invariants import (
     _max_balanced_clique,
     edge_bipartiteness,
     frustration_index_exact,
+    frustration_index_upper,
+    greedy_balanced_clique,
     r_frustration_index,
     triangle_census,
     walk_census,
@@ -84,12 +86,14 @@ def _underlying(n: int, pairs: frozenset[tuple[int, int]]) -> dict[str, float]:
     return {}
 
 
+_HEURISTIC_ITERS, _HEURISTIC_SEED = 200, 0  # local-search fallback past the guards
+
+
 class _Ctx:
-    """Every quantity of one signed graph the registry reads, computed once."""
+    """Every quantity of one signed graph that ``bounds`` and ``invariants``
+    read, computed once."""
 
     def __init__(self, g: SignedGraph, force: bool):
-        if g.n == 0:
-            raise InvalidParamsError("bounds need at least one vertex")
         self.g = g
         self.force = force
         self._walks: dict[int, WalkCensus] = {}
@@ -103,8 +107,11 @@ class _Ctx:
     def unsigned_lambda_n(self) -> float:
         shared = _underlying(self.g.n, self.g.underlying_pairs)
         if "lambda_n" not in shared:
-            unsigned = eigen_decomposition(adjacency_matrix(self.g.with_all_signs(1)))
-            shared["lambda_n"] = float(unsigned.eigenvalues[-1])
+            if self.g.m_minus == 0:  # g is its own unsigned graph
+                shared["lambda_n"] = self.lambda_n
+            else:
+                unsigned = eigen_decomposition(adjacency_matrix(self.g.with_all_signs(1)))
+                shared["lambda_n"] = float(unsigned.eigenvalues[-1])
         return shared["lambda_n"]
 
     @cached_property
@@ -127,6 +134,21 @@ class _Ctx:
     @property
     def omega_b(self) -> int:
         return self.clique[0]
+
+    def exact_or_bound(self, name: str) -> tuple[int, bool]:
+        """``eps``, ``eps_b`` or ``omega_b`` and whether it is exact.
+
+        Past its guard the value is a heuristic bound instead: local search
+        gives upper bounds on eps and eps_b, a greedy clique a lower bound
+        on omega_b.  A bound is never memoised, here or across graphs.
+        """
+        try:
+            return getattr(self, name), True
+        except TooLargeError:
+            if name == "omega_b":
+                return greedy_balanced_clique(self.g), False
+            g = self.g if name == "eps" else all_negative(self.g)
+            return frustration_index_upper(g, _HEURISTIC_ITERS, _HEURISTIC_SEED), False
 
     @cached_property
     def census(self) -> TriangleCensus:
@@ -329,6 +351,8 @@ def evaluate_bound(
     for name in info.required_params:
         if name not in params:
             raise MissingParamError(f"{bound_id} requires parameter {name!r}")
+    if g.n == 0:
+        raise InvalidParamsError("bounds need at least one vertex")
     return _evaluate(_Ctx(g, force), info, params)
 
 
@@ -382,6 +406,8 @@ def evaluate_all(
             plan.append((bound_id, {"iters": 2, "seed": 0}))
         else:
             plan.append((bound_id, {}))
+    if g.n == 0:
+        raise InvalidParamsError("bounds need at least one vertex")
     ctx = _Ctx(g, force)
     out: list[BoundEvaluation] = []
     for bound_id, params in plan:

@@ -3,8 +3,8 @@
 Subcommands: ``spectrum``, ``invariants``, ``bounds``, ``search``, ``gen``.
 Exit codes: 0 success, 1 a hypothesis-enforced bound came back violated,
 2 usage or input error (an unreadable path, a malformed file, a graph
-without vertices for ``bounds``), 3 an exact-computation guard was
-exceeded or an exact walk count left the 64-bit integer range.
+without vertices for ``bounds`` or ``invariants``), 3 an exact-computation
+guard was exceeded or an exact walk count left the 64-bit integer range.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from .bounds import (
     REGISTRY,
     VIOLATED,
     BoundEvaluation,
+    _Ctx,
     evaluate_all,
     evaluations_to_json,
 )
 from .errors import InvalidConfigError, InvalidParamsError, SignedSpectraError, TooLargeError
 from .graph import SignedGraph, adjacency_matrix, generate, parse_signed_graph
-from .invariants import compute_invariant_report
 from .search import SearchConfig, findings_to_json, search_counterexamples
 from .spectral import eigen_decomposition
 
@@ -94,16 +94,13 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = _load_graph(args.file)
-    report = compute_invariant_report(g, force=args.force)
-
-    def tag(name: str) -> str:
-        return "exact" if report.exact_flags[name] else "heuristic bound"
-
+    ctx = _Ctx(g, args.force)
+    values = [ctx.exact_or_bound(name) for name in ("eps", "eps_b", "omega_b")]
+    labels = ("frustration_index", "edge_bipartiteness", "balanced_clique_number")
     print(f"n={g.n} m={g.m} m+={g.m_plus} m-={g.m_minus}")
-    print(f"frustration_index: {report.frustration} ({tag('frustration')})")
-    print(f"edge_bipartiteness: {report.edge_bipartiteness} ({tag('edge_bipartiteness')})")
-    print(f"balanced_clique_number: {report.balanced_clique} ({tag('balanced_clique')})")
-    tri = report.triangle_census
+    for label, (value, exact) in zip(labels, values):
+        print(f"{label}: {value} ({'exact' if exact else 'heuristic bound'})")
+    tri = ctx.census
     print(f"triangles: t+={tri.t_plus} t-={tri.t_minus} t_s={tri.t_s}")
     return 0
 

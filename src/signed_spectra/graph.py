@@ -260,10 +260,6 @@ class SymmetricMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
     def submatrix(self, keep: Sequence[int]) -> "SymmetricMatrix":
         """Principal submatrix on the given (distinct) indices."""
         idx = np.asarray(sorted(set(keep)), dtype=int)

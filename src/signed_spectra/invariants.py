@@ -7,7 +7,9 @@ x and -x coincide): M is the signed adjacency matrix A for eps, -|A| for
 eps_b and A^(r-1) for eps_r.  One kernel, ``_max_switching_form``, does
 every such maximisation exactly with blocked matrix products.  Guards cap
 the exponent and can be lifted with ``force=True`` or the
-``SIGNED_SPECTRA_MAX_N`` environment variable.
+``SIGNED_SPECTRA_MAX_N`` environment variable.  Past a guard,
+``bounds._Ctx.exact_or_bound`` falls back to the heuristic bounds
+``frustration_index_upper`` and ``greedy_balanced_clique``.
 
 Walk counts are exact integer walk sums, taken by matrix-vector steps on
 Python integers; they raise OverflowError once the count of unsigned walks
@@ -20,7 +22,6 @@ import os
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping
 
 import numpy as np
 
@@ -34,7 +35,6 @@ CLIQUE_MAX_N = 40
 
 _INT64_MAX = 2**63 - 1
 _BLOCK_ENTRIES = (1 << 18) // 8  # one 256 KiB GEMM block of the switching kernel
-_HEURISTIC_ITERS, _HEURISTIC_SEED = 200, 0  # local-search fallback of the report
 
 
 def _guard_limit(default: int) -> int:
@@ -388,55 +388,3 @@ def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
     w_total, _ = _walk_sums(g, r)
     best, _ = _max_switching_form(np.linalg.matrix_power(_signed_matrix(g), r - 1), w_total)
     return (w_total - best) // 2
-
-
-# ---------------------------------------------------------------------------
-# Aggregate report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """Bundle of the combinatorial invariants with per-field exactness flags.
-
-    Fields beyond their guard fall back to bounds: local-search upper
-    bounds for frustration and edge bipartiteness, a greedy lower bound for
-    the balanced clique number.  ``exact_flags`` records which path ran.
-    """
-
-    frustration: int
-    edge_bipartiteness: int
-    balanced_clique: int
-    triangle_census: TriangleCensus
-    exact_flags: Mapping[str, bool]
-
-
-def compute_invariant_report(g: SignedGraph, *, force: bool = False) -> InvariantReport:
-    """Compute all report invariants, falling back to heuristics over guard."""
-    flags: dict[str, bool] = {}
-
-    def exact_or(name: str, exact, fallback) -> int:
-        try:
-            value, flags[name] = exact(g, force=force), True
-        except TooLargeError:
-            value, flags[name] = fallback(), False
-        return value
-
-    frustration = exact_or(
-        "frustration",
-        frustration_index_exact,
-        lambda: frustration_index_upper(g, iters=_HEURISTIC_ITERS, seed=_HEURISTIC_SEED),
-    )
-    eps_b = exact_or(
-        "edge_bipartiteness",
-        edge_bipartiteness,
-        lambda: frustration_index_upper(all_negative(g), iters=_HEURISTIC_ITERS, seed=_HEURISTIC_SEED),
-    )
-    omega_b = exact_or("balanced_clique", balanced_clique_number, lambda: greedy_balanced_clique(g))
-    flags["triangle_census"] = True  # polynomial, always exact
-    return InvariantReport(
-        frustration=frustration,
-        edge_bipartiteness=eps_b,
-        balanced_clique=omega_b,
-        triangle_census=triangle_census(g),
-        exact_flags=flags,
-    )

@@ -12,15 +12,19 @@ from signed_spectra import (
     SignedGraph,
     TooLargeError,
     UnknownBoundError,
+    adjacency_matrix,
     all_negative_complete,
     apply_switching,
+    eigen_decomposition,
     evaluate_all,
     evaluate_bound,
     evaluations_to_json,
     enforced_bound_ids,
+    erdos_renyi_signed,
     paper_c5,
     signed_cycle,
 )
+from signed_spectra import bounds
 from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
 
 from .conftest import random_graphs
@@ -232,6 +236,23 @@ class TestEvaluateAll:
             evaluate_bound(second, "B3")
         b3 = next(ev for ev in evaluate_all(second) if ev.bound_id == "B3")
         assert b3.verdict == "skipped" and "edge_bipartiteness" in b3.note
+
+    def test_all_positive_graph_is_decomposed_once(self, monkeypatch):
+        # an all-positive graph is its own unsigned graph, so B3 and B4 read
+        # its spectrum instead of decomposing the same matrix again
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return eigen_decomposition(matrix)
+
+        monkeypatch.setattr(bounds, "eigen_decomposition", counted)
+        g = erdos_renyi_signed(n=9, p=0.5, q_neg=0.0, seed=5)
+        _underlying.cache_clear()
+        evals = evaluate_all(g)
+        assert len(calls) == 1
+        b4 = next(ev for ev in evals if ev.bound_id == "B4")
+        assert b4.lhs == abs(float(eigen_decomposition(adjacency_matrix(g)).eigenvalues[-1]))
 
     def test_custom_walk_parameters(self, c5):
         evals = evaluate_all(c5, rs=(4,), qr_pairs=((5, 2),))

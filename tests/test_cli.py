@@ -1,13 +1,20 @@
 """CLI subcommands, exit codes, output formats."""
 
 import json
+import random
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from signed_spectra import BoundEvaluation, paper_c5
+from signed_spectra import BoundEvaluation, SignedGraph, all_negative, erdos_renyi_signed, paper_c5
+from signed_spectra import bounds
+from signed_spectra.bounds import _underlying
 from signed_spectra.cli import _violated_enforced, run_cli
+
+from .conftest import random_graphs
+from .oracles import brute_balanced_clique, deletion_frustration
 
 
 @pytest.fixture
@@ -15,6 +22,18 @@ def c5_file(tmp_path):
     path = tmp_path / "c5.sg"
     path.write_text(paper_c5().to_sg(), encoding="utf-8")
     return str(path)
+
+
+def write_graph(path, g: SignedGraph) -> str:
+    path.write_text(g.to_sg(), encoding="utf-8")
+    return str(path)
+
+
+def gnm_signed(n: int, m: int, seed: int) -> SignedGraph:
+    """Seeded G(n, M) with independent fair signs."""
+    rng = random.Random(seed)
+    pairs = sorted(rng.sample(list(combinations(range(n), 2)), m))
+    return SignedGraph.from_edges(n, [(u, v, rng.choice((1, -1))) for u, v in pairs])
 
 
 def eigenvalues_from(output: str) -> list[float]:
@@ -83,6 +102,76 @@ class TestInvariants:
         assert run_cli(["invariants", c5_file, "--force"]) == 0
         out = capsys.readouterr().out
         assert "heuristic" not in out
+
+    def test_empty_graph_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.sg"
+        path.write_text("0\n", encoding="utf-8")
+        assert run_cli(["invariants", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: balanced clique number needs at least one vertex\n"
+        assert captured.out == ""
+
+    def test_forced_exact_value_does_not_lift_the_guard(self, tmp_path, capsys):
+        path = write_graph(tmp_path / "g26.sg", erdos_renyi_signed(n=26, p=0.3, q_neg=0.5, seed=26))
+        _underlying.cache_clear()
+        assert run_cli(["invariants", path, "--force"]) == 0
+        assert re.search(r"^edge_bipartiteness: \d+ \(exact\)$", capsys.readouterr().out, re.M)
+        # the exact eps_b now sits in the shared entry of the underlying graph
+        assert run_cli(["invariants", path]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^edge_bipartiteness: \d+ \(heuristic bound\)$", out, re.M)
+
+    def test_heuristic_value_is_not_shared(self, c5_file, capsys, monkeypatch):
+        # a sentinel fallback tells a shared heuristic eps_b from the exact 1
+        monkeypatch.setattr(bounds, "frustration_index_upper", lambda g, iters, seed: 99)
+        monkeypatch.setenv("SIGNED_SPECTRA_MAX_N", "4")
+        _underlying.cache_clear()
+        assert run_cli(["invariants", c5_file]) == 0
+        assert "edge_bipartiteness: 99 (heuristic bound)" in capsys.readouterr().out
+        monkeypatch.delenv("SIGNED_SPECTRA_MAX_N")
+        assert run_cli(["bounds", c5_file, "--json"]) == 0
+        b3 = next(e for e in json.loads(capsys.readouterr().out) if e["bound_id"] == "B3")
+        assert b3["verdict"] == "holds" and b3["rhs"] == 5 - 1  # m - eps_b, exact
+
+    @pytest.mark.parametrize(
+        "n, m, seed, expected",
+        [
+            (
+                30,
+                130,
+                30,
+                "n=30 m=130 m+=69 m-=61\n"
+                "frustration_index: 33 (heuristic bound)\n"
+                "edge_bipartiteness: 37 (heuristic bound)\n"
+                "balanced_clique_number: 4 (exact)\n"
+                "triangles: t+=56 t-=50 t_s=6\n",
+            ),
+            (
+                40,
+                240,
+                40,
+                "n=40 m=240 m+=117 m-=123\n"
+                "frustration_index: 66 (heuristic bound)\n"
+                "edge_bipartiteness: 80 (heuristic bound)\n"
+                "balanced_clique_number: 5 (exact)\n"
+                "triangles: t+=164 t-=130 t_s=34\n",
+            ),
+        ],
+    )
+    def test_golden_past_the_guards(self, tmp_path, capsys, n, m, seed, expected):
+        path = write_graph(tmp_path / f"g{n}.sg", gnm_signed(n, m, seed))
+        assert run_cli(["invariants", path]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_matches_oracles(self, tmp_path, capsys):
+        for i, g in enumerate(random_graphs(40, max_n=8, seed=71)):
+            assert run_cli(["invariants", write_graph(tmp_path / f"g{i}.sg", g)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[1:4] == [
+                f"frustration_index: {deletion_frustration(g)} (exact)",
+                f"edge_bipartiteness: {deletion_frustration(all_negative(g))} (exact)",
+                f"balanced_clique_number: {brute_balanced_clique(g)} (exact)",
+            ], g.to_sg()
 
 
 class TestBounds:

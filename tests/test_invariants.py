@@ -15,7 +15,6 @@ from signed_spectra import (
     all_negative_complete,
     apply_switching,
     balanced_clique_number,
-    compute_invariant_report,
     edge_bipartiteness,
     erdos_renyi_signed,
     frustration_index_exact,
@@ -26,6 +25,7 @@ from signed_spectra import (
     triangle_census,
     walk_census,
 )
+from signed_spectra.bounds import _Ctx
 
 from .conftest import random_graphs, signed_graphs
 from .oracles import (
@@ -366,19 +366,22 @@ class TestPositiveEdgeLemma:
 
 
 class TestInvariantReport:
+    """The values ``invariants`` prints, read from the one per-graph memo."""
+
     def test_exact_under_guards(self, c5):
-        report = compute_invariant_report(c5)
-        assert report.frustration == 1
-        assert report.edge_bipartiteness == 1
-        assert report.balanced_clique == 2
-        assert report.triangle_census.t_s == 0
-        assert all(report.exact_flags.values())
+        ctx = _Ctx(c5, force=False)
+        assert ctx.exact_or_bound("eps") == (1, True)
+        assert ctx.exact_or_bound("eps_b") == (1, True)
+        assert ctx.exact_or_bound("omega_b") == (2, True)
+        assert ctx.census.t_s == 0
 
     def test_heuristic_fallback_over_guard(self, monkeypatch):
         monkeypatch.setenv("SIGNED_SPECTRA_MAX_N", "4")
-        g = paper_c5()
-        report = compute_invariant_report(g)
-        assert not report.exact_flags["frustration"]
-        assert not report.exact_flags["balanced_clique"]
-        assert report.frustration >= 1  # upper bound
-        assert report.balanced_clique <= 2  # greedy lower bound
+        ctx = _Ctx(paper_c5(), force=False)
+        frustration, frustration_exact = ctx.exact_or_bound("eps")
+        eps_b, eps_b_exact = ctx.exact_or_bound("eps_b")
+        omega_b, omega_b_exact = ctx.exact_or_bound("omega_b")
+        assert not frustration_exact and not eps_b_exact and not omega_b_exact
+        assert frustration >= 1  # upper bound
+        assert eps_b >= 1  # upper bound
+        assert omega_b <= 2  # greedy lower bound
