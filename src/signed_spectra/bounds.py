@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError
-from .graph import SignedGraph, adjacency_matrix, all_negative
+from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix, all_negative
 from .invariants import (
     FRUSTRATION_MAX_N,
     TriangleCensus,
@@ -51,7 +51,7 @@ from .invariants import (
     triangle_census,
     walk_census,
 )
-from .spectral import Spectrum, _clique_witness, eigen_decomposition, ms_index_search
+from .spectral import Spectrum, _clique_witness, _ms_search, eigen_decomposition
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -100,8 +100,12 @@ class _Ctx:
         self._eps_r: dict[int, int] = {}
 
     @cached_property
+    def adjacency(self) -> SymmetricMatrix:
+        return adjacency_matrix(self.g)
+
+    @cached_property
     def spectrum(self) -> Spectrum:
-        return eigen_decomposition(adjacency_matrix(self.g))
+        return eigen_decomposition(self.adjacency)
 
     @property
     def unsigned_lambda_n(self) -> float:
@@ -141,10 +145,14 @@ class _Ctx:
         Past its guard the value is a heuristic bound instead: local search
         gives upper bounds on eps and eps_b, a greedy clique a lower bound
         on omega_b.  A bound is never memoised, here or across graphs.
+        A forced memo has no guard to pass, so its TooLargeError (a kernel
+        table that cannot be allocated) propagates.
         """
         try:
             return getattr(self, name), True
         except TooLargeError:
+            if self.force:
+                raise
             if name == "omega_b":
                 return greedy_balanced_clique(self.g), False
             g = self.g if name == "eps" else all_negative(self.g)
@@ -273,8 +281,8 @@ def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     clique = ctx.clique
     exact = Fraction(clique[0] - 1, 2 * clique[0])  # ms_index closed form
     _, witness_value = _clique_witness(ctx.g, clique)
-    lhs = ms_index_search(
-        ctx.g, iters=p.get("iters", 2), seed=p.get("seed", 0), force=ctx.force
+    lhs = _ms_search(  # ms_index_search on the memo's clique and matrix
+        ctx.g, ctx.adjacency.entries, float(witness_value), p.get("iters", 2), p.get("seed", 0)
     )
     note = ""
     if witness_value != exact:

@@ -4,7 +4,9 @@ Subcommands: ``spectrum``, ``invariants``, ``bounds``, ``search``, ``gen``.
 Exit codes: 0 success, 1 a hypothesis-enforced bound came back violated,
 2 usage or input error (an unreadable path, a malformed file, a graph
 without vertices for ``bounds`` or ``invariants``), 3 an exact-computation
-guard was exceeded or an exact walk count left the 64-bit integer range.
+guard was exceeded, an exact walk count left the 64-bit integer range, or
+``invariants --force`` met a switching-class sign table that cannot be
+allocated.
 """
 
 from __future__ import annotations

@@ -80,15 +80,24 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     GEMM block of at most ``_BLOCK_ENTRIES`` values at a time.  Every
     partial sum is an integer of magnitude at most sum |M_ij|, so float64
     is exact in any summation order while ``bound`` is below 2^53; from
-    there on the products run in int64.
+    there on the products run in int64.  A sign table that cannot be
+    allocated raises TooLargeError.
     """
     n = mat.shape[0]
     a = (n + 1) // 2
     h = n - a
     dtype = np.float64 if bound < 1 << 53 else np.int64
     m = mat.astype(dtype)
+    try:
+        table = np.empty((1 << a, a), dtype=dtype)
+    except (MemoryError, ValueError):  # numpy's errors for a table past memory or past intp
+        raise TooLargeError(
+            f"switching-class kernel: n={n} needs a sign table of 2^{a} rows, "
+            "which cannot be allocated",
+            n=n,
+        ) from None
     # row i of the table is the +-1 vector of the bits of i (bit v set <=> -1)
-    table = (1 - 2 * ((np.arange(1 << a)[:, None] >> np.arange(a)) & 1)).astype(dtype)
+    table[:] = 1 - 2 * ((np.arange(1 << a)[:, None] >> np.arange(a)) & 1)
     xl, xh = table[::2], table[: 1 << h, :h]
     xl_m = xl @ m[:a]
     left = np.empty((len(xl), h + 2), dtype=dtype)

@@ -144,77 +144,114 @@ def ms_index_search(
 
     Starts from the balanced-clique witness (which already attains the
     closed form) and adds seeded random restarts of a pairwise
-    mass-reallocation coordinate descent on the unit l1 sphere.  Every
-    evaluated point is feasible, so the result never exceeds the true
-    maximum beyond float roundoff.
+    mass-reallocation ascent on the unit l1 sphere.  Every evaluated point
+    is feasible, so the result never exceeds the true maximum beyond float
+    roundoff.
     """
+    _, exact = ms_witness(g, force=force)
+    return _ms_search(g, adjacency_matrix(g).entries, float(exact), iters, seed)
+
+
+def _ms_search(g: SignedGraph, a: np.ndarray, best: float, iters: int, seed: int) -> float:
+    """``ms_index_search`` on the adjacency entries ``a`` of ``g``, starting
+    from the value ``best`` (the witness value, unless a caller leaves it out)."""
     if iters < 1:
         raise InvalidParamsError(f"iters must be >= 1, got {iters}")
-    _, exact = ms_witness(g, force=force)
-    best = float(exact)
     if g.n < 2 or g.m == 0:
         return best
-    a = adjacency_matrix(g).entries
     rows = a.tolist()
+    nbrs = [[(k, w) for k, w in enumerate(row) if w] for row in rows]
+    # a sweep takes the pairs by index distance, so the first and noisiest
+    # moves of a sweep do not all fall on vertex 0
+    pairs = [(i, i + d, rows[i][i + d]) for d in range(1, g.n) for i in range(g.n - d)]
     rng = random.Random(seed)
-
-    # The pair loop runs on Python floats (rows of ``a``, lists ``x`` and
-    # ``y``): numpy scalar indexing costs more than the arithmetic here.
-    def polish(xa: np.ndarray) -> float:
-        x = xa.tolist()
-        y = (a @ xa).tolist()
-        for _ in range(40):
-            improved = False
-            for i in range(g.n):
-                row_i = rows[i]
-                for j in range(i + 1, g.n):
-                    budget = abs(x[i]) + abs(x[j])
-                    if budget == 0.0:
-                        continue
-                    w = row_i[j]
-                    gi = y[i] - w * x[j]
-                    gj = y[j] - w * x[i]
-                    cur = x[i] * gi + x[j] * gj + w * x[i] * x[j]
-                    cand_val, cand = cur, None
-                    for su in (1.0, -1.0):
-                        for sj in (1.0, -1.0):
-                            # value of the pair terms at x_i = su*rr,
-                            # x_j = sj*(budget - rr) is a quadratic in rr
-                            a2 = -su * sj * w
-                            a1 = su * gi - sj * gj + su * sj * w * budget
-                            a0 = sj * gj * budget
-                            rrs = [0.0, budget]
-                            if a2 < 0.0:
-                                peak = -a1 / (2.0 * a2)
-                                if 0.0 < peak < budget:
-                                    rrs.append(peak)
-                            for rr in rrs:
-                                val = a0 + a1 * rr + a2 * rr * rr
-                                if val > cand_val + 1e-13 * (1.0 + abs(cur)):
-                                    cand_val, cand = val, (su * rr, sj * (budget - rr))
-                    if cand is not None:
-                        old_i, old_j = x[i], x[j]
-                        x[i], x[j] = cand
-                        d_i, d_j = x[i] - old_i, x[j] - old_j
-                        row_j = rows[j]  # rows are columns: a is symmetric
-                        for k in range(g.n):
-                            y[k] += row_i[k] * d_i + row_j[k] * d_j
-                        improved = True
-            if not improved:
-                break
-            xa = np.array(x)
-            norm = float(np.sum(np.abs(xa)))
-            if norm > 0.0:
-                xa /= norm
-                x = xa.tolist()
-                y = (a @ xa).tolist()
-        xa = np.array(x)
-        return float(xa @ (a @ xa) / 2.0)
-
     for _ in range(iters):
         x = np.array([rng.uniform(-1.0, 1.0) for _ in range(g.n)])
         norm = float(np.sum(np.abs(x)))
         if norm == 0.0:
             continue
-        best = max(best, polish(x / norm))
+        best = max(best, _polish(a, pairs, nbrs, x / norm))
     return best
+
+
+def _polish(a: np.ndarray, pairs: list, nbrs: list, xa: np.ndarray) -> float:
+    """Cyclic pair ascent from ``xa`` on the unit l1 sphere, at most 40
+    sweeps over ``pairs``, the (i, j, A_ij) triples.
+
+    A pair move keeps |x_i| + |x_j| = b and every other coordinate.  With
+    g_i, g_j the gradients of 1/2 x^T A x off the pair and w = A_ij in
+    {-1, 0, 1}, the pair terms x_i g_i + x_j g_j + w x_i x_j are largest at
+    an endpoint (all of b on i or on j, signed by the gradient), unless
+    w != 0 and |g_i - w g_j| < b.  Then, with su = sign(g_i + w g_j), the
+    concave peak x_i = su r, x_j = su w (b - r), r = (b + su (g_i - w g_j)) / 2,
+    beats both endpoints.  Once a sweep ends on the same signed support S
+    as the one before, the stationary point of the face, A_SS z = sign(x_S),
+    is tried once: z / ||z||_1 replaces x if it keeps every sign and does
+    not lower the objective, and the next sweep confirms it.
+
+    The pair loop runs on Python floats (``pairs``, ``nbrs`` and lists
+    ``x`` and ``y = A x``): numpy scalar indexing costs more than the
+    arithmetic.
+    """
+    x = xa.tolist()
+    y = (a @ xa).tolist()
+    last = tried = None
+    for _ in range(40):
+        improved = False
+        for i, j, w in pairs:
+            xi, xj = x[i], x[j]
+            b = abs(xi) + abs(xj)
+            if b == 0.0:
+                continue
+            gi = y[i] - w * xj
+            gj = y[j] - w * xi
+            cur = xi * gi + xj * gj + w * xi * xj
+            if w != 0.0 and abs(gi - w * gj) < b:
+                su = 1.0 if gi + w * gj >= 0.0 else -1.0
+                r = (b + su * (gi - w * gj)) / 2.0
+                val = su * w * gj * b + r * r
+                new_i, new_j = su * r, su * w * (b - r)
+            elif abs(gi) >= abs(gj):
+                val = b * abs(gi)
+                new_i, new_j = (b if gi >= 0.0 else -b), 0.0
+            else:
+                val = b * abs(gj)
+                new_i, new_j = 0.0, (b if gj >= 0.0 else -b)
+            if val > cur + 1e-13 * (1.0 + abs(cur)):
+                x[i], x[j] = new_i, new_j
+                d_i, d_j = new_i - xi, new_j - xj
+                for k, w_k in nbrs[i]:
+                    y[k] += w_k * d_i
+                for k, w_k in nbrs[j]:
+                    y[k] += w_k * d_j
+                improved = True
+        if not improved:
+            break
+        xa = np.array(x)
+        xa /= float(np.sum(np.abs(xa)))
+        signs = tuple((v > 0.0) - (v < 0.0) for v in x)
+        if signs == last and signs != tried:
+            tried = signs
+            xa = _face_peak(a, xa, signs)
+        last = signs
+        x = xa.tolist()
+        y = (a @ xa).tolist()
+    xa = np.array(x)
+    return float(xa @ (a @ xa) / 2.0)
+
+
+def _face_peak(a: np.ndarray, xa: np.ndarray, signs: tuple[int, ...]) -> np.ndarray:
+    """The stationary point of 1/2 x^T A x on the face of the l1 sphere with
+    the sign pattern ``signs``, if it lies on that face and is no worse than
+    ``xa``; else ``xa``."""
+    support = [k for k, s in enumerate(signs) if s]
+    s = np.array([signs[k] for k in support], dtype=float)
+    try:
+        z = np.linalg.solve(a[np.ix_(support, support)], s)
+    except np.linalg.LinAlgError:
+        return xa
+    if not np.all(z * s > 0.0):
+        return xa
+    xz = np.zeros_like(xa)
+    xz[support] = z / float(np.sum(np.abs(z)))
+    return xz if xz @ (a @ xz) >= xa @ (a @ xa) else xa

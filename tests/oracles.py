@@ -6,8 +6,9 @@ frustration by exhaustive edge deletion instead of switching enumeration,
 cliques by subset enumeration, walks by explicit sequence enumeration,
 walk sums by Python-int matrix powers instead of vector steps, eigenvalues
 by cyclic Jacobi rotations instead of LAPACK, the frustration local search
-with a full recount after every flip instead of incremental counts, and
-the MS-index polish on numpy arrays instead of Python lists.
+with a full recount after every flip instead of incremental counts, the
+MS-index polish on numpy arrays instead of Python lists, and the earlier
+four-sign MS-index polish as a yardstick for the search's detection power.
 """
 
 from __future__ import annotations
@@ -189,6 +190,78 @@ def frustration_upper_by_recount(g: SignedGraph, iters: int, seed: int) -> int:
     return best
 
 
+def _ms_restarts(g: SignedGraph, iters: int, seed: int, polish) -> float:
+    """Largest ``polish`` value over the library's seeded restarts (-inf if none)."""
+    a = adjacency_matrix(g).entries
+    rng = random.Random(seed)
+    best = float("-inf")
+    for _ in range(iters):
+        x = np.array([rng.uniform(-1.0, 1.0) for _ in range(g.n)])
+        norm = float(np.sum(np.abs(x)))
+        if norm == 0.0:
+            continue
+        best = max(best, polish(a, x / norm))
+    return best
+
+
+def _closed_form_polish(a: np.ndarray, x: np.ndarray) -> float:
+    """The library's pair polish on numpy arrays and scalars: pairs by index
+    distance, the closed-form best move per pair, dense gradient updates one
+    column at a time, and the face finish indexed by a boolean mask."""
+    n = len(x)
+    y = a @ x
+    last = tried = None
+    for _ in range(40):
+        improved = False
+        for d in range(1, n):
+            for i in range(n - d):
+                j = i + d
+                xi, xj = x[i], x[j]
+                b = abs(xi) + abs(xj)
+                if b == 0.0:
+                    continue
+                w = a[i, j]
+                gi = y[i] - w * xj
+                gj = y[j] - w * xi
+                cur = xi * gi + xj * gj + w * xi * xj
+                if w != 0.0 and abs(gi - w * gj) < b:
+                    su = 1.0 if gi + w * gj >= 0.0 else -1.0
+                    r = (b + su * (gi - w * gj)) / 2.0
+                    val = su * w * gj * b + r * r
+                    new_i, new_j = su * r, su * w * (b - r)
+                elif abs(gi) >= abs(gj):
+                    val = b * abs(gi)
+                    new_i, new_j = (b if gi >= 0.0 else -b), 0.0
+                else:
+                    val = b * abs(gj)
+                    new_i, new_j = 0.0, (b if gj >= 0.0 else -b)
+                if val > cur + 1e-13 * (1.0 + abs(cur)):
+                    x[i], x[j] = new_i, new_j
+                    y += a[:, i] * (new_i - xi)
+                    y += a[:, j] * (new_j - xj)
+                    improved = True
+        if not improved:
+            break
+        signs = np.sign(x)
+        x /= float(np.sum(np.abs(x)))
+        key = signs.tobytes()
+        if key == last and key != tried:
+            tried = key
+            on = signs != 0.0
+            try:
+                z = np.linalg.solve(a[on][:, on], signs[on])
+            except np.linalg.LinAlgError:
+                z = None
+            if z is not None and np.all(z * signs[on] > 0.0):
+                xz = np.zeros(n)
+                xz[on] = z / float(np.sum(np.abs(z)))
+                if xz @ (a @ xz) >= x @ (a @ x):
+                    x = xz
+        last = key
+        y = a @ x
+    return float(x @ (a @ x) / 2.0)
+
+
 def ms_search_on_arrays(g: SignedGraph, iters: int, seed: int) -> float:
     """``ms_index_search`` with the pair polish on numpy arrays and scalars.
 
@@ -198,54 +271,58 @@ def ms_search_on_arrays(g: SignedGraph, iters: int, seed: int) -> float:
     best = float(ms_witness(g)[1])
     if g.n < 2 or g.m == 0:
         return best
-    a = adjacency_matrix(g).entries
-    rng = random.Random(seed)
+    return max(best, _ms_restarts(g, iters, seed, _closed_form_polish))
 
-    def polish(x):
-        y = a @ x
-        for _ in range(40):
-            improved = False
-            for i in range(g.n):
-                for j in range(i + 1, g.n):
-                    budget = abs(x[i]) + abs(x[j])
-                    if budget == 0.0:
-                        continue
-                    w = a[i, j]
-                    gi = y[i] - w * x[j]
-                    gj = y[j] - w * x[i]
-                    cur = x[i] * gi + x[j] * gj + w * x[i] * x[j]
-                    cand_val, cand = cur, None
-                    for su in (1.0, -1.0):
-                        for sj in (1.0, -1.0):
-                            a2 = -su * sj * w
-                            a1 = su * gi - sj * gj + su * sj * w * budget
-                            a0 = sj * gj * budget
-                            rrs = [0.0, budget]
-                            if a2 < 0.0:
-                                peak = -a1 / (2.0 * a2)
-                                if 0.0 < peak < budget:
-                                    rrs.append(peak)
-                            for rr in rrs:
-                                val = a0 + a1 * rr + a2 * rr * rr
-                                if val > cand_val + 1e-13 * (1.0 + abs(cur)):
-                                    cand_val, cand = val, (su * rr, sj * (budget - rr))
-                    if cand is not None:
-                        old_i, old_j = x[i], x[j]
-                        x[i], x[j] = cand
-                        y += a[:, i] * (x[i] - old_i) + a[:, j] * (x[j] - old_j)
-                        improved = True
-            if not improved:
-                break
-            norm = float(np.sum(np.abs(x)))
-            if norm > 0.0:
-                x /= norm
-                y = a @ x
-        return float(x @ (a @ x) / 2.0)
 
-    for _ in range(iters):
-        x = np.array([rng.uniform(-1.0, 1.0) for _ in range(g.n)])
+def _four_sign_polish(a: np.ndarray, x: np.ndarray) -> float:
+    """Cyclic pair ascent that scores every pair at 4 sign choices x 2-3
+    candidate points, and renormalises after each improving sweep."""
+    n = len(x)
+    y = a @ x
+    for _ in range(40):
+        improved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                budget = abs(x[i]) + abs(x[j])
+                if budget == 0.0:
+                    continue
+                w = a[i, j]
+                gi = y[i] - w * x[j]
+                gj = y[j] - w * x[i]
+                cur = x[i] * gi + x[j] * gj + w * x[i] * x[j]
+                cand_val, cand = cur, None
+                for su in (1.0, -1.0):
+                    for sj in (1.0, -1.0):
+                        # value of the pair terms at x_i = su*rr,
+                        # x_j = sj*(budget - rr) is a quadratic in rr
+                        a2 = -su * sj * w
+                        a1 = su * gi - sj * gj + su * sj * w * budget
+                        a0 = sj * gj * budget
+                        rrs = [0.0, budget]
+                        if a2 < 0.0:
+                            peak = -a1 / (2.0 * a2)
+                            if 0.0 < peak < budget:
+                                rrs.append(peak)
+                        for rr in rrs:
+                            val = a0 + a1 * rr + a2 * rr * rr
+                            if val > cand_val + 1e-13 * (1.0 + abs(cur)):
+                                cand_val, cand = val, (su * rr, sj * (budget - rr))
+                if cand is not None:
+                    old_i, old_j = x[i], x[j]
+                    x[i], x[j] = cand
+                    y += a[:, i] * (x[i] - old_i) + a[:, j] * (x[j] - old_j)
+                    improved = True
+        if not improved:
+            break
         norm = float(np.sum(np.abs(x)))
-        if norm == 0.0:
-            continue
-        best = max(best, polish(x / norm))
-    return best
+        if norm > 0.0:
+            x /= norm
+            y = a @ x
+    return float(x @ (a @ x) / 2.0)
+
+
+def ms_restarts_four_sign_polish(g: SignedGraph, iters: int, seed: int) -> float:
+    """Best value of the seeded restarts of ``ms_index_search`` (no witness),
+    each polished by the four-sign cyclic pair ascent the library used
+    before its closed-form moves; -inf when no restart ran."""
+    return _ms_restarts(g, iters, seed, _four_sign_polish)

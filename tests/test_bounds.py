@@ -21,10 +21,11 @@ from signed_spectra import (
     evaluations_to_json,
     enforced_bound_ids,
     erdos_renyi_signed,
+    ms_index_search,
     paper_c5,
     signed_cycle,
 )
-from signed_spectra import bounds
+from signed_spectra import bounds, spectral
 from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
 
 from .conftest import random_graphs
@@ -253,6 +254,29 @@ class TestEvaluateAll:
         assert len(calls) == 1
         b4 = next(ev for ev in evals if ev.bound_id == "B4")
         assert b4.lhs == abs(float(eigen_decomposition(adjacency_matrix(g)).eigenvalues[-1]))
+
+    def test_clique_and_adjacency_are_computed_once(self, monkeypatch):
+        # B13's MS probe reads the memo's clique and matrix instead of its own
+        cliques, matrices = [], []
+        clique_of, matrix_of = bounds._max_balanced_clique, bounds.adjacency_matrix
+
+        def counted_clique(h, **kwargs):
+            cliques.append(h)
+            return clique_of(h, **kwargs)
+
+        def counted_matrix(h):
+            matrices.append(h)
+            return matrix_of(h)
+
+        for module in (bounds, spectral):
+            monkeypatch.setattr(module, "_max_balanced_clique", counted_clique)
+            monkeypatch.setattr(module, "adjacency_matrix", counted_matrix)
+        g = erdos_renyi_signed(n=9, p=0.6, q_neg=0.4, seed=8)
+        evals = evaluate_all(g)
+        assert [h is g for h in cliques] == [True]
+        assert sum(h is g for h in matrices) == 1
+        b13 = next(ev for ev in evals if ev.bound_id == "B13")
+        assert b13.lhs == ms_index_search(g, iters=2, seed=0)
 
     def test_custom_walk_parameters(self, c5):
         evals = evaluate_all(c5, rs=(4,), qr_pairs=((5, 2),))

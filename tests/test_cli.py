@@ -111,6 +111,21 @@ class TestInvariants:
         assert captured.err == "error: balanced clique number needs at least one vertex\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n, rows", [(100, 50), (125, 63), (2100, 1050)])
+    def test_forced_past_the_kernel_table_exit_3(self, tmp_path, capsys, n, rows):
+        # numpy cannot allocate the 2^ceil(n/2)-row sign table: a MemoryError
+        # at n = 100, a ValueError on its size at n = 125 (where
+        # np.arange(2^63) is empty) and at n = 2100
+        path = tmp_path / f"edge{n}.sg"
+        path.write_text(f"{n}\n0 1 +\n", encoding="utf-8")
+        assert run_cli(["invariants", str(path), "--force"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: guard exceeded: switching-class kernel: n={n} needs a sign table "
+            f"of 2^{rows} rows, which cannot be allocated\n"
+        )
+        assert captured.out == ""
+
     def test_forced_exact_value_does_not_lift_the_guard(self, tmp_path, capsys):
         path = write_graph(tmp_path / "g26.sg", erdos_renyi_signed(n=26, p=0.3, q_neg=0.5, seed=26))
         _underlying.cache_clear()

@@ -15,6 +15,7 @@ from signed_spectra import (
     SignedGraph,
     adjacency_matrix,
     all_negative_complete,
+    balanced_clique_number,
     eigen_decomposition,
     ms_index,
     ms_index_search,
@@ -24,9 +25,10 @@ from signed_spectra import (
     walk_census,
     walk_from_spectrum,
 )
+from signed_spectra.spectral import _face_peak, _ms_search
 
 from .conftest import random_graphs, signed_graphs
-from .oracles import jacobi_eigenvalues, ms_search_on_arrays
+from .oracles import jacobi_eigenvalues, ms_restarts_four_sign_polish, ms_search_on_arrays
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -211,6 +213,44 @@ class TestMsIndex:
                 assert ms_index_search(g, iters=iters, seed=seed) == ms_search_on_arrays(
                     g, iters=iters, seed=seed
                 )
+
+    def test_face_finish(self):
+        # on a positive triangle the all-positive face peaks at the uniform
+        # witness; with one sign flipped the stationary point (-1, -1, 3) / 5
+        # lies off that face, so the polished point is kept
+        a = adjacency_matrix(all_negative_complete(3).with_all_signs(1)).entries
+        x = np.array([0.5, 0.3, 0.2])
+        assert np.allclose(_face_peak(a, x, (1, 1, 1)), [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
+        x = np.array([0.5, 0.3, -0.2])
+        assert _face_peak(a, x, (1, 1, -1)) is x
+
+    def test_search_never_exceeds_closed_form_beyond_roundoff(self):
+        for g in random_graphs(1500, max_n=14, seed=41, p=(0.2, 0.5, 0.8), q=(0.0, 0.3, 0.6, 1.0)):
+            assert ms_index_search(g, iters=3, seed=2) <= float(ms_index(g)) + 1e-12
+
+    def test_restarts_catch_an_understated_omega_b(self):
+        # B13 with omega_b understated by one: the witness then attains only
+        # the wrong closed form, so the restarts alone (iters=2, as in
+        # evaluate_all) must beat it.  The four-sign polish the search used
+        # before its closed-form moves is the yardstick.  Each polish misses
+        # 5-6% of this corpus: graphs where both restarts settle on a
+        # maximal balanced clique one vertex short of a maximum one.
+        corpus = [
+            g
+            for g in random_graphs(
+                720, max_n=14, min_n=3, seed=47, p=(0.3, 0.5, 0.7, 0.9), q=(0.0, 0.3, 0.6, 1.0)
+            )
+            if g.m
+        ][:600]
+        assert len(corpus) == 600
+        caught = old_caught = 0
+        for g in corpus:
+            omega = balanced_clique_number(g)
+            wrong = float(Fraction(omega - 2, 2 * (omega - 1))) + 1e-8  # B13's tolerance
+            caught += _ms_search(g, adjacency_matrix(g).entries, -math.inf, 2, 0) > wrong
+            old_caught += ms_restarts_four_sign_polish(g, 2, 0) > wrong
+        assert caught >= old_caught - len(corpus) // 100
+        assert caught >= 0.94 * len(corpus)
 
     def test_search_never_exceeds_closed_form(self):
         for g in random_graphs(25, max_n=8, seed=37, p=(0.4, 0.7)):
