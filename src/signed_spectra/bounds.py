@@ -39,6 +39,7 @@ from .errors import InvalidParamsError, MissingParamError, TooLargeError, Unknow
 from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix, all_negative
 from .invariants import (
     FRUSTRATION_MAX_N,
+    R_FRUSTRATION_MAX_N,
     TriangleCensus,
     WalkCensus,
     _check_guard,
@@ -168,6 +169,9 @@ class _Ctx:
         return self._walks[r]
 
     def eps_r(self, r: int) -> int:
+        if r == 2:  # A^(r-1) = A, so eps_2 = 2 * eps exactly
+            _check_guard(self.g.n, R_FRUSTRATION_MAX_N, self.force, "r_frustration_index")
+            return 2 * self.eps
         if r not in self._eps_r:
             self._eps_r[r] = r_frustration_index(self.g, r, force=self.force)
         return self._eps_r[r]

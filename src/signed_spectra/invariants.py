@@ -142,49 +142,68 @@ def frustration_index_exact(g: SignedGraph, *, force: bool = False) -> int:
     return (g.m - best // 2) // 2
 
 
+def _choice_signs(rng: random.Random, k: int) -> np.ndarray:
+    """``[rng.choice((1, -1)) for _ in range(k)]`` as an int64 array, drawn in bulk.
+
+    Each try of ``choice`` over two items takes one 32-bit word w and keeps
+    it when w >> 30 < 2, picking 1 for 0 and -1 for 1.  Every value still
+    missing takes at least one more word, so asking ``getrandbits`` for one
+    word per missing value never draws past the loop and leaves ``rng`` in
+    the loop's state.
+    """
+    picks = np.empty(0, dtype=np.int64)
+    while len(picks) < k:
+        need = k - len(picks)
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4")
+        tries = (words >> 30).astype(np.int64)
+        picks = np.concatenate((picks, tries[tries < 2]))
+    return 1 - 2 * picks
+
+
 def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> int:
     """Heuristic upper bound on the frustration index for graphs of any size.
 
-    Single-vertex-flip local search; start 0 is the spanning-forest
+    Steepest single-vertex-flip local search; start 0 is the spanning-forest
     propagation labeling (so balanced graphs always reach 0), followed by
-    ``iters`` random restarts.  Ties are broken by lowest vertex index.
+    ``iters`` random restarts whose signs are the stream of
+    ``random.Random(seed).choice((1, -1))``, n per restart.  The restarts
+    descend together as the rows of one array, in blocks of at most
+    max(1, ``_BLOCK_ENTRIES`` // n) rows so memory stays bounded for any
+    ``iters``; each row reaches what its restart would reach alone.  Ties
+    are broken by lowest vertex index.
     """
     if iters < 1:
         raise InvalidParamsError(f"iters must be >= 1, got {iters}")
     if g.m == 0:
         return 0
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for u, v, s in g.edges:
-        incident[u].append((v, s))
-        incident[v].append((u, s))
-    deg = [len(inc) for inc in incident]
+    a = _signed_matrix(g).astype(np.float64)  # for BLAS: every value is an integer of size <= 2m
 
-    def descend(eta: list[int]) -> int:
-        # neg[v]: edges at v left negative by eta; a flip of v changes only
-        # the counts of v and its neighbours
-        neg = [sum(1 for w, s in incident[v] if eta[v] * s * eta[w] < 0) for v in range(g.n)]
-        m_minus = sum(neg) // 2
-        while True:
-            best_delta, best_v = 0, -1
-            for v in range(g.n):
-                delta = deg[v] - 2 * neg[v]
-                if delta < best_delta:
-                    best_delta, best_v = delta, v
-            if best_v < 0:
-                return m_minus
-            eta[best_v] = -eta[best_v]
-            for w, s in incident[best_v]:
-                neg[w] += 1 if eta[best_v] * s * eta[w] < 0 else -1
-            neg[best_v] = deg[best_v] - neg[best_v]
-            m_minus += best_delta
+    def descend(x: np.ndarray) -> int:
+        # with ax = x A, flipping v changes a row's negative-edge count by
+        # d_v = x_v (ax)_v = deg v - 2 neg v; a flip of v adds 2 x_v A[v] to ax
+        ax = x @ a
+        best = g.m
+        while len(x):
+            d = x * ax
+            v = d.argmin(axis=1)  # the lowest vertex on ties
+            go = d[np.arange(len(x)), v] < 0
+            if not go.all():  # a stopped row leaves (m - x^T A x / 2) / 2 negative edges
+                best = min(best, (g.m - int(d[~go].sum(axis=1).max()) // 2) // 2)
+                x, ax, v = x[go], ax[go], v[go]
+            rows = np.arange(len(x))
+            x[rows, v] *= -1
+            ax += 2 * x[rows, v, None] * a[v]
+        return best
 
     labels, _, _ = propagation_labels(g)
-    best = descend(list(labels))
+    best = descend(np.array([labels], dtype=np.int64))
     rng = random.Random(seed)
-    for _ in range(iters):
+    block = max(1, _BLOCK_ENTRIES // g.n)
+    for start in range(0, iters, block):
         if best == 0:
             break
-        best = min(best, descend([rng.choice((1, -1)) for _ in range(g.n)]))
+        k = min(block, iters - start)
+        best = min(best, descend(_choice_signs(rng, k * g.n).reshape(k, g.n)))
     return best
 
 

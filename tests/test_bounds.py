@@ -25,7 +25,7 @@ from signed_spectra import (
     paper_c5,
     signed_cycle,
 )
-from signed_spectra import bounds, spectral
+from signed_spectra import bounds, invariants, spectral
 from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
 
 from .conftest import random_graphs
@@ -277,6 +277,35 @@ class TestEvaluateAll:
         assert sum(h is g for h in matrices) == 1
         b13 = next(ev for ev in evals if ev.bound_id == "B13")
         assert b13.lhs == ms_index_search(g, iters=2, seed=0)
+
+    def test_eps_2_is_twice_the_memo_eps(self):
+        # B10 at r = 2 reads 2 eps from the memo instead of its own kernel run
+        for g in random_graphs(40, max_n=10, seed=13) + [paper_c5(), SignedGraph(3)]:
+            ev = evaluate_bound(g, "B10", {"r": 2})
+            omega_b = bounds._max_balanced_clique(g)[0]
+            eps_2 = invariants.r_frustration_index(g, 2)
+            assert ev.rhs == (2 * g.m - eps_2) * (1.0 - 1.0 / omega_b), g.to_sg()
+        g = erdos_renyi_signed(n=21, p=0.3, q_neg=0.5, seed=21)
+        with pytest.raises(TooLargeError) as guard:
+            invariants.r_frustration_index(g, 2)
+        b10 = next(ev for ev in evaluate_all(g, rs=(2,)) if ev.bound_id == "B10")
+        assert b10.verdict == "skipped" and b10.note == f"skipped: {guard.value}"
+
+    def test_kernel_runs_once_per_switching_quantity(self, monkeypatch):
+        # eps, eps_b and eps_3 each run the kernel; eps_1 = 0 and eps_2 = 2 eps
+        calls = []
+        kernel = invariants._max_switching_form
+
+        def counted(mat, bound):
+            calls.append(mat.shape)
+            return kernel(mat, bound)
+
+        monkeypatch.setattr(invariants, "_max_switching_form", counted)
+        g = erdos_renyi_signed(n=10, p=0.5, q_neg=0.5, seed=10)
+        assert g.m > 0
+        _underlying.cache_clear()
+        evaluate_all(g)
+        assert len(calls) == 3
 
     def test_custom_walk_parameters(self, c5):
         evals = evaluate_all(c5, rs=(4,), qr_pairs=((5, 2),))

@@ -1,5 +1,6 @@
 """Frustration, bipartiteness, balanced cliques, triangle and walk censuses."""
 
+import random
 from itertools import product
 
 import numpy as np
@@ -12,6 +13,7 @@ from signed_spectra import (
     SignedGraph,
     Switching,
     TooLargeError,
+    all_negative,
     all_negative_complete,
     apply_switching,
     balanced_clique_number,
@@ -144,6 +146,68 @@ class TestFrustrationUpper:
                 assert frustration_index_upper(g, iters=iters, seed=seed) == (
                     frustration_upper_by_recount(g, iters=iters, seed=seed)
                 )
+
+    @staticmethod
+    def past_the_guard() -> list[SignedGraph]:
+        """Seeded graphs with n = 26..45 and their all-negative signings, as
+        the CLI's fallback sees them for eps and eps_b."""
+        graphs = [
+            erdos_renyi_signed(n=n, p=(0.1, 0.2, 0.3)[n % 3], q_neg=0.5, seed=n)
+            for n in range(26, 46)
+        ]
+        return graphs + [all_negative(g) for g in graphs[::4]]
+
+    def test_matches_recount_at_cli_settings(self):
+        for g in self.past_the_guard():
+            assert frustration_index_upper(g, iters=200, seed=0) == (
+                frustration_upper_by_recount(g, iters=200, seed=0)
+            ), g.to_sg()
+
+    @pytest.mark.parametrize("rows", (1, 3))
+    def test_block_size_does_not_change_result(self, rows, monkeypatch):
+        graphs = self.past_the_guard()[::5]
+        expected = [frustration_upper_by_recount(g, iters=200, seed=0) for g in graphs]
+        for g, value in zip(graphs, expected):
+            monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", rows * g.n + g.n - 1)
+            assert frustration_index_upper(g, iters=200, seed=0) == value, g.to_sg()
+
+    def test_balanced_graph_returns_before_any_restart(self, monkeypatch):
+        g = erdos_renyi_signed(n=30, p=0.3, q_neg=0.0, seed=3)
+        g = apply_switching(g, tuple((1, -1)[v % 3 == 0] for v in range(g.n)))
+        assert g.m_minus > 0
+
+        def no_draw(rng, k):
+            raise AssertionError("a restart was drawn")
+
+        monkeypatch.setattr(invariants, "_choice_signs", no_draw)
+        assert frustration_index_upper(g, iters=200, seed=0) == 0
+
+    def test_edgeless_and_isolated_vertices(self):
+        assert frustration_index_upper(SignedGraph(30), iters=200, seed=0) == 0
+        assert frustration_index_upper(SignedGraph(0), iters=1, seed=0) == 0
+        core = erdos_renyi_signed(n=12, p=0.5, q_neg=0.5, seed=12)
+        g = SignedGraph.from_edges(30, [(u + 9, v + 9, s) for u, v, s in core.edges])
+        for h in (g, all_negative(g)):
+            assert frustration_index_upper(h, iters=200, seed=0) == (
+                frustration_upper_by_recount(h, iters=200, seed=0)
+            )
+
+
+class TestChoiceSigns:
+    @pytest.mark.parametrize("k", (0, 1, 7, 8000))
+    def test_matches_choice_loop(self, k):
+        rng, loop = random.Random(k), random.Random(k)
+        drawn = invariants._choice_signs(rng, k)
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == [loop.choice((1, -1)) for _ in range(k)]
+        assert rng.getstate() == loop.getstate()
+
+    def test_blocks_continue_one_stream(self):
+        rng, loop = random.Random(5), random.Random(5)
+        sizes = (3, 40, 1, 0, 200)
+        drawn = np.concatenate([invariants._choice_signs(rng, k) for k in sizes])
+        assert drawn.tolist() == [loop.choice((1, -1)) for _ in range(sum(sizes))]
+        assert rng.getstate() == loop.getstate()
 
 
 class TestEdgeBipartiteness:
