@@ -12,6 +12,7 @@ allocated.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +33,7 @@ from .search import SearchConfig, findings_to_json, search_counterexamples
 from .spectral import eigen_decomposition
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="signed-spectra",

@@ -255,7 +255,7 @@ class SymmetricMatrix:
             raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise InvalidParamsError("matrix entries must be finite (no NaN or infinity)")
-        if a.size and float(np.max(np.abs(a - a.T))) > 1e-12:
+        if not (a == a.T).all() and float(np.max(np.abs(a - a.T))) > 1e-12:
             raise NotSymmetricError("matrix is not symmetric within 1e-12")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)

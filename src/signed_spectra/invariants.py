@@ -277,9 +277,8 @@ def greedy_balanced_clique(g: SignedGraph) -> int:
     for start in range(g.n):
         members = [start]
         labels = {start: 1}
-        for w in range(g.n):
-            if w in labels:
-                continue
+        # every member is adjacent to start, so only its neighbors can join
+        for w in g.neighbors(start):
             if not all(g.has_edge(u, w) for u in members):
                 continue
             lw = g.sign(members[0], w) * labels[members[0]]

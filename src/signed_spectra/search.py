@@ -82,7 +82,7 @@ def sample_signed_graph(cfg: SearchConfig, sample_index: int) -> SignedGraph:
             if rng.random() < cfg.edge_probability:
                 sign = -1 if rng.random() < cfg.negative_probability else 1
                 edges.append((u, v, sign))
-    return SignedGraph.from_edges(n, edges)
+    return SignedGraph(n, frozenset(edges))
 
 
 def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:
@@ -91,7 +91,9 @@ def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:
     Ordered by sample_index; a later finding is dropped when an earlier one
     has the same underlying graph and is switching equivalent to it.
     """
-    kept: list[tuple[SignedGraph, SearchFinding]] = []
+    findings: list[SearchFinding] = []
+    # kept graphs by underlying graph, the only ones a sample can switch to
+    kept: dict[tuple[int, frozenset[tuple[int, int]]], list[SignedGraph]] = {}
     for index in range(cfg.samples):
         g = sample_signed_graph(cfg, index)
         if cfg.triangle_free_filter and triangle_census(g).total > 0:
@@ -99,29 +101,22 @@ def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:
         ev = evaluate_bound(g, cfg.target, dict(cfg.params))
         if ev.verdict != VIOLATED:
             continue
-        duplicate = any(
-            other.n == g.n
-            and other.underlying_pairs == g.underlying_pairs
-            and is_switching_equivalent(other, g)
-            for other, _ in kept
-        )
-        if duplicate:
+        same = kept.setdefault((g.n, g.underlying_pairs), [])
+        if any(is_switching_equivalent(other, g) for other in same):
             continue
-        kept.append(
-            (
-                g,
-                SearchFinding(
-                    graph=g.to_sg(),
-                    bound_id=cfg.target,
-                    lhs=ev.lhs,
-                    rhs=ev.rhs,
-                    slack=ev.slack,
-                    seed=cfg.seed,
-                    sample_index=index,
-                ),
+        same.append(g)
+        findings.append(
+            SearchFinding(
+                graph=g.to_sg(),
+                bound_id=cfg.target,
+                lhs=ev.lhs,
+                rhs=ev.rhs,
+                slack=ev.slack,
+                seed=cfg.seed,
+                sample_index=index,
             )
         )
-    return [finding for _, finding in kept]
+    return findings
 
 
 def findings_to_json(findings: Sequence[SearchFinding]) -> str:

@@ -10,6 +10,7 @@ NoConvergenceError.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,10 +70,13 @@ def eigen_decomposition(a: SymmetricMatrix | np.ndarray) -> Spectrum:
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    fro = float(np.linalg.norm(entries))
-    tau_z = ZERO_TOL_FACTOR * max(1.0, fro)
-    n_pos = int(np.sum(vals > tau_z))
-    n_neg = int(np.sum(vals < -tau_z))
+    # Python floats from here: on tiny arrays numpy's per-call overhead
+    # outweighs the work.  ``flat @ flat`` is the dot np.linalg.norm takes.
+    flat = entries.ravel(order="K")
+    tau_z = ZERO_TOL_FACTOR * max(1.0, math.sqrt(float(flat @ flat)))
+    desc = vals.tolist()
+    n_pos = sum(1 for v in desc if v > tau_z)
+    n_neg = sum(1 for v in desc if v < -tau_z)
     coeffs = vecs.sum(axis=0) ** 2
     vals.setflags(write=False)
     vecs.setflags(write=False)
@@ -80,8 +84,8 @@ def eigen_decomposition(a: SymmetricMatrix | np.ndarray) -> Spectrum:
     return Spectrum(
         eigenvalues=vals,
         eigenvectors=vecs,
-        rho=float(np.max(np.abs(vals))) if vals.size else 0.0,
-        inertia=(n_pos, n_neg, len(vals) - n_pos - n_neg),
+        rho=max(abs(desc[0]), abs(desc[-1])) if desc else 0.0,
+        inertia=(n_pos, n_neg, len(desc) - n_pos - n_neg),
         walk_coefficients=coeffs,
     )
 

@@ -7,8 +7,12 @@ cliques by subset enumeration, walks by explicit sequence enumeration,
 walk sums by Python-int matrix powers instead of vector steps, eigenvalues
 by cyclic Jacobi rotations instead of LAPACK, the frustration local search
 with a full recount after every flip instead of incremental counts, the
-MS-index polish on numpy arrays instead of Python lists, and the earlier
-four-sign MS-index polish as a yardstick for the search's detection power.
+MS-index polish on numpy arrays instead of Python lists, the earlier
+four-sign MS-index polish as a yardstick for the search's detection power,
+and the earlier forms of three lean paths: spectrum post-processing by
+whole-array numpy reductions, the greedy balanced clique scanning every
+vertex, and the search sampling through ``from_edges`` and deduplicating
+by a linear scan over every kept finding.
 """
 
 from __future__ import annotations
@@ -19,7 +23,18 @@ from itertools import combinations, product
 
 import numpy as np
 
-from signed_spectra import SignedGraph, adjacency_matrix, ms_witness
+from signed_spectra import (
+    SearchConfig,
+    SearchFinding,
+    SignedGraph,
+    adjacency_matrix,
+    evaluate_bound,
+    is_switching_equivalent,
+    ms_witness,
+    triangle_census,
+)
+from signed_spectra.bounds import VIOLATED
+from signed_spectra.spectral import ZERO_TOL_FACTOR
 from signed_spectra.switching import propagation_labels
 
 
@@ -326,3 +341,84 @@ def ms_restarts_four_sign_polish(g: SignedGraph, iters: int, seed: int) -> float
     each polished by the four-sign cyclic pair ascent the library used
     before its closed-form moves; -inf when no restart ran."""
     return _ms_restarts(g, iters, seed, _four_sign_polish)
+
+
+def spectrum_by_numpy_reductions(a: np.ndarray):
+    """(eigenvalues, eigenvectors, walk coefficients, rho, inertia) of a
+    symmetric matrix, post-processed by whole-array numpy reductions:
+    ``np.linalg.norm`` for tau_z, ``np.sum`` of comparisons for the inertia
+    and ``np.max(np.abs(...))`` for rho."""
+    vals, vecs = np.linalg.eigh(a)
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    vecs = vecs[:, order]
+    tau_z = ZERO_TOL_FACTOR * max(1.0, float(np.linalg.norm(a)))
+    n_pos = int(np.sum(vals > tau_z))
+    n_neg = int(np.sum(vals < -tau_z))
+    rho = float(np.max(np.abs(vals))) if vals.size else 0.0
+    coeffs = vecs.sum(axis=0) ** 2
+    return vals, vecs, coeffs, rho, (n_pos, n_neg, len(vals) - n_pos - n_neg)
+
+
+def greedy_balanced_clique_full_scan(g: SignedGraph) -> int:
+    """Greedy balanced clique from every start, offering every vertex in
+    index order (not only the start's neighbors)."""
+    best = 1
+    for start in range(g.n):
+        members = [start]
+        labels = {start: 1}
+        for w in range(g.n):
+            if w in labels:
+                continue
+            if not all(g.has_edge(u, w) for u in members):
+                continue
+            lw = g.sign(members[0], w) * labels[members[0]]
+            if all(g.sign(u, w) == labels[u] * lw for u in members):
+                members.append(w)
+                labels[w] = lw
+        best = max(best, len(members))
+    return best
+
+
+def sample_by_from_edges(cfg: SearchConfig, sample_index: int) -> SignedGraph:
+    """The search's sample for one slot, built through ``from_edges``."""
+    rng = random.Random(f"signed-spectra:{cfg.seed}:{sample_index}")
+    n = rng.randint(cfg.n_min, cfg.n_max)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < cfg.edge_probability:
+                sign = -1 if rng.random() < cfg.negative_probability else 1
+                edges.append((u, v, sign))
+    return SignedGraph.from_edges(n, edges)
+
+
+def search_by_linear_scan(cfg: SearchConfig) -> list[SearchFinding]:
+    """``search_counterexamples`` with every violation compared against
+    every kept finding."""
+    kept: list[tuple[SignedGraph, SearchFinding]] = []
+    for index in range(cfg.samples):
+        g = sample_by_from_edges(cfg, index)
+        if cfg.triangle_free_filter and triangle_census(g).total > 0:
+            continue
+        ev = evaluate_bound(g, cfg.target, dict(cfg.params))
+        if ev.verdict != VIOLATED:
+            continue
+        if any(
+            other.n == g.n
+            and other.underlying_pairs == g.underlying_pairs
+            and is_switching_equivalent(other, g)
+            for other, _ in kept
+        ):
+            continue
+        finding = SearchFinding(
+            graph=g.to_sg(),
+            bound_id=cfg.target,
+            lhs=ev.lhs,
+            rhs=ev.rhs,
+            slack=ev.slack,
+            seed=cfg.seed,
+            sample_index=index,
+        )
+        kept.append((g, finding))
+    return [finding for _, finding in kept]

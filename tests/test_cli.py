@@ -1,13 +1,18 @@
 """CLI subcommands, exit codes, output formats."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import signed_spectra
 from signed_spectra import BoundEvaluation, SignedGraph, all_negative, erdos_renyi_signed, paper_c5
 from signed_spectra import bounds
 from signed_spectra.bounds import _underlying
@@ -233,6 +238,35 @@ class TestBounds:
         assert run_cli(["bounds", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+class TestParserReuse:
+    """``run_cli`` parses with one parser per process; a run of calls must
+    print and exit as a fresh process per call would."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, c5_file, capsys):
+        calls = [
+            ["bounds", c5_file, "--r", "3"],
+            ["bounds", c5_file, "--json"],
+            ["bounds"],
+            ["bounds", c5_file, "--q", "x"],
+            ["bounds", c5_file, "--r", "3"],
+        ]
+        in_process = []
+        for argv in calls:
+            code = run_cli(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        env = dict(os.environ, PYTHONPATH=str(Path(signed_spectra.__file__).parents[1]))
+        fresh = []
+        for argv in calls:
+            done = subprocess.run(
+                [sys.executable, "-m", "signed_spectra.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0]
 
 
 class TestExitOne:

@@ -143,6 +143,18 @@ class TestAdjacency:
         with pytest.raises(InvalidParamsError):
             SymmetricMatrix(np.array([[bad, 1.0], [1.0, 0.0]]))
 
+    def test_symmetry_tolerance(self):
+        from signed_spectra import NotSymmetricError
+
+        a = np.array([[0.0, 1.0, 0.5], [1.0, 2.0, -1.0], [0.5, -1.0, 0.0]])
+        near = a.copy()
+        near[0, 2] += 1e-13
+        assert SymmetricMatrix(near).entries[0, 2] == near[0, 2]
+        far = a.copy()
+        far[0, 2] += 1e-11
+        with pytest.raises(NotSymmetricError):
+            SymmetricMatrix(far)
+
     @given(signed_graphs(max_n=6))
     def test_negation_negates_matrix(self, g):
         assert np.array_equal(

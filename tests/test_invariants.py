@@ -35,6 +35,7 @@ from .oracles import (
     deletion_frustration,
     enumerate_walks,
     frustration_upper_by_recount,
+    greedy_balanced_clique_full_scan,
     min_negative_walks,
     walk_sums_by_matrix_power,
 )
@@ -255,6 +256,41 @@ class TestBalancedClique:
     def test_matches_subset_oracle_on_corpus(self):
         for g in random_graphs(60, max_n=9, seed=43, p=(0.4, 0.7)):
             assert balanced_clique_number(g) == brute_balanced_clique(g), g.to_sg()
+
+
+class TestGreedyBalancedClique:
+    """The heuristic past ``CLIQUE_MAX_N`` offers each start only its
+    neighbors, which is where every clique member lies."""
+
+    def test_matches_full_scan(self):
+        corpus = random_graphs(300, max_n=30, seed=47, p=(0.1, 0.3, 0.6, 0.9), q=(0.0, 0.3, 0.5))
+        corpus += random_graphs(40, max_n=60, seed=53, p=(0.02, 0.05))
+        for g in corpus:
+            assert invariants.greedy_balanced_clique(g) == greedy_balanced_clique_full_scan(g), g.to_sg()
+
+    def test_sparse_cost_follows_degrees(self, monkeypatch):
+        # a planted positive K5 on a long path with random chords, n = 3000
+        n = 3000
+        rng = random.Random(59)
+        pairs = {(u, u + 1) for u in range(n - 1)}
+        pairs |= {(u, v) for u in range(5) for v in range(u + 1, 5)}
+        while len(pairs) < 4500:
+            u, v = sorted(rng.sample(range(n), 2))
+            pairs.add((u, v))
+        g = SignedGraph.from_edges(
+            n, [(u, v, 1 if v < 5 else rng.choice((1, -1))) for u, v in pairs]
+        )
+        calls = 0
+        has_edge = SignedGraph.has_edge
+
+        def counting(self, u, v):
+            nonlocal calls
+            calls += 1
+            return has_edge(self, u, v)
+
+        monkeypatch.setattr(SignedGraph, "has_edge", counting)
+        assert invariants.greedy_balanced_clique(g) >= 5
+        assert calls <= sum(g.degree(v) ** 2 for v in range(n))
 
 
 class TestTriangleCensus:

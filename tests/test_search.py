@@ -15,6 +15,8 @@ from signed_spectra import (
     triangle_census,
 )
 
+from .oracles import sample_by_from_edges, search_by_linear_scan
+
 
 def make_cfg(**overrides) -> SearchConfig:
     base = dict(
@@ -119,6 +121,38 @@ class TestFindings:
         )
         for f in search_counterexamples(cfg):
             assert triangle_census(parse_signed_graph(f.graph)).total == 0
+
+
+class TestGolden:
+    """The search against its earlier form: samples built by ``from_edges``
+    and duplicates found by a scan over every kept finding."""
+
+    @pytest.mark.parametrize("seed", (3, 12))
+    def test_b8u_many_sizes(self, seed):
+        cfg = make_cfg(n_min=3, n_max=7, samples=1500, seed=seed)
+        findings = search_counterexamples(cfg)
+        # about a tenth of the violations repeat a kept switching class
+        assert len(findings) > 200
+        assert findings == search_by_linear_scan(cfg)
+
+    @pytest.mark.parametrize("seed", (5, 21))
+    def test_triangle_free_filter(self, seed):
+        cfg = make_cfg(
+            n_min=4, n_max=7, edge_probability=0.4, samples=600, seed=seed,
+            triangle_free_filter=True,
+        )
+        findings = search_counterexamples(cfg)
+        assert findings
+        assert findings == search_by_linear_scan(cfg)
+
+    def test_target_without_findings(self):
+        cfg = make_cfg(target="B12", n_min=3, n_max=7, samples=300, seed=8)
+        assert search_counterexamples(cfg) == search_by_linear_scan(cfg) == []
+
+    def test_samples_equal_from_edges(self):
+        cfg = make_cfg(n_min=1, n_max=9, edge_probability=0.5, samples=1)
+        for index in range(300):
+            assert sample_signed_graph(cfg, index) == sample_by_from_edges(cfg, index)
 
 
 def _relabel_cycle(g: SignedGraph) -> SignedGraph:

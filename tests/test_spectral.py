@@ -28,7 +28,12 @@ from signed_spectra import (
 from signed_spectra.spectral import _face_peak, _ms_search
 
 from .conftest import random_graphs, signed_graphs
-from .oracles import jacobi_eigenvalues, ms_restarts_four_sign_polish, ms_search_on_arrays
+from .oracles import (
+    jacobi_eigenvalues,
+    ms_restarts_four_sign_polish,
+    ms_search_on_arrays,
+    spectrum_by_numpy_reductions,
+)
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -115,6 +120,68 @@ class TestJacobiQuality:
             a = random_sign_matrix(order, rng.randint(0, 10**6))
             ours = eigen_decomposition(a).eigenvalues
             assert np.allclose(ours, jacobi_eigenvalues(a), atol=1e-9)
+
+
+class TestPostProcessingBitForBit:
+    """``eigen_decomposition`` post-processes LAPACK's output on Python
+    floats; every field must equal the whole-array numpy reductions bit for
+    bit."""
+
+    @staticmethod
+    def assert_same(a: np.ndarray) -> None:
+        spec = eigen_decomposition(a)
+        vals, vecs, coeffs, rho, inertia = spectrum_by_numpy_reductions(a)
+        assert spec.eigenvalues.tobytes() == vals.tobytes()
+        assert spec.eigenvectors.tobytes() == vecs.tobytes()
+        assert spec.walk_coefficients.tobytes() == coeffs.tobytes()
+        assert type(spec.rho) is float and spec.rho == rho
+        assert spec.inertia == inertia
+        assert all(type(k) is int for k in spec.inertia)
+
+    def test_random_symmetric_across_scales(self):
+        rng = np.random.default_rng(23)
+        for exponent in range(-5, 6):
+            for _ in range(40):
+                order = int(rng.integers(1, 13))
+                b = rng.standard_normal((order, order)) * 10.0**exponent
+                self.assert_same((b + b.T) / 2.0)
+
+    def test_low_rank_inertia_near_the_tolerance(self):
+        # rank-deficient matrices put roundoff eigenvalues next to tau_z
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            order = int(rng.integers(2, 10))
+            b = rng.standard_normal((order, int(rng.integers(1, order))))
+            self.assert_same(b @ b.T - (b[:, :1] @ b[:, :1].T) * 2.0)
+
+    def test_fortran_order_and_tolerated_asymmetry(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            order = int(rng.integers(2, 10))
+            b = rng.standard_normal((order, order))
+            a = (b + b.T) / 2.0
+            a[0, 1] += 1e-13
+            self.assert_same(np.asfortranarray(a))
+            self.assert_same(a)
+
+    def test_empty_single_and_zero(self):
+        for a in (np.zeros((0, 0)), np.array([[2.5]]), np.array([[-3.0]]), np.zeros((4, 4))):
+            self.assert_same(a)
+
+    def test_eigenvalues_exactly_at_the_tolerance(self):
+        # ||A||_F < 1 puts tau_z at ZERO_TOL_FACTOR = 1e-8; +-1e-8 count as zero
+        a = np.diag([1e-8, -1e-8, 0.5, -0.25, 0.0])
+        self.assert_same(a)
+        assert eigen_decomposition(a).inertia == (1, 1, 3)
+
+    def test_repeated_eigenvalues_of_complete_graphs(self):
+        for n in range(1, 12):
+            for sign in (1, -1):
+                self.assert_same(sign * (np.ones((n, n)) - np.eye(n)))
+
+    def test_signed_adjacency_matrices(self):
+        for g in random_graphs(60, max_n=12, seed=37):
+            self.assert_same(adjacency_matrix(g).entries)
 
 
 class TestSpectrumInvariants:
