@@ -35,6 +35,8 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError
 from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix, all_negative
 from .invariants import (
@@ -91,12 +93,11 @@ _HEURISTIC_ITERS, _HEURISTIC_SEED = 200, 0  # local-search fallback past the gua
 
 
 class _Ctx:
-    """Every quantity of one signed graph that ``bounds`` and ``invariants``
-    read, computed once."""
+    """Every quantity of one signed graph that ``bounds``, ``invariants`` and
+    ``search`` read, computed once and always under the guards."""
 
-    def __init__(self, g: SignedGraph, force: bool):
+    def __init__(self, g: SignedGraph):
         self.g = g
-        self.force = force
         self._walks: dict[int, WalkCensus] = {}
         self._eps_r: dict[int, int] = {}
 
@@ -111,30 +112,28 @@ class _Ctx:
     @property
     def unsigned_lambda_n(self) -> float:
         shared = _underlying(self.g.n, self.g.underlying_pairs)
-        if "lambda_n" not in shared:
-            if self.g.m_minus == 0:  # g is its own unsigned graph
-                shared["lambda_n"] = self.lambda_n
-            else:
-                unsigned = eigen_decomposition(adjacency_matrix(self.g.with_all_signs(1)))
-                shared["lambda_n"] = float(unsigned.eigenvalues[-1])
+        if "lambda_n" not in shared:  # an all-positive g is its own unsigned graph
+            a = self.adjacency.entries
+            unsigned = self.spectrum if self.g.m_minus == 0 else eigen_decomposition(np.abs(a))
+            shared["lambda_n"] = float(unsigned.eigenvalues[-1])
         return shared["lambda_n"]
 
     @cached_property
     def eps(self) -> int:
-        return frustration_index_exact(self.g, force=self.force)
+        return frustration_index_exact(self.g)
 
     @property
     def eps_b(self) -> int:
-        # checked on every read: a forced evaluation may have filled the entry
-        _check_guard(self.g.n, FRUSTRATION_MAX_N, self.force, "edge_bipartiteness")
+        # checked on every read: the override may have changed since the entry was filled
+        _check_guard(self.g.n, FRUSTRATION_MAX_N, False, "edge_bipartiteness")
         shared = _underlying(self.g.n, self.g.underlying_pairs)
         if "eps_b" not in shared:
-            shared["eps_b"] = edge_bipartiteness(self.g, force=self.force)
+            shared["eps_b"] = edge_bipartiteness(self.g)
         return shared["eps_b"]
 
     @cached_property
     def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        return _max_balanced_clique(self.g, force=self.force)
+        return _max_balanced_clique(self.g)
 
     @property
     def omega_b(self) -> int:
@@ -146,14 +145,10 @@ class _Ctx:
         Past its guard the value is a heuristic bound instead: local search
         gives upper bounds on eps and eps_b, a greedy clique a lower bound
         on omega_b.  A bound is never memoised, here or across graphs.
-        A forced memo has no guard to pass, so its TooLargeError (a kernel
-        table that cannot be allocated) propagates.
         """
         try:
             return getattr(self, name), True
         except TooLargeError:
-            if self.force:
-                raise
             if name == "omega_b":
                 return greedy_balanced_clique(self.g), False
             g = self.g if name == "eps" else all_negative(self.g)
@@ -170,10 +165,10 @@ class _Ctx:
 
     def eps_r(self, r: int) -> int:
         if r == 2:  # A^(r-1) = A, so eps_2 = 2 * eps exactly
-            _check_guard(self.g.n, R_FRUSTRATION_MAX_N, self.force, "r_frustration_index")
+            _check_guard(self.g.n, R_FRUSTRATION_MAX_N, False, "r_frustration_index")
             return 2 * self.eps
         if r not in self._eps_r:
-            self._eps_r[r] = r_frustration_index(self.g, r, force=self.force)
+            self._eps_r[r] = r_frustration_index(self.g, r)
         return self._eps_r[r]
 
     @cached_property
@@ -344,11 +339,7 @@ def enforced_bound_ids() -> frozenset[str]:
 
 
 def evaluate_bound(
-    g: SignedGraph,
-    bound_id: str,
-    params: Mapping[str, int] | None = None,
-    *,
-    force: bool = False,
+    g: SignedGraph, bound_id: str, params: Mapping[str, int] | None = None
 ) -> BoundEvaluation:
     """Evaluate one registry entry on ``g``.
 
@@ -365,7 +356,7 @@ def evaluate_bound(
             raise MissingParamError(f"{bound_id} requires parameter {name!r}")
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
-    return _evaluate(_Ctx(g, force), info, params)
+    return _evaluate(_Ctx(g), info, params)
 
 
 def _evaluate(ctx: _Ctx, info: BoundInfo, params: dict[str, int]) -> BoundEvaluation:
@@ -399,7 +390,6 @@ def evaluate_all(
     *,
     rs: Sequence[int] = DEFAULT_B10_RS,
     qr_pairs: Sequence[tuple[int, int]] = DEFAULT_B11_QRS,
-    force: bool = False,
 ) -> list[BoundEvaluation]:
     """Evaluate every registry entry in deterministic id order.
 
@@ -420,7 +410,7 @@ def evaluate_all(
             plan.append((bound_id, {}))
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
-    ctx = _Ctx(g, force)
+    ctx = _Ctx(g)
     out: list[BoundEvaluation] = []
     for bound_id, params in plan:
         try:

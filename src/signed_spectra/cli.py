@@ -28,9 +28,10 @@ from .bounds import (
     evaluations_to_json,
 )
 from .errors import InvalidConfigError, InvalidParamsError, SignedSpectraError, TooLargeError
-from .graph import SignedGraph, adjacency_matrix, generate, parse_signed_graph
+from .graph import SignedGraph, generate, parse_signed_graph
+from .invariants import balanced_clique_number, edge_bipartiteness, frustration_index_exact
 from .search import SearchConfig, findings_to_json, search_counterexamples
-from .spectral import eigen_decomposition
+from .spectral import spectrum_of
 
 
 @functools.cache
@@ -86,7 +87,7 @@ def _load_graph(path: str) -> SignedGraph:
 
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args.file)
-    spec = eigen_decomposition(adjacency_matrix(g))
+    spec = spectrum_of(g)
     print(f"n={g.n} m={g.m} m+={g.m_plus} m-={g.m_minus}")
     for i, val in enumerate(spec.eigenvalues, start=1):
         print(f"lambda_{i} = {val:.12f}")
@@ -98,8 +99,12 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = _load_graph(args.file)
-    ctx = _Ctx(g, args.force)
-    values = [ctx.exact_or_bound(name) for name in ("eps", "eps_b", "omega_b")]
+    ctx = _Ctx(g)
+    if args.force:  # exact past every guard, and kept out of the memo
+        forced = (frustration_index_exact, edge_bipartiteness, balanced_clique_number)
+        values = [(f(g, force=True), True) for f in forced]
+    else:
+        values = [ctx.exact_or_bound(name) for name in ("eps", "eps_b", "omega_b")]
     labels = ("frustration_index", "edge_bipartiteness", "balanced_clique_number")
     print(f"n={g.n} m={g.m} m+={g.m_plus} m-={g.m_minus}")
     for label, (value, exact) in zip(labels, values):

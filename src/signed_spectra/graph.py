@@ -266,6 +266,14 @@ class SymmetricMatrix:
         return SymmetricMatrix(self.entries[np.ix_(idx, idx)])
 
 
+def _signed_matrix(g: SignedGraph) -> np.ndarray:
+    """The signed adjacency matrix A as int64, with no size guard."""
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v, s in g.edges:
+        a[u, v] = a[v, u] = s
+    return a
+
+
 def adjacency_matrix(g: SignedGraph) -> SymmetricMatrix:
     """Signed adjacency matrix: entry (i, j) is the sign of edge ij, else 0."""
     if g.n > MATRIX_MAX_N:
@@ -274,11 +282,7 @@ def adjacency_matrix(g: SignedGraph) -> SymmetricMatrix:
             n=g.n,
             limit=MATRIX_MAX_N,
         )
-    a = np.zeros((g.n, g.n))
-    for u, v, s in g.edges:
-        a[u, v] = s
-        a[v, u] = s
-    return SymmetricMatrix(a)
+    return SymmetricMatrix(_signed_matrix(g))
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +336,17 @@ def erdos_renyi_signed(n: int, p: float, q_neg: float, seed: int = 0) -> SignedG
         raise InvalidParamsError(f"vertex count must be nonnegative, got {n}")
     if not (0.0 <= p <= 1.0 and 0.0 <= q_neg <= 1.0):
         raise InvalidParamsError(f"probabilities must lie in [0, 1], got p={p}, q_neg={q_neg}")
-    rng = random.Random(seed)
+    return _signed_gnp(random.Random(seed), n, p, q_neg)
+
+
+def _signed_gnp(rng: random.Random, n: int, p: float, q_neg: float) -> SignedGraph:
+    """G(n, p) drawn from ``rng``, each edge negative with probability q_neg."""
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
                 edges.append((u, v, -1 if rng.random() < q_neg else 1))
-    return SignedGraph.from_edges(n, edges)
+    return SignedGraph(n, frozenset(edges))
 
 
 _GENERATORS = {

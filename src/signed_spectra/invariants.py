@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidParamsError, TooLargeError
-from .graph import SignedGraph, all_negative
+from .graph import SignedGraph, _signed_matrix, all_negative
 from .switching import propagation_labels
 
 FRUSTRATION_MAX_N = 25
@@ -37,22 +37,14 @@ _INT64_MAX = 2**63 - 1
 _BLOCK_ENTRIES = (1 << 18) // 8  # one 256 KiB GEMM block of the switching kernel
 
 
-def _guard_limit(default: int) -> int:
-    raw = os.environ.get("SIGNED_SPECTRA_MAX_N")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParamsError(
-            f"SIGNED_SPECTRA_MAX_N must be an integer, got {raw!r}"
-        ) from None
-
-
 def _check_guard(n: int, default: int, force: bool, what: str) -> None:
     if force:
         return
-    limit = _guard_limit(default)
+    raw = os.environ.get("SIGNED_SPECTRA_MAX_N")
+    try:
+        limit = default if raw is None else int(raw)
+    except ValueError:
+        raise InvalidParamsError(f"SIGNED_SPECTRA_MAX_N must be an integer, got {raw!r}") from None
     if n > limit:
         raise TooLargeError(
             f"{what}: n={n} exceeds the exact-computation guard {limit} "
@@ -108,7 +100,8 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     right[:h] = xh.T
     right[h] = 1
     right[h + 1] = ((xh @ m[a:, a:]) * xh).sum(axis=1)
-    col_step = min(len(xh), _BLOCK_ENTRIES)
+    # tile both axes: one-row blocks would stream all of ``right`` per row of xl
+    col_step = min(len(xh), max(1, _BLOCK_ENTRIES >> 8))
     row_step = max(1, _BLOCK_ENTRIES // col_step)
     best, code = -bound - 1, 0
     for c0, r0 in product(range(0, len(xh), col_step), range(0, len(xl), row_step)):
@@ -345,14 +338,6 @@ class WalkCensus:
     w_signed: int
     w_pos: int
     w_neg: int
-
-
-def _signed_matrix(g: SignedGraph) -> np.ndarray:
-    """The signed adjacency matrix A as int64."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v, s in g.edges:
-        a[u, v] = a[v, u] = s
-    return a
 
 
 def _walk_sums(g: SignedGraph, r: int) -> tuple[int, int]:

@@ -14,10 +14,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .bounds import REGISTRY, VIOLATED, _fmt_float, _json_array, evaluate_bound
+from .bounds import REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
 from .errors import InvalidConfigError
-from .graph import SignedGraph
-from .invariants import triangle_census
+from .graph import SignedGraph, _signed_gnp
 from .switching import is_switching_equivalent
 
 
@@ -76,13 +75,7 @@ def sample_signed_graph(cfg: SearchConfig, sample_index: int) -> SignedGraph:
     """The graph drawn for one sample slot; pure function of (cfg, index)."""
     rng = random.Random(f"signed-spectra:{cfg.seed}:{sample_index}")
     n = rng.randint(cfg.n_min, cfg.n_max)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < cfg.edge_probability:
-                sign = -1 if rng.random() < cfg.negative_probability else 1
-                edges.append((u, v, sign))
-    return SignedGraph(n, frozenset(edges))
+    return _signed_gnp(rng, n, cfg.edge_probability, cfg.negative_probability)
 
 
 def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:
@@ -94,11 +87,13 @@ def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:
     findings: list[SearchFinding] = []
     # kept graphs by underlying graph, the only ones a sample can switch to
     kept: dict[tuple[int, frozenset[tuple[int, int]]], list[SignedGraph]] = {}
+    info, params = REGISTRY[cfg.target], dict(cfg.params)  # checked by SearchConfig
     for index in range(cfg.samples):
         g = sample_signed_graph(cfg, index)
-        if cfg.triangle_free_filter and triangle_census(g).total > 0:
+        ctx = _Ctx(g)
+        if cfg.triangle_free_filter and ctx.census.total > 0:
             continue
-        ev = evaluate_bound(g, cfg.target, dict(cfg.params))
+        ev = _evaluate(ctx, info, params)
         if ev.verdict != VIOLATED:
             continue
         same = kept.setdefault((g.n, g.underlying_pairs), [])

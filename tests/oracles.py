@@ -9,10 +9,12 @@ by cyclic Jacobi rotations instead of LAPACK, the frustration local search
 with a full recount after every flip instead of incremental counts, the
 MS-index polish on numpy arrays instead of Python lists, the earlier
 four-sign MS-index polish as a yardstick for the search's detection power,
-and the earlier forms of three lean paths: spectrum post-processing by
+and the earlier forms of lean or merged paths: spectrum post-processing by
 whole-array numpy reductions, the greedy balanced clique scanning every
-vertex, and the search sampling through ``from_edges`` and deduplicating
-by a linear scan over every kept finding.
+vertex, the search sampling through ``from_edges`` and deduplicating by a
+linear scan over every kept finding, the dense adjacency matrix filled into
+float zeros, the unsigned lambda_n from the all-positive signing's own
+matrix, and the signed G(n, p) draw built through ``from_edges``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from signed_spectra import (
     SearchFinding,
     SignedGraph,
     adjacency_matrix,
+    eigen_decomposition,
     evaluate_bound,
     is_switching_equivalent,
     ms_witness,
@@ -422,3 +425,29 @@ def search_by_linear_scan(cfg: SearchConfig) -> list[SearchFinding]:
         )
         kept.append((g, finding))
     return [finding for _, finding in kept]
+
+
+def adjacency_by_float_loop(g: SignedGraph) -> np.ndarray:
+    """The signed adjacency matrix, filled edge by edge into float zeros."""
+    a = np.zeros((g.n, g.n))
+    for u, v, s in g.edges:
+        a[u, v] = s
+        a[v, u] = s
+    return a
+
+
+def unsigned_lambda_n_by_all_positive(g: SignedGraph) -> float:
+    """Least eigenvalue of the all-positive signing, decomposed from its own
+    float-loop matrix."""
+    return float(eigen_decomposition(adjacency_by_float_loop(g.with_all_signs(1))).eigenvalues[-1])
+
+
+def erdos_renyi_by_from_edges(n: int, p: float, q_neg: float, seed: int) -> SignedGraph:
+    """``erdos_renyi_signed``'s draw, built through ``from_edges``."""
+    rng = random.Random(seed)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.append((u, v, -1 if rng.random() < q_neg else 1))
+    return SignedGraph.from_edges(n, edges)

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, output formats."""
 
+import dataclasses
 import json
 import os
 import random
@@ -13,7 +14,14 @@ import numpy as np
 import pytest
 
 import signed_spectra
-from signed_spectra import BoundEvaluation, SignedGraph, all_negative, erdos_renyi_signed, paper_c5
+from signed_spectra import (
+    BoundEvaluation,
+    SignedGraph,
+    all_negative,
+    erdos_renyi_signed,
+    paper_c5,
+    parse_signed_graph,
+)
 from signed_spectra import bounds
 from signed_spectra.bounds import _underlying
 from signed_spectra.cli import _violated_enforced, run_cli
@@ -136,10 +144,23 @@ class TestInvariants:
         _underlying.cache_clear()
         assert run_cli(["invariants", path, "--force"]) == 0
         assert re.search(r"^edge_bipartiteness: \d+ \(exact\)$", capsys.readouterr().out, re.M)
-        # the exact eps_b now sits in the shared entry of the underlying graph
+        # the forced exact eps_b is not shared, and the guard still holds
         assert run_cli(["invariants", path]) == 0
         out = capsys.readouterr().out
         assert re.search(r"^edge_bipartiteness: \d+ \(heuristic bound\)$", out, re.M)
+
+    def test_forced_values_stay_out_of_the_memo(self, c5_file, capsys):
+        _underlying.cache_clear()
+        assert run_cli(["invariants", c5_file, "--force"]) == 0
+        assert _underlying.cache_info().currsize == 0
+
+    def test_non_integer_guard_override_exit_2(self, c5_file, capsys, monkeypatch):
+        monkeypatch.setenv("SIGNED_SPECTRA_MAX_N", "abc")
+        for command in ("invariants", "bounds"):
+            assert run_cli([command, c5_file]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: SIGNED_SPECTRA_MAX_N must be an integer, got 'abc'\n"
+            assert captured.out == ""
 
     def test_heuristic_value_is_not_shared(self, c5_file, capsys, monkeypatch):
         # a sentinel fallback tells a shared heuristic eps_b from the exact 1
@@ -292,6 +313,18 @@ class TestExitOne:
         )
         assert not _violated_enforced([probe])
 
+    def test_b13_witness_off_the_closed_form_exit_1(self, c5_file, capsys, monkeypatch):
+        # a clique labeling at odds with the negative edge (0, 1), which C5 and
+        # every all-negative complete graph have, puts the witness at -1/4
+        monkeypatch.setattr(bounds._Ctx, "clique", property(lambda ctx: (2, (0, 1), (1, 1))))
+        assert run_cli(["bounds", c5_file, "--json"]) == 1
+        b13 = next(ev for ev in json.loads(capsys.readouterr().out) if ev["bound_id"] == "B13")
+        assert b13["verdict"] == "violated"
+        args = "search --target B13 --n 3:4 --p 1.0 --qneg 1.0 --samples 8 --json".split()
+        assert run_cli(args) == 1
+        findings = json.loads(capsys.readouterr().out)
+        assert sorted(parse_signed_graph(f["graph"]).n for f in findings) == [3, 4]
+
 
 class TestSearch:
     ARGS = [
@@ -335,6 +368,20 @@ class TestSearch:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "64-bit" in err
         assert "Traceback" not in err
+
+    def test_walk_orders_reach_the_target(self, capsys, monkeypatch):
+        seen = []
+        info = bounds.REGISTRY["B11"]
+
+        def spy(ctx, params):
+            seen.append(dict(params))
+            return info.evaluator(ctx, params)
+
+        monkeypatch.setitem(bounds.REGISTRY, "B11", dataclasses.replace(info, evaluator=spy))
+        args = "search --target B11 --n 3:6 --p 0.5 --qneg 0.5 --samples 20 --r 1 --q 3 --json"
+        assert run_cli(args.split()) == 0
+        assert capsys.readouterr().out == "[]\n"
+        assert seen == [{"q": 3, "r": 1}] * 20
 
     def test_text_output(self, capsys):
         args = [a for a in self.ARGS if a != "--json"]

@@ -15,6 +15,7 @@ from signed_spectra import (
     TooLargeError,
     adjacency_matrix,
     all_negative_complete,
+    erdos_renyi_signed,
     generate,
     paper_c5,
     parse_signed_graph,
@@ -22,7 +23,8 @@ from signed_spectra import (
     signed_cycle,
 )
 
-from .conftest import signed_graphs
+from .conftest import random_graphs, signed_graphs
+from .oracles import adjacency_by_float_loop, erdos_renyi_by_from_edges
 
 C5_TEXT = "5\n0 1 -\n1 2 +\n2 3 +\n3 4 +\n4 0 +"
 
@@ -95,6 +97,21 @@ class TestConstruction:
         with pytest.raises(InvalidParamsError):
             SignedGraph(-1)
 
+    @pytest.mark.parametrize(
+        "edges, exc",
+        [
+            ({(1, 1, 1)}, SelfLoopError),
+            ({(0, 3, 1)}, IndexOutOfRangeError),
+            ({(2, 1, 1)}, InvalidParamsError),
+            ({(0, 1, 0)}, InvalidParamsError),
+            ({(0, 1, 1), (0, 1, -1)}, DuplicateEdgeError),
+        ],
+        ids=["self-loop", "out-of-range", "u-above-v", "sign-0", "both-signs"],
+    )
+    def test_direct_construction_validates_edges(self, edges, exc):
+        with pytest.raises(exc):
+            SignedGraph(3, frozenset(edges))
+
     def test_counters(self):
         g = parse_signed_graph(C5_TEXT)
         assert g.m_plus + g.m_minus == g.m
@@ -129,6 +146,21 @@ class TestAdjacency:
     def test_guard(self):
         with pytest.raises(TooLargeError):
             adjacency_matrix(SignedGraph(2049))
+
+    def test_entries_equal_the_float_loop_bit_for_bit(self):
+        graphs = [SignedGraph(0), SignedGraph(1), SignedGraph(6)]
+        graphs += [all_negative_complete(7), all_negative_complete(7).with_all_signs(1)]
+        graphs += random_graphs(60, max_n=12, seed=71, p=(0.2, 0.5, 0.9), q=(0.0, 0.5, 1.0))
+        for g in graphs:
+            entries, expected = adjacency_matrix(g).entries, adjacency_by_float_loop(g)
+            assert entries.dtype == expected.dtype and entries.shape == expected.shape
+            assert entries.tobytes() == expected.tobytes(), g.to_sg()
+
+    def test_non_square_rejected(self):
+        from signed_spectra import NotSymmetricError
+
+        with pytest.raises(NotSymmetricError):
+            SymmetricMatrix(np.zeros((2, 3)))
 
     def test_symmetry_validation(self):
         from signed_spectra import NotSymmetricError
@@ -202,6 +234,14 @@ class TestGenerators:
         assert a == b
         c = generate("erdos_renyi_signed", n=8, p=0.5, q_neg=0.3, seed=8)
         assert a != c  # overwhelmingly likely, fixed seeds make it stable
+
+    def test_erdos_renyi_equals_from_edges(self):
+        for n in (0, 1, 2, 5, 9, 17):
+            for p in (0.0, 0.3, 0.7, 1.0):
+                for q_neg in (0.0, 0.5, 1.0):
+                    for seed in (0, 1, 29):
+                        expected = erdos_renyi_by_from_edges(n, p, q_neg, seed)
+                        assert erdos_renyi_signed(n, p, q_neg, seed=seed) == expected
 
     @pytest.mark.parametrize(
         "kind, params",

@@ -118,6 +118,17 @@ class TestFrustrationIndex:
         monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", 2)
         assert [frustration_index_exact(g) for g in graphs] == expected
 
+    def test_blocks_tiled_on_both_axes(self, monkeypatch):
+        # at n = 20 the left table has 2^9 rows and the right one 2^10 columns:
+        # 2^20 entries take them in one block, 2^9 in blocks of 2^8 rows by 2
+        # columns, and the default 2^15 in blocks of 2^8 rows by 2^7 columns
+        graphs = kernel_graphs(20)
+        monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", 2**20)
+        expected = [frustration_index_exact(g) for g in graphs]
+        for entries in (2**9, 2**15):
+            monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", entries)
+            assert [frustration_index_exact(g) for g in graphs] == expected
+
     def test_kernel_on_one_vertex(self):
         # the H half is empty: one switching, one value
         assert invariants._max_switching_form(np.zeros((1, 1), dtype=np.int64), 0) == (0, (1,))
@@ -248,6 +259,8 @@ class TestBalancedClique:
     def test_empty_graph_rejected(self):
         with pytest.raises(InvalidParamsError):
             balanced_clique_number(SignedGraph(0))
+        with pytest.raises(InvalidParamsError):
+            invariants.greedy_balanced_clique(SignedGraph(0))
 
     def test_guard(self):
         with pytest.raises(TooLargeError):
@@ -396,6 +409,10 @@ class TestRFrustration:
     def test_r1_is_zero(self, c5):
         assert r_frustration_index(c5, 1) == 0
 
+    def test_r_validated(self, c5):
+        with pytest.raises(InvalidParamsError):
+            r_frustration_index(c5, 0)
+
     def test_paper_c5_r2(self, c5):
         assert r_frustration_index(c5, 2) == 2
         assert min_negative_walks(c5, 2) == 2
@@ -469,7 +486,7 @@ class TestInvariantReport:
     """The values ``invariants`` prints, read from the one per-graph memo."""
 
     def test_exact_under_guards(self, c5):
-        ctx = _Ctx(c5, force=False)
+        ctx = _Ctx(c5)
         assert ctx.exact_or_bound("eps") == (1, True)
         assert ctx.exact_or_bound("eps_b") == (1, True)
         assert ctx.exact_or_bound("omega_b") == (2, True)
@@ -477,7 +494,7 @@ class TestInvariantReport:
 
     def test_heuristic_fallback_over_guard(self, monkeypatch):
         monkeypatch.setenv("SIGNED_SPECTRA_MAX_N", "4")
-        ctx = _Ctx(paper_c5(), force=False)
+        ctx = _Ctx(paper_c5())
         frustration, frustration_exact = ctx.exact_or_bound("eps")
         eps_b, eps_b_exact = ctx.exact_or_bound("eps_b")
         omega_b, omega_b_exact = ctx.exact_or_bound("omega_b")

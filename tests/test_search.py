@@ -2,6 +2,7 @@
 
 import pytest
 
+from signed_spectra import bounds, search
 from signed_spectra import (
     InvalidConfigError,
     SearchConfig,
@@ -121,6 +122,24 @@ class TestFindings:
         )
         for f in search_counterexamples(cfg):
             assert triangle_census(parse_signed_graph(f.graph)).total == 0
+
+    def test_triangle_filter_reads_the_memo_census(self, monkeypatch):
+        calls = []
+        census = bounds.triangle_census
+
+        def counted(g):
+            calls.append(g)
+            return census(g)
+
+        monkeypatch.setattr(bounds, "triangle_census", counted)
+        # a filter that went around the memo would call a census of its own
+        monkeypatch.setattr(search, "triangle_census", counted, raising=False)
+        cfg = make_cfg(
+            target="B8", n_min=4, n_max=8, edge_probability=0.4, samples=400, seed=2,
+            triangle_free_filter=True,
+        )
+        search_counterexamples(cfg)
+        assert len(calls) == cfg.samples
 
 
 class TestGolden:

@@ -270,6 +270,10 @@ class TestMsIndex:
     def test_search_on_edgeless(self):
         assert ms_index_search(SignedGraph(3), iters=1, seed=0) == 0.0
 
+    def test_search_iters_validated(self, c5):
+        with pytest.raises(InvalidParamsError):
+            ms_index_search(c5, iters=0)
+
     def test_search_on_c5(self, c5):
         found = ms_index_search(c5, iters=8, seed=0)
         assert 1 / 4 - 1e-9 <= found <= 1 / 4 + 1e-9

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signed_spectra import (
+    InvalidParamsError,
     LengthMismatchError,
     NotACycleError,
     SignedGraph,
@@ -45,6 +46,10 @@ class TestApplySwitching:
     def test_length_mismatch(self, c5):
         with pytest.raises(LengthMismatchError):
             apply_switching(c5, Switching((1, -1)))
+
+    def test_entries_validated(self):
+        with pytest.raises(InvalidParamsError):
+            Switching((1, 0))
 
     def test_matches_diagonal_conjugation(self, c5):
         eta = random_switching(5, seed=3)
