@@ -31,21 +31,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import memo
 from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError
 from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix, all_negative
 from .invariants import (
+    CLIQUE_MAX_N,
     FRUSTRATION_MAX_N,
     R_FRUSTRATION_MAX_N,
     TriangleCensus,
     WalkCensus,
     _check_guard,
     _max_balanced_clique,
+    _r_frustration,
     edge_bipartiteness,
     frustration_index_exact,
     frustration_index_upper,
@@ -55,6 +58,7 @@ from .invariants import (
     walk_census,
 )
 from .spectral import Spectrum, _clique_witness, _ms_search, eigen_decomposition
+from .switching import apply_switching, propagation_labels
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -79,27 +83,42 @@ class BoundEvaluation:
     note: str = ""
 
 
-# Cross-graph sharing: of everything the registry reads, only the unsigned
-# lambda_n (B3, B4) and eps_b depend on the underlying graph alone.  One entry
-# suffices because sweeps visit all 2^m signings of an underlying graph in a
-# row.  It holds just those two scalars, each filled in on first use.
+# Cross-graph sharing.  Switching (A -> D A D, D a +-1 diagonal) keeps the
+# eigenvalues and every combinatorial quantity the registry reads except the
+# signed walk sums (Zaslavsky, "Signed graphs", 1982), and a sweep over all
+# signings meets each class many times: the 307 graphs of the bench ``sweep``
+# fall into 74 classes.  So ``_underlying`` keeps the unsigned lambda_n and
+# eps_b per underlying graph, and eps, eps_r, the triangle census, the
+# balanced clique and B13's probe per switching class.  A class is keyed by
+# its canonical signing: the negative edges left after switching a BFS
+# spanning forest all-positive.  The spectrum stays per signing, because
+# ``eigh`` on D A D is not bit-identical to ``eigh`` on A.
 
-@lru_cache(maxsize=1)
-def _underlying(n: int, pairs: frozenset[tuple[int, int]]) -> dict[str, float]:
-    return {}
-
+_MEMO_BYTES = 16 << 20  # the budget of ``_underlying``, in estimated bytes
+_underlying = memo.SwitchingMemo(_MEMO_BYTES)
 
 _HEURISTIC_ITERS, _HEURISTIC_SEED = 200, 0  # local-search fallback past the guards
 
 
+def _switch_clique(
+    clique: tuple[int, tuple[int, ...], tuple[int, ...]], labels: Sequence[int]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """A balanced clique's labels after switching by ``labels``, renormalised
+    so the lowest member is +1.  Its own inverse."""
+    size, members, signs = clique
+    switched = [labels[v] * s for v, s in zip(members, signs)]
+    return size, members, tuple(switched[0] * s for s in switched)
+
+
 class _Ctx:
     """Every quantity of one signed graph that ``bounds``, ``invariants`` and
-    ``search`` read, computed once and always under the guards."""
+    ``search`` read, computed once and always under the guards.  What
+    switching keeps comes from ``_underlying``; the class key is computed
+    only when one of those is read."""
 
     def __init__(self, g: SignedGraph):
         self.g = g
         self._walks: dict[int, WalkCensus] = {}
-        self._eps_r: dict[int, int] = {}
 
     @cached_property
     def adjacency(self) -> SymmetricMatrix:
@@ -109,31 +128,54 @@ class _Ctx:
     def spectrum(self) -> Spectrum:
         return eigen_decomposition(self.adjacency)
 
-    @property
+    @cached_property
+    def _graph(self) -> memo.GraphEntry:
+        return _underlying.graph(self.g)
+
+    @cached_property
+    def _class(self) -> tuple[tuple[int, ...], dict]:
+        """The switching to the canonical signing, and the class entry."""
+        labels, _, _ = propagation_labels(self.g, full=True)
+        key = frozenset((u, v) for u, v, s in self.g.edges if labels[u] * s * labels[v] < 0)
+        return labels, _underlying.switching_class(self._graph, key)
+
+    def _of_graph(self, name: str, compute: Callable[[], object]):
+        return _underlying.fill(self._graph, self._graph.values, name, compute)
+
+    def _of_class(self, name: object, compute: Callable[[], object]):
+        return _underlying.fill(self._graph, self._class[1], name, compute)
+
+    @cached_property
     def unsigned_lambda_n(self) -> float:
-        shared = _underlying(self.g.n, self.g.underlying_pairs)
-        if "lambda_n" not in shared:  # an all-positive g is its own unsigned graph
+        def compute() -> float:  # an all-positive g is its own unsigned graph
             a = self.adjacency.entries
             unsigned = self.spectrum if self.g.m_minus == 0 else eigen_decomposition(np.abs(a))
-            shared["lambda_n"] = float(unsigned.eigenvalues[-1])
-        return shared["lambda_n"]
+            return float(unsigned.eigenvalues[-1])
+
+        return self._of_graph("lambda_n", compute)
+
+    # A guarded value checks its guard when a context first reads it, also
+    # when the memo holds it: the override may have changed since the entry
+    # was filled.
 
     @cached_property
     def eps(self) -> int:
-        return frustration_index_exact(self.g)
+        _check_guard(self.g.n, FRUSTRATION_MAX_N, False, "frustration_index_exact")
+        return self._of_class("eps", lambda: frustration_index_exact(self.g))
 
-    @property
+    @cached_property
     def eps_b(self) -> int:
-        # checked on every read: the override may have changed since the entry was filled
         _check_guard(self.g.n, FRUSTRATION_MAX_N, False, "edge_bipartiteness")
-        shared = _underlying(self.g.n, self.g.underlying_pairs)
-        if "eps_b" not in shared:
-            shared["eps_b"] = edge_bipartiteness(self.g)
-        return shared["eps_b"]
+        return self._of_graph("eps_b", lambda: edge_bipartiteness(self.g))
 
     @cached_property
     def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        return _max_balanced_clique(self.g)
+        _check_guard(self.g.n, CLIQUE_MAX_N, False, "balanced_clique_number")
+        labels, _ = self._class  # the class keeps the clique of the canonical signing
+        canonical = self._of_class(
+            "clique", lambda: _switch_clique(_max_balanced_clique(self.g), labels)
+        )
+        return _switch_clique(canonical, labels)
 
     @property
     def omega_b(self) -> int:
@@ -156,7 +198,7 @@ class _Ctx:
 
     @cached_property
     def census(self) -> TriangleCensus:
-        return triangle_census(self.g)
+        return self._of_class("census", lambda: triangle_census(self.g))
 
     def walks(self, r: int) -> WalkCensus:
         if r not in self._walks:
@@ -164,12 +206,20 @@ class _Ctx:
         return self._walks[r]
 
     def eps_r(self, r: int) -> int:
+        if r < 2 or self.g.m == 0:
+            return r_frustration_index(self.g, r)
+        _check_guard(self.g.n, R_FRUSTRATION_MAX_N, False, "r_frustration_index")
         if r == 2:  # A^(r-1) = A, so eps_2 = 2 * eps exactly
-            _check_guard(self.g.n, R_FRUSTRATION_MAX_N, False, "r_frustration_index")
             return 2 * self.eps
-        if r not in self._eps_r:
-            self._eps_r[r] = r_frustration_index(self.g, r)
-        return self._eps_r[r]
+        w_total = self.walks(r).w_total
+        return self._of_class(("eps_r", r), lambda: _r_frustration(self.g, r, w_total))
+
+    def ms_probe(self, iters: int, seed: int) -> float:
+        """B13's restarts, run on the canonical signing of the class."""
+        labels, _ = self._class
+        return self._of_class(
+            ("ms", iters, seed), lambda: _ms_search(apply_switching(self.g, labels), iters, seed)
+        )
 
     @cached_property
     def lambda1(self) -> float:
@@ -280,9 +330,8 @@ def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     clique = ctx.clique
     exact = Fraction(clique[0] - 1, 2 * clique[0])  # ms_index closed form
     _, witness_value = _clique_witness(ctx.g, clique)
-    lhs = _ms_search(  # ms_index_search on the memo's clique and matrix
-        ctx.g, ctx.adjacency.entries, float(witness_value), p.get("iters", 2), p.get("seed", 0)
-    )
+    # ms_index_search, with the clique and the restarts read from the memo
+    lhs = max(float(witness_value), ctx.ms_probe(p.get("iters", 2), p.get("seed", 0)))
     note = ""
     if witness_value != exact:
         note = f"witness value {witness_value} does not attain the closed form {exact}"

@@ -397,6 +397,10 @@ def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
     _check_guard(g.n, R_FRUSTRATION_MAX_N, force, "r_frustration_index")
     if g.n == 0 or g.m == 0 or r == 1:
         return 0
-    w_total, _ = _walk_sums(g, r)
+    return _r_frustration(g, r, _walk_sums(g, r)[0])
+
+
+def _r_frustration(g: SignedGraph, r: int, w_total: int) -> int:
+    """``r_frustration_index`` for r >= 2 and m >= 1, given w_total = e^T |A|^(r-1) e."""
     best, _ = _max_switching_form(np.linalg.matrix_power(_signed_matrix(g), r - 1), w_total)
     return (w_total - best) // 2

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidParamsError, NoConvergenceError
 from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix
 from .invariants import _max_balanced_clique
+from .switching import apply_switching, propagation_labels
 
 ZERO_TOL_FACTOR = 1e-8
 
@@ -133,12 +134,12 @@ def _clique_witness(
     x = np.zeros(g.n)
     for v, lab in zip(members, labels):
         x[v] = lab / omega
-    value = Fraction(0)
-    for i, u in enumerate(members):
-        for j in range(i + 1, len(members)):
-            w = members[j]
-            value += Fraction(g.sign(u, w) * labels[i] * labels[j], omega * omega)
-    return x, value
+    total = sum(
+        g.sign(u, members[j]) * labels[i] * labels[j]
+        for i, u in enumerate(members)
+        for j in range(i + 1, len(members))
+    )
+    return x, Fraction(total, omega * omega)
 
 
 def ms_index_search(
@@ -148,19 +149,26 @@ def ms_index_search(
 
     Starts from the balanced-clique witness (which already attains the
     closed form) and adds seeded random restarts of a pairwise
-    mass-reallocation ascent on the unit l1 sphere.  Every evaluated point
-    is feasible, so the result never exceeds the true maximum beyond float
-    roundoff.
+    mass-reallocation ascent on the unit l1 sphere.  The restarts run on
+    the canonical signing D A D of the switching class of ``g`` (D switches
+    a BFS spanning forest all-positive), so every signing of a class gets
+    the same restarts.  That is still a lower bound for ``g``: a point x of
+    the sphere maps to D x, also on the sphere, with (D x)^T A (D x) =
+    x^T (D A D) x.  Every evaluated point is feasible, so the result never
+    exceeds the true maximum beyond float roundoff.
     """
     _, exact = ms_witness(g, force=force)
-    return _ms_search(g, adjacency_matrix(g).entries, float(exact), iters, seed)
+    labels, _, _ = propagation_labels(g, full=True)
+    return max(float(exact), _ms_search(apply_switching(g, labels), iters, seed))
 
 
-def _ms_search(g: SignedGraph, a: np.ndarray, best: float, iters: int, seed: int) -> float:
-    """``ms_index_search`` on the adjacency entries ``a`` of ``g``, starting
-    from the value ``best`` (the witness value, unless a caller leaves it out)."""
+def _ms_search(g: SignedGraph, iters: int, seed: int) -> float:
+    """The best value of ``ms_index_search``'s restarts on ``g`` itself,
+    without the witness; -inf when no restart runs."""
+    a = adjacency_matrix(g).entries
     if iters < 1:
         raise InvalidParamsError(f"iters must be >= 1, got {iters}")
+    best = -math.inf
     if g.n < 2 or g.m == 0:
         return best
     rows = a.tolist()

@@ -75,7 +75,9 @@ def apply_switching(g: SignedGraph, eta: Switching | Sequence[int]) -> SignedGra
     )
 
 
-def propagation_labels(g: SignedGraph) -> tuple[tuple[int, ...], tuple[int, int] | None, dict[int, int]]:
+def propagation_labels(
+    g: SignedGraph, *, full: bool = False
+) -> tuple[tuple[int, ...], tuple[int, int] | None, dict[int, int]]:
     """Spanning-forest sign propagation.
 
     Returns ``(labels, conflict_edge, parent)`` where labels make every tree
@@ -83,9 +85,16 @@ def propagation_labels(g: SignedGraph) -> tuple[tuple[int, ...], tuple[int, int]
     (in BFS order, ascending roots and neighbors) that stays negative, or
     ``None`` if the graph is balanced, and ``parent`` maps each non-root
     visited vertex to its BFS parent (valid up to the conflict).
+
+    The BFS stops at the conflict and labels the vertices it has not
+    reached +1, unless ``full``: then it labels the whole spanning forest,
+    which depends on the underlying graph alone.  Switching by those labels
+    gives every signing of one switching class the same signed graph, the
+    class's canonical signing.
     """
     labels = [0] * g.n
     parent: dict[int, int] = {}
+    conflict = None
     for root in range(g.n):
         if labels[root]:
             continue
@@ -98,9 +107,11 @@ def propagation_labels(g: SignedGraph) -> tuple[tuple[int, ...], tuple[int, int]
                     labels[v] = labels[u] * g.sign(u, v)
                     parent[v] = u
                     queue.append(v)
-                elif labels[u] * g.sign(u, v) * labels[v] == -1:
-                    return tuple(labels[i] if labels[i] else 1 for i in range(g.n)), (u, v), parent
-    return tuple(labels[i] if labels[i] else 1 for i in range(g.n)), None, parent
+                elif conflict is None and labels[u] * g.sign(u, v) * labels[v] == -1:
+                    conflict = (u, v)
+                    if not full:
+                        return tuple(label or 1 for label in labels), conflict, parent
+    return tuple(labels), conflict, parent
 
 
 def _fundamental_cycle(u: int, v: int, parent: dict[int, int]) -> tuple[int, ...]:

@@ -2,9 +2,12 @@
 
 import json
 import math
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signed_spectra import (
     InvalidParamsError,
@@ -29,7 +32,7 @@ from signed_spectra import (
 from signed_spectra import bounds, invariants, spectral
 from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
 
-from .conftest import random_graphs
+from .conftest import all_signings, connected_underlying_graphs, random_graphs, signed_graphs
 from .oracles import unsigned_lambda_n_by_all_positive
 
 
@@ -269,7 +272,9 @@ class TestEvaluateAll:
             assert value.hex() == unsigned_lambda_n_by_all_positive(g).hex(), g.to_sg()
 
     def test_clique_and_adjacency_are_computed_once(self, monkeypatch):
-        # B13's MS probe reads the memo's clique and matrix instead of its own
+        # B13 reads the memo's clique instead of its own, and its restarts
+        # run on the canonical signing's matrix, not on a second copy of g's
+        _underlying.cache_clear()
         cliques, matrices = [], []
         clique_of, matrix_of = bounds._max_balanced_clique, bounds.adjacency_matrix
 
@@ -327,6 +332,73 @@ class TestEvaluateAll:
         assert [ev.params for ev in b10] == [{"r": 4}]
         assert [ev.params for ev in b11] == [{"q": 5, "r": 2}]
         assert all(ev.verdict == "holds" for ev in b10 + b11)
+
+
+def _sweep_strata(seed: int) -> list[SignedGraph]:
+    """Every signing of one seeded connected labelled graph per (n, m)
+    stratum with n <= 5 and m <= 6, as the bench sweep draws them."""
+    strata: dict[tuple[int, int], list] = {}
+    for n, pairs in connected_underlying_graphs(5):
+        if len(pairs) <= 6:
+            strata.setdefault((n, len(pairs)), []).append(pairs)
+    rng = random.Random(f"sweep:{seed}")
+    return [g for n, m in sorted(strata) for g in all_signings(n, rng.choice(strata[n, m]))]
+
+
+class TestSwitchingClassMemo:
+    """Values kept per underlying graph and per switching class."""
+
+    @staticmethod
+    def _shared(g: SignedGraph) -> tuple:
+        ctx = bounds._Ctx(g)
+        b13 = evaluate_bound(g, "B13", {"iters": 2, "seed": 0})
+        return ctx.eps, ctx.eps_r(3), ctx.omega_b, ctx.census, b13.lhs
+
+    @given(signed_graphs(max_n=8), st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_switching_invariance(self, g, seed):
+        rng = random.Random(seed)
+        switched = apply_switching(g, [rng.choice((1, -1)) for _ in range(g.n)])
+        cold = []
+        for h in (g, switched):
+            _underlying.cache_clear()
+            cold.append(self._shared(h))
+            assert bounds._Ctx(h).clique == bounds._max_balanced_clique(h)
+        assert cold[0] == cold[1]
+        # with g's class filled, the switched graph reads g's entries
+        _underlying.cache_clear()
+        first, second = bounds._Ctx(g), bounds._Ctx(switched)
+        assert first._class[1] is second._class[1]
+        assert self._shared(g) == self._shared(switched) == cold[0]
+        assert bounds._Ctx(switched).clique == bounds._max_balanced_clique(switched)
+
+    def test_sweep_strata_match_cold_runs(self):
+        graphs = [g for seed in range(3) for g in _sweep_strata(seed)]
+        _underlying.cache_clear()
+        shared = [evaluate_all(g) for g in graphs]
+        for g, evals in zip(graphs, shared):
+            _underlying.cache_clear()
+            assert evals == evaluate_all(g), g.to_sg()
+
+    def test_byte_budget_evicts_least_recent_graphs(self, monkeypatch):
+        graphs = random_graphs(60, max_n=9, seed=61, p=(0.3, 0.6), q=(0.3, 0.6))
+        graphs += [apply_switching(g, [(-1) ** v for v in range(g.n)]) for g in graphs]
+        underlying = {(g.n, g.underlying_pairs) for g in graphs}
+        _underlying.cache_clear()
+        expected = [evaluate_all(g) for g in graphs]
+        assert _underlying.cache_info().nbytes > 12_000
+        for budget in (12_000, 3_000, 0):
+            monkeypatch.setattr(_underlying, "budget", budget)
+            _underlying.cache_clear()
+            for g, evals in zip(graphs, expected):
+                assert evaluate_all(g) == evals, (budget, g.to_sg())
+                info = _underlying.cache_info()
+                assert info.nbytes <= budget and info.budget == budget
+            assert _underlying.cache_info().currsize < len(underlying)
+        assert _underlying.cache_info().currsize == 0  # nothing fits in 0 bytes
+        monkeypatch.setattr(_underlying, "budget", 12_000)
+        evaluate_all(graphs[-1])  # the most recent graph stays while it fits
+        assert _underlying.cache_info().currsize == 1
 
 
 class TestJsonReport:
