@@ -84,7 +84,8 @@ def propagation_labels(
     edge switch to positive, ``conflict_edge`` is the first non-tree edge
     (in BFS order, ascending roots and neighbors) that stays negative, or
     ``None`` if the graph is balanced, and ``parent`` maps each non-root
-    visited vertex to its BFS parent (valid up to the conflict).
+    visited vertex to its BFS parent (valid up to the conflict, and
+    everywhere with ``full``).
 
     The BFS stops at the conflict and labels the vertices it has not
     reached +1, unless ``full``: then it labels the whole spanning forest,

@@ -123,6 +123,12 @@ class TestFindings:
         for f in search_counterexamples(cfg):
             assert triangle_census(parse_signed_graph(f.graph)).total == 0
 
+    def test_spectral_target_leaves_the_memo_alone(self):
+        # B8u reads only the spectrum, so no switching-class key is computed
+        bounds._underlying.cache_clear()
+        assert search_counterexamples(make_cfg(samples=200, seed=4))
+        assert bounds._underlying.cache_info().currsize == 0
+
     def test_triangle_filter_reads_the_memo_census(self, monkeypatch):
         calls = []
         census = bounds.triangle_census
