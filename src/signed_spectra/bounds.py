@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import memo
 from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError
 from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix, all_negative
 from .invariants import (
@@ -57,8 +56,8 @@ from .invariants import (
     triangle_census,
     walk_census,
 )
-from .spectral import Spectrum, _clique_witness, _ms_search, eigen_decomposition
-from .switching import apply_switching, propagation_labels
+from .spectral import Spectrum, _clique_witness, _ms_search, _switched_entries, eigen_decomposition
+from .switching import propagation_labels
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -87,34 +86,42 @@ class BoundEvaluation:
 # eigenvalues and every combinatorial quantity the registry reads except the
 # signed walk sums (Zaslavsky, "Signed graphs", 1982), and a sweep over all
 # signings meets each class many times: the 307 graphs of the bench ``sweep``
-# fall into 74 classes.  So ``_underlying`` keeps the unsigned lambda_n and
-# eps_b per underlying graph, and eps, eps_r, the triangle census, the
-# balanced clique and B13's probe per switching class.  A class is keyed by
-# its canonical signing: the negative edges left after switching a BFS
-# spanning forest all-positive.  The spectrum stays per signing, because
-# ``eigh`` on D A D is not bit-identical to ``eigh`` on A.
+# fall into 74 classes.  One entry suffices because sweeps visit all 2^m
+# signings of an underlying graph in a row.  It keeps the unsigned lambda_n
+# and eps_b, and under ``"classes"`` eps, eps_r, the balanced clique's
+# members and B13's probe per switching class.  A class is keyed by its
+# canonical signing: the negative edges left after switching a BFS spanning
+# forest all-positive.  The key is taken only once a second signing of the
+# underlying graph comes, so a search that draws a new graph per sample
+# computes none.  The spectrum stays per signing, because ``eigh`` on D A D
+# is not bit-identical to ``eigh`` on A, and so does the triangle census,
+# which costs no more than the BFS.
 
-_MEMO_BYTES = 16 << 20  # the budget of ``_underlying``, in estimated bytes
-_underlying = memo.SwitchingMemo(_MEMO_BYTES)
+# Classes kept for the one underlying graph; all are dropped when a new one
+# would pass it.  A class holds a few ints, the clique's members and a float
+# or two, so the entry stays within a few MB.
+_MAX_CLASSES = 1024
+
+
+@lru_cache(maxsize=1)
+def _underlying(n: int, pairs: frozenset[tuple[int, int]]) -> dict:
+    return {}
+
 
 _HEURISTIC_ITERS, _HEURISTIC_SEED = 200, 0  # local-search fallback past the guards
 
 
-def _switch_clique(
-    clique: tuple[int, tuple[int, ...], tuple[int, ...]], labels: Sequence[int]
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """A balanced clique's labels after switching by ``labels``, renormalised
-    so the lowest member is +1.  Its own inverse."""
-    size, members, signs = clique
-    switched = [labels[v] * s for v, s in zip(members, signs)]
-    return size, members, tuple(switched[0] * s for s in switched)
+def _class_key(g: SignedGraph, labels: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """The negative edges of ``g`` switched by ``labels``; with the labels of
+    ``propagation_labels(g, full=True)``, the same for a whole switching class."""
+    return frozenset((u, v) for u, v, s in g.edges if labels[u] * s * labels[v] < 0)
 
 
 class _Ctx:
     """Every quantity of one signed graph that ``bounds``, ``invariants`` and
     ``search`` read, computed once and always under the guards.  What
-    switching keeps comes from ``_underlying``; the class key is computed
-    only when one of those is read."""
+    switching keeps comes from ``_underlying``, read only when one of those
+    is read."""
 
     def __init__(self, g: SignedGraph):
         self.g = g
@@ -129,53 +136,75 @@ class _Ctx:
         return eigen_decomposition(self.adjacency)
 
     @cached_property
-    def _graph(self) -> memo.GraphEntry:
-        return _underlying.graph(self.g)
+    def _labels(self) -> tuple[int, ...]:
+        """The switching to the canonical signing of the class."""
+        return propagation_labels(self.g, full=True)[0]
 
     @cached_property
-    def _class(self) -> tuple[tuple[int, ...], dict]:
-        """The switching to the canonical signing, and the class entry."""
-        labels, _, _ = propagation_labels(self.g, full=True)
-        key = frozenset((u, v) for u, v, s in self.g.edges if labels[u] * s * labels[v] < 0)
-        return labels, _underlying.switching_class(self._graph, key)
+    def _class(self) -> dict:
+        """The values this signing shares with its switching class.
 
-    def _of_graph(self, name: str, compute: Callable[[], object]):
-        return _underlying.fill(self._graph, self._graph.values, name, compute)
+        While the entry holds no class, a signing's values wait unkeyed: only
+        another signing of the underlying graph can repeat a class, so the
+        key, a BFS, is taken when one comes."""
+        shared = _underlying(self.g.n, self.g.underlying_pairs)
+        classes = shared.setdefault("classes", {})
+        unkeyed = shared.get("unkeyed")
+        if unkeyed is None and not classes:
+            unkeyed = shared["unkeyed"] = (self.g, {})
+        if unkeyed is not None:
+            g, values = unkeyed
+            if g.edges == self.g.edges:
+                return values
+            del shared["unkeyed"]
+            classes[_class_key(g, propagation_labels(g, full=True)[0])] = values
+        key = _class_key(self.g, self._labels)
+        if key not in classes and len(classes) >= _MAX_CLASSES:
+            classes.clear()
+        return classes.setdefault(key, {})
 
     def _of_class(self, name: object, compute: Callable[[], object]):
-        return _underlying.fill(self._graph, self._class[1], name, compute)
+        values = self._class
+        if name not in values:
+            values[name] = compute()
+        return values[name]
 
-    @cached_property
+    @property
     def unsigned_lambda_n(self) -> float:
-        def compute() -> float:  # an all-positive g is its own unsigned graph
+        shared = _underlying(self.g.n, self.g.underlying_pairs)
+        if "lambda_n" not in shared:  # an all-positive g is its own unsigned graph
             a = self.adjacency.entries
             unsigned = self.spectrum if self.g.m_minus == 0 else eigen_decomposition(np.abs(a))
-            return float(unsigned.eigenvalues[-1])
+            shared["lambda_n"] = float(unsigned.eigenvalues[-1])
+        return shared["lambda_n"]
 
-        return self._of_graph("lambda_n", compute)
+    # A guarded value checks its guard on every read, also when the memo
+    # holds it: the override may have changed since the entry was filled.
 
-    # A guarded value checks its guard when a context first reads it, also
-    # when the memo holds it: the override may have changed since the entry
-    # was filled.
-
-    @cached_property
+    @property
     def eps(self) -> int:
         _check_guard(self.g.n, FRUSTRATION_MAX_N, False, "frustration_index_exact")
         return self._of_class("eps", lambda: frustration_index_exact(self.g))
 
-    @cached_property
+    @property
     def eps_b(self) -> int:
         _check_guard(self.g.n, FRUSTRATION_MAX_N, False, "edge_bipartiteness")
-        return self._of_graph("eps_b", lambda: edge_bipartiteness(self.g))
+        shared = _underlying(self.g.n, self.g.underlying_pairs)
+        if "eps_b" not in shared:
+            shared["eps_b"] = edge_bipartiteness(self.g)
+        return shared["eps_b"]
 
-    @cached_property
+    @property
     def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         _check_guard(self.g.n, CLIQUE_MAX_N, False, "balanced_clique_number")
-        labels, _ = self._class  # the class keeps the clique of the canonical signing
-        canonical = self._of_class(
-            "clique", lambda: _switch_clique(_max_balanced_clique(self.g), labels)
-        )
-        return _switch_clique(canonical, labels)
+        return self._clique
+
+    @cached_property
+    def _clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        # the class keeps the members, the same for every signing; the labels
+        # follow from the signs, sign(u, v) = label(u) label(v) on the clique
+        size, members = self._of_class("clique", lambda: _max_balanced_clique(self.g)[:2])
+        return size, members, (1, *(self.g.sign(members[0], v) for v in members[1:]))
 
     @property
     def omega_b(self) -> int:
@@ -198,7 +227,7 @@ class _Ctx:
 
     @cached_property
     def census(self) -> TriangleCensus:
-        return self._of_class("census", lambda: triangle_census(self.g))
+        return triangle_census(self.g)
 
     def walks(self, r: int) -> WalkCensus:
         if r not in self._walks:
@@ -216,10 +245,10 @@ class _Ctx:
 
     def ms_probe(self, iters: int, seed: int) -> float:
         """B13's restarts, run on the canonical signing of the class."""
-        labels, _ = self._class
-        return self._of_class(
-            ("ms", iters, seed), lambda: _ms_search(apply_switching(self.g, labels), iters, seed)
-        )
+        def probe() -> float:
+            return _ms_search(_switched_entries(self.adjacency.entries, self._labels), iters, seed)
+
+        return self._of_class(("ms", iters, seed), probe)
 
     @cached_property
     def lambda1(self) -> float:

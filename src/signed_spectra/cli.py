@@ -29,12 +29,7 @@ from .bounds import (
 )
 from .errors import InvalidConfigError, InvalidParamsError, SignedSpectraError, TooLargeError
 from .graph import SignedGraph, generate, parse_signed_graph
-from .invariants import (
-    balanced_clique_number,
-    edge_bipartiteness,
-    frustration_index_exact,
-    triangle_census,
-)
+from .invariants import balanced_clique_number, edge_bipartiteness, frustration_index_exact
 from .search import SearchConfig, findings_to_json, search_counterexamples
 from .spectral import spectrum_of
 
@@ -104,18 +99,17 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = _load_graph(args.file)
+    ctx = _Ctx(g)
     if args.force:  # exact past every guard, and kept out of the memo
         forced = (frustration_index_exact, edge_bipartiteness, balanced_clique_number)
         values = [(f(g, force=True), True) for f in forced]
-        tri = triangle_census(g)
     else:
-        ctx = _Ctx(g)
         values = [ctx.exact_or_bound(name) for name in ("eps", "eps_b", "omega_b")]
-        tri = ctx.census
     labels = ("frustration_index", "edge_bipartiteness", "balanced_clique_number")
     print(f"n={g.n} m={g.m} m+={g.m_plus} m-={g.m_minus}")
     for label, (value, exact) in zip(labels, values):
         print(f"{label}: {value} ({'exact' if exact else 'heuristic bound'})")
+    tri = ctx.census
     print(f"triangles: t+={tri.t_plus} t-={tri.t_minus} t_s={tri.t_s}")
     return 0
 

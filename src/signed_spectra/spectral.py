@@ -14,13 +14,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParamsError, NoConvergenceError
 from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix
 from .invariants import _max_balanced_clique
-from .switching import apply_switching, propagation_labels
+from .switching import propagation_labels
 
 ZERO_TOL_FACTOR = 1e-8
 
@@ -159,26 +160,34 @@ def ms_index_search(
     """
     _, exact = ms_witness(g, force=force)
     labels, _, _ = propagation_labels(g, full=True)
-    return max(float(exact), _ms_search(apply_switching(g, labels), iters, seed))
+    canonical = _switched_entries(adjacency_matrix(g).entries, labels)
+    return max(float(exact), _ms_search(canonical, iters, seed))
 
 
-def _ms_search(g: SignedGraph, iters: int, seed: int) -> float:
-    """The best value of ``ms_index_search``'s restarts on ``g`` itself,
-    without the witness; -inf when no restart runs."""
-    a = adjacency_matrix(g).entries
+def _switched_entries(a: np.ndarray, labels: Sequence[int]) -> np.ndarray:
+    """D A D for D = diag(labels): bit for bit the adjacency entries of the
+    switched graph (``+ 0.0`` turns the products -1 * 0 back into 0.0)."""
+    d = np.asarray(labels, dtype=float)
+    return np.outer(d, d) * a + 0.0
+
+
+def _ms_search(a: np.ndarray, iters: int, seed: int) -> float:
+    """The best value of ``ms_index_search``'s restarts on the adjacency
+    entries ``a`` themselves, without the witness; -inf when no restart runs."""
     if iters < 1:
         raise InvalidParamsError(f"iters must be >= 1, got {iters}")
     best = -math.inf
-    if g.n < 2 or g.m == 0:
+    n = len(a)
+    if n < 2 or not a.any():
         return best
     rows = a.tolist()
     nbrs = [[(k, w) for k, w in enumerate(row) if w] for row in rows]
     # a sweep takes the pairs by index distance, so the first and noisiest
     # moves of a sweep do not all fall on vertex 0
-    pairs = [(i, i + d, rows[i][i + d]) for d in range(1, g.n) for i in range(g.n - d)]
+    pairs = [(i, i + d, rows[i][i + d]) for d in range(1, n) for i in range(n - d)]
     rng = random.Random(seed)
     for _ in range(iters):
-        x = np.array([rng.uniform(-1.0, 1.0) for _ in range(g.n)])
+        x = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
         norm = float(np.sum(np.abs(x)))
         if norm == 0.0:
             continue

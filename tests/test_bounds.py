@@ -368,7 +368,7 @@ class TestSwitchingClassMemo:
         # with g's class filled, the switched graph reads g's entries
         _underlying.cache_clear()
         first, second = bounds._Ctx(g), bounds._Ctx(switched)
-        assert first._class[1] is second._class[1]
+        assert first._class is second._class
         assert self._shared(g) == self._shared(switched) == cold[0]
         assert bounds._Ctx(switched).clique == bounds._max_balanced_clique(switched)
 
@@ -380,24 +380,40 @@ class TestSwitchingClassMemo:
             _underlying.cache_clear()
             assert evals == evaluate_all(g), g.to_sg()
 
-    def test_byte_budget_evicts_least_recent_graphs(self, monkeypatch):
-        graphs = random_graphs(60, max_n=9, seed=61, p=(0.3, 0.6), q=(0.3, 0.6))
-        graphs += [apply_switching(g, [(-1) ** v for v in range(g.n)]) for g in graphs]
-        underlying = {(g.n, g.underlying_pairs) for g in graphs}
+    def test_first_signing_takes_no_class_key(self, monkeypatch):
+        # only a second signing of the underlying graph can repeat a class
+        bfs = []
+        labels = bounds.propagation_labels
+
+        def counted(g, **kw):
+            bfs.append(g)
+            return labels(g, **kw)
+
+        monkeypatch.setattr(bounds, "propagation_labels", counted)
+        g = erdos_renyi_signed(n=7, p=0.5, q_neg=0.5, seed=7)
+        switched = apply_switching(g, [(-1) ** v for v in range(g.n)])
         _underlying.cache_clear()
-        expected = [evaluate_all(g) for g in graphs]
-        assert _underlying.cache_info().nbytes > 12_000
-        for budget in (12_000, 3_000, 0):
-            monkeypatch.setattr(_underlying, "budget", budget)
+        for bound_id in ("B2", "B5", "B10"):
+            evaluate_bound(g, bound_id, {"r": 3})
+        assert bfs == []
+        first = bounds._Ctx(g)._class
+        evaluate_bound(switched, "B5")  # files g's entry under its key, then reads it
+        assert sorted(map(id, bfs)) == sorted([id(g), id(switched)])
+        assert list(_underlying(g.n, g.underlying_pairs)["classes"].values()) == [first]
+
+    def test_class_budget_drops_the_classes(self, monkeypatch):
+        # K4 plus a pendant edge: 2^7 signings in 2^3 classes
+        graphs = list(all_signings(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]))
+        expected = []
+        for g in graphs:
+            _underlying.cache_clear()
+            expected.append(evaluate_all(g))
+        for budget in (3, 1):
+            monkeypatch.setattr(bounds, "_MAX_CLASSES", budget)
             _underlying.cache_clear()
             for g, evals in zip(graphs, expected):
                 assert evaluate_all(g) == evals, (budget, g.to_sg())
-                info = _underlying.cache_info()
-                assert info.nbytes <= budget and info.budget == budget
-            assert _underlying.cache_info().currsize < len(underlying)
-        assert _underlying.cache_info().currsize == 0  # nothing fits in 0 bytes
-        monkeypatch.setattr(_underlying, "budget", 12_000)
-        evaluate_all(graphs[-1])  # the most recent graph stays while it fits
+                assert len(_underlying(g.n, g.underlying_pairs)["classes"]) <= budget
         assert _underlying.cache_info().currsize == 1
 
 

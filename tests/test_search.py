@@ -123,10 +123,19 @@ class TestFindings:
         for f in search_counterexamples(cfg):
             assert triangle_census(parse_signed_graph(f.graph)).total == 0
 
-    def test_spectral_target_leaves_the_memo_alone(self):
-        # B8u reads only the spectrum, so no switching-class key is computed
+    @pytest.mark.parametrize(
+        "cfg",
+        (
+            make_cfg(samples=200, seed=4),
+            make_cfg(target="B8", samples=200, seed=4, triangle_free_filter=True),
+        ),
+        ids=("B8u", "triangle-free B8"),
+    )
+    def test_spectral_targets_leave_the_memo_alone(self, cfg):
+        # B8u and B8 read the spectrum and the census, neither of them shared
+        # across signings, so no search sample reads the memo
         bounds._underlying.cache_clear()
-        assert search_counterexamples(make_cfg(samples=200, seed=4))
+        search_counterexamples(cfg)
         assert bounds._underlying.cache_info().currsize == 0
 
     def test_triangle_filter_reads_the_memo_census(self, monkeypatch):
@@ -144,16 +153,8 @@ class TestFindings:
             target="B8", n_min=4, n_max=8, edge_probability=0.4, samples=400, seed=2,
             triangle_free_filter=True,
         )
-        bounds._underlying.cache_clear()
         search_counterexamples(cfg)
-        # the memo counts the triangles once per switching class
-        classes: list[SignedGraph] = []
-        for index in range(cfg.samples):
-            g = sample_signed_graph(cfg, index)
-            same = [h for h in classes if (h.n, h.underlying_pairs) == (g.n, g.underlying_pairs)]
-            if not any(is_switching_equivalent(h, g) for h in same):
-                classes.append(g)
-        assert len(calls) == len(classes) < cfg.samples
+        assert len(calls) == cfg.samples
 
 
 class TestGolden:

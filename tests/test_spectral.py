@@ -26,7 +26,8 @@ from signed_spectra import (
     walk_census,
     walk_from_spectrum,
 )
-from signed_spectra.spectral import _face_peak, _ms_search
+from signed_spectra import bounds
+from signed_spectra.spectral import _face_peak
 from signed_spectra.switching import propagation_labels
 
 from .conftest import random_graphs, signed_graphs
@@ -323,8 +324,10 @@ class TestMsIndex:
         for g in corpus:
             omega = balanced_clique_number(g)
             wrong = float(Fraction(omega - 2, 2 * (omega - 1))) + 1e-8  # B13's tolerance
-            caught += _ms_search(g, 2, 0) > wrong
-            old_caught += ms_restarts_four_sign_polish(g, 2, 0) > wrong
+            # B13's restarts, as the verdicts run them: on the canonical signing
+            caught += bounds._Ctx(g).ms_probe(2, 0) > wrong
+            canonical = apply_switching(g, propagation_labels(g, full=True)[0])
+            old_caught += ms_restarts_four_sign_polish(canonical, 2, 0) > wrong
         assert caught >= old_caught - len(corpus) // 100
         assert caught >= 0.94 * len(corpus)
 
