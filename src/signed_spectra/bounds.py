@@ -30,9 +30,11 @@ Registry:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -45,16 +47,17 @@ from .invariants import (
     R_FRUSTRATION_MAX_N,
     TriangleCensus,
     WalkCensus,
+    _WALK_OVERFLOW,
     _check_guard,
     _max_balanced_clique,
     _r_frustration,
+    _walk_chain,
     edge_bipartiteness,
     frustration_index_exact,
     frustration_index_upper,
     greedy_balanced_clique,
     r_frustration_index,
     triangle_census,
-    walk_census,
 )
 from .spectral import Spectrum, _clique_witness, _ms_search, _switched_entries, eigen_decomposition
 from .switching import propagation_labels
@@ -89,17 +92,21 @@ class BoundEvaluation:
 # fall into 74 classes.  One entry suffices because sweeps visit all 2^m
 # signings of an underlying graph in a row.  It keeps the unsigned lambda_n
 # and eps_b, and under ``"classes"`` eps, eps_r, the balanced clique's
-# members and B13's probe per switching class.  A class is keyed by its
-# canonical signing: the negative edges left after switching a BFS spanning
-# forest all-positive.  The key is taken only once a second signing of the
-# underlying graph comes, so a search that draws a new graph per sample
-# computes none.  The spectrum stays per signing, because ``eigh`` on D A D
-# is not bit-identical to ``eigh`` on A, and so does the triangle census,
-# which costs no more than the BFS.
+# members, B13's probe, rho and the rows of ``evaluate_all`` per switching
+# class.  A class is keyed by its canonical signing: the negative edges left
+# after switching a BFS spanning forest all-positive.  The key is taken only
+# once a second signing of the underlying graph comes, so a search that draws
+# a new graph per sample computes none.  ``evaluate_all`` hands a later
+# signing of a class the rows of the first one it met, except B11 and B13,
+# and B11 reads that signing's rho; ``eigh`` on D A D is not bit-identical to
+# ``eigh`` on A, so those rows carry the first signing's roundoff.  Every
+# other reader decomposes its own matrix: ``evaluate_bound``, ``search`` and
+# ``invariants`` read no shared row and no shared rho.
 
 # Classes kept for the one underlying graph; all are dropped when a new one
-# would pass it.  A class holds a few ints, the clique's members and a float
-# or two, so the entry stays within a few MB.
+# would pass it.  A class that holds the 16 shared rows of ``evaluate_all``
+# takes about 7.7 KB (``tracemalloc``, n = 5 and 8), so the entry stays
+# within about 8 MB.
 _MAX_CLASSES = 1024
 
 
@@ -125,7 +132,8 @@ class _Ctx:
 
     def __init__(self, g: SignedGraph):
         self.g = g
-        self._walks: dict[int, WalkCensus] = {}
+        self._walks: list[WalkCensus] = []
+        self._walk_chain = _walk_chain(g)
 
     @cached_property
     def adjacency(self) -> SymmetricMatrix:
@@ -230,9 +238,15 @@ class _Ctx:
         return triangle_census(self.g)
 
     def walks(self, r: int) -> WalkCensus:
-        if r not in self._walks:
-            self._walks[r] = walk_census(self.g, r)
-        return self._walks[r]
+        """``walk_census(g, r)``; every order extends one chain from the
+        all-ones vector, so r = 1..4 take three matrix-vector steps."""
+        if r < 1:
+            raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
+        for census in islice(self._walk_chain, max(0, r - len(self._walks))):
+            self._walks.append(census)
+        if len(self._walks) < r:  # the chain ended at an overflow
+            raise OverflowError(_WALK_OVERFLOW)
+        return self._walks[r - 1]
 
     def eps_r(self, r: int) -> int:
         if r < 2 or self.g.m == 0:
@@ -249,6 +263,10 @@ class _Ctx:
             return _ms_search(_switched_entries(self.adjacency.entries, self._labels), iters, seed)
 
         return self._of_class(("ms", iters, seed), probe)
+
+    @cached_property
+    def rho(self) -> float:
+        return self.spectrum.rho
 
     @cached_property
     def lambda1(self) -> float:
@@ -345,9 +363,9 @@ def _eval_b11(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     hyp = q % 2 == 1
     w_q = ctx.walks(q).w_signed
     if hyp and w_q <= 0:
-        return hyp, 0.0, ctx.spectrum.rho ** r, f"skipped: w_{q} = {w_q} <= 0"
+        return hyp, 0.0, ctx.rho ** r, f"skipped: w_{q} = {w_q} <= 0"
     lhs = ctx.walks(q + r).w_signed / w_q if w_q > 0 else 0.0
-    return hyp, lhs, ctx.spectrum.rho ** r, ""
+    return hyp, lhs, ctx.rho ** r, ""
 
 
 def _eval_b12(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
@@ -463,6 +481,29 @@ def _evaluate(ctx: _Ctx, info: BoundInfo, params: dict[str, int]) -> BoundEvalua
     )
 
 
+def _evaluate_or_skip(ctx: _Ctx, bound_id: str, params: dict[str, int]) -> BoundEvaluation:
+    """``_evaluate``, with a guard or a walk overflow turned into a skipped row."""
+    try:
+        return _evaluate(ctx, REGISTRY[bound_id], params)
+    except (TooLargeError, OverflowError) as exc:
+        return BoundEvaluation(
+            bound_id=bound_id,
+            hypothesis_met=False,
+            lhs=0.0,
+            rhs=0.0,
+            slack=0.0,
+            verdict=SKIPPED,
+            tolerance=_REL_TOL,
+            params=params,
+            note=f"skipped: {exc}",
+        )
+
+
+# B11's signed walk sums and the signs B13's clique witness is read on are a
+# signing's own; every other row is the same for a whole switching class.
+_PER_SIGNING = frozenset(("B11", "B13"))
+
+
 def evaluate_all(
     g: SignedGraph,
     *,
@@ -475,6 +516,13 @@ def evaluate_all(
     guarded invariants overflow their guard, or whose walk counts leave the
     64-bit range, come back with verdict ``skipped`` instead of aborting
     the sequence.
+
+    Within a switching class only B11's signed walk sums and B13's clique
+    witness depend on the signing.  So a signing whose class this function
+    has met gets the rows of the first signing it met for every other
+    entry, and B11 takes that signing's rho: eigenvalue-derived floats may
+    differ from a fresh decomposition of ``g`` in the last bits, far inside
+    the 1e-8 tolerance.
     """
     plan: list[tuple[str, dict[str, int]]] = []
     for bound_id in BOUND_ORDER:
@@ -489,24 +537,28 @@ def evaluate_all(
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
     ctx = _Ctx(g)
+    shared = ctx._class
+    # a guard override can turn a row into a skip, so rows are kept per value
+    rows = shared.setdefault(("rows", os.environ.get("SIGNED_SPECTRA_MAX_N")), {})
+    if "rho" in shared:
+        ctx.rho = shared["rho"]
     out: list[BoundEvaluation] = []
     for bound_id, params in plan:
-        try:
-            out.append(_evaluate(ctx, REGISTRY[bound_id], params))
-        except (TooLargeError, OverflowError) as exc:
-            out.append(
-                BoundEvaluation(
-                    bound_id=bound_id,
-                    hypothesis_met=False,
-                    lhs=0.0,
-                    rhs=0.0,
-                    slack=0.0,
-                    verdict=SKIPPED,
-                    tolerance=_REL_TOL,
-                    params=params,
-                    note=f"skipped: {exc}",
-                )
+        if bound_id in _PER_SIGNING:
+            out.append(_evaluate_or_skip(ctx, bound_id, params))
+            continue
+        key = (bound_id, *sorted(params.items()))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _evaluate_or_skip(ctx, bound_id, params)
+        else:  # the kept row with this call's own params, so no two results share them
+            row = BoundEvaluation(
+                row.bound_id, row.hypothesis_met, row.lhs, row.rhs, row.slack,
+                row.verdict, row.tolerance, params, row.note,
             )
+        out.append(row)
+    if "rho" in vars(ctx):
+        shared.setdefault("rho", ctx.rho)
     return out
 
 

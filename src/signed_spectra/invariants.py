@@ -21,7 +21,8 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, islice, product
+from typing import Iterator
 
 import numpy as np
 
@@ -34,6 +35,7 @@ R_FRUSTRATION_MAX_N = 20
 CLIQUE_MAX_N = 40
 
 _INT64_MAX = 2**63 - 1
+_WALK_OVERFLOW = "walk counts exceed the 64-bit integer range"
 _BLOCK_ENTRIES = (1 << 18) // 8  # one 256 KiB GEMM block of the switching kernel
 
 
@@ -340,22 +342,26 @@ class WalkCensus:
     w_neg: int
 
 
-def _walk_sums(g: SignedGraph, r: int) -> tuple[int, int]:
-    """(e^T |A|^(r-1) e, e^T A^(r-1) e) as exact Python integers.
+def _walk_chain(g: SignedGraph) -> Iterator[WalkCensus]:
+    """The walk censuses of ``g`` for r = 1, 2, 3, ..., exact and in order.
 
-    Takes r - 1 matrix-vector steps over the edges from the all-ones
-    vector, and raises OverflowError as soon as the unsigned sum leaves the
-    64-bit range.  From step 1 on that sum never decreases: every vertex a
-    walk reaches has a neighbour, so each walk extends by one more step.
-    So an entry of some |A|^k (k <= r - 1) above 2^63 - 1 forces the final
-    sum above it too, and the one rule "raise when e^T |A|^(r-1) e exceeds
-    2^63 - 1" is the same as checking every entry of every power.  The
-    counts are exact, so the rule needs no prediction.
+    Each order takes one matrix-vector step over the edges from the vectors
+    of the order before, starting from the all-ones vector, and the chain
+    raises OverflowError at the first order whose unsigned sum
+    e^T |A|^(r-1) e leaves the 64-bit range.  From r = 2 on that sum never
+    decreases: every vertex a walk reaches has a neighbour, so each walk
+    extends by one more step.  So an entry of some |A|^k (k <= r - 1) above
+    2^63 - 1 forces the sum at order r above it too, and the one rule "raise
+    when e^T |A|^(r-1) e exceeds 2^63 - 1" is the same as checking every
+    entry of every power.  The counts are exact, so the rule needs no
+    prediction.
     """
-    if r < 1:
-        raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
     unsigned, signed = [1] * g.n, [1] * g.n
-    for _ in range(r - 1):
+    for r in count(1):
+        w_total, w_signed = sum(unsigned), sum(signed)
+        if w_total > _INT64_MAX:
+            raise OverflowError(_WALK_OVERFLOW)
+        yield WalkCensus(r, w_total, w_signed, (w_total + w_signed) // 2, (w_total - w_signed) // 2)
         nu, ns = [0] * g.n, [0] * g.n
         for u, v, s in g.edges:
             nu[u] += unsigned[v]
@@ -363,21 +369,13 @@ def _walk_sums(g: SignedGraph, r: int) -> tuple[int, int]:
             ns[u] += s * signed[v]
             ns[v] += s * signed[u]
         unsigned, signed = nu, ns
-        if sum(unsigned) > _INT64_MAX:
-            raise OverflowError("walk counts exceed the 64-bit integer range")
-    return sum(unsigned), sum(signed)
 
 
 def walk_census(g: SignedGraph, r: int) -> WalkCensus:
     """Exact walk counts: w_total = e^T |A|^(r-1) e, w_signed = e^T A^(r-1) e."""
-    w_total, w_signed = _walk_sums(g, r)
-    return WalkCensus(
-        r=r,
-        w_total=w_total,
-        w_signed=w_signed,
-        w_pos=(w_total + w_signed) // 2,
-        w_neg=(w_total - w_signed) // 2,
-    )
+    if r < 1:
+        raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
+    return next(islice(_walk_chain(g), r - 1, None))
 
 
 def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
@@ -388,7 +386,7 @@ def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
     power and one switching-class maximisation suffice.  The power is taken
     in int64: binary powering multiplies only A^i by A^j with i + j <= r - 1,
     and every partial sum of such a product is bounded by an entry of
-    |A|^(i+j), hence by w_total, which ``_walk_sums`` has checked.
+    |A|^(i+j), hence by w_total, which ``walk_census`` has checked.
     Guard: n <= 20.  Note the ordered-walk convention: every
     negative edge yields two negative 2-walks, hence eps_2 = 2 * eps.
     """
@@ -397,7 +395,7 @@ def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
     _check_guard(g.n, R_FRUSTRATION_MAX_N, force, "r_frustration_index")
     if g.n == 0 or g.m == 0 or r == 1:
         return 0
-    return _r_frustration(g, r, _walk_sums(g, r)[0])
+    return _r_frustration(g, r, walk_census(g, r).w_total)
 
 
 def _r_frustration(g: SignedGraph, r: int, w_total: int) -> int:

@@ -1,7 +1,10 @@
 """Registry evaluations, verdict semantics, JSON schema."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 from itertools import product
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signed_spectra import (
+    BoundEvaluation,
     InvalidParamsError,
     MissingParamError,
     SignedGraph,
@@ -25,9 +29,11 @@ from signed_spectra import (
     evaluations_to_json,
     enforced_bound_ids,
     erdos_renyi_signed,
+    is_switching_equivalent,
     ms_index_search,
     paper_c5,
     signed_cycle,
+    walk_census,
 )
 from signed_spectra import bounds, invariants, spectral
 from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
@@ -196,6 +202,28 @@ class TestEvaluateAll:
             assert "64-bit" in by_key[key].note
         assert by_key[("B10", 2)].verdict == "holds"
 
+    def test_one_walk_chain_matches_walk_census(self):
+        # every order extends the context's one chain, in any order of reads
+        for g in random_graphs(40, max_n=12, seed=17, p=(0.25, 0.5, 0.9), q=(0.2, 0.5)):
+            ctx = bounds._Ctx(g)
+            for r in (3, 1, 4, 2, 8, 5, 7, 6):
+                assert ctx.walks(r) == walk_census(g, r), (g.to_sg(), r)
+            assert len(ctx._walks) == 8
+        # |A|^15 of K14 fits in 64 bits and |A|^16 does not: the overflow
+        # raises at the same order as walk_census, and orders below it stay
+        g = all_negative_complete(14)
+        ctx = bounds._Ctx(g)
+        for r in (60, 2, 17, 16, 60):
+            try:
+                expected = walk_census(g, r)
+            except OverflowError as exc:
+                with pytest.raises(OverflowError, match=str(exc)):
+                    ctx.walks(r)
+            else:
+                assert r <= 16 and ctx.walks(r) == expected
+        with pytest.raises(InvalidParamsError):
+            ctx.walks(0)
+
     def test_one_memo_per_graph_matches_single_evaluations(self):
         diamond = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
         corpus = [(g, DEFAULT_B10_RS) for g in random_graphs(40, max_n=8, seed=71)]
@@ -209,28 +237,27 @@ class TestEvaluateAll:
             (SignedGraph(30), DEFAULT_B10_RS),
             (all_negative_complete(14), (2, 60)),
         ]
-        # evaluate_all shares one memo within a graph and the underlying
-        # graph's scalars from one graph to the next; each single
-        # evaluation below starts from a cold cross-graph entry
+        # evaluate_all shares one memo within a graph, and the underlying
+        # graph's scalars and a class's rows from one graph to the next; each
+        # single evaluation below starts from a cold cross-graph entry
+        def single(g, bound_id, params):
+            _underlying.cache_clear()
+            try:
+                return evaluate_bound(g, bound_id, params)
+            except (TooLargeError, OverflowError) as exc:
+                note = f"skipped: {exc}"
+                return BoundEvaluation(bound_id, False, 0.0, 0.0, 0.0, "skipped", 1e-8, params, note)
+
         shared = [evaluate_all(g, rs=rs) for g, rs in corpus]
-        for (g, rs), evals in zip(corpus, shared):
-            plan = []
-            for bound_id in BOUND_ORDER:
-                if bound_id == "B10":
-                    plan += [(bound_id, {"r": r}) for r in rs]
-                elif bound_id == "B11":
-                    plan += [(bound_id, {"q": q, "r": r}) for q, r in DEFAULT_B11_QRS]
-                elif bound_id == "B13":
-                    plan.append((bound_id, {"iters": 2, "seed": 0}))
-                else:
-                    plan.append((bound_id, {}))
+        firsts = _first_met([g for g, _ in corpus])
+        for (g, rs), evals, first in zip(corpus, shared, firsts):
+            plan = _plan(rs)
             assert [(ev.bound_id, ev.params) for ev in evals] == plan
-            for ev, (bound_id, params) in zip(evals, plan):
-                _underlying.cache_clear()
-                try:
-                    assert ev == evaluate_bound(g, bound_id, params), (g, bound_id)
-                except (TooLargeError, OverflowError) as exc:
-                    assert ev.verdict == "skipped" and ev.note == f"skipped: {exc}"
+            own = [single(g, *item) for item in plan]
+            # every signing of this corpus decomposes to its class's first
+            # signing's bytes, so each row is also the graph's own cold row
+            assert evals == own, g.to_sg()
+            _check_rows(evals, own, [single(corpus[first][0], *item) for item in plan])
 
     def test_forced_evaluation_does_not_lift_the_eps_b_guard(self, monkeypatch):
         monkeypatch.setenv("SIGNED_SPECTRA_MAX_N", "3")
@@ -334,6 +361,66 @@ class TestEvaluateAll:
         assert all(ev.verdict == "holds" for ev in b10 + b11)
 
 
+def _plan(rs=DEFAULT_B10_RS) -> list[tuple[str, dict]]:
+    """The (bound id, params) that ``evaluate_all`` evaluates, in its order."""
+    plan = []
+    for bound_id in BOUND_ORDER:
+        if bound_id == "B10":
+            plan += [(bound_id, {"r": r}) for r in rs]
+        elif bound_id == "B11":
+            plan += [(bound_id, {"q": q, "r": r}) for q, r in DEFAULT_B11_QRS]
+        elif bound_id == "B13":
+            plan.append((bound_id, {"iters": 2, "seed": 0}))
+        else:
+            plan.append((bound_id, {}))
+    return plan
+
+
+def _shape(g: SignedGraph) -> tuple:
+    return g.n, g.underlying_pairs
+
+
+def _first_met(graphs, budget=None) -> list[int]:
+    """For each graph of one memoised ``evaluate_all`` run over ``graphs``,
+    the index of the first signing of its switching class that the run met,
+    found by switching equivalence, not by the memo's key."""
+    out, firsts = [], []  # firsts: first-met signings of the one underlying graph
+    for i, g in enumerate(graphs):
+        if firsts and _shape(graphs[firsts[0]]) != _shape(g):
+            firsts = []  # a new underlying graph replaces the entry
+        first = next((j for j in firsts if is_switching_equivalent(graphs[j], g)), None)
+        if first is None:
+            if len(firsts) == budget:
+                firsts = []  # a class past the budget drops them all
+            firsts.append(i)
+            first = i
+        out.append(first)
+    return out
+
+
+def _bits(ev) -> tuple:
+    return (
+        ev.bound_id, ev.hypothesis_met, ev.lhs.hex(), ev.rhs.hex(), ev.slack.hex(),
+        ev.verdict, ev.tolerance.hex(), dict(ev.params), ev.note,
+    )
+
+
+def _check_rows(evals, own, first) -> None:
+    """``evaluate_all`` rows of a signing against its own cold rows and the
+    cold rows of the first signing of its class that the memo met."""
+    assert len(evals) == len(own) == len(first)
+    for ev, mine, theirs in zip(evals, own, first):
+        if ev.bound_id == "B13":
+            assert _bits(ev) == _bits(mine)
+        elif ev.bound_id == "B11":  # its own walk sums, the class's rho
+            assert ev.lhs.hex() == mine.lhs.hex() and ev.rhs.hex() == theirs.rhs.hex()
+            assert (ev.slack, ev.tolerance) == (ev.rhs - ev.lhs, theirs.tolerance)
+        else:
+            assert _bits(ev) == _bits(theirs)
+        for name in ("verdict", "hypothesis_met", "note", "params"):
+            assert getattr(ev, name) == getattr(mine, name), (ev.bound_id, name)
+
+
 def _sweep_strata(seed: int) -> list[SignedGraph]:
     """Every signing of one seeded connected labelled graph per (n, m)
     stratum with n <= 5 and m <= 6, as the bench sweep draws them."""
@@ -372,13 +459,86 @@ class TestSwitchingClassMemo:
         assert self._shared(g) == self._shared(switched) == cold[0]
         assert bounds._Ctx(switched).clique == bounds._max_balanced_clique(switched)
 
+    @staticmethod
+    def _replay(graphs, budget=None) -> int:
+        """Check one memoised ``evaluate_all`` run over ``graphs`` against
+        cold runs; returns how many signings read another's rows."""
+        cold = []
+        for g in graphs:
+            _underlying.cache_clear()
+            cold.append(evaluate_all(g))
+        _underlying.cache_clear()
+        firsts = _first_met(graphs, budget)
+        for g, own, first in zip(graphs, cold, firsts):
+            evals = evaluate_all(g)
+            assert len(_underlying(g.n, g.underlying_pairs)["classes"]) <= bounds._MAX_CLASSES
+            _check_rows(evals, own, cold[first])
+        return sum(first != i for i, first in enumerate(firsts))
+
     def test_sweep_strata_match_cold_runs(self):
         graphs = [g for seed in range(3) for g in _sweep_strata(seed)]
-        _underlying.cache_clear()
-        shared = [evaluate_all(g) for g in graphs]
-        for g, evals in zip(graphs, shared):
+        assert self._replay(graphs) > len(graphs) // 2
+
+    def test_evaluate_bound_reads_no_shared_row(self):
+        # evaluate_all fills the class from g; evaluate_bound on a switching
+        # h of g still returns h's own cold row, bit for bit, for every id,
+        # where evaluate_all on h hands out some of g's rows instead
+        moved = 0
+        for g in random_graphs(40, max_n=9, seed=91, p=(0.5,), q=(0.5,)):
+            rng = random.Random(g.to_sg())
+            h = apply_switching(g, [rng.choice((1, -1)) for _ in range(g.n)])
+            cold = []
+            for bound_id, params in _plan():
+                _underlying.cache_clear()
+                cold.append(_bits(evaluate_bound(h, bound_id, params)))
             _underlying.cache_clear()
-            assert evals == evaluate_all(g), g.to_sg()
+            evaluate_all(g)
+            for (bound_id, params), row in zip(_plan(), cold):
+                assert _bits(evaluate_bound(h, bound_id, params)) == row, (g.to_sg(), bound_id)
+            moved += sum(map(tuple.__ne__, map(_bits, evaluate_all(h)), cold))
+        assert moved > 0
+
+    def test_rows_are_kept_per_guard_override(self, monkeypatch):
+        # rows filled under one SIGNED_SPECTRA_MAX_N value are never read
+        # under another, and those of each value stay
+        g = erdos_renyi_signed(n=7, p=0.6, q_neg=0.5, seed=3)
+        switched = apply_switching(g, [(-1) ** v for v in range(g.n)])
+        calls = []
+        decompose = bounds.eigen_decomposition
+        monkeypatch.setattr(bounds, "eigen_decomposition", lambda a: calls.append(1) or decompose(a))
+        monkeypatch.delenv("SIGNED_SPECTRA_MAX_N", raising=False)
+        _underlying.cache_clear()
+        plain = evaluate_all(g)
+        monkeypatch.setenv("SIGNED_SPECTRA_MAX_N", "3")
+        guarded = evaluate_all(switched)
+        monkeypatch.delenv("SIGNED_SPECTRA_MAX_N")
+        calls.clear()
+        again = evaluate_all(switched)
+        skipped = {ev.bound_id for ev in guarded if ev.verdict == "skipped"}
+        assert skipped == {"B1", "B2", "B3", "B5", "B6", "B7", "B10", "B13"}
+        assert all(ev.verdict != "skipped" for ev in plain + again)
+        # the rows filled without the override are read, not recomputed
+        assert calls == []
+        for ev, mine in zip(again, plain):
+            if ev.bound_id not in ("B11", "B13"):
+                assert _bits(ev) == _bits(mine), ev.bound_id
+
+    def test_rows_share_no_params(self, c5):
+        # each result owns its rows' params: mutating one touches no other
+        # result and no kept row; rows stay plain, picklable dataclasses
+        switched = apply_switching(c5, [1, -1, 1, -1, 1])
+        _underlying.cache_clear()
+        results = [evaluate_all(c5), evaluate_all(switched), evaluate_all(c5)]
+        params = [id(ev.params) for evals in results for ev in evals]
+        assert len(set(params)) == len(params)
+        for ev in results[0]:
+            ev.params["r"] = 5
+        assert [ev.params for ev in evaluate_all(switched)] == [p for _, p in _plan()]
+        rows = results[1] + [evaluate_bound(c5, "B10", {"r": 2})]
+        for ev in rows:
+            assert type(ev.params) is dict
+            assert pickle.loads(pickle.dumps(ev)) == ev == copy.deepcopy(ev)
+            assert dataclasses.asdict(ev)["params"] == ev.params
 
     def test_first_signing_takes_no_class_key(self, monkeypatch):
         # only a second signing of the underlying graph can repeat a class
@@ -411,9 +571,12 @@ class TestSwitchingClassMemo:
         for budget in (3, 1):
             monkeypatch.setattr(bounds, "_MAX_CLASSES", budget)
             _underlying.cache_clear()
+            # these signings decompose to the same bytes, so every row is
+            # also the signing's own cold row
             for g, evals in zip(graphs, expected):
                 assert evaluate_all(g) == evals, (budget, g.to_sg())
                 assert len(_underlying(g.n, g.underlying_pairs)["classes"]) <= budget
+            assert self._replay(graphs, budget) > 0
         assert _underlying.cache_info().currsize == 1
 
 

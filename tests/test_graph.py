@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from signed_spectra import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
     InvalidParamsError,
     MalformedLineError,
+    ParseError,
     SelfLoopError,
     SignedGraph,
     SymmetricMatrix,
@@ -25,6 +27,17 @@ from signed_spectra import (
 
 from .conftest import random_graphs, signed_graphs
 from .oracles import adjacency_by_float_loop, erdos_renyi_by_from_edges
+
+# .sg-like text: lines of vertex indices, signs, comments, odd whitespace,
+# unicode digits and numbers past int()'s digit limit
+_SG_TOKEN = st.one_of(
+    st.sampled_from(
+        ["+", "-", "*", "#", "x", "", "\t", "\r", "\x0c", "\x85", "1_0", "+2", "00", "\u0663", "9" * 5000]
+    ),
+    st.integers(-3, 12).map(str),
+    st.text(max_size=3),
+)
+_SG_LIKE = st.lists(st.lists(_SG_TOKEN, max_size=4).map(" ".join), max_size=8).map("\n".join)
 
 C5_TEXT = "5\n0 1 -\n1 2 +\n2 3 +\n3 4 +\n4 0 +"
 
@@ -86,6 +99,21 @@ class TestParse:
     def test_serialization_is_canonical(self):
         g = SignedGraph.from_edges(3, [(2, 1, -1), (1, 0, 1)])
         assert g.to_sg() == "3\n0 1 +\n1 2 -\n"
+
+    @given(st.one_of(st.text(), _SG_LIKE))
+    @example("3\r0 1 +")
+    @example("1_0\n\u0663 2 -\n")
+    @example("2\n0 1 + #\n" + "9" * 5000 + " 1 +")
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_text_round_trips_or_names_its_line(self, text):
+        try:
+            g = parse_signed_graph(text)
+        except ParseError as exc:
+            assert type(exc.line) is int and 1 <= exc.line <= text.count("\n") + 1, exc
+            return
+        canonical = serialize_signed_graph(g)
+        assert parse_signed_graph(canonical) == g
+        assert serialize_signed_graph(parse_signed_graph(canonical)) == canonical
 
 
 class TestConstruction:

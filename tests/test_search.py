@@ -128,12 +128,15 @@ class TestFindings:
         (
             make_cfg(samples=200, seed=4),
             make_cfg(target="B8", samples=200, seed=4, triangle_free_filter=True),
+            make_cfg(target="B11", samples=200, seed=4, params={"q": 1, "r": 1}),
+            make_cfg(target="B12", samples=200, seed=4),
         ),
-        ids=("B8u", "triangle-free B8"),
+        ids=("B8u", "triangle-free B8", "B11", "B12"),
     )
     def test_spectral_targets_leave_the_memo_alone(self, cfg):
-        # B8u and B8 read the spectrum and the census, neither of them shared
-        # across signings, so no search sample reads the memo
+        # B8u, B8, B11 and B12 read the signing's own spectrum, census and
+        # walks, none of them shared across signings, so no search sample
+        # reads the memo: not even the rho that evaluate_all shares
         bounds._underlying.cache_clear()
         search_counterexamples(cfg)
         assert bounds._underlying.cache_info().currsize == 0
