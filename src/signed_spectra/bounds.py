@@ -35,12 +35,19 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError
-from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix, all_negative
+from .graph import (
+    MATRIX_MAX_N,
+    SignedGraph,
+    SymmetricMatrix,
+    _signed_matrix,
+    adjacency_matrix,
+    all_negative,
+)
 from .invariants import (
     CLIQUE_MAX_N,
     FRUSTRATION_MAX_N,
@@ -59,7 +66,14 @@ from .invariants import (
     r_frustration_index,
     triangle_census,
 )
-from .spectral import Spectrum, _clique_witness, _ms_search, _switched_entries, eigen_decomposition
+from .spectral import (
+    Spectrum,
+    _clique_witness,
+    _ms_search,
+    _spectra,
+    _switched_entries,
+    eigen_decomposition,
+)
 from .switching import propagation_labels
 
 HOLDS = "holds"
@@ -130,10 +144,11 @@ class _Ctx:
     switching keeps comes from ``_underlying``, read only when one of those
     is read."""
 
-    def __init__(self, g: SignedGraph):
+    def __init__(self, g: SignedGraph, peers: list["_Ctx"] | None = None):
         self.g = g
+        # the contexts whose spectra are decomposed together with this one's
+        self._peers = peers
         self._walks: list[WalkCensus] = []
-        self._walk_chain = _walk_chain(g)
 
     @cached_property
     def adjacency(self) -> SymmetricMatrix:
@@ -141,7 +156,22 @@ class _Ctx:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return eigen_decomposition(self.adjacency)
+        """The first read among the peers decomposes every peer, one
+        ``eigh`` per order, and empties the list of peers, so that each
+        context is freed once its caller drops it.  A context without
+        peers, or past the adjacency guard, decomposes its own matrix."""
+        peers = self._peers
+        if not peers or self.g.n > MATRIX_MAX_N:
+            return eigen_decomposition(self.adjacency)
+        by_order: dict[int, list[_Ctx]] = {}
+        for ctx in peers:
+            if ctx.g.n <= MATRIX_MAX_N:
+                by_order.setdefault(ctx.g.n, []).append(ctx)
+        peers.clear()
+        for group in by_order.values():
+            for ctx, spectrum in zip(group, _spectra(_signed_matrix([c.g for c in group]))):
+                ctx.spectrum = spectrum
+        return vars(self)["spectrum"]
 
     @cached_property
     def _labels(self) -> tuple[int, ...]:
@@ -237,12 +267,17 @@ class _Ctx:
     def census(self) -> TriangleCensus:
         return triangle_census(self.g)
 
+    @cached_property
+    def _chain(self) -> Iterator[WalkCensus]:
+        """The walk censuses past those in ``_walks``, started on first read."""
+        return _walk_chain(self.g)
+
     def walks(self, r: int) -> WalkCensus:
         """``walk_census(g, r)``; every order extends one chain from the
         all-ones vector, so r = 1..4 take three matrix-vector steps."""
         if r < 1:
             raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
-        for census in islice(self._walk_chain, max(0, r - len(self._walks))):
+        for census in islice(self._chain, max(0, r - len(self._walks))):
             self._walks.append(census)
         if len(self._walks) < r:  # the chain ended at an overflow
             raise OverflowError(_WALK_OVERFLOW)
@@ -360,6 +395,8 @@ def _eval_b10(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 def _eval_b11(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     q, r = p["q"], p["r"]
+    if r < 0:  # rho^r would divide by zero on an edgeless graph
+        raise InvalidParamsError(f"B11 needs r >= 0, got {r}")
     hyp = q % 2 == 1
     w_q = ctx.walks(q).w_signed
     if hyp and w_q <= 0:

@@ -250,13 +250,7 @@ class SymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise InvalidParamsError("matrix entries must be finite (no NaN or infinity)")
-        if not (a == a.T).all() and float(np.max(np.abs(a - a.T))) > 1e-12:
-            raise NotSymmetricError("matrix is not symmetric within 1e-12")
+        a = _symmetric_entries(self.entries, ndim=2)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -266,11 +260,36 @@ class SymmetricMatrix:
         return SymmetricMatrix(self.entries[np.ix_(idx, idx)])
 
 
-def _signed_matrix(g: SignedGraph) -> np.ndarray:
-    """The signed adjacency matrix A as int64, with no size guard."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v, s in g.edges:
-        a[u, v] = a[v, u] = s
+def _symmetric_entries(a, ndim: int) -> np.ndarray:
+    """A float64 copy of ``a``, checked to be one square matrix (``ndim`` 2)
+    or a stack of them (``ndim`` 3), finite (else InvalidParamsError) and
+    symmetric within 1e-12 (else NotSymmetricError)."""
+    a = np.array(a, dtype=float)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidParamsError("matrix entries must be finite (no NaN or infinity)")
+    t = a.swapaxes(-1, -2)
+    if not (a == t).all() and float(np.max(np.abs(a - t))) > 1e-12:
+        raise NotSymmetricError("matrix is not symmetric within 1e-12")
+    return a
+
+
+def _signed_matrix(graphs: SignedGraph | Sequence[SignedGraph]) -> np.ndarray:
+    """The signed adjacency matrix A of one graph as int64, or those of
+    graphs of one order as a (k, n, n) int64 stack, with no size guard.
+
+    One graph is the stack of one.  The entries are set edge by edge: at
+    these sizes a scatter from index arrays costs more than the Python
+    loop that would build the arrays.
+    """
+    if isinstance(graphs, SignedGraph):
+        return _signed_matrix((graphs,))[0]
+    n = graphs[0].n
+    a = np.zeros((len(graphs), n, n), dtype=np.int64)
+    for ak, g in zip(a, graphs):
+        for u, v, s in g.edges:
+            ak[u, v] = ak[v, u] = s
     return a
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
+from . import invariants
 from .bounds import REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
 from .errors import InvalidConfigError
 from .graph import SignedGraph, _signed_gnp
@@ -78,6 +80,40 @@ def sample_signed_graph(cfg: SearchConfig, sample_index: int) -> SignedGraph:
     return _signed_gnp(rng, n, cfg.edge_probability, cfg.negative_probability)
 
 
+def _samples(cfg: SearchConfig) -> Iterator[tuple[int, _Ctx]]:
+    """The samples that pass the triangle filter, with their contexts, in
+    index order.
+
+    They are drawn in blocks of at least one sample and at most
+    ``invariants._BLOCK_ENTRIES`` matrix entries (the sum of n^2 over the
+    samples that pass).  A block's contexts are peers, so the first spectrum
+    read in a block decomposes the whole block with one ``eigh`` per order.
+    A block is handed out, and let go, before the next one is drawn past
+    its first sample.
+    """
+    block: deque[tuple[int, _Ctx]] = deque()
+    # one list serves every block: the sample that starts a block is drawn,
+    # with this list as its peers, before the previous block is handed out
+    peers: list[_Ctx] = []
+    entries = 0
+    for index in range(cfg.samples):
+        ctx = _Ctx(sample_signed_graph(cfg, index), peers)
+        if cfg.triangle_free_filter and ctx.census.total > 0:
+            continue
+        size = ctx.g.n * ctx.g.n
+        if block and entries + size > invariants._BLOCK_ENTRIES:
+            while block:
+                yield block.popleft()
+            peers.clear()
+            entries = 0
+        block.append((index, ctx))
+        peers.append(ctx)
+        entries += size
+    while block:
+        yield block.popleft()
+    peers.clear()
+
+
 def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:
     """Run the configured sweep, deduplicated up to switching equivalence.
 
@@ -88,14 +124,11 @@ def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:
     # kept graphs by underlying graph, the only ones a sample can switch to
     kept: dict[tuple[int, frozenset[tuple[int, int]]], list[SignedGraph]] = {}
     info, params = REGISTRY[cfg.target], dict(cfg.params)  # checked by SearchConfig
-    for index in range(cfg.samples):
-        g = sample_signed_graph(cfg, index)
-        ctx = _Ctx(g)
-        if cfg.triangle_free_filter and ctx.census.total > 0:
-            continue
+    for index, ctx in _samples(cfg):
         ev = _evaluate(ctx, info, params)
         if ev.verdict != VIOLATED:
             continue
+        g = ctx.g
         same = kept.setdefault((g.n, g.underlying_pairs), [])
         if any(is_switching_equivalent(other, g) for other in same):
             continue

@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, output formats."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import signed_spectra
 from signed_spectra import (
@@ -387,6 +391,54 @@ class TestSearch:
         args = [a for a in self.ARGS if a != "--json"]
         assert run_cli(args) == 0
         assert "findings:" in capsys.readouterr().out
+
+    def test_negative_b11_r_exit_2(self, capsys):
+        # an edgeless sample has rho = 0, and 0.0 ** -1 raised ZeroDivisionError
+        args = "search --target B11 --n 3:3 --p 0 --qneg 0 --samples 1 --r -1 --q 2".split()
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err == "error: B11 needs r >= 0, got -1\n"
+
+    # each input is valid more often than not, so that most calls reach the search
+    PROBABILITIES = st.one_of(
+        st.floats(0.0, 1.0), st.floats(-0.5, 1.5), st.sampled_from(["nan", "inf", "-inf"])
+    )
+
+    @given(
+        target=st.sampled_from([*bounds.REGISTRY, "B99"]),
+        n=st.one_of(
+            st.builds("{}:{}".format, st.integers(1, 3), st.integers(3, 7)),
+            st.builds("{}:{}".format, st.integers(-1, 7), st.integers(-1, 7)),
+            st.sampled_from(["a:b", "0:3", "5:2", "3:", ":4", "", "6"]),
+        ),
+        p=PROBABILITIES,
+        qneg=PROBABILITIES,
+        samples=st.integers(-1, 30),
+        seed=st.integers(0, 3),
+        r=st.none() | st.integers(-1, 4) | st.integers(1, 4),
+        q=st.none() | st.integers(-1, 4) | st.integers(1, 4),
+        triangle_free=st.booleans(),
+        as_json=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_argv_exits_cleanly(
+        self, target, n, p, qneg, samples, seed, r, q, triangle_free, as_json
+    ):
+        argv = ["search", "--target", target, "--n", n, "--p", str(p), "--qneg", str(qneg)]
+        argv += ["--samples", str(samples), "--seed", str(seed)]
+        for flag, value in (("--r", r), ("--q", q)):
+            if value is not None:
+                argv += [flag, str(value)]
+        argv += ["--triangle-free"] * triangle_free + ["--json"] * as_json
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code in (0, 1) and as_json:
+            assert isinstance(json.loads(out.getvalue()), list), argv
+        if code in (2, 3):
+            assert err.getvalue(), argv
 
 
 class TestGen:

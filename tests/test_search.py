@@ -1,8 +1,9 @@
 """Counterexample search: determinism, replay, dedup, the C5 class."""
 
+import numpy as np
 import pytest
 
-from signed_spectra import bounds, search
+from signed_spectra import bounds, invariants, search
 from signed_spectra import (
     InvalidConfigError,
     SearchConfig,
@@ -15,6 +16,7 @@ from signed_spectra import (
     search_counterexamples,
     triangle_census,
 )
+from signed_spectra.cli import run_cli
 
 from .oracles import sample_by_from_edges, search_by_linear_scan
 
@@ -186,10 +188,126 @@ class TestGolden:
         cfg = make_cfg(target="B12", n_min=3, n_max=7, samples=300, seed=8)
         assert search_counterexamples(cfg) == search_by_linear_scan(cfg) == []
 
+    @pytest.mark.parametrize("block_entries", (1, 40, None), ids=("block-1", "block-40", "default"))
+    @pytest.mark.parametrize(
+        "overrides",
+        (
+            dict(target="B3", n_min=2, n_max=8, negative_probability=0.2),
+            dict(target="B9", n_min=3, n_max=8, edge_probability=0.3),
+            dict(target="B10", n_min=3, n_max=8, params={"r": 3}),
+            dict(target="B14", n_min=3, n_max=8, edge_probability=0.3, negative_probability=0.8),
+            dict(n_min=1, n_max=7, edge_probability=0.7),
+            dict(n_min=1, n_max=6, edge_probability=0.4, triangle_free_filter=True),
+        ),
+        ids=("B3", "B9", "B10-r3", "B14", "B8u-n1", "B8u-n1-triangle-free"),
+    )
+    def test_blocks_match_the_linear_scan(self, monkeypatch, block_entries, overrides):
+        # one-sample blocks, and block boundaries in the middle of the search
+        if block_entries is not None:
+            monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", block_entries)
+        cfg = make_cfg(**{"samples": 250, "seed": 17, **overrides})
+        rows = []
+        evaluate = search._evaluate
+
+        def recorded(ctx, *args):
+            rows.append((ctx.g, evaluate(ctx, *args)))
+            return rows[-1][1]
+
+        monkeypatch.setattr(search, "_evaluate", recorded)
+        bounds._underlying.cache_clear()
+        findings = search_counterexamples(cfg)
+        bounds._underlying.cache_clear()
+        assert findings == search_by_linear_scan(cfg)
+        assert (cfg.target != "B8u") or findings
+        # every sample's row, not only the violations, is the one-graph row bit for bit
+        for g, ev in rows:
+            alone = bounds.evaluate_bound(g, cfg.target, dict(cfg.params))
+            assert ev == alone and (ev.lhs.hex(), ev.rhs.hex()) == (alone.lhs.hex(), alone.rhs.hex())
+        assert len(rows) == sum(
+            not (cfg.triangle_free_filter and triangle_census(sample_signed_graph(cfg, i)).total)
+            for i in range(cfg.samples)
+        )
+
     def test_samples_equal_from_edges(self):
         cfg = make_cfg(n_min=1, n_max=9, edge_probability=0.5, samples=1)
         for index in range(300):
             assert sample_signed_graph(cfg, index) == sample_by_from_edges(cfg, index)
+
+
+def _blocks_of_orders(cfg: SearchConfig, entries: int) -> list[set[int]]:
+    """The orders present in each block: consecutive samples, at least one
+    per block, at most ``entries`` matrix entries (the sum of n^2)."""
+    blocks: list[set[int]] = []
+    used = 0
+    for index in range(cfg.samples):
+        n = sample_signed_graph(cfg, index).n
+        if not blocks or used + n * n > entries:
+            blocks.append(set())
+            used = 0
+        blocks[-1].add(n)
+        used += n * n
+    return blocks
+
+
+class TestStackedSpectra:
+    """The search decomposes a block's samples with one ``eigh`` per order,
+    and only once a sample reads its spectrum."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @pytest.mark.parametrize("target", ("B5", "B13"))
+    def test_targets_without_spectra_run_no_eigh(self, eigh_calls, target):
+        cfg = make_cfg(target=target, n_min=3, n_max=7, samples=120, seed=3)
+        search_counterexamples(cfg)
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("entries", (None, 40, 50, 72, 200))
+    def test_one_eigh_per_order_per_block(self, monkeypatch, eigh_calls, entries):
+        if entries is not None:
+            monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", entries)
+        cfg = make_cfg(n_min=5, n_max=7, samples=300, seed=5)
+        search_counterexamples(cfg)
+        blocks = _blocks_of_orders(cfg, invariants._BLOCK_ENTRIES)
+        if entries is None:  # the default block holds the whole search
+            assert len(blocks) == 1
+        assert len(eigh_calls) == sum(len(orders) for orders in blocks)
+        assert all(len(shape) == 3 for shape in eigh_calls)
+        assert sum(shape[0] for shape in eigh_calls) == cfg.samples
+
+    def test_lapack_failure_in_a_block_exits_2(self, monkeypatch, capsys):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        argv = "search --target B8u --n 5:7 --p 0.5 --qneg 0.5 --samples 50 --json".split()
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: eigensolver did not converge: Eigenvalues did not converge\n"
+        assert captured.out == ""
+
+    def test_adjacency_guard_exits_3(self, capsys):
+        argv = "search --target B8u --n 2049:2049 --p 0 --qneg 0.5 --samples 1".split()
+        assert run_cli(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: guard exceeded: adjacency matrix guard: n=2049 exceeds 2048\n"
+        assert captured.out == ""
+
+    def test_walk_order_zero_exits_2(self, capsys):
+        argv = "search --target B10 --r 0 --n 3:5 --p 0.5 --qneg 0.5 --samples 5".split()
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: walk order r must be >= 1, got 0\n"
+        assert captured.out == ""
 
 
 def _relabel_cycle(g: SignedGraph) -> SignedGraph:

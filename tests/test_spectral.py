@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signed_spectra import (
     InvalidParamsError,
@@ -27,7 +28,8 @@ from signed_spectra import (
     walk_from_spectrum,
 )
 from signed_spectra import bounds
-from signed_spectra.spectral import _face_peak
+from signed_spectra.graph import _signed_matrix
+from signed_spectra.spectral import _face_peak, _spectra
 from signed_spectra.switching import propagation_labels
 
 from .conftest import random_graphs, signed_graphs
@@ -132,14 +134,15 @@ class TestPostProcessingBitForBit:
 
     @staticmethod
     def assert_same(a: np.ndarray) -> None:
-        spec = eigen_decomposition(a)
         vals, vecs, coeffs, rho, inertia = spectrum_by_numpy_reductions(a)
-        assert spec.eigenvalues.tobytes() == vals.tobytes()
-        assert spec.eigenvectors.tobytes() == vecs.tobytes()
-        assert spec.walk_coefficients.tobytes() == coeffs.tobytes()
-        assert type(spec.rho) is float and spec.rho == rho
-        assert spec.inertia == inertia
-        assert all(type(k) is int for k in spec.inertia)
+        # the one-matrix solver, and the stacked one on a stack of one
+        for spec in (eigen_decomposition(a), _spectra(a[None])[0]):
+            assert spec.eigenvalues.tobytes() == vals.tobytes()
+            assert spec.eigenvectors.tobytes() == vecs.tobytes()
+            assert spec.walk_coefficients.tobytes() == coeffs.tobytes()
+            assert type(spec.rho) is float and spec.rho == rho
+            assert spec.inertia == inertia
+            assert all(type(k) is int for k in spec.inertia)
 
     def test_random_symmetric_across_scales(self):
         rng = np.random.default_rng(23)
@@ -185,6 +188,83 @@ class TestPostProcessingBitForBit:
     def test_signed_adjacency_matrices(self):
         for g in random_graphs(60, max_n=12, seed=37):
             self.assert_same(adjacency_matrix(g).entries)
+
+
+def assert_bit_identical(spec, alone) -> None:
+    """All five ``Spectrum`` fields equal bit for bit, arrays read-only."""
+    for mine, theirs in (
+        (spec.eigenvalues, alone.eigenvalues),
+        (spec.eigenvectors, alone.eigenvectors),
+        (spec.walk_coefficients, alone.walk_coefficients),
+    ):
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+        assert not mine.flags.writeable
+    assert type(spec.rho) is float and spec.rho.hex() == alone.rho.hex()
+    assert spec.inertia == alone.inertia
+    assert all(type(k) is int for k in spec.inertia)
+
+
+@st.composite
+def same_order_stacks(draw):
+    """1..6 graphs of one order in 1..9: edgeless ones, mixed signings."""
+    n = draw(st.integers(1, 9))
+    one = signed_graphs(min_n=n, max_n=n)
+    return draw(st.lists(st.one_of(st.just(SignedGraph(n)), one), min_size=1, max_size=6))
+
+
+class TestStackedSolver:
+    """``_spectra`` decomposes a stack with one ``eigh`` call; each member
+    must equal ``eigen_decomposition`` of its own matrix bit for bit."""
+
+    @given(same_order_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_members_equal_their_own_decomposition(self, graphs):
+        stack = _signed_matrix(graphs)
+        assert stack.shape == (len(graphs), graphs[0].n, graphs[0].n)
+        spectra = _spectra(stack)
+        assert len(spectra) == len(graphs)
+        for g, spec in zip(graphs, spectra):
+            assert_bit_identical(spec, eigen_decomposition(adjacency_matrix(g)))
+
+    def test_float_stacks_across_scales(self):
+        rng = np.random.default_rng(41)
+        for exponent in (-6, 0, 6):
+            for order in range(0, 10):
+                b = rng.standard_normal((5, order, order)) * 10.0**exponent
+                stack = (b + b.swapaxes(1, 2)) / 2.0
+                for member, spec in zip(stack, _spectra(stack)):
+                    assert_bit_identical(spec, eigen_decomposition(member))
+
+    def test_one_eigh_call_per_stack(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        _spectra(np.zeros((7, 4, 4)))
+        assert calls == [(7, 4, 4)]
+
+    @pytest.mark.parametrize("bad", (math.inf, math.nan))
+    def test_non_finite_stack_rejected(self, bad):
+        stack = np.zeros((3, 2, 2))
+        stack[2, 0, 1] = stack[2, 1, 0] = bad
+        with pytest.raises(InvalidParamsError):
+            _spectra(stack)
+
+    def test_asymmetric_or_non_square_stack_rejected(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = 0.5
+        with pytest.raises(NotSymmetricError):
+            _spectra(stack)
+        for shape in ((2, 2, 3), (2, 2), (1, 2, 2, 2)):
+            with pytest.raises(NotSymmetricError):
+                _spectra(np.zeros(shape))
+
+    def test_lapack_failure_in_a_stack_raises_no_convergence(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            _spectra(np.zeros((4, 3, 3)))
 
 
 class TestSpectrumInvariants:
