@@ -40,14 +40,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError
-from .graph import (
-    MATRIX_MAX_N,
-    SignedGraph,
-    SymmetricMatrix,
-    _signed_matrix,
-    adjacency_matrix,
-    all_negative,
-)
+from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix, all_negative
 from .invariants import (
     CLIQUE_MAX_N,
     FRUSTRATION_MAX_N,
@@ -70,7 +63,6 @@ from .spectral import (
     Spectrum,
     _clique_witness,
     _ms_search,
-    _spectra,
     _switched_entries,
     eigen_decomposition,
 )
@@ -101,21 +93,22 @@ class BoundEvaluation:
 
 # Cross-graph sharing.  Switching (A -> D A D, D a +-1 diagonal) keeps the
 # eigenvalues and every combinatorial quantity the registry reads except the
-# signed walk sums (Zaslavsky, "Signed graphs", 1982), and a sweep over all
-# signings meets each class many times: the 307 graphs of the bench ``sweep``
-# fall into 74 classes.  One entry suffices because sweeps visit all 2^m
-# signings of an underlying graph in a row.  It keeps the unsigned lambda_n
-# and eps_b, and under ``"classes"`` eps, eps_r, the balanced clique's
-# members, B13's probe, rho and the rows of ``evaluate_all`` per switching
-# class.  A class is keyed by its canonical signing: the negative edges left
-# after switching a BFS spanning forest all-positive.  The key is taken only
-# once a second signing of the underlying graph comes, so a search that draws
-# a new graph per sample computes none.  ``evaluate_all`` hands a later
-# signing of a class the rows of the first one it met, except B11 and B13,
-# and B11 reads that signing's rho; ``eigh`` on D A D is not bit-identical to
-# ``eigh`` on A, so those rows carry the first signing's roundoff.  Every
-# other reader decomposes its own matrix: ``evaluate_bound``, ``search`` and
-# ``invariants`` read no shared row and no shared rho.
+# signed walk sums (Zaslavsky, "Signed graphs", 1982).  Only ``evaluate_all``
+# and ``invariants`` share across graphs, through ``_Ctx(g, shared=True)``:
+# a sweep over all signings meets each class many times (the 307 graphs of
+# the bench ``sweep`` fall into 74 classes), and ``invariants`` reads what
+# ``bounds`` filled for the same file.  ``evaluate_bound`` and ``search``
+# rarely meet an underlying graph twice, so they keep every value in their
+# own context.  One entry suffices because sweeps visit all 2^m signings of
+# an underlying graph in a row.  It keeps the unsigned lambda_n and eps_b,
+# and under ``"classes"`` eps, eps_r, the balanced clique's members, B13's
+# probe, rho and the rows of ``evaluate_all`` per switching class.  A class
+# is keyed by its canonical signing: the negative edges left after switching
+# a BFS spanning forest all-positive.  ``evaluate_all`` hands a later signing
+# of a class the rows of the first one it met, except B11 and B13, and B11
+# reads that signing's rho; ``eigh`` on D A D is not bit-identical to
+# ``eigh`` on A, so those rows carry the first signing's roundoff.
+# ``invariants`` reads only exact integers from the entry.
 
 # Classes kept for the one underlying graph; all are dropped when a new one
 # would pass it.  A class that holds the 16 shared rows of ``evaluate_all``
@@ -140,14 +133,14 @@ def _class_key(g: SignedGraph, labels: Sequence[int]) -> frozenset[tuple[int, in
 
 class _Ctx:
     """Every quantity of one signed graph that ``bounds``, ``invariants`` and
-    ``search`` read, computed once and always under the guards.  What
-    switching keeps comes from ``_underlying``, read only when one of those
-    is read."""
+    ``search`` read, computed once and always under the guards.  A
+    ``shared`` context keeps what switching keeps in ``_underlying``, for
+    the other signings of its underlying graph; any other keeps it to
+    itself."""
 
-    def __init__(self, g: SignedGraph, peers: list["_Ctx"] | None = None):
+    def __init__(self, g: SignedGraph, shared: bool = False):
         self.g = g
-        # the contexts whose spectra are decomposed together with this one's
-        self._peers = peers
+        self._shared = shared
         self._walks: list[WalkCensus] = []
 
     @cached_property
@@ -156,22 +149,7 @@ class _Ctx:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """The first read among the peers decomposes every peer, one
-        ``eigh`` per order, and empties the list of peers, so that each
-        context is freed once its caller drops it.  A context without
-        peers, or past the adjacency guard, decomposes its own matrix."""
-        peers = self._peers
-        if not peers or self.g.n > MATRIX_MAX_N:
-            return eigen_decomposition(self.adjacency)
-        by_order: dict[int, list[_Ctx]] = {}
-        for ctx in peers:
-            if ctx.g.n <= MATRIX_MAX_N:
-                by_order.setdefault(ctx.g.n, []).append(ctx)
-        peers.clear()
-        for group in by_order.values():
-            for ctx, spectrum in zip(group, _spectra(_signed_matrix([c.g for c in group]))):
-                ctx.spectrum = spectrum
-        return vars(self)["spectrum"]
+        return eigen_decomposition(self.adjacency)
 
     @cached_property
     def _labels(self) -> tuple[int, ...]:
@@ -179,23 +157,17 @@ class _Ctx:
         return propagation_labels(self.g, full=True)[0]
 
     @cached_property
-    def _class(self) -> dict:
-        """The values this signing shares with its switching class.
+    def _underlying_values(self) -> dict:
+        """The values of the underlying graph: the shared entry, or this
+        context's own."""
+        return _underlying(self.g.n, self.g.underlying_pairs) if self._shared else {}
 
-        While the entry holds no class, a signing's values wait unkeyed: only
-        another signing of the underlying graph can repeat a class, so the
-        key, a BFS, is taken when one comes."""
-        shared = _underlying(self.g.n, self.g.underlying_pairs)
-        classes = shared.setdefault("classes", {})
-        unkeyed = shared.get("unkeyed")
-        if unkeyed is None and not classes:
-            unkeyed = shared["unkeyed"] = (self.g, {})
-        if unkeyed is not None:
-            g, values = unkeyed
-            if g.edges == self.g.edges:
-                return values
-            del shared["unkeyed"]
-            classes[_class_key(g, propagation_labels(g, full=True)[0])] = values
+    @cached_property
+    def _class(self) -> dict:
+        """The values this signing shares with its switching class."""
+        if not self._shared:
+            return {}
+        classes = self._underlying_values.setdefault("classes", {})
         key = _class_key(self.g, self._labels)
         if key not in classes and len(classes) >= _MAX_CLASSES:
             classes.clear()
@@ -209,12 +181,12 @@ class _Ctx:
 
     @property
     def unsigned_lambda_n(self) -> float:
-        shared = _underlying(self.g.n, self.g.underlying_pairs)
-        if "lambda_n" not in shared:  # an all-positive g is its own unsigned graph
+        values = self._underlying_values
+        if "lambda_n" not in values:  # an all-positive g is its own unsigned graph
             a = self.adjacency.entries
             unsigned = self.spectrum if self.g.m_minus == 0 else eigen_decomposition(np.abs(a))
-            shared["lambda_n"] = float(unsigned.eigenvalues[-1])
-        return shared["lambda_n"]
+            values["lambda_n"] = float(unsigned.eigenvalues[-1])
+        return values["lambda_n"]
 
     # A guarded value checks its guard on every read, also when the memo
     # holds it: the override may have changed since the entry was filled.
@@ -227,10 +199,10 @@ class _Ctx:
     @property
     def eps_b(self) -> int:
         _check_guard(self.g.n, FRUSTRATION_MAX_N, False, "edge_bipartiteness")
-        shared = _underlying(self.g.n, self.g.underlying_pairs)
-        if "eps_b" not in shared:
-            shared["eps_b"] = edge_bipartiteness(self.g)
-        return shared["eps_b"]
+        values = self._underlying_values
+        if "eps_b" not in values:
+            values["eps_b"] = edge_bipartiteness(self.g)
+        return values["eps_b"]
 
     @property
     def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -397,6 +369,8 @@ def _eval_b11(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     q, r = p["q"], p["r"]
     if r < 0:  # rho^r would divide by zero on an edgeless graph
         raise InvalidParamsError(f"B11 needs r >= 0, got {r}")
+    if q < 1:
+        raise InvalidParamsError(f"B11 needs q >= 1, got {q}")
     hyp = q % 2 == 1
     w_q = ctx.walks(q).w_signed
     if hyp and w_q <= 0:
@@ -573,7 +547,7 @@ def evaluate_all(
             plan.append((bound_id, {}))
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
-    ctx = _Ctx(g)
+    ctx = _Ctx(g, shared=True)
     shared = ctx._class
     # a guard override can turn a row into a skip, so rows are kept per value
     rows = shared.setdefault(("rows", os.environ.get("SIGNED_SPECTRA_MAX_N")), {})

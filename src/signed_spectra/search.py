@@ -18,7 +18,8 @@ from typing import Iterator, Mapping, Sequence
 from . import invariants
 from .bounds import REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
 from .errors import InvalidConfigError
-from .graph import SignedGraph, _signed_gnp
+from .graph import MATRIX_MAX_N, SignedGraph, _signed_gnp, _signed_matrix
+from .spectral import _spectra
 from .switching import is_switching_equivalent
 
 
@@ -86,32 +87,41 @@ def _samples(cfg: SearchConfig) -> Iterator[tuple[int, _Ctx]]:
 
     They are drawn in blocks of at least one sample and at most
     ``invariants._BLOCK_ENTRIES`` matrix entries (the sum of n^2 over the
-    samples that pass).  A block's contexts are peers, so the first spectrum
-    read in a block decomposes the whole block with one ``eigh`` per order.
-    A block is handed out, and let go, before the next one is drawn past
-    its first sample.
+    samples that pass).  A block's spectra are decomposed with one ``eigh``
+    per order before the block is handed out; it is handed out, and let go
+    one context at a time, before the next one is drawn past its first
+    sample.
     """
     block: deque[tuple[int, _Ctx]] = deque()
-    # one list serves every block: the sample that starts a block is drawn,
-    # with this list as its peers, before the previous block is handed out
-    peers: list[_Ctx] = []
     entries = 0
     for index in range(cfg.samples):
-        ctx = _Ctx(sample_signed_graph(cfg, index), peers)
+        ctx = _Ctx(sample_signed_graph(cfg, index))
         if cfg.triangle_free_filter and ctx.census.total > 0:
             continue
         size = ctx.g.n * ctx.g.n
         if block and entries + size > invariants._BLOCK_ENTRIES:
+            _decompose(block)
             while block:
                 yield block.popleft()
-            peers.clear()
             entries = 0
         block.append((index, ctx))
-        peers.append(ctx)
         entries += size
+    _decompose(block)
     while block:
         yield block.popleft()
-    peers.clear()
+
+
+def _decompose(block: Sequence[tuple[int, _Ctx]]) -> None:
+    """Set the spectrum of every context in ``block`` with one ``eigh`` per
+    order.  A graph past the adjacency guard is left to ``_Ctx.spectrum``,
+    which raises the guard if the target reads it."""
+    by_order: dict[int, list[_Ctx]] = {}
+    for _, ctx in block:
+        if ctx.g.n <= MATRIX_MAX_N:
+            by_order.setdefault(ctx.g.n, []).append(ctx)
+    for group in by_order.values():
+        for ctx, spectrum in zip(group, _spectra(_signed_matrix([c.g for c in group]))):
+            ctx.spectrum = spectrum
 
 
 def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:

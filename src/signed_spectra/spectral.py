@@ -6,9 +6,10 @@ entries in {-1, 0, 1} up to order 64 the reconstruction error stays below
 1e-8 and the eigenvector orthogonality error below 1e-10 (acceptance
 criterion 08).  A LAPACK failure to converge is raised as
 NoConvergenceError.  Stacks of matrices of one order go through the same
-``eigh`` in one call (``_spectra``, used by the counterexample search);
-LAPACK decomposes a stack's matrices one by one, so each gets the spectrum
-``eigen_decomposition`` gives it, bit for bit.
+``eigh`` in one call (``_spectra``, which the counterexample search calls
+once per order and block of samples); LAPACK decomposes a stack's matrices
+one by one, so each gets the spectrum ``eigen_decomposition`` gives it, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def eigen_decomposition(a: SymmetricMatrix | np.ndarray) -> Spectrum:
 
 def _spectra(stack: np.ndarray) -> list[Spectrum]:
     """``eigen_decomposition`` of each matrix of a (k, n, n) stack, with one
-    ``eigh`` call for the whole stack.
+    ``eigh`` call for the whole stack.  The counterexample search calls it
+    once per order on each block of samples, before it evaluates them.
 
     The stack is checked as ``SymmetricMatrix`` checks one matrix.  Every
     spectrum is bit for bit the one ``eigen_decomposition`` gives its
@@ -158,23 +160,23 @@ def walk_from_spectrum(s: Spectrum, k: int) -> float:
 # MS-index
 # ---------------------------------------------------------------------------
 
-def ms_index(g: SignedGraph, *, force: bool = False) -> Fraction:
+def ms_index(g: SignedGraph) -> Fraction:
     """Closed form of the quadratic-form maximum over the unit l1 sphere.
 
     Exact rational (omega_b - 1) / (2 * omega_b).
     """
-    omega = _max_balanced_clique(g, force=force)[0]
+    omega = _max_balanced_clique(g)[0]
     return Fraction(omega - 1, 2 * omega)
 
 
-def ms_witness(g: SignedGraph, *, force: bool = False) -> tuple[np.ndarray, Fraction]:
+def ms_witness(g: SignedGraph) -> tuple[np.ndarray, Fraction]:
     """Witness vector attaining the MS-index closed form, with exact value.
 
     Places +-1/omega_b on a maximum balanced clique, signed by the clique's
     consistent labeling (the switch that makes the clique all-positive,
     pulled back to the original graph).
     """
-    return _clique_witness(g, _max_balanced_clique(g, force=force))
+    return _clique_witness(g, _max_balanced_clique(g))
 
 
 def _clique_witness(
@@ -193,9 +195,7 @@ def _clique_witness(
     return x, Fraction(total, omega * omega)
 
 
-def ms_index_search(
-    g: SignedGraph, iters: int = 16, seed: int = 0, *, force: bool = False
-) -> float:
+def ms_index_search(g: SignedGraph, iters: int = 16, seed: int = 0) -> float:
     """Lower-bound search for the MS-index.
 
     Starts from the balanced-clique witness (which already attains the
@@ -208,7 +208,7 @@ def ms_index_search(
     x^T (D A D) x.  Every evaluated point is feasible, so the result never
     exceeds the true maximum beyond float roundoff.
     """
-    _, exact = ms_witness(g, force=force)
+    _, exact = ms_witness(g)
     labels, _, _ = propagation_labels(g, full=True)
     canonical = _switched_entries(adjacency_matrix(g).entries, labels)
     return max(float(exact), _ms_search(canonical, iters, seed))

@@ -38,6 +38,7 @@ from signed_spectra import (
 )
 from signed_spectra import bounds, invariants, spectral
 from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
+from signed_spectra.cli import run_cli
 
 from .conftest import all_signings, connected_underlying_graphs, random_graphs, signed_graphs
 from .oracles import unsigned_lambda_n_by_all_positive
@@ -439,7 +440,7 @@ class TestSwitchingClassMemo:
 
     @staticmethod
     def _shared(g: SignedGraph) -> tuple:
-        ctx = bounds._Ctx(g)
+        ctx = bounds._Ctx(g, shared=True)
         b13 = evaluate_bound(g, "B13", {"iters": 2, "seed": 0})
         return ctx.eps, ctx.eps_r(3), ctx.omega_b, ctx.census, b13.lhs
 
@@ -456,10 +457,10 @@ class TestSwitchingClassMemo:
         assert cold[0] == cold[1]
         # with g's class filled, the switched graph reads g's entries
         _underlying.cache_clear()
-        first, second = bounds._Ctx(g), bounds._Ctx(switched)
+        first, second = bounds._Ctx(g, shared=True), bounds._Ctx(switched, shared=True)
         assert first._class is second._class
         assert self._shared(g) == self._shared(switched) == cold[0]
-        assert bounds._Ctx(switched).clique == bounds._max_balanced_clique(switched)
+        assert bounds._Ctx(switched, shared=True).clique == bounds._max_balanced_clique(switched)
 
     @staticmethod
     def _replay(graphs, budget=None) -> int:
@@ -542,8 +543,9 @@ class TestSwitchingClassMemo:
             assert pickle.loads(pickle.dumps(ev)) == ev == copy.deepcopy(ev)
             assert dataclasses.asdict(ev)["params"] == ev.params
 
-    def test_first_signing_takes_no_class_key(self, monkeypatch):
-        # only a second signing of the underlying graph can repeat a class
+    def test_shared_contexts_key_a_class_on_first_read(self, monkeypatch, tmp_path):
+        # evaluate_bound keeps every value in its own context; evaluate_all
+        # and invariants key the class on their first read of it
         bfs = []
         labels = bounds.propagation_labels
 
@@ -554,14 +556,20 @@ class TestSwitchingClassMemo:
         monkeypatch.setattr(bounds, "propagation_labels", counted)
         g = erdos_renyi_signed(n=7, p=0.5, q_neg=0.5, seed=7)
         switched = apply_switching(g, [(-1) ** v for v in range(g.n)])
+        key = bounds._class_key(g, labels(g, full=True)[0])
         _underlying.cache_clear()
-        for bound_id in ("B2", "B5", "B10"):
+        for bound_id in ("B2", "B3", "B5", "B10"):
             evaluate_bound(g, bound_id, {"r": 3})
-        assert bfs == []
-        first = bounds._Ctx(g)._class
-        evaluate_bound(switched, "B5")  # files g's entry under its key, then reads it
-        assert sorted(map(id, bfs)) == sorted([id(g), id(switched)])
-        assert list(_underlying(g.n, g.underlying_pairs)["classes"].values()) == [first]
+        assert bfs == [] and _underlying.cache_info().currsize == 0
+        path = tmp_path / "switched.sg"
+        path.write_text(switched.to_sg(), encoding="utf-8")
+        assert run_cli(["invariants", str(path)]) == 0
+        assert len(bfs) == 1 and bfs[0] == switched
+        classes = _underlying(g.n, g.underlying_pairs)["classes"]
+        assert list(classes) == [key] and {"eps", "clique"} <= set(classes[key])
+        evaluate_all(g)  # reads the class invariants filled
+        assert len(bfs) == 2 and bfs[1] is g
+        assert list(classes) == [key] and _underlying.cache_info().currsize == 1
 
     def test_class_budget_drops_the_classes(self, monkeypatch):
         # K4 plus a pendant edge: 2^7 signings in 2^3 classes

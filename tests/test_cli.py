@@ -398,6 +398,17 @@ class TestSearch:
         assert run_cli(args) == 2
         assert capsys.readouterr().err == "error: B11 needs r >= 0, got -1\n"
 
+    def test_bad_b11_q_exit_2(self, c5_file, capsys):
+        # the walk order out of range is q, and the message names it
+        for argv, q in (
+            ("search --target B11 --n 3:5 --p 0.5 --qneg 0.5 --samples 5 --q 0 --r 1".split(), 0),
+            (["bounds", c5_file, "--q", "-2", "--r", "3"], -2),
+        ):
+            assert run_cli(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: B11 needs q >= 1, got {q}\n"
+            assert captured.out == ""
+
     # each input is valid more often than not, so that most calls reach the search
     PROBABILITIES = st.one_of(
         st.floats(0.0, 1.0), st.floats(-0.5, 1.5), st.sampled_from(["nan", "inf", "-inf"])
@@ -480,3 +491,132 @@ class TestGen:
         assert run_cli(["gen", "paper_c5", "-o", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory) -> Path:
+    """Small graphs (n <= 8), malformed files and a subdirectory; the names
+    are ``GOOD_FILES`` and ``BAD_FILES``."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {f"g{i}.sg": g.to_sg() for i, g in enumerate(random_graphs(6, max_n=8, seed=5))}
+    texts.update({
+        "c5.sg": paper_c5().to_sg(),
+        "edgeless.sg": "3\n",
+        "empty.sg": "0\n",
+        "blank.sg": "",
+        "header.sg": "three\n0 1 +\n",
+        "sign.sg": "3\n0 1 *\n",
+        "range.sg": "3\n0 3 +\n",
+        "loop.sg": "3\n1 1 -\n",
+        "duplicate.sg": "3\n0 1 +\n1 0 -\n",
+    })
+    for name, text in texts.items():
+        (root / name).write_text(text, encoding="utf-8")
+    (root / "binary.sg").write_bytes(b"\xff\xfe\x00\x01")
+    (root / "subdir").mkdir()
+    return root
+
+
+GOOD_FILES = (*(f"g{i}.sg" for i in range(6)), "c5.sg", "edgeless.sg")
+BAD_FILES = (
+    "empty.sg", "blank.sg", "header.sg", "sign.sg", "range.sg", "loop.sg", "duplicate.sg",
+    "binary.sg", "subdir", "absent.sg",
+)
+#: .sg text with a header of at most 8 vertices, edge lines and at most one
+#: malformed line
+SG_TEXT = st.builds(
+    "{}\n{}\n{}".format,
+    st.sampled_from(["8", "8", "8", "8", "3", "0", "-1", "x"]),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(4, 7)), unique=True, max_size=8
+    ).map(lambda pairs: "\n".join(f"{u} {v} {'+-'[(u * v) % 2]}" for u, v in pairs)),
+    st.sampled_from(["", "", "", "", "0 0 +", "1 9 -", "0 1 *", "0 4 +", "a b +"]),
+)
+COUNT = st.integers(0, 8).map(str) | st.sampled_from(["-1", "x", "1e3", ""])
+PROBABILITY = st.floats(0.0, 1.0).map(str) | st.sampled_from(["-0.5", "1.5", "nan", "inf", "x"])
+
+
+class TestFuzzedArgv:
+    """``bounds``, ``invariants``, ``spectrum`` and ``gen`` on fuzzed argv
+    and files; ``TestSearch`` fuzzes ``search``.  Each input is valid more
+    often than not, so that most calls reach the command."""
+
+    @given(
+        command=st.sampled_from(["bounds", "invariants", "spectrum", "gen"]),
+        file=st.sampled_from(GOOD_FILES * 2 + BAD_FILES) | SG_TEXT,
+        option=st.booleans(),
+        r=st.none() | st.integers(1, 5) | st.integers(-2, 5),
+        q=st.none() | st.integers(1, 5) | st.integers(-2, 5),
+        kind=st.sampled_from(
+            ["paper_c5", "signed_cycle", "all_negative_complete", "erdos_renyi_signed",
+             "all_negative", "no_such_kind"]
+        ),
+        params=st.one_of(
+            st.tuples(COUNT, PROBABILITY, PROBABILITY).map(list),
+            st.lists(COUNT, max_size=4),
+        ),
+        seed=st.integers(-3, 3),
+        output=st.sampled_from([None, "out.sg", "subdir"]),
+        extra=st.sampled_from([[]] * 12 + [["--bogus"], ["--json"], ["--force"], ["-o"]]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_argv_exits_cleanly(
+        self, fuzz_dir, command, file, option, r, q, kind, params, seed, output, extra
+    ):
+        if file not in GOOD_FILES + BAD_FILES:  # fuzzed text, one file per distinct text
+            text, file = file, f"text{abs(hash(file))}.sg"
+            (fuzz_dir / file).write_text(text, encoding="utf-8")
+        path = str(fuzz_dir / file)
+        if command == "gen":
+            argv = ["gen", kind, *([path] if kind == "all_negative" else params)]
+            argv += ["--seed", str(seed)]
+            if output is not None:
+                argv += ["-o", str(fuzz_dir / output)]
+        else:
+            argv = [command, path]
+            if command == "bounds":
+                argv += ["--json"] * option
+                for flag, value in (("--r", r), ("--q", q)):
+                    if value is not None:
+                        argv += [flag, str(value)]
+            elif command == "invariants":
+                argv += ["--force"] * option
+        argv += extra
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code in (0, 1) and command == "bounds" and "--json" in argv:
+            assert isinstance(json.loads(out.getvalue()), list), argv
+        if code in (2, 3):
+            assert err.getvalue(), argv
+        else:
+            assert not err.getvalue(), argv
+
+
+class TestFreshImport:
+    def test_module_caches_are_cold_function_caches(self):
+        # the benchmark's worker asks every module attribute with a
+        # ``cache_info`` for its size and refuses to time warm caches: each
+        # must be a function cache, not a type, and empty after import
+        script = (
+            "import importlib, json, pkgutil, signed_spectra\n"
+            "found = {}\n"
+            "for info in pkgutil.iter_modules(signed_spectra.__path__):\n"
+            "    mod = importlib.import_module('signed_spectra.' + info.name)\n"
+            "    for attr, obj in vars(mod).items():\n"
+            "        cache_info = getattr(obj, 'cache_info', None)\n"
+            "        if callable(cache_info):\n"
+            "            size = None if isinstance(obj, type) else cache_info().currsize\n"
+            "            found[f'{info.name}.{attr}'] = size\n"
+            "print(json.dumps(found))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(signed_spectra.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        found = json.loads(done.stdout)
+        assert {"bounds._underlying", "cli.build_parser"} <= set(found)
+        assert all(size == 0 for size in found.values()), found

@@ -131,14 +131,20 @@ class TestFindings:
             make_cfg(samples=200, seed=4),
             make_cfg(target="B8", samples=200, seed=4, triangle_free_filter=True),
             make_cfg(target="B11", samples=200, seed=4, params={"q": 1, "r": 1}),
-            make_cfg(target="B12", samples=200, seed=4),
+            # every other target; only B10 reads r
+            *(
+                make_cfg(target=target, samples=200, seed=4, params={"r": 3})
+                for target in bounds.REGISTRY
+                if target not in ("B8u", "B11")
+            ),
         ),
-        ids=("B8u", "triangle-free B8", "B11", "B12"),
+        ids=lambda cfg: "triangle-free " * cfg.triangle_free_filter + cfg.target,
     )
     def test_spectral_targets_leave_the_memo_alone(self, cfg):
-        # B8u, B8, B11 and B12 read the signing's own spectrum, census and
-        # walks, none of them shared across signings, so no search sample
-        # reads the memo: not even the rho that evaluate_all shares
+        # only evaluate_all and invariants share values across graphs: a
+        # search keeps every value in its own sample's context, the spectra
+        # of the spectral targets and the eps, eps_b, cliques and unsigned
+        # lambda_n of the others alike
         bounds._underlying.cache_clear()
         search_counterexamples(cfg)
         assert bounds._underlying.cache_info().currsize == 0
@@ -250,8 +256,8 @@ def _blocks_of_orders(cfg: SearchConfig, entries: int) -> list[set[int]]:
 
 
 class TestStackedSpectra:
-    """The search decomposes a block's samples with one ``eigh`` per order,
-    and only once a sample reads its spectrum."""
+    """The search decomposes a block's samples with one ``eigh`` per order
+    before it evaluates them."""
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
@@ -265,11 +271,17 @@ class TestStackedSpectra:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         return calls
 
-    @pytest.mark.parametrize("target", ("B5", "B13"))
-    def test_targets_without_spectra_run_no_eigh(self, eigh_calls, target):
-        cfg = make_cfg(target=target, n_min=3, n_max=7, samples=120, seed=3)
+    @pytest.mark.parametrize("target", tuple(bounds.REGISTRY))
+    def test_every_target_runs_one_eigh_per_order_per_block(self, monkeypatch, eigh_calls, target):
+        # B5 and B13 read no spectrum, yet their blocks are decomposed too
+        monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", 100)
+        cfg = make_cfg(target=target, n_min=3, n_max=7, samples=120, seed=3, params={"q": 1, "r": 2})
         search_counterexamples(cfg)
-        assert eigh_calls == []
+        stacked = [shape for shape in eigh_calls if len(shape) == 3]
+        assert len(stacked) == sum(len(orders) for orders in _blocks_of_orders(cfg, 100))
+        assert sum(shape[0] for shape in stacked) == cfg.samples
+        # only B3 and B4 decompose a matrix of their own: the unsigned one
+        assert target in ("B3", "B4") or stacked == eigh_calls
 
     @pytest.mark.parametrize("entries", (None, 40, 50, 72, 200))
     def test_one_eigh_per_order_per_block(self, monkeypatch, eigh_calls, entries):
