@@ -59,13 +59,7 @@ from .invariants import (
     r_frustration_index,
     triangle_census,
 )
-from .spectral import (
-    Spectrum,
-    _clique_witness,
-    _ms_search,
-    _switched_entries,
-    eigen_decomposition,
-)
+from .spectral import _clique_witness, _ms_search, _switched_entries, eigen_decomposition
 from .switching import propagation_labels
 
 HOLDS = "holds"
@@ -104,10 +98,12 @@ class BoundEvaluation:
 # and under ``"classes"`` eps, eps_r, the balanced clique's members, B13's
 # probe, rho and the rows of ``evaluate_all`` per switching class.  A class
 # is keyed by its canonical signing: the negative edges left after switching
-# a BFS spanning forest all-positive.  ``evaluate_all`` hands a later signing
-# of a class the rows of the first one it met, except B11 and B13, and B11
-# reads that signing's rho; ``eigh`` on D A D is not bit-identical to
-# ``eigh`` on A, so those rows carry the first signing's roundoff.
+# a BFS spanning forest all-positive.  rho lives in the class like the
+# rest, so B11 of a shared context reads the rho of the first signing of its
+# class that read one.  ``evaluate_all`` hands a later signing of a class the
+# rows of the first one it met, except B11 and B13; ``eigh`` on D A D is not
+# bit-identical to ``eigh`` on A, so those rows, and B11's rho, carry the
+# first signing's roundoff.
 # ``invariants`` reads only exact integers from the entry.
 
 # Classes kept for the one underlying graph; all are dropped when a new one
@@ -133,10 +129,11 @@ def _class_key(g: SignedGraph, labels: Sequence[int]) -> frozenset[tuple[int, in
 
 class _Ctx:
     """Every quantity of one signed graph that ``bounds``, ``invariants`` and
-    ``search`` read, computed once and always under the guards.  A
-    ``shared`` context keeps what switching keeps in ``_underlying``, for
-    the other signings of its underlying graph; any other keeps it to
-    itself."""
+    ``search`` read, computed once and always under the guards.  Of the
+    spectrum it holds only the sorted eigenvalues: the registry reads no
+    more than lambda_1, lambda_2, lambda_n and rho.  A ``shared`` context
+    keeps what switching keeps in ``_underlying``, for the other signings of
+    its underlying graph; any other keeps it to itself."""
 
     def __init__(self, g: SignedGraph, shared: bool = False):
         self.g = g
@@ -148,8 +145,9 @@ class _Ctx:
         return adjacency_matrix(self.g)
 
     @cached_property
-    def spectrum(self) -> Spectrum:
-        return eigen_decomposition(self.adjacency)
+    def eigenvalues(self) -> np.ndarray:
+        """Sorted descending; ``search`` sets them from a stacked ``eigh``."""
+        return eigen_decomposition(self.adjacency).eigenvalues
 
     @cached_property
     def _labels(self) -> tuple[int, ...]:
@@ -182,10 +180,12 @@ class _Ctx:
     @property
     def unsigned_lambda_n(self) -> float:
         values = self._underlying_values
-        if "lambda_n" not in values:  # an all-positive g is its own unsigned graph
-            a = self.adjacency.entries
-            unsigned = self.spectrum if self.g.m_minus == 0 else eigen_decomposition(np.abs(a))
-            values["lambda_n"] = float(unsigned.eigenvalues[-1])
+        if "lambda_n" not in values:
+            if self.g.m_minus:
+                unsigned = eigen_decomposition(np.abs(self.adjacency.entries)).eigenvalues
+            else:  # an all-positive g is its own unsigned graph
+                unsigned = self.eigenvalues
+            values["lambda_n"] = float(unsigned[-1])
         return values["lambda_n"]
 
     # A guarded value checks its guard on every read, also when the memo
@@ -271,22 +271,21 @@ class _Ctx:
 
         return self._of_class(("ms", iters, seed), probe)
 
-    @cached_property
+    @property
     def rho(self) -> float:
-        return self.spectrum.rho
+        return self._of_class("rho", lambda: max(abs(self.lambda1), abs(self.lambda_n)))
 
     @cached_property
     def lambda1(self) -> float:
-        return float(self.spectrum.eigenvalues[0])
+        return float(self.eigenvalues[0])
 
     @cached_property
     def lambda2(self) -> float:
-        vals = self.spectrum.eigenvalues
-        return float(vals[1]) if len(vals) > 1 else 0.0
+        return float(self.eigenvalues[1]) if len(self.eigenvalues) > 1 else 0.0
 
     @cached_property
     def lambda_n(self) -> float:
-        return float(self.spectrum.eigenvalues[-1])
+        return float(self.eigenvalues[-1])
 
 
 _Outcome = tuple[bool, float, float, str]  # hypothesis_met, lhs, rhs, note
@@ -548,11 +547,8 @@ def evaluate_all(
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
     ctx = _Ctx(g, shared=True)
-    shared = ctx._class
     # a guard override can turn a row into a skip, so rows are kept per value
-    rows = shared.setdefault(("rows", os.environ.get("SIGNED_SPECTRA_MAX_N")), {})
-    if "rho" in shared:
-        ctx.rho = shared["rho"]
+    rows = ctx._class.setdefault(("rows", os.environ.get("SIGNED_SPECTRA_MAX_N")), {})
     out: list[BoundEvaluation] = []
     for bound_id, params in plan:
         if bound_id in _PER_SIGNING:
@@ -568,8 +564,6 @@ def evaluate_all(
                 row.verdict, row.tolerance, params, row.note,
             )
         out.append(row)
-    if "rho" in vars(ctx):
-        shared.setdefault("rho", ctx.rho)
     return out
 
 

@@ -278,6 +278,7 @@ def _symmetric_entries(a, ndim: int) -> np.ndarray:
 def _signed_matrix(graphs: SignedGraph | Sequence[SignedGraph]) -> np.ndarray:
     """The signed adjacency matrix A of one graph as int64, or those of
     graphs of one order as a (k, n, n) int64 stack, with no size guard.
+    A stack that cannot be allocated raises TooLargeError.
 
     One graph is the stack of one.  The entries are set edge by edge: at
     these sizes a scatter from index arrays costs more than the Python
@@ -286,7 +287,12 @@ def _signed_matrix(graphs: SignedGraph | Sequence[SignedGraph]) -> np.ndarray:
     if isinstance(graphs, SignedGraph):
         return _signed_matrix((graphs,))[0]
     n = graphs[0].n
-    a = np.zeros((len(graphs), n, n), dtype=np.int64)
+    try:
+        a = np.zeros((len(graphs), n, n), dtype=np.int64)
+    except (MemoryError, ValueError):  # numpy's errors for a stack past memory or past intp
+        raise TooLargeError(
+            f"dense matrix: n={n} needs {n}^2 entries, which cannot be allocated", n=n
+        ) from None
     for ak, g in zip(a, graphs):
         for u, v, s in g.edges:
             ak[u, v] = ak[v, u] = s

@@ -19,7 +19,7 @@ from . import invariants
 from .bounds import REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
 from .errors import InvalidConfigError
 from .graph import MATRIX_MAX_N, SignedGraph, _signed_gnp, _signed_matrix
-from .spectral import _spectra
+from .spectral import _eigenvalues
 from .switching import is_switching_equivalent
 
 
@@ -87,10 +87,10 @@ def _samples(cfg: SearchConfig) -> Iterator[tuple[int, _Ctx]]:
 
     They are drawn in blocks of at least one sample and at most
     ``invariants._BLOCK_ENTRIES`` matrix entries (the sum of n^2 over the
-    samples that pass).  A block's spectra are decomposed with one ``eigh``
-    per order before the block is handed out; it is handed out, and let go
-    one context at a time, before the next one is drawn past its first
-    sample.
+    samples that pass).  A block's eigenvalues are set with one ``eigh`` per
+    order before the block is handed out (``_decompose``); it is handed out,
+    and let go one context at a time, before the next one is drawn past its
+    first sample.
     """
     block: deque[tuple[int, _Ctx]] = deque()
     entries = 0
@@ -112,16 +112,18 @@ def _samples(cfg: SearchConfig) -> Iterator[tuple[int, _Ctx]]:
 
 
 def _decompose(block: Sequence[tuple[int, _Ctx]]) -> None:
-    """Set the spectrum of every context in ``block`` with one ``eigh`` per
-    order.  A graph past the adjacency guard is left to ``_Ctx.spectrum``,
-    which raises the guard if the target reads it."""
+    """Set the eigenvalues of the contexts in ``block`` with one ``eigh`` per
+    order of two or more samples.  A sample alone in its order, or past the
+    adjacency guard, is left to ``_Ctx.eigenvalues``, which decomposes it,
+    or raises the guard, only if the target reads them: ``B5`` and ``B13``
+    read none."""
     by_order: dict[int, list[_Ctx]] = {}
     for _, ctx in block:
-        if ctx.g.n <= MATRIX_MAX_N:
-            by_order.setdefault(ctx.g.n, []).append(ctx)
-    for group in by_order.values():
-        for ctx, spectrum in zip(group, _spectra(_signed_matrix([c.g for c in group]))):
-            ctx.spectrum = spectrum
+        by_order.setdefault(ctx.g.n, []).append(ctx)
+    for n, group in by_order.items():
+        if len(group) > 1 and n <= MATRIX_MAX_N:
+            for ctx, vals in zip(group, _eigenvalues(_signed_matrix([c.g for c in group]))):
+                ctx.eigenvalues = vals
 
 
 def search_counterexamples(cfg: SearchConfig) -> list[SearchFinding]:

@@ -5,10 +5,10 @@ Its contract is accuracy, not an algorithm: on symmetric matrices with
 entries in {-1, 0, 1} up to order 64 the reconstruction error stays below
 1e-8 and the eigenvector orthogonality error below 1e-10 (acceptance
 criterion 08).  A LAPACK failure to converge is raised as
-NoConvergenceError.  Stacks of matrices of one order go through the same
-``eigh`` in one call (``_spectra``, which the counterexample search calls
-once per order and block of samples); LAPACK decomposes a stack's matrices
-one by one, so each gets the spectrum ``eigen_decomposition`` gives it, bit
+NoConvergenceError.  The counterexample search reads only eigenvalues; it
+takes those of a block's samples of one order from one ``eigh`` call on
+their stack (``_eigenvalues``), and LAPACK decomposes a stack's matrices one
+by one, so each gets the eigenvalues ``eigen_decomposition`` gives it, bit
 for bit.
 """
 
@@ -69,10 +69,7 @@ def eigen_decomposition(a: SymmetricMatrix | np.ndarray) -> Spectrum:
     tau_z = ZERO_TOL_FACTOR * max(1, ||A||_F).
     """
     entries = (a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a)).entries
-    try:
-        vals, vecs = np.linalg.eigh(entries)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    vals, vecs = _eigh(entries)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
@@ -96,52 +93,30 @@ def eigen_decomposition(a: SymmetricMatrix | np.ndarray) -> Spectrum:
     )
 
 
-def _spectra(stack: np.ndarray) -> list[Spectrum]:
-    """``eigen_decomposition`` of each matrix of a (k, n, n) stack, with one
-    ``eigh`` call for the whole stack.  The counterexample search calls it
-    once per order on each block of samples, before it evaluates them.
+def _eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each matrix of a (k, n, n) stack, sorted
+    descending, as one read-only (k, n) array from one ``eigh`` call.  The
+    counterexample search calls it once per order on each block of samples.
 
-    The stack is checked as ``SymmetricMatrix`` checks one matrix.  Every
-    spectrum is bit for bit the one ``eigen_decomposition`` gives its
-    matrix: each reduction below runs along one matrix's own entries in the
-    order the one-matrix code takes.  ``||A||_F^2`` is a stacked ``matmul``
-    of rows, which takes the BLAS dot of ``flat @ flat``, and the column
-    sums of the eigenvectors run along contiguous rows of their transpose,
-    as numpy sums the columns of the Fortran-ordered ``vecs[:, order]``.
-    The post-processing is vectorised over the stack; ``eigen_decomposition``
-    keeps its own on Python floats, since a single matrix would pay about
-    20 us more here.
+    The stack is checked as ``SymmetricMatrix`` checks one matrix.  Row i is
+    bit for bit ``eigen_decomposition(stack[i]).eigenvalues``: LAPACK
+    decomposes a stack's matrices one by one, and the rows are sorted by the
+    same stable argsort.  ``eigvalsh`` would not do: LAPACK's driver without
+    eigenvectors moves the last bits.
     """
-    entries = _symmetric_entries(stack, ndim=3)
+    vals, _ = _eigh(_symmetric_entries(stack, ndim=3))
+    vals = np.take_along_axis(vals, np.argsort(-vals, axis=-1, kind="stable"), axis=-1)
+    vals.setflags(write=False)
+    return vals
+
+
+def _eigh(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a matrix or a stack, with LAPACK's failure to
+    converge raised as NoConvergenceError."""
     try:
-        vals, vecs = np.linalg.eigh(entries)
+        return np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    k, n = vals.shape
-    order = np.argsort(-vals, axis=-1, kind="stable")
-    members = np.arange(k)[:, None]
-    vals = vals[members, order]
-    rows = vecs.swapaxes(1, 2)[members, order]  # rows[m, i]: the eigenvector of vals[m, i]
-    coeffs = rows.sum(axis=-1) ** 2
-    flat = entries.reshape(k, -1)
-    norm2 = (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
-    tau_z = ZERO_TOL_FACTOR * np.maximum(1.0, np.sqrt(norm2))[:, None]
-    n_pos = (vals > tau_z).sum(axis=-1).tolist()
-    n_neg = (vals < -tau_z).sum(axis=-1).tolist()
-    rho = np.abs(vals).max(axis=-1, initial=0.0).tolist()
-    for arr in (vals, rows, coeffs):
-        arr.setflags(write=False)
-    vecs = rows.swapaxes(1, 2)
-    return [
-        Spectrum(
-            eigenvalues=vals[i],
-            eigenvectors=vecs[i],
-            rho=rho[i],
-            inertia=(n_pos[i], n_neg[i], n - n_pos[i] - n_neg[i]),
-            walk_coefficients=coeffs[i],
-        )
-        for i in range(k)
-    ]
 
 
 def spectrum_of(g: SignedGraph) -> Spectrum:

@@ -143,6 +143,21 @@ class TestInvariants:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n", (2**24, 2**32))
+    def test_heuristic_past_the_dense_matrix_exit_3(self, tmp_path, capsys, n):
+        # past the guards the heuristic eps reads the dense n x n matrix:
+        # 2 PiB at n = 2^24 (a MemoryError from numpy) and more than intp
+        # can index at n = 2^32 (a ValueError)
+        path = tmp_path / f"edge{n}.sg"
+        path.write_text(f"{n}\n0 1 +\n", encoding="utf-8")
+        assert run_cli(["invariants", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: guard exceeded: dense matrix: n={n} needs {n}^2 entries, "
+            "which cannot be allocated\n"
+        )
+        assert captured.out == ""
+
     def test_forced_exact_value_does_not_lift_the_guard(self, tmp_path, capsys):
         path = write_graph(tmp_path / "g26.sg", erdos_renyi_signed(n=26, p=0.3, q_neg=0.5, seed=26))
         _underlying.cache_clear()

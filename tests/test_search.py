@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from signed_spectra import bounds, invariants, search
+from signed_spectra import bounds, invariants, search, spectral
 from signed_spectra import (
     InvalidConfigError,
     SearchConfig,
@@ -234,30 +236,77 @@ class TestGolden:
             for i in range(cfg.samples)
         )
 
+    @given(
+        target=st.sampled_from((*bounds.REGISTRY, "B8u", "B8u")),
+        seed=st.integers(0, 10**6),
+        n_min=st.integers(1, 6),
+        span=st.integers(0, 3),
+        p=st.sampled_from((0.3, 0.5, 0.8)),
+        triangle_free=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_output_does_not_depend_on_the_block_size(self, target, seed, n_min, span, p, triangle_free):
+        # one-entry blocks put every sample alone, 100 entries mixes lone
+        # samples with stacks, and the default block stacks nearly everything
+        cfg = make_cfg(
+            target=target, n_min=n_min, n_max=n_min + span, edge_probability=p, samples=80,
+            seed=seed, triangle_free_filter=triangle_free, params={"q": 1, "r": 2},
+        )
+        runs = []
+        for entries in (1, 100, invariants._BLOCK_ENTRIES):
+            rows = []
+            evaluate = search._evaluate
+
+            def recorded(ctx, *args):
+                rows.append(evaluate(ctx, *args))
+                return rows[-1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(invariants, "_BLOCK_ENTRIES", entries)
+                mp.setattr(search, "_evaluate", recorded)
+                findings = search_counterexamples(cfg)
+            bits = [(ev.lhs.hex(), ev.rhs.hex(), ev.verdict, ev.note) for ev in rows]
+            runs.append((findings_to_json(findings), findings, bits))
+        assert runs[0] == runs[1] == runs[2]
+
     def test_samples_equal_from_edges(self):
         cfg = make_cfg(n_min=1, n_max=9, edge_probability=0.5, samples=1)
         for index in range(300):
             assert sample_signed_graph(cfg, index) == sample_by_from_edges(cfg, index)
 
 
-def _blocks_of_orders(cfg: SearchConfig, entries: int) -> list[set[int]]:
-    """The orders present in each block: consecutive samples, at least one
-    per block, at most ``entries`` matrix entries (the sum of n^2)."""
-    blocks: list[set[int]] = []
+def _blocks_of_orders(cfg: SearchConfig, entries: int) -> list[dict[int, list[SignedGraph]]]:
+    """The samples of each order in each block, orders in order of first
+    appearance: consecutive samples, at least one per block, at most
+    ``entries`` matrix entries (the sum of n^2)."""
+    blocks: list[dict[int, list[SignedGraph]]] = []
     used = 0
     for index in range(cfg.samples):
-        n = sample_signed_graph(cfg, index).n
-        if not blocks or used + n * n > entries:
-            blocks.append(set())
+        g = sample_signed_graph(cfg, index)
+        if not blocks or used + g.n * g.n > entries:
+            blocks.append({})
             used = 0
-        blocks[-1].add(n)
-        used += n * n
+        blocks[-1].setdefault(g.n, []).append(g)
+        used += g.n * g.n
     return blocks
 
 
+def _expected_eigh_shapes(cfg: SearchConfig, entries: int) -> list[tuple[int, ...]]:
+    """The ``eigh`` calls of a search whose target reads the eigenvalues of
+    every sample: per block, one stacked call per order of two or more
+    samples before the block is evaluated, then one call for each sample
+    alone in its order, as the evaluation reads it."""
+    shapes: list[tuple[int, ...]] = []
+    for block in _blocks_of_orders(cfg, entries):
+        shapes += [(len(gs), n, n) for n, gs in block.items() if len(gs) > 1]
+        shapes += [(n, n) for n, gs in block.items() if len(gs) == 1]
+    return shapes
+
+
 class TestStackedSpectra:
-    """The search decomposes a block's samples with one ``eigh`` per order
-    before it evaluates them."""
+    """The search sets the eigenvalues of a block's samples with one
+    ``eigh`` per order of two or more samples before it evaluates them; a
+    sample alone in its order is decomposed only if the target reads it."""
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
@@ -273,15 +322,24 @@ class TestStackedSpectra:
 
     @pytest.mark.parametrize("target", tuple(bounds.REGISTRY))
     def test_every_target_runs_one_eigh_per_order_per_block(self, monkeypatch, eigh_calls, target):
-        # B5 and B13 read no spectrum, yet their blocks are decomposed too
         monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", 100)
         cfg = make_cfg(target=target, n_min=3, n_max=7, samples=120, seed=3, params={"q": 1, "r": 2})
         search_counterexamples(cfg)
-        stacked = [shape for shape in eigh_calls if len(shape) == 3]
-        assert len(stacked) == sum(len(orders) for orders in _blocks_of_orders(cfg, 100))
-        assert sum(shape[0] for shape in stacked) == cfg.samples
-        # only B3 and B4 decompose a matrix of their own: the unsigned one
-        assert target in ("B3", "B4") or stacked == eigh_calls
+        expected = _expected_eigh_shapes(cfg, 100)
+        stacked = [shape for shape in expected if len(shape) == 3]
+        groups = [gs for block in _blocks_of_orders(cfg, 100) for gs in block.values()]
+        alone = [gs[0] for gs in groups if len(gs) == 1]
+        assert stacked and alone  # the block size leaves both kinds
+        if target in ("B5", "B13"):  # they read no eigenvalues
+            assert eigh_calls == stacked
+        elif target in ("B3", "B4"):
+            # they read only the unsigned lambda_n: the signed eigenvalues
+            # when every sign is positive, else one call of its own for |A|
+            assert [shape for shape in eigh_calls if len(shape) == 3] == stacked
+            negative = sum(g.m_minus > 0 for gs in groups for g in gs)
+            assert len(eigh_calls) == len(stacked) + negative + sum(g.m_minus == 0 for g in alone)
+        else:
+            assert eigh_calls == expected
 
     @pytest.mark.parametrize("entries", (None, 40, 50, 72, 200))
     def test_one_eigh_per_order_per_block(self, monkeypatch, eigh_calls, entries):
@@ -292,9 +350,25 @@ class TestStackedSpectra:
         blocks = _blocks_of_orders(cfg, invariants._BLOCK_ENTRIES)
         if entries is None:  # the default block holds the whole search
             assert len(blocks) == 1
-        assert len(eigh_calls) == sum(len(orders) for orders in blocks)
-        assert all(len(shape) == 3 for shape in eigh_calls)
-        assert sum(shape[0] for shape in eigh_calls) == cfg.samples
+        assert eigh_calls == _expected_eigh_shapes(cfg, invariants._BLOCK_ENTRIES)
+        assert sum(shape[0] if len(shape) == 3 else 1 for shape in eigh_calls) == cfg.samples
+
+    def test_default_b8u_search_builds_no_spectrum(self, monkeypatch):
+        # the bench search: one block whose orders all hold many samples, so
+        # every sample's eigenvalues come from a stack and no Spectrum is built
+        calls = []
+        decompose, spectrum = spectral.eigen_decomposition, spectral.Spectrum
+        monkeypatch.setattr(bounds, "eigen_decomposition", lambda a: calls.append(a) or decompose(a))
+        monkeypatch.setattr(spectral, "Spectrum", lambda **kw: calls.append(kw) or spectrum(**kw))
+        cfg = make_cfg(n_min=5, n_max=7, samples=500, seed=0)
+        assert search_counterexamples(cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("target", ("B5", "B13"))
+    def test_lone_sample_of_a_target_without_eigenvalues_runs_no_eigh(self, eigh_calls, target):
+        cfg = make_cfg(target=target, n_min=3, n_max=9, samples=1, seed=2)
+        search_counterexamples(cfg)
+        assert eigh_calls == []
 
     def test_lapack_failure_in_a_block_exits_2(self, monkeypatch, capsys):
         def no_convergence(a):

@@ -29,7 +29,7 @@ from signed_spectra import (
 )
 from signed_spectra import bounds
 from signed_spectra.graph import _signed_matrix
-from signed_spectra.spectral import _face_peak, _spectra
+from signed_spectra.spectral import _eigenvalues, _face_peak
 from signed_spectra.switching import propagation_labels
 
 from .conftest import random_graphs, signed_graphs
@@ -130,19 +130,20 @@ class TestJacobiQuality:
 class TestPostProcessingBitForBit:
     """``eigen_decomposition`` post-processes LAPACK's output on Python
     floats; every field must equal the whole-array numpy reductions bit for
-    bit."""
+    bit, and the stacked solver's eigenvalues on a stack of one too."""
 
     @staticmethod
     def assert_same(a: np.ndarray) -> None:
         vals, vecs, coeffs, rho, inertia = spectrum_by_numpy_reductions(a)
-        # the one-matrix solver, and the stacked one on a stack of one
-        for spec in (eigen_decomposition(a), _spectra(a[None])[0]):
-            assert spec.eigenvalues.tobytes() == vals.tobytes()
-            assert spec.eigenvectors.tobytes() == vecs.tobytes()
-            assert spec.walk_coefficients.tobytes() == coeffs.tobytes()
-            assert type(spec.rho) is float and spec.rho == rho
-            assert spec.inertia == inertia
-            assert all(type(k) is int for k in spec.inertia)
+        spec = eigen_decomposition(a)
+        assert spec.eigenvalues.tobytes() == vals.tobytes()
+        assert spec.eigenvectors.tobytes() == vecs.tobytes()
+        assert spec.walk_coefficients.tobytes() == coeffs.tobytes()
+        assert type(spec.rho) is float and spec.rho == rho
+        assert spec.inertia == inertia
+        assert all(type(k) is int for k in spec.inertia)
+        stacked = _eigenvalues(a[None])
+        assert stacked.shape == (1, len(vals)) and stacked[0].tobytes() == vals.tobytes()
 
     def test_random_symmetric_across_scales(self):
         rng = np.random.default_rng(23)
@@ -190,18 +191,14 @@ class TestPostProcessingBitForBit:
             self.assert_same(adjacency_matrix(g).entries)
 
 
-def assert_bit_identical(spec, alone) -> None:
-    """All five ``Spectrum`` fields equal bit for bit, arrays read-only."""
-    for mine, theirs in (
-        (spec.eigenvalues, alone.eigenvalues),
-        (spec.eigenvectors, alone.eigenvectors),
-        (spec.walk_coefficients, alone.walk_coefficients),
-    ):
-        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
-        assert not mine.flags.writeable
-    assert type(spec.rho) is float and spec.rho.hex() == alone.rho.hex()
-    assert spec.inertia == alone.inertia
-    assert all(type(k) is int for k in spec.inertia)
+def assert_rows_are_own_eigenvalues(stack: np.ndarray) -> None:
+    """``_eigenvalues`` of a stack: a read-only (k, n) array whose row i is
+    ``eigen_decomposition(stack[i]).eigenvalues`` byte for byte."""
+    vals = _eigenvalues(stack)
+    assert vals.shape == stack.shape[:2] and vals.dtype == np.float64
+    assert not vals.flags.writeable
+    for member, row in zip(stack, vals):
+        assert row.tobytes() == eigen_decomposition(member).eigenvalues.tobytes()
 
 
 @st.composite
@@ -213,33 +210,45 @@ def same_order_stacks(draw):
 
 
 class TestStackedSolver:
-    """``_spectra`` decomposes a stack with one ``eigh`` call; each member
-    must equal ``eigen_decomposition`` of its own matrix bit for bit."""
+    """``_eigenvalues`` decomposes a stack with one ``eigh`` call; each row
+    must equal the eigenvalues ``eigen_decomposition`` gives its own matrix
+    bit for bit."""
 
     @given(same_order_stacks())
     @settings(max_examples=150, deadline=None)
     def test_members_equal_their_own_decomposition(self, graphs):
         stack = _signed_matrix(graphs)
         assert stack.shape == (len(graphs), graphs[0].n, graphs[0].n)
-        spectra = _spectra(stack)
-        assert len(spectra) == len(graphs)
-        for g, spec in zip(graphs, spectra):
-            assert_bit_identical(spec, eigen_decomposition(adjacency_matrix(g)))
+        assert_rows_are_own_eigenvalues(stack)
+        for g, row in zip(graphs, _eigenvalues(stack)):
+            assert row.tobytes() == spectrum_of(g).eigenvalues.tobytes()
 
     def test_float_stacks_across_scales(self):
         rng = np.random.default_rng(41)
         for exponent in (-6, 0, 6):
             for order in range(0, 10):
                 b = rng.standard_normal((5, order, order)) * 10.0**exponent
-                stack = (b + b.swapaxes(1, 2)) / 2.0
-                for member, spec in zip(stack, _spectra(stack)):
-                    assert_bit_identical(spec, eigen_decomposition(member))
+                assert_rows_are_own_eigenvalues((b + b.swapaxes(1, 2)) / 2.0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_repeated_and_zero_eigenvalues(self, n):
+        # edgeless graphs (all zero), K_n of either sign (one eigenvalue of
+        # multiplicity n - 1) and K2 plus isolated vertices (+-1 and n - 2 zeros)
+        complete = all_negative_complete(n)
+        graphs = [SignedGraph(n), complete, complete.with_all_signs(1)]
+        if n >= 2:
+            k2 = SignedGraph.from_edges(n, [(0, 1, 1)])
+            graphs += [k2, k2.with_all_signs(-1), SignedGraph.from_edges(n, [(n - 2, n - 1, -1)])]
+        assert_rows_are_own_eigenvalues(_signed_matrix(graphs))
+        # ties in either order of the stack, and a stack of one edgeless graph
+        assert_rows_are_own_eigenvalues(_signed_matrix(graphs[::-1]))
+        assert_rows_are_own_eigenvalues(_signed_matrix([SignedGraph(n)]))
 
     def test_one_eigh_call_per_stack(self, monkeypatch):
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-        _spectra(np.zeros((7, 4, 4)))
+        _eigenvalues(np.zeros((7, 4, 4)))
         assert calls == [(7, 4, 4)]
 
     @pytest.mark.parametrize("bad", (math.inf, math.nan))
@@ -247,16 +256,16 @@ class TestStackedSolver:
         stack = np.zeros((3, 2, 2))
         stack[2, 0, 1] = stack[2, 1, 0] = bad
         with pytest.raises(InvalidParamsError):
-            _spectra(stack)
+            _eigenvalues(stack)
 
     def test_asymmetric_or_non_square_stack_rejected(self):
         stack = np.zeros((3, 2, 2))
         stack[1, 0, 1] = 0.5
         with pytest.raises(NotSymmetricError):
-            _spectra(stack)
+            _eigenvalues(stack)
         for shape in ((2, 2, 3), (2, 2), (1, 2, 2, 2)):
             with pytest.raises(NotSymmetricError):
-                _spectra(np.zeros(shape))
+                _eigenvalues(np.zeros(shape))
 
     def test_lapack_failure_in_a_stack_raises_no_convergence(self, monkeypatch):
         def no_convergence(a):
@@ -264,7 +273,7 @@ class TestStackedSolver:
 
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         with pytest.raises(NoConvergenceError, match="did not converge"):
-            _spectra(np.zeros((4, 3, 3)))
+            _eigenvalues(np.zeros((4, 3, 3)))
 
 
 class TestSpectrumInvariants:
