@@ -22,7 +22,8 @@ Registry:
   B10  lambda_1^r <= (w_r(G) - eps_r) (1 - 1/omega_b)   (parameter r)
   B11  w_{q+r} / w_q <= rho^r                     [q odd; skipped if w_q <= 0]
   B12  min(lambda_1^2, lambda_n^2) <= m           (dichotomy)
-  B13  ms_index_search <= (omega_b - 1)/(2 omega_b), witness attains it
+  B13  x^T A x / 2 <= (omega_b - 1)/(2 omega_b) at the balanced-clique
+       witness x, which attains it (exact rational lhs)
   B14  0 <= lambda_2   [no positive triangles, n >= 3, and a triangle or a
                         2-path in a triangle-free underlying graph]
 """
@@ -59,7 +60,7 @@ from .invariants import (
     r_frustration_index,
     triangle_census,
 )
-from .spectral import _clique_witness, _ms_search, _switched_entries, eigen_decomposition
+from .spectral import _clique_witness, eigen_decomposition
 from .switching import propagation_labels
 
 HOLDS = "holds"
@@ -95,8 +96,8 @@ class BoundEvaluation:
 # rarely meet an underlying graph twice, so they keep every value in their
 # own context.  One entry suffices because sweeps visit all 2^m signings of
 # an underlying graph in a row.  It keeps the unsigned lambda_n and eps_b,
-# and under ``"classes"`` eps, eps_r, the balanced clique's members, B13's
-# probe, rho and the rows of ``evaluate_all`` per switching class.  A class
+# and under ``"classes"`` eps, eps_r, the balanced clique's members, rho
+# and the rows of ``evaluate_all`` per switching class.  A class
 # is keyed by its canonical signing: the negative edges left after switching
 # a BFS spanning forest all-positive.  rho lives in the class like the
 # rest, so B11 of a shared context reads the rho of the first signing of its
@@ -150,11 +151,6 @@ class _Ctx:
         return eigen_decomposition(self.adjacency).eigenvalues
 
     @cached_property
-    def _labels(self) -> tuple[int, ...]:
-        """The switching to the canonical signing of the class."""
-        return propagation_labels(self.g, full=True)[0]
-
-    @cached_property
     def _underlying_values(self) -> dict:
         """The values of the underlying graph: the shared entry, or this
         context's own."""
@@ -166,7 +162,7 @@ class _Ctx:
         if not self._shared:
             return {}
         classes = self._underlying_values.setdefault("classes", {})
-        key = _class_key(self.g, self._labels)
+        key = _class_key(self.g, propagation_labels(self.g, full=True)[0])
         if key not in classes and len(classes) >= _MAX_CLASSES:
             classes.clear()
         return classes.setdefault(key, {})
@@ -263,13 +259,6 @@ class _Ctx:
             return 2 * self.eps
         w_total = self.walks(r).w_total
         return self._of_class(("eps_r", r), lambda: _r_frustration(self.g, r, w_total))
-
-    def ms_probe(self, iters: int, seed: int) -> float:
-        """B13's restarts, run on the canonical signing of the class."""
-        def probe() -> float:
-            return _ms_search(_switched_entries(self.adjacency.entries, self._labels), iters, seed)
-
-        return self._of_class(("ms", iters, seed), probe)
 
     @property
     def rho(self) -> float:
@@ -386,13 +375,13 @@ def _eval_b12(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     clique = ctx.clique
     exact = Fraction(clique[0] - 1, 2 * clique[0])  # ms_index closed form
+    # Local maxima of the Motzkin-Straus program sit on maximal cliques, so
+    # no search over the sphere beats the witness but by roundoff
     _, witness_value = _clique_witness(ctx.g, clique)
-    # ms_index_search, with the clique and the restarts read from the memo
-    lhs = max(float(witness_value), ctx.ms_probe(p.get("iters", 2), p.get("seed", 0)))
     note = ""
     if witness_value != exact:
         note = f"witness value {witness_value} does not attain the closed form {exact}"
-    return True, lhs, float(exact), note
+    return True, float(witness_value), float(exact), note
 
 
 def _eval_b14(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
@@ -427,7 +416,7 @@ REGISTRY: dict[str, BoundInfo] = {
         BoundInfo("B10", "lambda_1^r <= (w_r(G) - eps_r)(1 - 1/omega_b)", True, ("r",), _eval_b10),
         BoundInfo("B11", "w_(q+r)/w_q <= rho^r for odd q", True, ("q", "r"), _eval_b11),
         BoundInfo("B12", "min(lambda_1^2, lambda_n^2) <= m", True, (), _eval_b12),
-        BoundInfo("B13", "search lower bound <= (omega_b - 1)/(2 omega_b), witness attains it", True, (), _eval_b13),
+        BoundInfo("B13", "clique witness value <= (omega_b - 1)/(2 omega_b), and attains it", True, (), _eval_b13),
         BoundInfo("B14", "0 <= lambda_2 under the no-positive-triangle hypothesis", True, (), _eval_b14),
     )
 }
@@ -512,6 +501,9 @@ def _evaluate_or_skip(ctx: _Ctx, bound_id: str, params: dict[str, int]) -> Bound
 # B11's signed walk sums and the signs B13's clique witness is read on are a
 # signing's own; every other row is the same for a whole switching class.
 _PER_SIGNING = frozenset(("B11", "B13"))
+# B5 reads only integers and B13 only its exact clique witness, so a search
+# on them skips the eigensolves.
+_NO_EIGENVALUES = frozenset(("B5", "B13"))
 
 
 def evaluate_all(

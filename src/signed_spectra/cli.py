@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 a hypothesis-enforced bound came back violated,
 without vertices for ``bounds`` or ``invariants``), 3 an exact-computation
 guard was exceeded, an exact walk count left the 64-bit integer range, or
 ``invariants --force`` met a switching-class sign table that cannot be
-allocated.
+allocated, or the input ran the process out of memory.
 """
 
 from __future__ import annotations
@@ -241,8 +241,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except TooLargeError as exc:
         print(f"error: guard exceeded: {exc}", file=sys.stderr)
         return 3
-    except OverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OverflowError, MemoryError) as exc:  # MemoryError: O(n) passes on a huge n
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (SignedSpectraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

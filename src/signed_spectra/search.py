@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from . import invariants
-from .bounds import REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
+from .bounds import _NO_EIGENVALUES, REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
 from .errors import InvalidConfigError
 from .graph import MATRIX_MAX_N, SignedGraph, _signed_gnp, _signed_matrix
 from .spectral import _eigenvalues
@@ -87,10 +87,9 @@ def _samples(cfg: SearchConfig) -> Iterator[tuple[int, _Ctx]]:
 
     They are drawn in blocks of at least one sample and at most
     ``invariants._BLOCK_ENTRIES`` matrix entries (the sum of n^2 over the
-    samples that pass).  A block's eigenvalues are set with one ``eigh`` per
-    order before the block is handed out (``_decompose``); it is handed out,
-    and let go one context at a time, before the next one is drawn past its
-    first sample.
+    samples that pass).  ``_decompose`` fills a block's eigenvalues before
+    the block is handed out; it is handed out, and let go one context at a
+    time, before the next one is drawn past its first sample.
     """
     block: deque[tuple[int, _Ctx]] = deque()
     entries = 0
@@ -100,23 +99,25 @@ def _samples(cfg: SearchConfig) -> Iterator[tuple[int, _Ctx]]:
             continue
         size = ctx.g.n * ctx.g.n
         if block and entries + size > invariants._BLOCK_ENTRIES:
-            _decompose(block)
+            _decompose(block, cfg.target)
             while block:
                 yield block.popleft()
             entries = 0
         block.append((index, ctx))
         entries += size
-    _decompose(block)
+    _decompose(block, cfg.target)
     while block:
         yield block.popleft()
 
 
-def _decompose(block: Sequence[tuple[int, _Ctx]]) -> None:
+def _decompose(block: Sequence[tuple[int, _Ctx]], target: str) -> None:
     """Set the eigenvalues of the contexts in ``block`` with one ``eigh`` per
-    order of two or more samples.  A sample alone in its order, or past the
-    adjacency guard, is left to ``_Ctx.eigenvalues``, which decomposes it,
-    or raises the guard, only if the target reads them: ``B5`` and ``B13``
-    read none."""
+    order of two or more samples, unless ``target`` reads none.  A sample
+    alone in its order, or past the adjacency guard, is left to
+    ``_Ctx.eigenvalues``, which decomposes it, or raises the guard, only if
+    the target reads them."""
+    if target in _NO_EIGENVALUES:
+        return
     by_order: dict[int, list[_Ctx]] = {}
     for _, ctx in block:
         by_order.setdefault(ctx.g.n, []).append(ctx)

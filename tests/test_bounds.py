@@ -31,6 +31,7 @@ from signed_spectra import (
     enforced_bound_ids,
     erdos_renyi_signed,
     is_switching_equivalent,
+    ms_index,
     ms_index_search,
     paper_c5,
     signed_cycle,
@@ -104,6 +105,23 @@ class TestSingleEvaluations:
         assert ev.verdict == "holds"
         assert ev.rhs == 0.25
         assert ev.lhs <= ev.rhs + ev.tolerance
+
+    @pytest.mark.parametrize("bound_id", tuple(bounds.REGISTRY))
+    def test_entries_without_eigenvalues_read_none(self, monkeypatch, c5, bound_id):
+        # search skips the eigensolves for the entries of _NO_EIGENVALUES:
+        # with every route to an eigenvalue raising, exactly those evaluate
+        def unreachable(*args):
+            raise AssertionError("eigenvalues read")
+
+        monkeypatch.setattr(bounds._Ctx, "eigenvalues", property(unreachable))
+        monkeypatch.setattr(bounds, "eigen_decomposition", unreachable)
+        params = {"q": 1, "r": 2}
+        if bound_id in bounds._NO_EIGENVALUES:
+            for g in [c5, SignedGraph(1)] + random_graphs(40, max_n=8, seed=19):
+                assert evaluate_bound(g, bound_id, params).verdict == "holds", g.to_sg()
+        else:
+            with pytest.raises(AssertionError, match="eigenvalues read"):
+                evaluate_bound(c5, bound_id, params)
 
     def test_b14_on_negative_triangle(self):
         ev = evaluate_bound(all_negative_complete(3), "B14")
@@ -302,8 +320,8 @@ class TestEvaluateAll:
             assert value.hex() == unsigned_lambda_n_by_all_positive(g).hex(), g.to_sg()
 
     def test_clique_and_adjacency_are_computed_once(self, monkeypatch):
-        # B13 reads the memo's clique instead of its own, and its restarts
-        # run on the canonical signing's matrix, not on a second copy of g's
+        # B13 reads the memo's clique instead of its own, and no entry builds
+        # a second copy of g's matrix
         _underlying.cache_clear()
         cliques, matrices = [], []
         clique_of, matrix_of = bounds._max_balanced_clique, bounds.adjacency_matrix
@@ -324,7 +342,7 @@ class TestEvaluateAll:
         assert [h is g for h in cliques] == [True]
         assert sum(h is g for h in matrices) == 1
         b13 = next(ev for ev in evals if ev.bound_id == "B13")
-        assert b13.lhs == ms_index_search(g, iters=2, seed=0)
+        assert b13.lhs == float(ms_index(g))
 
     def test_eps_2_is_twice_the_memo_eps(self):
         # B10 at r = 2 reads 2 eps from the memo instead of its own kernel run
@@ -588,6 +606,27 @@ class TestSwitchingClassMemo:
                 assert len(_underlying(g.n, g.underlying_pairs)["classes"]) <= budget
             assert self._replay(graphs, budget) > 0
         assert _underlying.cache_info().currsize == 1
+
+
+def _check_b13_witness(g: SignedGraph) -> None:
+    """B13 of ``evaluate_all`` reads the exact witness value, and the seeded
+    restarts of ``ms_index_search`` stay at or below it but for roundoff."""
+    b13 = next(ev for ev in evaluate_all(g) if ev.bound_id == "B13")
+    assert b13.lhs == b13.rhs == float(ms_index(g)), g.to_sg()
+    assert b13.slack == 0.0 and b13.verdict == "holds", g.to_sg()
+    assert ms_index_search(g, iters=2, seed=0) <= b13.rhs + 1e-12, g.to_sg()
+
+
+class TestB13Witness:
+    def test_sweep_strata(self):
+        for seed in range(2):
+            for g in _sweep_strata(seed):
+                _check_b13_witness(g)
+
+    @given(signed_graphs(max_n=9))
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, g):
+        _check_b13_witness(g)
 
 
 class TestJsonReport:

@@ -34,6 +34,13 @@ from .conftest import random_graphs
 from .oracles import brute_balanced_clique, deletion_frustration
 
 
+def _checkout_env() -> dict:
+    """The environment of a subprocess that imports this checkout's package
+    with one BLAS thread."""
+    src = str(Path(signed_spectra.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+
 @pytest.fixture
 def c5_file(tmp_path):
     path = tmp_path / "c5.sg"
@@ -278,6 +285,35 @@ class TestBounds:
         assert run_cli(["bounds", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_out_of_memory_exit_3(self, tmp_path):
+        # a one-edge graph with n = 2^32: the class key's labels, B11's walk
+        # chain and B14's degree scan are O(n), so bounds meets a MemoryError
+        # before a guard; the address-space limit makes it fail fast
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "huge.sg"
+        path.write_text(f"{2**32}\n0 1 +\n", encoding="utf-8")
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "signed_spectra", "bounds", str(path)],
+            capture_output=True, text=True, env=_checkout_env(), preexec_fn=cap_memory,
+            check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: out of memory\n")
+
+    def test_python_dash_m_runs_the_cli(self, c5_file, capsys):
+        expected = (run_cli(["bounds", c5_file, "--json"]), capsys.readouterr().out)
+        done = subprocess.run(
+            [sys.executable, "-m", "signed_spectra", "bounds", c5_file, "--json"],
+            capture_output=True, text=True, env=_checkout_env(), check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (*expected, "")
+        assert expected[0] == 0
 
 
 class TestParserReuse:

@@ -27,9 +27,8 @@ from signed_spectra import (
     walk_census,
     walk_from_spectrum,
 )
-from signed_spectra import bounds
 from signed_spectra.graph import _signed_matrix
-from signed_spectra.spectral import _eigenvalues, _face_peak
+from signed_spectra.spectral import _eigenvalues, _face_peak, _ms_search, _switched_entries
 from signed_spectra.switching import propagation_labels
 
 from .conftest import random_graphs, signed_graphs
@@ -395,12 +394,13 @@ class TestMsIndex:
             assert ms_index_search(g, iters=3, seed=2) <= float(ms_index(g)) + 1e-12
 
     def test_restarts_catch_an_understated_omega_b(self):
-        # B13 with omega_b understated by one: the witness then attains only
-        # the wrong closed form, so the restarts alone (iters=2, as in
-        # evaluate_all) must beat it.  The four-sign polish the search used
-        # before its closed-form moves is the yardstick.  Each polish misses
-        # 5-6% of this corpus: graphs where both restarts settle on a
-        # maximal balanced clique one vertex short of a maximum one.
+        # omega_b understated by one: the witness then attains only the
+        # wrong closed form, so the restarts of ms_index_search alone
+        # (iters=2, seed=0) must beat it, a cross-check of the clique.  The
+        # four-sign polish the search used before its closed-form moves is
+        # the yardstick.  Each polish misses 5-6% of this corpus: graphs
+        # where both restarts settle on a maximal balanced clique one vertex
+        # short of a maximum one.
         corpus = [
             g
             for g in random_graphs(
@@ -413,9 +413,10 @@ class TestMsIndex:
         for g in corpus:
             omega = balanced_clique_number(g)
             wrong = float(Fraction(omega - 2, 2 * (omega - 1))) + 1e-8  # B13's tolerance
-            # B13's restarts, as the verdicts run them: on the canonical signing
-            caught += bounds._Ctx(g).ms_probe(2, 0) > wrong
-            canonical = apply_switching(g, propagation_labels(g, full=True)[0])
+            # the restarts of ms_index_search: on the canonical signing
+            labels = propagation_labels(g, full=True)[0]
+            caught += _ms_search(_switched_entries(adjacency_matrix(g).entries, labels), 2, 0) > wrong
+            canonical = apply_switching(g, labels)
             old_caught += ms_restarts_four_sign_polish(canonical, 2, 0) > wrong
         assert caught >= old_caught - len(corpus) // 100
         assert caught >= 0.94 * len(corpus)
