@@ -4,15 +4,20 @@ The calls cover ``spectrum``, ``invariants``, ``bounds``, ``search`` and
 ``gen`` on small named and seeded instances, one 30-vertex graph past the
 exact guards, one 2,100-vertex graph past the dense-matrix guard and the
 kernel's sign table, a malformed file, a graph without vertices and a
-missing path.  Each call runs in process, in a directory that holds the
-input files recorded with the transcript, with ``SIGNED_SPECTRA_MAX_N`` set
-as recorded.
+missing path.  Seeded G(n, p) graphs on each side of every exact guard
+(n = 20, 21, 25, 26, 40, 41) run ``bounds`` and ``invariants`` with
+``SIGNED_SPECTRA_MAX_N`` unset and set to 22, and three calls that check no
+guard run with it set to a value that is not an integer.  Each call runs in
+process, in a directory that holds the input files recorded with the
+transcript, with ``SIGNED_SPECTRA_MAX_N`` set as recorded.
 
 A change that alters output on purpose re-records the transcript with
 
     python tests/test_cli_transcript.py --record
 
-and says which outputs changed and why.
+and says which outputs changed and why.  New calls are recorded on a
+checkout of the parent commit, so they pin the behaviour from before the
+change that adds them.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ FILES = (
     "er8.sg", "edgeless4.sg", "n30.sg", "edge2100.sg", "empty.sg", "malformed.sg",
     "absent.sg",
 )
+
+#: vertex counts on each side of the exact guards (25 for eps and eps_b, 20
+#: for eps_r, 40 for the clique, and 22 under the override below)
+GUARD_NS = (20, 21, 25, 26, 40, 41)
 
 
 def _search(target: str, n: str, p: str, qneg: str, samples: int, seed: int, *extra: str) -> list[str]:
@@ -89,6 +98,15 @@ CALLS: list[tuple[list[str], str | None]] = [
     (["gen", "signed_cycle", "2"], None),
     (["gen", "erdos_renyi_signed", "6"], None),
     (["gen", "no_such_kind"], None),
+    *(
+        (argv, max_n)
+        for n in GUARD_NS
+        for max_n in (None, "22")
+        for argv in (["bounds", f"gnp{n}.sg", "--json"], ["invariants", f"gnp{n}.sg"])
+    ),
+    (["spectrum", "c5.sg"], "abc"),
+    (["invariants", "c5.sg", "--force"], "abc"),
+    (_search("B8u", "3:7", "0.5", "0.5", 100, 8, "--json"), "abc"),
 ]
 
 
@@ -104,6 +122,7 @@ def _input_files() -> dict[str, str]:
         "er8.sg": erdos_renyi_signed(8, 0.5, 0.5, seed=3),
         "edgeless4.sg": SignedGraph(4),
         "n30.sg": erdos_renyi_signed(30, 0.3, 0.5, seed=30),
+        **{f"gnp{n}.sg": erdos_renyi_signed(n, 0.3, 0.5, seed=n) for n in GUARD_NS},
     }
     files = {name: g.to_sg() for name, g in graphs.items()}
     files["edge2100.sg"] = "2100\n0 1 +\n"
