@@ -31,8 +31,7 @@ Registry:
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import islice
@@ -43,21 +42,19 @@ import numpy as np
 from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError
 from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix, all_negative
 from .invariants import (
-    CLIQUE_MAX_N,
-    FRUSTRATION_MAX_N,
-    R_FRUSTRATION_MAX_N,
     TriangleCensus,
     WalkCensus,
     _WALK_OVERFLOW,
     _check_guard,
+    _guard_limits,
     _max_balanced_clique,
     _r_frustration,
     _walk_chain,
+    _walk_order,
     edge_bipartiteness,
     frustration_index_exact,
     frustration_index_upper,
     greedy_balanced_clique,
-    r_frustration_index,
     triangle_census,
 )
 from .spectral import _clique_witness, eigen_decomposition
@@ -128,9 +125,18 @@ def _class_key(g: SignedGraph, labels: Sequence[int]) -> frozenset[tuple[int, in
     return frozenset((u, v) for u, v, s in g.edges if labels[u] * s * labels[v] < 0)
 
 
+def _kept(values: dict, name: object, compute: Callable[[], object]):
+    """``values[name]``, computed on the first read."""
+    if name not in values:
+        values[name] = compute()
+    return values[name]
+
+
 class _Ctx:
     """Every quantity of one signed graph that ``bounds``, ``invariants`` and
-    ``search`` read, computed once and always under the guards.  Of the
+    ``search`` read, computed once and always under the guards: it reads
+    the limits on its first guarded read, checks each guarded value before
+    the memo's O(n) class key, and fills the memo by forced calls.  Of the
     spectrum it holds only the sorted eigenvalues: the registry reads no
     more than lambda_1, lambda_2, lambda_n and rho.  A ``shared`` context
     keeps what switching keeps in ``_underlying``, for the other signings of
@@ -167,49 +173,34 @@ class _Ctx:
             classes.clear()
         return classes.setdefault(key, {})
 
-    def _of_class(self, name: object, compute: Callable[[], object]):
-        values = self._class
-        if name not in values:
-            values[name] = compute()
-        return values[name]
-
     @property
     def unsigned_lambda_n(self) -> float:
-        values = self._underlying_values
-        if "lambda_n" not in values:
-            if self.g.m_minus:
-                unsigned = eigen_decomposition(np.abs(self.adjacency.entries)).eigenvalues
-            else:  # an all-positive g is its own unsigned graph
-                unsigned = self.eigenvalues
-            values["lambda_n"] = float(unsigned[-1])
-        return values["lambda_n"]
-
-    # A guarded value checks its guard on every read, also when the memo
-    # holds it: the override may have changed since the entry was filled.
-
-    @property
-    def eps(self) -> int:
-        _check_guard(self.g.n, FRUSTRATION_MAX_N, False, "frustration_index_exact")
-        return self._of_class("eps", lambda: frustration_index_exact(self.g))
-
-    @property
-    def eps_b(self) -> int:
-        _check_guard(self.g.n, FRUSTRATION_MAX_N, False, "edge_bipartiteness")
-        values = self._underlying_values
-        if "eps_b" not in values:
-            values["eps_b"] = edge_bipartiteness(self.g)
-        return values["eps_b"]
-
-    @property
-    def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        _check_guard(self.g.n, CLIQUE_MAX_N, False, "balanced_clique_number")
-        return self._clique
+        def compute() -> float:
+            if not self.g.m_minus:  # an all-positive g is its own unsigned graph
+                return float(self.eigenvalues[-1])
+            return float(eigen_decomposition(np.abs(self.adjacency.entries)).eigenvalues[-1])
+        return _kept(self._underlying_values, "lambda_n", compute)
 
     @cached_property
-    def _clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    def limits(self) -> dict[str, int]:
+        return _guard_limits()
+
+    @cached_property
+    def eps(self) -> int:
+        _check_guard(self.g.n, "frustration_index_exact", self.limits)
+        return _kept(self._class, "eps", lambda: frustration_index_exact(self.g, force=True))
+
+    @cached_property
+    def eps_b(self) -> int:
+        _check_guard(self.g.n, "edge_bipartiteness", self.limits)
+        return _kept(self._underlying_values, "eps_b", lambda: edge_bipartiteness(self.g, force=True))
+
+    @cached_property
+    def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        _check_guard(self.g.n, "balanced_clique_number", self.limits)
         # the class keeps the members, the same for every signing; the labels
         # follow from the signs, sign(u, v) = label(u) label(v) on the clique
-        size, members = self._of_class("clique", lambda: _max_balanced_clique(self.g)[:2])
+        size, members = _kept(self._class, "clique", lambda: _max_balanced_clique(self.g, force=True)[:2])
         return size, members, (1, *(self.g.sign(members[0], v) for v in members[1:]))
 
     @property
@@ -242,27 +233,29 @@ class _Ctx:
 
     def walks(self, r: int) -> WalkCensus:
         """``walk_census(g, r)``; every order extends one chain from the
-        all-ones vector, so r = 1..4 take three matrix-vector steps."""
+        all-ones vector, so r = 1..4 take three matrix-vector steps, and no r
+        takes more than 124 (``_walk_order``)."""
         if r < 1:
             raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
-        for census in islice(self._chain, max(0, r - len(self._walks))):
+        k = _walk_order(r)
+        for census in islice(self._chain, max(0, k - len(self._walks))):
             self._walks.append(census)
-        if len(self._walks) < r:  # the chain ended at an overflow
+        if len(self._walks) < k:  # the chain ended at an overflow
             raise OverflowError(_WALK_OVERFLOW)
-        return self._walks[r - 1]
+        return self._walks[k - 1] if k == r else replace(self._walks[k - 1], r=r)
 
     def eps_r(self, r: int) -> int:
-        if r < 2 or self.g.m == 0:
-            return r_frustration_index(self.g, r)
-        _check_guard(self.g.n, R_FRUSTRATION_MAX_N, False, "r_frustration_index")
+        _check_guard(self.g.n, "r_frustration_index", self.limits)
+        w_total = self.walks(r).w_total  # and r >= 1
+        if r == 1 or self.g.m == 0:
+            return 0
         if r == 2:  # A^(r-1) = A, so eps_2 = 2 * eps exactly
             return 2 * self.eps
-        w_total = self.walks(r).w_total
-        return self._of_class(("eps_r", r), lambda: _r_frustration(self.g, r, w_total))
+        return _kept(self._class, ("eps_r", r), lambda: _r_frustration(self.g, r, w_total))
 
     @property
     def rho(self) -> float:
-        return self._of_class("rho", lambda: max(abs(self.lambda1), abs(self.lambda_n)))
+        return _kept(self._class, "rho", lambda: max(abs(self.lambda1), abs(self.lambda_n)))
 
     @cached_property
     def lambda1(self) -> float:
@@ -539,8 +532,8 @@ def evaluate_all(
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
     ctx = _Ctx(g, shared=True)
-    # a guard override can turn a row into a skip, so rows are kept per value
-    rows = ctx._class.setdefault(("rows", os.environ.get("SIGNED_SPECTRA_MAX_N")), {})
+    # a guard override can turn a row into a skip, so rows are kept per limits
+    rows = ctx._class.setdefault(("rows", *ctx.limits.values()), {})
     out: list[BoundEvaluation] = []
     for bound_id, params in plan:
         if bound_id in _PER_SIGNING:

@@ -78,8 +78,9 @@ class TooLargeError(SignedSpectraError):
     """An exact-computation guard was exceeded.
 
     Guards exist because several invariants are computed by exponential
-    enumeration.  They can be lifted per call with ``force=True`` or
-    globally through the ``SIGNED_SPECTRA_MAX_N`` environment variable.
+    enumeration; ``invariants._GUARDS`` holds their limits.  They can be
+    lifted per call with ``force=True`` or globally through the
+    ``SIGNED_SPECTRA_MAX_N`` environment variable.
     """
 
     def __init__(self, message: str, n: int | None = None, limit: int | None = None):

@@ -7,6 +7,7 @@ to share between workers.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,16 +65,25 @@ class SignedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":
-        """Build a graph from ``(u, v, sign)`` triples given in any order."""
+        """Build a graph from ``(u, v, sign)`` triples given in any order.
+
+        Vertices and signs must be integers in the sense of ``operator.index``
+        (Python and numpy ints, bools); anything else, a whole float too,
+        raises InvalidParamsError.
+        """
         canon: list[Edge] = []
         pairs: set[tuple[int, int]] = set()
         for u, v, s in edges:
+            try:
+                u, v, s = operator.index(u), operator.index(v), operator.index(s)
+            except TypeError:
+                raise InvalidParamsError(f"edge ({u!r}, {v!r}, {s!r}) must hold integers") from None
             if u > v:
                 u, v = v, u
             if (u, v) in pairs and u != v:
                 raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
             pairs.add((u, v))
-            canon.append((u, v, int(s)))
+            canon.append((u, v, s))
         return cls(n, frozenset(canon))
 
     def __repr__(self) -> str:  # keep pytest output readable for dense graphs

@@ -6,8 +6,10 @@ quadratic form x^T M x over the 2^(n-1) switchings x (vertex 0 is pinned,
 x and -x coincide): M is the signed adjacency matrix A for eps, -|A| for
 eps_b and A^(r-1) for eps_r.  One kernel, ``_max_switching_form``, does
 every such maximisation exactly with blocked matrix products.  Guards cap
-the exponent and can be lifted with ``force=True`` or the
-``SIGNED_SPECTRA_MAX_N`` environment variable.  Past a guard,
+the exponent: ``_GUARDS`` holds each exact function's limit on n, and
+``_guard_limits`` the limits in force, all of them replaced by the
+``SIGNED_SPECTRA_MAX_N`` environment variable when it is set.  ``force=True``
+skips a guard and reads no limit.  Past a guard,
 ``bounds._Ctx.exact_or_bound`` falls back to the heuristic bounds
 ``frustration_index_upper`` and ``greedy_balanced_clique``.
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count, islice, product
 from typing import Iterator
 
@@ -30,23 +32,33 @@ from .errors import InvalidParamsError, TooLargeError
 from .graph import SignedGraph, _signed_matrix, all_negative
 from .switching import propagation_labels
 
-FRUSTRATION_MAX_N = 25
-R_FRUSTRATION_MAX_N = 20
-CLIQUE_MAX_N = 40
+#: the largest n each exact function takes unless forced, by its guard's name
+_GUARDS = {
+    "frustration_index_exact": 25,
+    "edge_bipartiteness": 25,
+    "r_frustration_index": 20,
+    "balanced_clique_number": 40,
+}
 
 _INT64_MAX = 2**63 - 1
 _WALK_OVERFLOW = "walk counts exceed the 64-bit integer range"
 _BLOCK_ENTRIES = (1 << 18) // 8  # one 256 KiB GEMM block of the switching kernel
 
 
-def _check_guard(n: int, default: int, force: bool, what: str) -> None:
-    if force:
-        return
+def _guard_limits() -> dict[str, int]:
+    """The limits in force: ``_GUARDS``, or ``SIGNED_SPECTRA_MAX_N`` for each."""
     raw = os.environ.get("SIGNED_SPECTRA_MAX_N")
     try:
-        limit = default if raw is None else int(raw)
+        return _GUARDS if raw is None else dict.fromkeys(_GUARDS, int(raw))
     except ValueError:
         raise InvalidParamsError(f"SIGNED_SPECTRA_MAX_N must be an integer, got {raw!r}") from None
+
+
+def _check_guard(n: int, what: str, limits: dict[str, int] | None = None, *, force: bool = False) -> None:
+    """Check n against ``limits[what]`` (default: those in force) unless forced."""
+    if force:
+        return
+    limit = (limits or _guard_limits())[what]
     if n > limit:
         raise TooLargeError(
             f"{what}: n={n} exceeds the exact-computation guard {limit} "
@@ -128,9 +140,9 @@ def frustration_index_exact(g: SignedGraph, *, force: bool = False) -> int:
     This equals the minimum number of edge deletions that leave a balanced
     graph; the deletion formulation is kept as an independent test oracle.
     A switching x leaves (m - x^T A x / 2) / 2 negative edges, so this is
-    one switching-class maximisation.  Exponential in n (guard: n <= 25).
+    one switching-class maximisation.  Exponential in n (``_GUARDS``: n <= 25).
     """
-    _check_guard(g.n, FRUSTRATION_MAX_N, force, "frustration_index_exact")
+    _check_guard(g.n, "frustration_index_exact", force=force)
     if g.m == 0:
         return 0
     best, _ = _max_switching_form(_signed_matrix(g), 2 * g.m)
@@ -208,7 +220,7 @@ def edge_bipartiteness(g: SignedGraph, *, force: bool = False) -> int:
     Equals the frustration index of (G, -1): that graph is balanced exactly
     when G is bipartite.
     """
-    _check_guard(g.n, FRUSTRATION_MAX_N, force, "edge_bipartiteness")
+    _check_guard(g.n, "edge_bipartiteness", force=force)
     return frustration_index_exact(all_negative(g), force=True)
 
 
@@ -224,7 +236,7 @@ def _max_balanced_clique(g: SignedGraph, *, force: bool = False) -> tuple[int, t
     lowest member to +1.  A clique admitting such labels is exactly a
     balanced complete subgraph.
     """
-    _check_guard(g.n, CLIQUE_MAX_N, force, "balanced_clique_number")
+    _check_guard(g.n, "balanced_clique_number", force=force)
     if g.n == 0:
         raise InvalidParamsError("balanced clique number needs at least one vertex")
     best_size = 1
@@ -259,7 +271,7 @@ def balanced_clique_number(g: SignedGraph, *, force: bool = False) -> int:
     """Largest vertex count of a balanced complete subgraph (>= 1).
 
     A single vertex counts as a balanced clique, so an edgeless graph has
-    value 1.  Guard: n <= 40.
+    value 1.  Guard: n <= 40 (``_GUARDS``).
     """
     return _max_balanced_clique(g, force=force)[0]
 
@@ -371,11 +383,27 @@ def _walk_chain(g: SignedGraph) -> Iterator[WalkCensus]:
         unsigned, signed = nu, ns
 
 
+def _walk_order(r: int) -> int:
+    """The order of the chain that ``walk_census(g, r)`` reads: r itself up
+    to 125, and past it 124 or 125, whichever has the parity of r.
+
+    A graph with a vertex of degree >= 2 contains the path P3, whose
+    unsigned walk count leaves the 64-bit range at order 124, and walk
+    counts only grow on a supergraph, so its chain raises by order 124.  On
+    any other graph every walk past its first vertex runs back and forth
+    along one edge, so its censuses repeat with period 2 from order 2.
+    """
+    return r if r <= 125 else 124 + r % 2
+
+
 def walk_census(g: SignedGraph, r: int) -> WalkCensus:
-    """Exact walk counts: w_total = e^T |A|^(r-1) e, w_signed = e^T A^(r-1) e."""
+    """Exact walk counts: w_total = e^T |A|^(r-1) e, w_signed = e^T A^(r-1) e.
+
+    Takes at most 124 matrix-vector steps for any r (``_walk_order``).
+    """
     if r < 1:
         raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
-    return next(islice(_walk_chain(g), r - 1, None))
+    return replace(next(islice(_walk_chain(g), _walk_order(r) - 1, None)), r=r)
 
 
 def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
@@ -387,12 +415,12 @@ def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
     in int64: binary powering multiplies only A^i by A^j with i + j <= r - 1,
     and every partial sum of such a product is bounded by an entry of
     |A|^(i+j), hence by w_total, which ``walk_census`` has checked.
-    Guard: n <= 20.  Note the ordered-walk convention: every
+    Guard: n <= 20 (``_GUARDS``).  Note the ordered-walk convention: every
     negative edge yields two negative 2-walks, hence eps_2 = 2 * eps.
     """
     if r < 1:
         raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
-    _check_guard(g.n, R_FRUSTRATION_MAX_N, force, "r_frustration_index")
+    _check_guard(g.n, "r_frustration_index", force=force)
     if g.n == 0 or g.m == 0 or r == 1:
         return 0
     return _r_frustration(g, r, walk_census(g, r).w_total)

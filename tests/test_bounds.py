@@ -1,9 +1,12 @@
 """Registry evaluations, verdict semantics, JSON schema."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
+import os
 import pickle
 import random
 from itertools import product
@@ -23,6 +26,7 @@ from signed_spectra import (
     adjacency_matrix,
     all_negative_complete,
     apply_switching,
+    balanced_clique_number,
     edge_bipartiteness,
     eigen_decomposition,
     evaluate_all,
@@ -30,10 +34,12 @@ from signed_spectra import (
     evaluations_to_json,
     enforced_bound_ids,
     erdos_renyi_signed,
+    frustration_index_exact,
     is_switching_equivalent,
     ms_index,
     ms_index_search,
     paper_c5,
+    r_frustration_index,
     signed_cycle,
     walk_census,
 )
@@ -627,6 +633,104 @@ class TestB13Witness:
     @settings(max_examples=150, deadline=None)
     def test_random_graphs(self, g):
         _check_b13_witness(g)
+
+
+class _CountingEnviron(dict):
+    """A copy of ``os.environ`` that counts the reads of SIGNED_SPECTRA_MAX_N."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.reads = 0
+
+    def _count(self, key) -> None:
+        self.reads += key == "SIGNED_SPECTRA_MAX_N"
+
+    def get(self, key, default=None):
+        self._count(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self._count(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self._count(key)
+        return super().__contains__(key)
+
+
+class TestGuardLimits:
+    """The limits are read once per context, and never on a forced call."""
+
+    @pytest.mark.parametrize("max_n", [None, "4", "30"])
+    def test_environment_reads_per_call(self, monkeypatch, tmp_path, max_n):
+        env = _CountingEnviron(os.environ)
+        env.pop("SIGNED_SPECTRA_MAX_N", None)
+        if max_n is not None:
+            env["SIGNED_SPECTRA_MAX_N"] = max_n
+        monkeypatch.setattr(os, "environ", env)
+        g = paper_c5()
+        path = tmp_path / "c5.sg"
+        path.write_text(g.to_sg(), encoding="utf-8")
+
+        def reads(call) -> int:
+            env.reads = 0
+            with contextlib.suppress(TooLargeError):
+                call()
+            return env.reads
+
+        _underlying.cache_clear()
+        assert reads(lambda: evaluate_all(g)) == 1
+        assert reads(lambda: evaluate_all(g)) == 1  # rows read back from the memo
+        for bound_id, params in _plan():
+            assert reads(lambda: evaluate_bound(g, bound_id, params)) <= 1, bound_id
+        search = ["search", "--target", "B8u", "--n", "3:7", "--p", "0.5", "--qneg", "0.5",
+                  "--samples", "100", "--seed", "8"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert reads(lambda: run_cli(["invariants", str(path)])) == 1
+            assert reads(lambda: run_cli(["bounds", str(path)])) == 1
+            for argv in (["invariants", str(path), "--force"], ["spectrum", str(path)], search):
+                assert reads(lambda: run_cli(argv)) == 0, argv
+
+    def test_guards_are_checked_before_the_class_key(self, monkeypatch):
+        # the class key's BFS is O(n), so a read past its guard must not reach it
+        monkeypatch.setattr(bounds, "propagation_labels", lambda *a, **k: pytest.fail("class key"))
+        ctx = bounds._Ctx(SignedGraph.from_edges(41, [(0, 1, -1)]), shared=True)
+        for read in (lambda: ctx.eps, lambda: ctx.eps_b, lambda: ctx.clique, lambda: ctx.eps_r(3)):
+            with pytest.raises(TooLargeError):
+                read()
+
+    @given(
+        signed_graphs(max_n=12),
+        st.one_of(st.none(), st.integers(0, 12)),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_memo_guards_like_the_public_functions(self, g, max_n, r):
+        # each guarded read of the memo raises TooLargeError exactly where its
+        # public function does, with the same message, and else agrees with it
+        pairs = {
+            "eps": (lambda ctx: ctx.eps, frustration_index_exact),
+            "eps_b": (lambda ctx: ctx.eps_b, edge_bipartiteness),
+            "omega_b": (lambda ctx: ctx.omega_b, balanced_clique_number),
+            "eps_r": (lambda ctx: ctx.eps_r(r), lambda h: r_frustration_index(h, r)),
+        }
+
+        def outcome(read):
+            try:
+                return read()
+            except TooLargeError as exc:
+                return "TooLargeError", str(exc), exc.n, exc.limit
+
+        with pytest.MonkeyPatch.context() as mp:
+            if max_n is None:
+                mp.delenv("SIGNED_SPECTRA_MAX_N", raising=False)
+            else:
+                mp.setenv("SIGNED_SPECTRA_MAX_N", str(max_n))
+            _underlying.cache_clear()
+            for name, (memo, public) in pairs.items():
+                for shared in (False, True):
+                    mine = outcome(lambda: memo(bounds._Ctx(g, shared=shared)))
+                    assert mine == outcome(lambda: public(g)), (name, shared, g.to_sg())
 
 
 class TestJsonReport:

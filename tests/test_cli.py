@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -269,6 +270,25 @@ class TestBounds:
         data = json.loads(capsys.readouterr().out)
         walk_entries = [e for e in data if e["bound_id"] in ("B10", "B11")]
         assert walk_entries and all(e["verdict"] == "skipped" for e in walk_entries)
+
+    def test_long_walk_order_on_a_matching_is_fast(self, tmp_path, capsys):
+        # a graph of degree <= 1 repeats its walk censuses with period 2, so
+        # r = 10^9 reads the census of order 124 instead of stepping to it
+        path = tmp_path / "matching.sg"
+        path.write_text("4\n0 1 -\n2 3 +\n", encoding="utf-8")
+
+        def rows(r: int) -> list:
+            assert run_cli(["bounds", str(path), "--r", str(r), "--json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            for row in out:
+                if row["bound_id"] in ("B10", "B11"):
+                    assert row.pop("params")["r"] == r
+            return out
+
+        start = time.perf_counter()
+        far = rows(10**9)
+        assert time.perf_counter() - start < 1.0
+        assert far == rows(12)
 
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(["bounds"]) == 2

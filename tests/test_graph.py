@@ -121,6 +121,27 @@ class TestConstruction:
         with pytest.raises(DuplicateEdgeError):
             SignedGraph.from_edges(3, [(0, 1, 1), (1, 0, -1)])
 
+    @pytest.mark.parametrize(
+        "edge",
+        [(0, 1, 1.5), (0, 1, float("nan")), (0.5, 1, 1), (0, 1.0, 1), (0, 1, np.float64(1.0)),
+         (0, 1, "1"), (0, 1, None), ("0", 1, -1)],
+        ids=["sign-1.5", "sign-nan", "u-0.5", "v-whole-float", "sign-numpy-float",
+             "sign-str", "sign-none", "u-str"],
+    )
+    def test_from_edges_checks_integers_instead_of_coercing(self, edge):
+        with pytest.raises(InvalidParamsError, match="must hold integers"):
+            SignedGraph.from_edges(3, [(0, 2, 1), edge])
+
+    @pytest.mark.parametrize(
+        "edge",
+        [(0, 1, -1), (np.int64(1), np.int32(0), np.int8(-1)), (False, True, -1), (1, 0, np.int64(-1))],
+        ids=["ints", "numpy-ints", "bools", "numpy-sign"],
+    )
+    def test_from_edges_accepts_integer_types(self, edge):
+        g = SignedGraph.from_edges(2, [edge])
+        assert g.edges == frozenset({(0, 1, -1)})
+        assert all(type(x) is int for e in g.edges for x in e)
+
     def test_negative_n_rejected(self):
         with pytest.raises(InvalidParamsError):
             SignedGraph(-1)

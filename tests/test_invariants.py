@@ -1,7 +1,8 @@
 """Frustration, bipartiteness, balanced cliques, triangle and walk censuses."""
 
 import random
-from itertools import product
+from dataclasses import replace
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -398,6 +399,32 @@ class TestWalkCensus:
         for walks in (walk_census, r_frustration_index):
             with pytest.raises(OverflowError):
                 walks(g, 17)
+
+    def test_orders_past_125_read_an_order_of_the_same_parity(self):
+        # P3's unsigned walk count leaves 64 bits at order 124, and every graph
+        # with a vertex of degree >= 2 contains P3
+        p3 = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)])
+        assert walk_census(p3, 123).w_total == 3 * 2**61
+        for r in (124, 125, 126, 127, 10**9):
+            with pytest.raises(OverflowError):
+                walk_census(p3, r)
+            with pytest.raises(OverflowError):
+                _Ctx(p3).walks(r)
+        # with every degree at most 1 the chain never overflows, and order r
+        # reads the census of order 124 or 125 under its own r
+        rng = random.Random(124)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            order = rng.sample(range(n), n)
+            k = rng.randint(0, n // 2)
+            g = SignedGraph.from_edges(n, [(*order[2 * i : 2 * i + 2], rng.choice((1, -1))) for i in range(k)])
+            chain = list(islice(invariants._walk_chain(g), 300))
+            ctx = _Ctx(g)
+            for r in (*range(1, 16), *range(118, 134), 299):
+                assert walk_census(g, r) == ctx.walks(r) == chain[r - 1], (g.to_sg(), r)
+            for r in (10**9, 10**9 + 1, 2**70 + 1):
+                expected = replace(chain[11 + r % 2], r=r)  # order 12 or 13
+                assert walk_census(g, r) == ctx.walks(r) == expected, (g.to_sg(), r)
 
 
 class TestRFrustration:
