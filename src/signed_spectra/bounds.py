@@ -31,6 +31,7 @@ Registry:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -93,10 +94,10 @@ class BoundEvaluation:
 # rarely meet an underlying graph twice, so they keep every value in their
 # own context.  One entry suffices because sweeps visit all 2^m signings of
 # an underlying graph in a row.  It keeps the unsigned lambda_n and eps_b,
-# and under ``"classes"`` eps, eps_r, the balanced clique's members, rho
-# and the rows of ``evaluate_all`` per switching class.  A class
-# is keyed by its canonical signing: the negative edges left after switching
-# a BFS spanning forest all-positive.  rho lives in the class like the
+# and under ``"classes"`` eps, eps_r, the balanced clique's members, rho,
+# the triangle census and the rows of ``evaluate_all`` per switching class.
+# A class is keyed by its canonical signing: the negative edges left after
+# switching a BFS spanning forest all-positive.  rho lives in the class like the
 # rest, so B11 of a shared context reads the rho of the first signing of its
 # class that read one.  ``evaluate_all`` hands a later signing of a class the
 # rows of the first one it met, except B11 and B13; ``eigh`` on D A D is not
@@ -224,7 +225,8 @@ class _Ctx:
 
     @cached_property
     def census(self) -> TriangleCensus:
-        return triangle_census(self.g)
+        # a triangle's sign, the product of its edge signs, survives switching
+        return _kept(self._class, "census", lambda: triangle_census(self.g))
 
     @cached_property
     def _chain(self) -> Iterator[WalkCensus]:
@@ -426,14 +428,24 @@ def enforced_bound_ids() -> frozenset[str]:
     return frozenset(i for i, info in REGISTRY.items() if info.enforced)
 
 
+def _int_param(bound_id: str, name: str, value: object) -> int:
+    """``value`` as an integer in the sense of ``operator.index`` (Python and
+    numpy ints, bools); a float or a string raises InvalidParamsError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParamsError(f"{bound_id} parameter {name!r} must be an integer, got {value!r}") from None
+
+
 def evaluate_bound(
     g: SignedGraph, bound_id: str, params: Mapping[str, int] | None = None
 ) -> BoundEvaluation:
     """Evaluate one registry entry on ``g``.
 
     Raises UnknownBoundError for unregistered ids, MissingParamError when a
-    parametrized entry (B10, B11) lacks its parameters, and propagates
-    TooLargeError from guarded invariants.
+    parametrized entry (B10, B11) lacks its parameters, InvalidParamsError
+    when one of them is not an integer, and propagates TooLargeError from
+    guarded invariants.
     """
     info = REGISTRY.get(bound_id)
     if info is None:
@@ -442,6 +454,7 @@ def evaluate_bound(
     for name in info.required_params:
         if name not in params:
             raise MissingParamError(f"{bound_id} requires parameter {name!r}")
+        params[name] = _int_param(bound_id, name, params[name])
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
     return _evaluate(_Ctx(g), info, params)
@@ -522,9 +535,12 @@ def evaluate_all(
     plan: list[tuple[str, dict[str, int]]] = []
     for bound_id in BOUND_ORDER:
         if bound_id == "B10":
-            plan.extend((bound_id, {"r": int(r)}) for r in rs)
+            plan.extend((bound_id, {"r": _int_param(bound_id, "r", r)}) for r in rs)
         elif bound_id == "B11":
-            plan.extend((bound_id, {"q": int(q), "r": int(r)}) for q, r in qr_pairs)
+            plan.extend(
+                (bound_id, {"q": _int_param(bound_id, "q", q), "r": _int_param(bound_id, "r", r)})
+                for q, r in qr_pairs
+            )
         elif bound_id == "B13":
             plan.append((bound_id, {"iters": 2, "seed": 0}))
         else:

@@ -99,7 +99,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = _load_graph(args.file)
-    ctx = _Ctx(g, shared=True)
+    ctx = _Ctx(g, shared=not args.force)
     if args.force:  # exact past every guard, and kept out of the memo
         forced = (frustration_index_exact, edge_bipartiteness, balanced_clique_number)
         values = [(f(g, force=True), True) for f in forced]

@@ -5,7 +5,8 @@ minima over the switching class, and each is one maximisation of a
 quadratic form x^T M x over the 2^(n-1) switchings x (vertex 0 is pinned,
 x and -x coincide): M is the signed adjacency matrix A for eps, -|A| for
 eps_b and A^(r-1) for eps_r.  One kernel, ``_max_switching_form``, does
-every such maximisation exactly with blocked matrix products.  Guards cap
+every such maximisation exactly with blocked matrix products, in float32,
+float64 or int64, the first that holds every partial sum.  Guards cap
 the exponent: ``_GUARDS`` holds each exact function's limit on n, and
 ``_guard_limits`` the limits in force, all of them replaced by the
 ``SIGNED_SPECTRA_MAX_N`` environment variable when it is set.  ``force=True``
@@ -42,7 +43,10 @@ _GUARDS = {
 
 _INT64_MAX = 2**63 - 1
 _WALK_OVERFLOW = "walk counts exceed the 64-bit integer range"
-_BLOCK_ENTRIES = (1 << 18) // 8  # one 256 KiB GEMM block of the switching kernel
+# entries per block: of one GEMM block of the switching kernel (256 KiB in
+# float64, 128 KiB in float32), of the restarts ``frustration_index_upper``
+# descends together, and of the samples ``search`` decomposes together
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _guard_limits() -> dict[str, int]:
@@ -84,15 +88,17 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     so the product of the rows [X_L 2M_LH | q_L | 1] with the columns
     [X_H | 1 | q_H] holds x^T M x for every switching.  It is taken one
     GEMM block of at most ``_BLOCK_ENTRIES`` values at a time.  Every
-    partial sum is an integer of magnitude at most sum |M_ij|, so float64
-    is exact in any summation order while ``bound`` is below 2^53; from
-    there on the products run in int64.  A sign table that cannot be
-    allocated raises TooLargeError.
+    partial sum is an integer of magnitude at most sum |M_ij|, and a float
+    with a p-bit significand holds every integer up to 2^p, so the tables
+    and products are exact in any summation order: they run in float32
+    while ``bound`` is below 2^24, in float64 while it is below 2^53, and
+    in int64 from there on.  A sign table that cannot be allocated raises
+    TooLargeError.
     """
     n = mat.shape[0]
     a = (n + 1) // 2
     h = n - a
-    dtype = np.float64 if bound < 1 << 53 else np.int64
+    dtype = np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64
     m = mat.astype(dtype)
     try:
         table = np.empty((1 << a, a), dtype=dtype)
@@ -170,26 +176,38 @@ def _choice_signs(rng: random.Random, k: int) -> np.ndarray:
 def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> int:
     """Heuristic upper bound on the frustration index for graphs of any size.
 
-    Steepest single-vertex-flip local search; start 0 is the spanning-forest
-    propagation labeling (so balanced graphs always reach 0), followed by
-    ``iters`` random restarts whose signs are the stream of
-    ``random.Random(seed).choice((1, -1))``, n per restart.  The restarts
-    descend together as the rows of one array, in blocks of at most
-    max(1, ``_BLOCK_ENTRIES`` // n) rows so memory stays bounded for any
-    ``iters``; each row reaches what its restart would reach alone.  Ties
-    are broken by lowest vertex index.
+    A balanced graph, an edgeless one among them, returns 0 at once:
+    ``propagation_labels`` finds no conflict.  Otherwise steepest
+    single-vertex-flip local search runs from the spanning-forest
+    propagation labeling and from ``iters`` random restarts whose signs are
+    the stream of ``random.Random(seed).choice((1, -1))``, n per restart.
+    All of them descend together as the rows of one array, in blocks of at
+    most max(1, ``_BLOCK_ENTRIES`` // n) restarts so memory stays bounded
+    for any ``iters``; the labeling's row joins the first block.  Each row
+    reaches what its start would reach alone.  Ties are broken by lowest
+    vertex index.
     """
     if iters < 1:
         raise InvalidParamsError(f"iters must be >= 1, got {iters}")
     if g.m == 0:
         return 0
     a = _signed_matrix(g).astype(np.float64)  # for BLAS: every value is an integer of size <= 2m
-
-    def descend(x: np.ndarray) -> int:
+    labels, conflict, _ = propagation_labels(g)
+    if conflict is None:
+        return 0
+    a2 = 2 * a
+    rng = random.Random(seed)
+    block = max(1, _BLOCK_ENTRIES // g.n)
+    best = g.m
+    for first in range(0, iters, block):
+        k = min(block, iters - first)
+        x = _choice_signs(rng, k * g.n).reshape(k, g.n).astype(np.float64)
+        if first == 0:
+            x = np.concatenate(([labels], x))
         # with ax = x A, flipping v changes a row's negative-edge count by
-        # d_v = x_v (ax)_v = deg v - 2 neg v; a flip of v adds 2 x_v A[v] to ax
+        # d_v = x_v (ax)_v = deg v - 2 neg v, and subtracts 2 x_v A[v] from ax
+        # (x_v the sign before the flip)
         ax = x @ a
-        best = g.m
         while len(x):
             d = x * ax
             v = d.argmin(axis=1)  # the lowest vertex on ties
@@ -198,19 +216,9 @@ def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> 
                 best = min(best, (g.m - int(d[~go].sum(axis=1).max()) // 2) // 2)
                 x, ax, v = x[go], ax[go], v[go]
             rows = np.arange(len(x))
-            x[rows, v] *= -1
-            ax += 2 * x[rows, v, None] * a[v]
-        return best
-
-    labels, _, _ = propagation_labels(g)
-    best = descend(np.array([labels], dtype=np.int64))
-    rng = random.Random(seed)
-    block = max(1, _BLOCK_ENTRIES // g.n)
-    for start in range(0, iters, block):
-        if best == 0:
-            break
-        k = min(block, iters - start)
-        best = min(best, descend(_choice_signs(rng, k * g.n).reshape(k, g.n)))
+            s = x[rows, v]
+            x[rows, v] = -s
+            ax -= s[:, None] * a2[v]
     return best
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from . import invariants
-from .bounds import _NO_EIGENVALUES, REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
+from .bounds import _NO_EIGENVALUES, REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _int_param, _json_array
 from .errors import InvalidConfigError
 from .graph import MATRIX_MAX_N, SignedGraph, _signed_gnp, _signed_matrix
 from .spectral import _eigenvalues
@@ -59,6 +59,8 @@ class SearchConfig:
             raise InvalidConfigError(
                 f"target {self.target} requires params {missing}; pass them in params"
             )
+        for name in REGISTRY[self.target].required_params:
+            _int_param(self.target, name, self.params[name])
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from signed_spectra import (
     BoundEvaluation,
     InvalidParamsError,
     MissingParamError,
+    SearchConfig,
     SignedGraph,
     TooLargeError,
     UnknownBoundError,
@@ -386,6 +387,37 @@ class TestEvaluateAll:
         assert [ev.params for ev in b10] == [{"r": 4}]
         assert [ev.params for ev in b11] == [{"q": 5, "r": 2}]
         assert all(ev.verdict == "holds" for ev in b10 + b11)
+
+    @pytest.mark.parametrize(
+        "bound_id, params",
+        (
+            ("B10", {"r": 2.7}),
+            ("B10", {"r": "3"}),
+            ("B11", {"q": 1.9, "r": 1}),
+            ("B11", {"q": 1, "r": 2.0}),
+        ),
+    )
+    def test_walk_orders_must_be_integers(self, c5, bound_id, params):
+        # int() used to read 2.7 as 2, and evaluate_bound let islice raise a
+        # bare ValueError or TypeError
+        name = next(k for k, v in params.items() if not isinstance(v, int))
+        message = f"{bound_id} parameter {name!r} must be an integer"
+        with pytest.raises(InvalidParamsError, match=message):
+            evaluate_bound(c5, bound_id, params)
+        plan = {"rs": (params["r"],)} if bound_id == "B10" else {"qr_pairs": ((params["q"], params["r"]),)}
+        with pytest.raises(InvalidParamsError, match=message):
+            evaluate_all(c5, **plan)
+        with pytest.raises(InvalidParamsError, match=message):
+            SearchConfig(bound_id, 3, 5, 0.5, 0.5, samples=1, seed=0, params=params)
+
+    def test_numpy_ints_and_bools_are_walk_orders(self, c5):
+        evals = evaluate_all(c5, rs=(np.int64(3), True), qr_pairs=((np.int32(1), True),))
+        params = [ev.params for ev in evals if ev.bound_id in ("B10", "B11")]
+        assert params == [{"r": 3}, {"r": 1}, {"q": 1, "r": 1}]
+        assert all(type(v) is int for p in params for v in p.values())
+        single = evaluate_bound(c5, "B10", {"r": np.int64(3)})
+        assert single.params == {"r": 3} and type(single.params["r"]) is int
+        assert single == next(ev for ev in evaluate_all(c5, rs=(3,)) if ev.bound_id == "B10")
 
 
 def _plan(rs=DEFAULT_B10_RS) -> list[tuple[str, dict]]:

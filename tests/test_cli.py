@@ -176,6 +176,23 @@ class TestInvariants:
         out = capsys.readouterr().out
         assert re.search(r"^edge_bipartiteness: \d+ \(heuristic bound\)$", out, re.M)
 
+    def test_triangles_are_counted_once_per_file(self, c5_file, capsys, monkeypatch):
+        # the census is kept per switching class, so invariants reads the
+        # count that bounds made for the same file
+        calls = []
+        census = bounds.triangle_census
+
+        def counted(g):
+            calls.append(g)
+            return census(g)
+
+        monkeypatch.setattr(bounds, "triangle_census", counted)
+        _underlying.cache_clear()
+        assert run_cli(["bounds", c5_file]) == 0
+        assert run_cli(["invariants", c5_file]) == 0
+        assert "triangles: t+=0 t-=0 t_s=0" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_forced_values_stay_out_of_the_memo(self, c5_file, capsys):
         _underlying.cache_clear()
         assert run_cli(["invariants", c5_file, "--force"]) == 0

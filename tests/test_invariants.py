@@ -477,17 +477,22 @@ class TestRFrustration:
                 assert walk_census(apply_switching(g, Switching(x)), r).w_neg == eps_r
 
     @pytest.mark.parametrize("sign", (1, -1))
-    def test_int64_path_beyond_float_exactness(self, sign):
-        # all-negative K8 at r = 20 has w_total = 8 * 7^19 > 2^53, where
-        # float64 no longer holds every integer; compare with Python ints
+    @pytest.mark.parametrize(
+        "r, low, high",
+        ((8, 0, 2**24), (10, 2**24, 2**53), (20, 2**53, 2**63)),
+        ids=("float32", "float64", "int64"),
+    )
+    def test_every_dtype_tier_matches_python_ints(self, r, low, high, sign):
+        # K8 of either sign has w_total = 8 * 7^(r-1), which puts the kernel
+        # in its float32 tier at r = 8, float64 at r = 10 and int64 at r = 20;
+        # compare with Python-int enumeration
         g = all_negative_complete(8).with_all_signs(sign)
-        r = 20
         a = [[0 if i == j else sign for j in range(8)] for i in range(8)]
         power = [[int(i == j) for j in range(8)] for i in range(8)]
         for _ in range(r - 1):
             power = [[sum(power[i][k] * a[k][j] for k in range(8)) for j in range(8)] for i in range(8)]
         w_total = 8 * 7 ** (r - 1)
-        assert w_total >= 2**53 and walk_census(g, r).w_total == w_total
+        assert walk_census(g, r).w_total == w_total and low <= w_total < high
         best = max(
             sum(x[i] * power[i][j] * x[j] for i in range(8) for j in range(8))
             for x in ((1,) + bits for bits in product((1, -1), repeat=7))
