@@ -5,14 +5,17 @@ minima over the switching class, and each is one maximisation of a
 quadratic form x^T M x over the 2^(n-1) switchings x (vertex 0 is pinned,
 x and -x coincide): M is the signed adjacency matrix A for eps, -|A| for
 eps_b and A^(r-1) for eps_r.  One kernel, ``_max_switching_form``, does
-every such maximisation exactly with blocked matrix products, in float32,
-float64 or int64, the first that holds every partial sum.  Guards cap
-the exponent: ``_GUARDS`` holds each exact function's limit on n, and
-``_guard_limits`` the limits in force, all of them replaced by the
-``SIGNED_SPECTRA_MAX_N`` environment variable when it is set.  ``force=True``
-skips a guard and reads no limit.  Past a guard,
-``bounds._Ctx.exact_or_bound`` falls back to the heuristic bounds
-``frustration_index_upper`` and ``greedy_balanced_clique``.
+every such maximisation exactly: up to n = ``_PRODUCT_MAX_N`` (10) in one
+product with a cached table of every switching, past it in blocked matrix
+products.  Both run in float32, float64 or int64, the first that holds
+every partial sum.  Up to the cap the blocked products would be one block,
+and the table lists the switchings in that block's order, so on ties both
+paths return the same certificate.  Guards cap the exponent: ``_GUARDS``
+holds each exact function's limit on n, and ``_guard_limits`` the limits
+in force, all of them replaced by the ``SIGNED_SPECTRA_MAX_N`` environment
+variable when it is set.  ``force=True`` skips a guard and reads no limit.
+Past a guard, ``bounds._Ctx.exact_or_bound`` falls back to the heuristic
+bounds ``frustration_index_upper`` and ``greedy_balanced_clique``.
 
 Walk counts are exact integer walk sums, taken by matrix-vector steps on
 Python integers; they raise OverflowError once the count of unsigned walks
@@ -24,6 +27,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import count, islice, product
 from typing import Iterator
 
@@ -76,30 +80,64 @@ def _check_guard(n: int, what: str, limits: dict[str, int] | None = None, *, for
 # Switching-class kernel
 # ---------------------------------------------------------------------------
 
+# orders up to which ``_max_switching_form`` takes every switching in one
+# product.  Best of 5 on G(n, 0.6) with one BLAS thread, it took 7.0 us
+# against the blocked path's 26.6 us at n = 6 and 13.7 against 29.3 us at
+# n = 10; its lead shrinks to 18.2 against 31.7 us at n = 11 and 30.4
+# against 33.6 us at n = 12 while each order doubles its table, so the cap
+# keeps the tables of one dtype within about 40 KB in float32 (74 KB in
+# float64 or int64).
+_PRODUCT_MAX_N = 10
+
+
+@lru_cache(maxsize=None)  # n <= _PRODUCT_MAX_N and three dtypes: about 0.2 MB at most
+def _switching_table(n: int, dtype: type) -> np.ndarray:
+    """The +-1 rows of the 2^(n-1) switchings of order n with x_0 = +1, in
+    the blocked path's scan order: row i 2^h + j is the switching of code
+    (2i) | (j << a), a = ceil(n/2) and h = n - a (bit v set <=> x_v = -1)."""
+    a, h = (n + 1) // 2, n // 2
+    k = np.arange(1 << (n - 1))
+    codes = (k >> h) << 1 | (k & ((1 << h) - 1)) << a
+    table = (1 - 2 * ((codes[:, None] >> np.arange(n)) & 1)).astype(dtype)
+    table.flags.writeable = False
+    return table
+
+
 def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ...]]:
     """max x^T M x over x in {+-1}^n with x_0 = +1, and an x attaining it.
 
     ``mat`` is a symmetric int64 matrix with n >= 1 and ``bound`` is at
-    least sum |M_ij|.  The vertices split into L = [0, a) and H = [a, n);
-    with X_L and X_H the +-1 tables of the halves (x_0 pinned in X_L),
+    least sum |M_ij|.  Up to n = ``_PRODUCT_MAX_N`` one product takes every
+    switching at once: with T the +-1 table of all 2^(n-1) switchings
+    (``_switching_table``), x^T M x is row k of ((T M) * T) summed, and its
+    first maximum is the certificate.  Past that the vertices split into
+    L = [0, a) and H = [a, n); with X_L and X_H the +-1 tables of the halves
+    (x_0 pinned in X_L),
 
         x^T M x = q_L + q_H + x_L^T (2 M_LH) x_H,
 
     so the product of the rows [X_L 2M_LH | q_L | 1] with the columns
     [X_H | 1 | q_H] holds x^T M x for every switching.  It is taken one
-    GEMM block of at most ``_BLOCK_ENTRIES`` values at a time.  Every
-    partial sum is an integer of magnitude at most sum |M_ij|, and a float
-    with a p-bit significand holds every integer up to 2^p, so the tables
-    and products are exact in any summation order: they run in float32
-    while ``bound`` is below 2^24, in float64 while it is below 2^53, and
-    in int64 from there on.  A sign table that cannot be allocated raises
-    TooLargeError.
+    GEMM block of at most ``_BLOCK_ENTRIES`` values at a time.  Up to the
+    cap the whole product is one block, and T lists the switchings in that
+    block's row-major order, so both paths return the same certificate on
+    ties.  Every partial sum is an integer of magnitude at most
+    sum |M_ij|, and a float with a p-bit significand holds every integer up
+    to 2^p, so the tables and products are exact in any summation order:
+    they run in float32 while ``bound`` is below 2^24, in float64 while it
+    is below 2^53, and in int64 from there on.  A sign table that cannot be
+    allocated raises TooLargeError.
     """
     n = mat.shape[0]
     a = (n + 1) // 2
     h = n - a
     dtype = np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64
     m = mat.astype(dtype)
+    if n <= _PRODUCT_MAX_N:
+        table = _switching_table(n, dtype)
+        values = ((table @ m) * table) @ np.ones(n, dtype=dtype)
+        k = int(values.argmax())
+        return int(values[k]), tuple(table[k].astype(int).tolist())
     try:
         table = np.empty((1 << a, a), dtype=dtype)
     except (MemoryError, ValueError):  # numpy's errors for a table past memory or past intp

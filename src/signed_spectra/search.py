@@ -10,6 +10,7 @@ of how samples are scheduled.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,6 +43,12 @@ class SearchConfig:
             raise InvalidConfigError(
                 f"unknown target bound {self.target!r}; known: {list(REGISTRY)}"
             )
+        for name in ("n_min", "n_max", "samples", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.samples < 1:
             raise InvalidConfigError(f"samples must be >= 1, got {self.samples}")
         if not 1 <= self.n_min <= self.n_max:

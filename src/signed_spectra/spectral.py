@@ -151,23 +151,23 @@ def ms_witness(g: SignedGraph) -> tuple[np.ndarray, Fraction]:
     consistent labeling (the switch that makes the clique all-positive,
     pulled back to the original graph).
     """
-    return _clique_witness(g, _max_balanced_clique(g))
-
-
-def _clique_witness(
-    g: SignedGraph, clique: tuple[int, tuple[int, ...], tuple[int, ...]]
-) -> tuple[np.ndarray, Fraction]:
-    """``ms_witness`` for a (size, members, labels) balanced clique of ``g``."""
-    omega, members, labels = clique
+    clique = omega, members, labels = _max_balanced_clique(g)
     x = np.zeros(g.n)
     for v, lab in zip(members, labels):
         x[v] = lab / omega
+    return x, _clique_value(g, clique)
+
+
+def _clique_value(g: SignedGraph, clique: tuple[int, tuple[int, ...], tuple[int, ...]]) -> Fraction:
+    """The exact value of ``ms_witness``'s vector for a (size, members,
+    labels) balanced clique of ``g``, without building the vector."""
+    omega, members, labels = clique
     total = sum(
         g.sign(u, members[j]) * labels[i] * labels[j]
         for i, u in enumerate(members)
         for j in range(i + 1, len(members))
     )
-    return x, Fraction(total, omega * omega)
+    return Fraction(total, omega * omega)
 
 
 def ms_index_search(g: SignedGraph, iters: int = 16, seed: int = 0) -> float:
@@ -183,7 +183,7 @@ def ms_index_search(g: SignedGraph, iters: int = 16, seed: int = 0) -> float:
     x^T (D A D) x.  Every evaluated point is feasible, so the result never
     exceeds the true maximum beyond float roundoff.
     """
-    _, exact = ms_witness(g)
+    exact = _clique_value(g, _max_balanced_clique(g))
     labels, _, _ = propagation_labels(g, full=True)
     canonical = _switched_entries(adjacency_matrix(g).entries, labels)
     return max(float(exact), _ms_search(canonical, iters, seed))

@@ -4,6 +4,8 @@ Everything here is deliberately naive and separate from the library's
 computation paths: balance by parity union-find instead of BFS labeling,
 frustration by exhaustive edge deletion instead of switching enumeration,
 cliques by subset enumeration, walks by explicit sequence enumeration,
+the switching-class maximum of a quadratic form by Python-int enumeration
+of every switching instead of float products,
 walk sums by Python-int matrix powers instead of vector steps, eigenvalues
 by cyclic Jacobi rotations instead of LAPACK, the frustration local search
 with a full recount after every flip instead of incremental counts, the
@@ -125,6 +127,16 @@ def min_negative_walks(g: SignedGraph, r: int) -> int:
         _, _, _, w_neg = enumerate_walks(apply_switching(g, eta), r)
         best = w_neg if best is None else min(best, w_neg)
     return 0 if best is None else best
+
+
+def max_switching_form_by_enumeration(mat: np.ndarray) -> int:
+    """max x^T M x over x in {+-1}^n with x_0 = +1, in Python ints."""
+    m = [[int(v) for v in row] for row in mat]
+    n = len(m)
+    return max(
+        sum(x[i] * m[i][j] * x[j] for i in range(n) for j in range(n))
+        for x in ((1,) + bits for bits in product((1, -1), repeat=n - 1))
+    )
 
 
 def walk_sums_by_matrix_power(g: SignedGraph, r: int) -> tuple[int, int]:

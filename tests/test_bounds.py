@@ -9,6 +9,7 @@ import math
 import os
 import pickle
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -409,6 +410,29 @@ class TestEvaluateAll:
             evaluate_all(c5, **plan)
         with pytest.raises(InvalidParamsError, match=message):
             SearchConfig(bound_id, 3, 5, 0.5, 0.5, samples=1, seed=0, params=params)
+
+    @pytest.mark.parametrize("bad", (2.0, "2", np.float64(2.0)), ids=("float", "str", "numpy-float"))
+    @pytest.mark.parametrize("where", ("rs", "q", "r"))
+    def test_walk_orders_are_checked_on_every_call(self, c5, where, bad):
+        # the plan is cached on checked integers; a cached plan for 2 must
+        # not let an equal float or a string through on a later call
+        def plan(value):
+            if where == "rs":
+                return {"rs": (value,)}
+            return {"qr_pairs": ((value, 1) if where == "q" else (1, value),)}
+
+        name = "q" if where == "q" else "r"
+        message = re.escape(f"parameter {name!r} must be an integer, got {bad!r}")
+        with pytest.raises(InvalidParamsError, match=message):
+            evaluate_all(c5, **plan(bad))
+        evaluate_all(c5, **plan(2))
+        with pytest.raises(InvalidParamsError, match=message):
+            evaluate_all(c5, **plan(bad))
+
+    def test_lists_and_tuples_plan_the_same_rows(self, c5):
+        lists = evaluate_all(c5, rs=list(DEFAULT_B10_RS), qr_pairs=[list(p) for p in DEFAULT_B11_QRS])
+        assert lists == evaluate_all(c5, rs=tuple(DEFAULT_B10_RS), qr_pairs=tuple(DEFAULT_B11_QRS))
+        assert [(ev.bound_id, ev.params) for ev in lists] == _plan()
 
     def test_numpy_ints_and_bools_are_walk_orders(self, c5):
         evals = evaluate_all(c5, rs=(np.int64(3), True), qr_pairs=((np.int32(1), True),))

@@ -37,6 +37,7 @@ from .oracles import (
     enumerate_walks,
     frustration_upper_by_recount,
     greedy_balanced_clique_full_scan,
+    max_switching_form_by_enumeration,
     min_negative_walks,
     walk_sums_by_matrix_power,
 )
@@ -133,6 +134,70 @@ class TestFrustrationIndex:
     def test_kernel_on_one_vertex(self):
         # the H half is empty: one switching, one value
         assert invariants._max_switching_form(np.zeros((1, 1), dtype=np.int64), 0) == (0, (1,))
+
+
+def kernel_forms(g: SignedGraph):
+    """(M, bound, dtype tier) for the kernel's three forms on ``g``: A and
+    -|A| with bound 2m, and A^(r-1) with bound w_total at r = 3 and at the
+    first r whose w_total reaches 2^24 and 2^53, where the chain gets there
+    before the 64-bit overflow."""
+    def tier(bound):
+        return "float32" if bound < 2**24 else "float64" if bound < 2**53 else "int64"
+
+    a = invariants._signed_matrix(g)
+    forms = [(a, 2 * g.m), (invariants._signed_matrix(all_negative(g)), 2 * g.m)]
+    seen = {tier(w.w_total) for w in islice(invariants._walk_chain(g), 2)}
+    for r in range(3, 200):
+        try:
+            w_total = walk_census(g, r).w_total
+        except OverflowError:
+            break
+        if r == 3 or tier(w_total) not in seen:
+            seen.add(tier(w_total))
+            forms.append((np.linalg.matrix_power(a, r - 1), w_total))
+    return [(m, bound, tier(bound)) for m, bound in forms]
+
+
+class TestSmallKernel:
+    """The kernel's one-product path, which runs up to ``_PRODUCT_MAX_N``."""
+
+    @pytest.mark.parametrize("n", range(1, invariants._PRODUCT_MAX_N + 1))
+    def test_matches_blocked_path_and_enumeration(self, n, monkeypatch):
+        tiers = set()
+        for g in kernel_graphs(n):
+            for m, bound, tier in kernel_forms(g):
+                small = invariants._max_switching_form(m, bound)
+                with monkeypatch.context() as patch:
+                    patch.setattr(invariants, "_PRODUCT_MAX_N", 0)
+                    assert invariants._max_switching_form(m, bound) == small, (g.to_sg(), bound)
+                best, x = small
+                assert best == max_switching_form_by_enumeration(m), (g.to_sg(), bound)
+                assert x[0] == 1 and best == int(np.array(x) @ m @ np.array(x))
+                tiers.add(tier)
+        # K_n (p = 1.0) has a 2-path, so its walk counts pass every tier
+        assert tiers == ({"float32", "float64", "int64"} if n >= 3 else {"float32"})
+
+    def test_ties_keep_the_first_switching_of_the_scan(self):
+        # every switching of the edgeless graph ties at 0: the first row wins
+        for n in range(1, invariants._PRODUCT_MAX_N + 1):
+            assert invariants._max_switching_form(np.zeros((n, n), dtype=np.int64), 0) == (0, (1,) * n)
+
+    def test_tables_fill_per_order_and_dtype_on_first_use(self):
+        invariants._switching_table.cache_clear()
+        frustration_index_exact(signed_cycle(5, negative_edges=(0,)))
+        assert invariants._switching_table.cache_info().currsize == 1
+        frustration_index_exact(signed_cycle(5, negative_edges=(0, 2)))
+        assert invariants._switching_table.cache_info().currsize == 1
+        r_frustration_index(all_negative_complete(8), 10)  # w_total past 2^24: float64
+        assert invariants._switching_table.cache_info().currsize == 2
+        table = invariants._switching_table(4, np.float32)
+        assert not table.flags.writeable  # shared by every later call
+        # the blocked path's row-major order at n = 4: x_1 (the L half past
+        # the pinned x_0) outer, x_2 x_3 (the H half) inner
+        assert table.tolist() == [
+            [1, 1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1], [1, 1, -1, -1],
+            [1, -1, 1, 1], [1, -1, -1, 1], [1, -1, 1, -1], [1, -1, -1, -1],
+        ]
 
 
 class TestFrustrationUpper:

@@ -54,6 +54,18 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             make_cfg(target="B99")
 
+    @pytest.mark.parametrize("field", ("n_min", "n_max", "samples", "seed"))
+    @pytest.mark.parametrize("value", (2.5, 5.0, "5", None))
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        # samples=2.5 used to raise a bare TypeError from range, n_min=2.5 a
+        # ValueError from randrange, and seed=1.5 went into the replay string
+        with pytest.raises(InvalidConfigError, match=f"{field} must be an integer, got {value!r}"):
+            make_cfg(**{field: value})
+
+    def test_numpy_ints_are_sizes_and_seeds(self):
+        cfg = make_cfg(n_min=np.int64(5), n_max=np.int32(5), samples=np.int64(40), seed=np.int64(11))
+        assert search_counterexamples(cfg) == search_counterexamples(make_cfg(samples=40))
+
     def test_parametrized_target_needs_params(self):
         with pytest.raises(InvalidConfigError):
             make_cfg(target="B10")
