@@ -31,7 +31,6 @@ Registry:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -40,25 +39,24 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError
-from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix, all_negative
+from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError, _int_param
+from .graph import SignedGraph, _check_dense, _signed_matrix, all_negative
 from .invariants import (
     TriangleCensus,
     WalkCensus,
     _WALK_OVERFLOW,
     _check_guard,
+    _frustration,
     _guard_limits,
     _max_balanced_clique,
     _r_frustration,
     _walk_chain,
     _walk_order,
-    edge_bipartiteness,
-    frustration_index_exact,
     frustration_index_upper,
     greedy_balanced_clique,
     triangle_census,
 )
-from .spectral import _clique_value, eigen_decomposition
+from .spectral import _clique_value, _eigenvalues
 from .switching import propagation_labels
 
 HOLDS = "holds"
@@ -100,14 +98,16 @@ class BoundEvaluation:
 # switching a BFS spanning forest all-positive.  rho lives in the class like the
 # rest, so B11 of a shared context reads the rho of the first signing of its
 # class that read one.  ``evaluate_all`` hands a later signing of a class the
-# rows of the first one it met, except B11 and B13; ``eigh`` on D A D is not
-# bit-identical to ``eigh`` on A, so those rows, and B11's rho, carry the
-# first signing's roundoff.
+# rows of the first one it met, B13's among them, except B11's; ``eigh`` on
+# D A D is not bit-identical to ``eigh`` on A, so those rows, and B11's rho,
+# carry the first signing's roundoff.  Within one context every matrix
+# quantity (eps, eps_b, eps_r and both spectra) is read from the one int64
+# matrix ``_Ctx.matrix``.
 # ``invariants`` reads only exact integers from the entry.
 
 # Classes kept for the one underlying graph; all are dropped when a new one
-# would pass it.  A class that holds the 16 shared rows of ``evaluate_all``
-# takes about 7.7 KB (``tracemalloc``, n = 5 and 8), so the entry stays
+# would pass it.  A class that holds the 17 shared rows of ``evaluate_all``
+# takes about 8 KB (``tracemalloc``, n = 5 and 8), so the entry stays
 # within about 8 MB.
 _MAX_CLASSES = 1024
 
@@ -136,12 +136,17 @@ def _kept(values: dict, name: object, compute: Callable[[], object]):
 class _Ctx:
     """Every quantity of one signed graph that ``bounds``, ``invariants`` and
     ``search`` read, computed once and always under the guards: it reads
-    the limits on its first guarded read, checks each guarded value before
-    the memo's O(n) class key, and fills the memo by forced calls.  Of the
-    spectrum it holds only the sorted eigenvalues: the registry reads no
-    more than lambda_1, lambda_2, lambda_n and rho.  A ``shared`` context
-    keeps what switching keeps in ``_underlying``, for the other signings of
-    its underlying graph; any other keeps it to itself."""
+    the limits on its first guarded read and checks each guarded value
+    before the memo's O(n) class key.  Every matrix quantity comes from one
+    int64 matrix, ``matrix``: the kernel runs on A for eps, on -|A| for
+    eps_b and on A^(r-1) for eps_r, through the helpers the public
+    functions call on their own matrix.  Of the spectrum it holds only the
+    sorted eigenvalues, from one ``eigh`` of that matrix with no
+    eigenvectors kept and no ``Spectrum`` built: the registry reads no more
+    than lambda_1, lambda_2, lambda_n and rho.  The eigenvalue reads check
+    the dense-matrix guard that ``adjacency_matrix`` checks.  A ``shared``
+    context keeps what switching keeps in ``_underlying``, for the other
+    signings of its underlying graph; any other keeps it to itself."""
 
     def __init__(self, g: SignedGraph, shared: bool = False):
         self.g = g
@@ -149,13 +154,16 @@ class _Ctx:
         self._walks: list[WalkCensus] = []
 
     @cached_property
-    def adjacency(self) -> SymmetricMatrix:
-        return adjacency_matrix(self.g)
+    def matrix(self) -> np.ndarray:
+        """g's signed adjacency matrix in int64, the one every matrix
+        quantity is read from."""
+        return _signed_matrix(self.g)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Sorted descending; ``search`` sets them from a stacked ``eigh``."""
-        return eigen_decomposition(self.adjacency).eigenvalues
+        _check_dense(self.g.n)
+        return _eigenvalues(self.matrix, ndim=2)
 
     @cached_property
     def _underlying_values(self) -> dict:
@@ -179,7 +187,8 @@ class _Ctx:
         def compute() -> float:
             if not self.g.m_minus:  # an all-positive g is its own unsigned graph
                 return float(self.eigenvalues[-1])
-            return float(eigen_decomposition(np.abs(self.adjacency.entries)).eigenvalues[-1])
+            _check_dense(self.g.n)
+            return float(_eigenvalues(np.abs(self.matrix), ndim=2)[-1])
         return _kept(self._underlying_values, "lambda_n", compute)
 
     @cached_property
@@ -189,12 +198,12 @@ class _Ctx:
     @cached_property
     def eps(self) -> int:
         _check_guard(self.g.n, "frustration_index_exact", self.limits)
-        return _kept(self._class, "eps", lambda: frustration_index_exact(self.g, force=True))
+        return _kept(self._class, "eps", lambda: _frustration(self.matrix, self.g.m))
 
     @cached_property
     def eps_b(self) -> int:
         _check_guard(self.g.n, "edge_bipartiteness", self.limits)
-        return _kept(self._underlying_values, "eps_b", lambda: edge_bipartiteness(self.g, force=True))
+        return _kept(self._underlying_values, "eps_b", lambda: _frustration(-np.abs(self.matrix), self.g.m))
 
     @cached_property
     def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -253,7 +262,7 @@ class _Ctx:
             return 0
         if r == 2:  # A^(r-1) = A, so eps_2 = 2 * eps exactly
             return 2 * self.eps
-        return _kept(self._class, ("eps_r", r), lambda: _r_frustration(self.g, r, w_total))
+        return _kept(self._class, ("eps_r", r), lambda: _r_frustration(self.matrix, r, w_total))
 
     @property
     def rho(self) -> float:
@@ -428,15 +437,6 @@ def enforced_bound_ids() -> frozenset[str]:
     return frozenset(i for i, info in REGISTRY.items() if info.enforced)
 
 
-def _int_param(bound_id: str, name: str, value: object) -> int:
-    """``value`` as an integer in the sense of ``operator.index`` (Python and
-    numpy ints, bools); a float or a string raises InvalidParamsError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParamsError(f"{bound_id} parameter {name!r} must be an integer, got {value!r}") from None
-
-
 def evaluate_bound(
     g: SignedGraph, bound_id: str, params: Mapping[str, int] | None = None
 ) -> BoundEvaluation:
@@ -504,9 +504,12 @@ def _evaluate_or_skip(ctx: _Ctx, bound_id: str, params: dict[str, int]) -> Bound
         )
 
 
-# B11's signed walk sums and the signs B13's clique witness is read on are a
-# signing's own; every other row is the same for a whole switching class.
-_PER_SIGNING = frozenset(("B11", "B13"))
+# B11's signed walk sums are a signing's own; every other row is the same for
+# a whole switching class.  B13's is too: with the labels l_v = sign(m0, v),
+# m0 the clique's lowest member, a pair term of ``_clique_value`` is 1 for a
+# pair holding m0 and else the sign of the triangle (m0, u, v), and
+# switching keeps both.
+_PER_SIGNING = frozenset(("B11",))
 # B5 reads only integers and B13 only its exact clique witness, so a search
 # on them skips the eigensolves.
 _NO_EIGENVALUES = frozenset(("B5", "B13"))
@@ -547,10 +550,13 @@ def _with_params(row: BoundEvaluation, params: dict[str, int]) -> BoundEvaluatio
 
 # Cost per graph: a sweep meets most of its graphs in a class it has already
 # met (233 or 234 of the 307 graphs of a bench ``sweep`` pass), so what such
-# a graph pays sets the pace.  It pays for the class key, for B11 and B13,
-# and for copying the 15 kept rows with its own params (``_with_params``);
-# the plan and its rows' keys come from ``_plan``, once per choice of walk
-# orders, after the orders are checked on every call.
+# a graph pays sets the pace.  It pays for the class key, for B11's walk
+# sums, and for copying the 16 kept rows with its own params
+# (``_with_params``); the plan and its rows' keys come from ``_plan``, once
+# per choice of walk orders, after the orders are checked on every call.  A
+# graph of a new class pays for one int64 matrix, one ``eigh`` (two for
+# B3 and B4 on a graph with a negative edge) and the kernel runs of eps,
+# eps_b and eps_3, all read from that matrix.
 def evaluate_all(
     g: SignedGraph,
     *,
@@ -564,12 +570,12 @@ def evaluate_all(
     64-bit range, come back with verdict ``skipped`` instead of aborting
     the sequence.
 
-    Within a switching class only B11's signed walk sums and B13's clique
-    witness depend on the signing.  So a signing whose class this function
-    has met gets the rows of the first signing it met for every other
-    entry, and B11 takes that signing's rho: eigenvalue-derived floats may
-    differ from a fresh decomposition of ``g`` in the last bits, far inside
-    the 1e-8 tolerance.
+    Within a switching class only B11's signed walk sums depend on the
+    signing.  So a signing whose class this function has met gets the rows
+    of the first signing it met for every other entry, B13's included, and
+    B11 takes that signing's rho: eigenvalue-derived floats may differ from
+    a fresh decomposition of ``g`` in the last bits, far inside the 1e-8
+    tolerance.
     """
     rs = tuple(_int_param("B10", "r", r) for r in rs)
     qr_pairs = tuple((_int_param("B11", "q", q), _int_param("B11", "r", r)) for q, r in qr_pairs)

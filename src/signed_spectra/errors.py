@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class SignedSpectraError(Exception):
     """Base class for every error raised by this package."""
@@ -40,6 +42,16 @@ class IndexOutOfRangeError(ParseError):
 
 class InvalidParamsError(SignedSpectraError, ValueError):
     """Arguments violate a documented precondition."""
+
+
+def _int_param(owner: str, name: str, value: object) -> int:
+    """``value`` as an integer in the sense of ``operator.index`` (Python and
+    numpy ints, bools); a float or a string raises InvalidParamsError naming
+    ``owner``'s parameter ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParamsError(f"{owner} parameter {name!r} must be an integer, got {value!r}") from None
 
 
 class LengthMismatchError(SignedSpectraError, ValueError):

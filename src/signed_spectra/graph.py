@@ -86,6 +86,15 @@ class SignedGraph:
             canon.append((u, v, s))
         return cls(n, frozenset(canon))
 
+    @classmethod
+    def _unchecked(cls, n: int, edges: frozenset[Edge]) -> "SignedGraph":
+        """A graph from ``n`` and canonical ``edges`` that are known to be
+        valid, without the checks of ``__post_init__``: for graphs derived
+        from a valid graph, and for the parser, which checks each line."""
+        g = object.__new__(cls)
+        vars(g).update(n=n, edges=edges)
+        return g
+
     def __repr__(self) -> str:  # keep pytest output readable for dense graphs
         return f"SignedGraph(n={self.n}, m={self.m}, m-={self.m_minus})"
 
@@ -146,13 +155,13 @@ class SignedGraph:
 
     def negate(self) -> "SignedGraph":
         """Same underlying graph with every edge sign flipped."""
-        return SignedGraph(self.n, frozenset((u, v, -s) for u, v, s in self.edges))
+        return SignedGraph._unchecked(self.n, frozenset((u, v, -s) for u, v, s in self.edges))
 
     def with_all_signs(self, sign: int) -> "SignedGraph":
         """The signed graph (G, +1) or (G, -1) over the same underlying graph."""
         if sign not in (-1, 1):
             raise InvalidParamsError(f"sign must be +1 or -1, got {sign!r}")
-        return SignedGraph(self.n, frozenset((u, v, sign) for u, v, _ in self.edges))
+        return SignedGraph._unchecked(self.n, frozenset((u, v, sign) for u, v, _ in self.edges))
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "SignedGraph":
         """Induced signed subgraph; kept vertices are relabeled 0..k-1 in sorted order."""
@@ -166,7 +175,7 @@ class SignedGraph:
             for u, v, s in self.edges
             if u in remap and v in remap
         )
-        return SignedGraph(len(keep), kept)
+        return SignedGraph._unchecked(len(keep), kept)
 
     def to_sg(self) -> str:
         return serialize_signed_graph(self)
@@ -238,7 +247,7 @@ def parse_signed_graph(text: str) -> SignedGraph:
         triples.append((u, v, s))
     if n is None:
         raise MalformedLineError("missing vertex-count line", line=max(lineno, 1))
-    return SignedGraph(n, frozenset(triples))
+    return SignedGraph._unchecked(n, frozenset(triples))
 
 
 def serialize_signed_graph(g: SignedGraph) -> str:
@@ -309,14 +318,19 @@ def _signed_matrix(graphs: SignedGraph | Sequence[SignedGraph]) -> np.ndarray:
     return a
 
 
-def adjacency_matrix(g: SignedGraph) -> SymmetricMatrix:
-    """Signed adjacency matrix: entry (i, j) is the sign of edge ij, else 0."""
-    if g.n > MATRIX_MAX_N:
+def _check_dense(n: int) -> None:
+    """Raise TooLargeError past the dense-matrix guard ``MATRIX_MAX_N``."""
+    if n > MATRIX_MAX_N:
         raise TooLargeError(
-            f"adjacency matrix guard: n={g.n} exceeds {MATRIX_MAX_N}",
-            n=g.n,
+            f"adjacency matrix guard: n={n} exceeds {MATRIX_MAX_N}",
+            n=n,
             limit=MATRIX_MAX_N,
         )
+
+
+def adjacency_matrix(g: SignedGraph) -> SymmetricMatrix:
+    """Signed adjacency matrix: entry (i, j) is the sign of edge ij, else 0."""
+    _check_dense(g.n)
     return SymmetricMatrix(_signed_matrix(g))
 
 
@@ -381,7 +395,7 @@ def _signed_gnp(rng: random.Random, n: int, p: float, q_neg: float) -> SignedGra
         for v in range(u + 1, n):
             if rng.random() < p:
                 edges.append((u, v, -1 if rng.random() < q_neg else 1))
-    return SignedGraph(n, frozenset(edges))
+    return SignedGraph._unchecked(n, frozenset(edges))
 
 
 _GENERATORS = {

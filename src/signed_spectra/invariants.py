@@ -33,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidParamsError, TooLargeError
-from .graph import SignedGraph, _signed_matrix, all_negative
+from .errors import InvalidParamsError, TooLargeError, _int_param
+from .graph import SignedGraph, _signed_matrix
 from .switching import propagation_labels
 
 #: the largest n each exact function takes unless forced, by its guard's name
@@ -187,10 +187,16 @@ def frustration_index_exact(g: SignedGraph, *, force: bool = False) -> int:
     one switching-class maximisation.  Exponential in n (``_GUARDS``: n <= 25).
     """
     _check_guard(g.n, "frustration_index_exact", force=force)
-    if g.m == 0:
+    return _frustration(_signed_matrix(g), g.m)
+
+
+def _frustration(a: np.ndarray, m: int) -> int:
+    """The frustration index of the graph with m edges whose signed int64
+    matrix is ``a``; with a = -|A|, its edge bipartiteness."""
+    if m == 0:
         return 0
-    best, _ = _max_switching_form(_signed_matrix(g), 2 * g.m)
-    return (g.m - best // 2) // 2
+    best, _ = _max_switching_form(a, 2 * m)
+    return (m - best // 2) // 2
 
 
 def _choice_signs(rng: random.Random, k: int) -> np.ndarray:
@@ -225,6 +231,8 @@ def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> 
     reaches what its start would reach alone.  Ties are broken by lowest
     vertex index.
     """
+    iters = _int_param("frustration_index_upper", "iters", iters)
+    seed = _int_param("frustration_index_upper", "seed", seed)
     if iters < 1:
         raise InvalidParamsError(f"iters must be >= 1, got {iters}")
     if g.m == 0:
@@ -263,11 +271,11 @@ def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> 
 def edge_bipartiteness(g: SignedGraph, *, force: bool = False) -> int:
     """Least number of edge deletions making the underlying graph bipartite.
 
-    Equals the frustration index of (G, -1): that graph is balanced exactly
-    when G is bipartite.
+    Equals the frustration index of (G, -1), whose signed matrix is -|A|:
+    that graph is balanced exactly when G is bipartite.
     """
     _check_guard(g.n, "edge_bipartiteness", force=force)
-    return frustration_index_exact(all_negative(g), force=True)
+    return _frustration(-np.abs(_signed_matrix(g)), g.m)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +455,7 @@ def walk_census(g: SignedGraph, r: int) -> WalkCensus:
 
     Takes at most 124 matrix-vector steps for any r (``_walk_order``).
     """
+    r = _int_param("walk_census", "r", r)
     if r < 1:
         raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
     return replace(next(islice(_walk_chain(g), _walk_order(r) - 1, None)), r=r)
@@ -464,15 +473,17 @@ def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
     Guard: n <= 20 (``_GUARDS``).  Note the ordered-walk convention: every
     negative edge yields two negative 2-walks, hence eps_2 = 2 * eps.
     """
+    r = _int_param("r_frustration_index", "r", r)
     if r < 1:
         raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
     _check_guard(g.n, "r_frustration_index", force=force)
     if g.n == 0 or g.m == 0 or r == 1:
         return 0
-    return _r_frustration(g, r, walk_census(g, r).w_total)
+    return _r_frustration(_signed_matrix(g), r, walk_census(g, r).w_total)
 
 
-def _r_frustration(g: SignedGraph, r: int, w_total: int) -> int:
-    """``r_frustration_index`` for r >= 2 and m >= 1, given w_total = e^T |A|^(r-1) e."""
-    best, _ = _max_switching_form(np.linalg.matrix_power(_signed_matrix(g), r - 1), w_total)
+def _r_frustration(a: np.ndarray, r: int, w_total: int) -> int:
+    """``r_frustration_index`` for r >= 2 and m >= 1 of the graph whose
+    signed int64 matrix is ``a``, given w_total = e^T |A|^(r-1) e."""
+    best, _ = _max_switching_form(np.linalg.matrix_power(a, r - 1), w_total)
     return (w_total - best) // 2

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from . import invariants
-from .bounds import _NO_EIGENVALUES, REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _int_param, _json_array
-from .errors import InvalidConfigError
+from .bounds import _NO_EIGENVALUES, REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
+from .errors import InvalidConfigError, _int_param
 from .graph import MATRIX_MAX_N, SignedGraph, _signed_gnp, _signed_matrix
 from .spectral import _eigenvalues
 from .switching import is_switching_equivalent

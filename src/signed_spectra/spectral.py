@@ -5,11 +5,15 @@ Its contract is accuracy, not an algorithm: on symmetric matrices with
 entries in {-1, 0, 1} up to order 64 the reconstruction error stays below
 1e-8 and the eigenvector orthogonality error below 1e-10 (acceptance
 criterion 08).  A LAPACK failure to converge is raised as
-NoConvergenceError.  The counterexample search reads only eigenvalues; it
-takes those of a block's samples of one order from one ``eigh`` call on
-their stack (``_eigenvalues``), and LAPACK decomposes a stack's matrices one
-by one, so each gets the eigenvalues ``eigen_decomposition`` gives it, bit
-for bit.
+NoConvergenceError.  ``eigen_decomposition``, ``spectrum_of`` and
+``Spectrum`` serve the ``spectrum`` command and the public API.  The
+registry reads only eigenvalues, through ``_eigenvalues``: ``bounds._Ctx``
+takes a graph's from one ``eigh`` of its int64 matrix, and the
+counterexample search those of a block's samples of one order from one
+``eigh`` call on their stack.  LAPACK decomposes a stack's matrices one by
+one, and ``_eigenvalues`` sorts with ``eigen_decomposition``'s stable
+argsort, so each matrix gets the eigenvalues ``eigen_decomposition`` gives
+it, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError, NoConvergenceError
+from .errors import InvalidParamsError, NoConvergenceError, _int_param
 from .graph import SignedGraph, SymmetricMatrix, _symmetric_entries, adjacency_matrix
 from .invariants import _max_balanced_clique
 from .switching import propagation_labels
@@ -93,18 +97,23 @@ def eigen_decomposition(a: SymmetricMatrix | np.ndarray) -> Spectrum:
     )
 
 
-def _eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """The eigenvalues of each matrix of a (k, n, n) stack, sorted
-    descending, as one read-only (k, n) array from one ``eigh`` call.  The
-    counterexample search calls it once per order on each block of samples.
+def _eigenvalues(a: np.ndarray, ndim: int = 3) -> np.ndarray:
+    """The eigenvalues of each matrix of a (k, n, n) stack, or with
+    ``ndim`` 2 of one (n, n) matrix, sorted descending, as one read-only
+    (k, n) or (n,) array from one ``eigh`` call, with no eigenvectors kept
+    and no ``Spectrum`` built.  The counterexample search calls it once per
+    order on each block of samples, and ``bounds._Ctx`` on a graph's int64
+    matrix or its |A|.
 
-    The stack is checked as ``SymmetricMatrix`` checks one matrix.  Row i is
-    bit for bit ``eigen_decomposition(stack[i]).eigenvalues``: LAPACK
-    decomposes a stack's matrices one by one, and the rows are sorted by the
-    same stable argsort.  ``eigvalsh`` would not do: LAPACK's driver without
-    eigenvectors moves the last bits.
+    ``a`` is checked as ``SymmetricMatrix`` checks one matrix.  The result
+    is bit for bit ``eigen_decomposition(a).eigenvalues`` (row i of it for
+    ``a[i]`` of a stack): LAPACK decomposes a stack's matrices one by one,
+    and the rows are sorted by the same stable argsort.  Reversing LAPACK's
+    ascending order would not do, as it swaps a tie of -0.0 and 0.0; nor
+    would ``eigvalsh``, as LAPACK's driver without eigenvectors moves the
+    last bits.
     """
-    vals, _ = _eigh(_symmetric_entries(stack, ndim=3))
+    vals, _ = _eigh(_symmetric_entries(a, ndim))
     vals = np.take_along_axis(vals, np.argsort(-vals, axis=-1, kind="stable"), axis=-1)
     vals.setflags(write=False)
     return vals
@@ -126,6 +135,7 @@ def spectrum_of(g: SignedGraph) -> Spectrum:
 
 def walk_from_spectrum(s: Spectrum, k: int) -> float:
     """Signed k-vertex walk count from the spectral identity sum(c_i l_i^(k-1))."""
+    k = _int_param("walk_from_spectrum", "k", k)
     if k < 1:
         raise InvalidParamsError(f"walk order k must be >= 1, got {k}")
     return float(np.sum(s.walk_coefficients * s.eigenvalues ** (k - 1)))
@@ -183,6 +193,8 @@ def ms_index_search(g: SignedGraph, iters: int = 16, seed: int = 0) -> float:
     x^T (D A D) x.  Every evaluated point is feasible, so the result never
     exceeds the true maximum beyond float roundoff.
     """
+    iters = _int_param("ms_index_search", "iters", iters)
+    seed = _int_param("ms_index_search", "seed", seed)
     exact = _clique_value(g, _max_balanced_clique(g))
     labels, _, _ = propagation_labels(g, full=True)
     canonical = _switched_entries(adjacency_matrix(g).entries, labels)

@@ -70,7 +70,7 @@ def apply_switching(g: SignedGraph, eta: Switching | Sequence[int]) -> SignedGra
         )
     if not isinstance(eta, Switching):
         eta = Switching(signs)
-    return SignedGraph(
+    return SignedGraph._unchecked(
         g.n, frozenset((u, v, signs[u] * s * signs[v]) for u, v, s in g.edges)
     )
 
@@ -92,8 +92,12 @@ def propagation_labels(
     which depends on the underlying graph alone.  Switching by those labels
     gives every signing of one switching class the same signed graph, the
     class's canonical signing.
+
+    It reads the graph's neighbour tuples and sign dict directly: a
+    method call per edge visit would cost more than the visit.
     """
-    labels = [0] * g.n
+    labels = [0] * g.n  # first: past memory it fails at once, before n tuples are built
+    adjacency, signs = g._adjacency, g._signs
     parent: dict[int, int] = {}
     conflict = None
     for root in range(g.n):
@@ -103,12 +107,13 @@ def propagation_labels(
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in g.neighbors(u):
+            for v in adjacency[u]:
+                s = signs[(u, v) if u < v else (v, u)]
                 if labels[v] == 0:
-                    labels[v] = labels[u] * g.sign(u, v)
+                    labels[v] = labels[u] * s
                     parent[v] = u
                     queue.append(v)
-                elif conflict is None and labels[u] * g.sign(u, v) * labels[v] == -1:
+                elif conflict is None and labels[u] * s * labels[v] == -1:
                     conflict = (u, v)
                     if not full:
                         return tuple(label or 1 for label in labels), conflict, parent
@@ -166,7 +171,7 @@ def is_switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     """
     if g1.n != g2.n or g1.underlying_pairs != g2.underlying_pairs:
         raise UnderlyingMismatchError("graphs do not share the same underlying graph")
-    quotient = SignedGraph(
+    quotient = SignedGraph._unchecked(
         g1.n, frozenset((u, v, s * g2.sign(u, v)) for u, v, s in g1.edges)
     )
     return is_balanced(quotient).balanced

@@ -45,7 +45,7 @@ from signed_spectra import (
     signed_cycle,
     walk_census,
 )
-from signed_spectra import bounds, invariants, spectral
+from signed_spectra import bounds, graph, invariants, spectral
 from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
 from signed_spectra.cli import run_cli
 
@@ -118,11 +118,11 @@ class TestSingleEvaluations:
     def test_entries_without_eigenvalues_read_none(self, monkeypatch, c5, bound_id):
         # search skips the eigensolves for the entries of _NO_EIGENVALUES:
         # with every route to an eigenvalue raising, exactly those evaluate
-        def unreachable(*args):
+        def unreachable(*args, **kwargs):
             raise AssertionError("eigenvalues read")
 
         monkeypatch.setattr(bounds._Ctx, "eigenvalues", property(unreachable))
-        monkeypatch.setattr(bounds, "eigen_decomposition", unreachable)
+        monkeypatch.setattr(bounds, "_eigenvalues", unreachable)
         params = {"q": 1, "r": 2}
         if bound_id in bounds._NO_EIGENVALUES:
             for g in [c5, SignedGraph(1)] + random_graphs(40, max_n=8, seed=19):
@@ -328,11 +328,11 @@ class TestEvaluateAll:
             assert value.hex() == unsigned_lambda_n_by_all_positive(g).hex(), g.to_sg()
 
     def test_clique_and_adjacency_are_computed_once(self, monkeypatch):
-        # B13 reads the memo's clique instead of its own, and no entry builds
-        # a second copy of g's matrix
+        # B13 reads the memo's clique instead of its own, and the memo builds
+        # g's matrix once: eps, eps_b, eps_r and both spectra read that one
         _underlying.cache_clear()
         cliques, matrices = [], []
-        clique_of, matrix_of = bounds._max_balanced_clique, bounds.adjacency_matrix
+        clique_of, matrix_of = bounds._max_balanced_clique, graph._signed_matrix
 
         def counted_clique(h, **kwargs):
             cliques.append(h)
@@ -344,11 +344,12 @@ class TestEvaluateAll:
 
         for module in (bounds, spectral):
             monkeypatch.setattr(module, "_max_balanced_clique", counted_clique)
-            monkeypatch.setattr(module, "adjacency_matrix", counted_matrix)
+        for module in (graph, bounds, invariants):  # every build of a matrix from a graph
+            monkeypatch.setattr(module, "_signed_matrix", counted_matrix)
         g = erdos_renyi_signed(n=9, p=0.6, q_neg=0.4, seed=8)
         evals = evaluate_all(g)
         assert [h is g for h in cliques] == [True]
-        assert sum(h is g for h in matrices) == 1
+        assert [h for h in matrices if isinstance(h, SignedGraph)] == [g]
         b13 = next(ev for ev in evals if ev.bound_id == "B13")
         assert b13.lhs == float(ms_index(g))
 
@@ -493,13 +494,13 @@ def _check_rows(evals, own, first) -> None:
     cold rows of the first signing of its class that the memo met."""
     assert len(evals) == len(own) == len(first)
     for ev, mine, theirs in zip(evals, own, first):
-        if ev.bound_id == "B13":
-            assert _bits(ev) == _bits(mine)
-        elif ev.bound_id == "B11":  # its own walk sums, the class's rho
+        if ev.bound_id == "B11":  # its own walk sums, the class's rho
             assert ev.lhs.hex() == mine.lhs.hex() and ev.rhs.hex() == theirs.rhs.hex()
             assert (ev.slack, ev.tolerance) == (ev.rhs - ev.lhs, theirs.tolerance)
         else:
             assert _bits(ev) == _bits(theirs)
+        if ev.bound_id == "B13":  # a class row that is also the signing's own
+            assert _bits(ev) == _bits(mine)
         for name in ("verdict", "hypothesis_met", "note", "params"):
             assert getattr(ev, name) == getattr(mine, name), (ev.bound_id, name)
 
@@ -677,6 +678,34 @@ def _check_b13_witness(g: SignedGraph) -> None:
     assert b13.lhs == b13.rhs == float(ms_index(g)), g.to_sg()
     assert b13.slack == 0.0 and b13.verdict == "holds", g.to_sg()
     assert ms_index_search(g, iters=2, seed=0) <= b13.rhs + 1e-12, g.to_sg()
+
+
+class TestB13PerClass:
+    """B13's row is kept per switching class: within a class it is the same
+    to the last bit, and it is each signing's own cold row."""
+
+    B13 = ("B13", {"iters": 2, "seed": 0})
+
+    @staticmethod
+    def _row(evals) -> tuple:
+        return _bits(next(ev for ev in evals if ev.bound_id == "B13"))
+
+    def test_every_signing_of_the_sweep_strata(self):
+        graphs = [g for seed in range(4) for g in _sweep_strata(seed)]
+        _underlying.cache_clear()
+        rows = [self._row(evaluate_all(g)) for g in graphs]
+        for g, row, first in zip(graphs, rows, _first_met(graphs)):
+            assert row == rows[first], g.to_sg()
+            assert row == _bits(evaluate_bound(g, *self.B13)), g.to_sg()
+
+    @given(signed_graphs(max_n=9), st.lists(st.sampled_from((1, -1)), min_size=9, max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_switchings(self, g, eta):
+        h = apply_switching(g, eta[: g.n])
+        cold = _bits(evaluate_bound(h, *self.B13))
+        _underlying.cache_clear()
+        assert self._row(evaluate_all(g)) == _bits(evaluate_bound(g, *self.B13)) == cold
+        assert self._row(evaluate_all(h)) == cold, (g.to_sg(), eta)
 
 
 class TestB13Witness:

@@ -407,8 +407,10 @@ class TestExitOne:
 
     def test_b13_witness_off_the_closed_form_exit_1(self, c5_file, capsys, monkeypatch):
         # a clique labeling at odds with the negative edge (0, 1), which C5 and
-        # every all-negative complete graph have, puts the witness at -1/4
+        # every all-negative complete graph have, puts the witness at -1/4;
+        # B13's row is kept per switching class, so none kept from before is read
         monkeypatch.setattr(bounds._Ctx, "clique", property(lambda ctx: (2, (0, 1), (1, 1))))
+        _underlying.cache_clear()
         assert run_cli(["bounds", c5_file, "--json"]) == 1
         b13 = next(ev for ev in json.loads(capsys.readouterr().out) if ev["bound_id"] == "B13")
         assert b13["verdict"] == "violated"

@@ -1,5 +1,7 @@
 """Parsing, serialization, adjacency matrices and generators."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,13 +19,17 @@ from signed_spectra import (
     TooLargeError,
     adjacency_matrix,
     all_negative_complete,
+    apply_switching,
     erdos_renyi_signed,
     generate,
     paper_c5,
     parse_signed_graph,
     serialize_signed_graph,
     signed_cycle,
+    switching,
 )
+from signed_spectra.graph import _signed_gnp
+from signed_spectra.switching import is_switching_equivalent
 
 from .conftest import random_graphs, signed_graphs
 from .oracles import adjacency_by_float_loop, erdos_renyi_by_from_edges
@@ -160,6 +166,36 @@ class TestConstruction:
     def test_direct_construction_validates_edges(self, edges, exc):
         with pytest.raises(exc):
             SignedGraph(3, frozenset(edges))
+
+    @given(signed_graphs(max_n=9), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_internal_builders_equal_checked_construction(self, g, data):
+        # graphs built from valid graphs, and by the parser, skip the
+        # constructor's checks; each equals the checked graph of its fields
+        signs = st.lists(st.sampled_from((1, -1)), min_size=g.n, max_size=g.n)
+        eta, other = data.draw(signs), data.draw(signs)
+        keep = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
+        p, q = data.draw(st.sampled_from((0.0, 0.3, 1.0))), data.draw(st.sampled_from((0.0, 0.5, 1.0)))
+        quotients = []
+        balanced = switching.is_balanced
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(switching, "is_balanced", lambda h: quotients.append(h) or balanced(h))
+            h = apply_switching(g, other)
+            assert is_switching_equivalent(g, h)
+        built = [
+            apply_switching(g, eta),
+            _signed_gnp(random.Random(data.draw(st.integers(0, 2**16))), g.n, p, q),
+            g.negate(),
+            g.with_all_signs(1),
+            g.with_all_signs(-1),
+            g.induced_subgraph(keep),
+            parse_signed_graph(g.to_sg()),
+            *quotients,
+        ]
+        assert len(built) == 8
+        for h in built:
+            assert type(h.edges) is frozenset
+            assert h == SignedGraph(h.n, h.edges), h.to_sg()
 
     def test_counters(self):
         g = parse_signed_graph(C5_TEXT)

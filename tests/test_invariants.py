@@ -26,7 +26,10 @@ from signed_spectra import (
     r_frustration_index,
     signed_cycle,
     triangle_census,
+    ms_index_search,
+    spectrum_of,
     walk_census,
+    walk_from_spectrum,
 )
 from signed_spectra.bounds import _Ctx
 
@@ -599,3 +602,33 @@ class TestInvariantReport:
         assert frustration >= 1  # upper bound
         assert eps_b >= 1  # upper bound
         assert omega_b <= 2  # greedy lower bound
+
+
+_PARAM_CALLS = {
+    "walk_census-r": lambda g, x: walk_census(g, x),
+    "r_frustration_index-r": lambda g, x: r_frustration_index(g, x),
+    "walk_from_spectrum-k": lambda g, x: walk_from_spectrum(spectrum_of(g), x),
+    "frustration_index_upper-iters": lambda g, x: frustration_index_upper(g, x),
+    "frustration_index_upper-seed": lambda g, x: frustration_index_upper(g, 4, x),
+    "ms_index_search-iters": lambda g, x: ms_index_search(g, x),
+    "ms_index_search-seed": lambda g, x: ms_index_search(g, 2, x),
+}
+
+
+class TestIntegerParameters:
+    """Orders, iteration counts and seeds of the public functions are
+    integers in the sense of ``operator.index``; a float or a string raises
+    InvalidParamsError naming the function and the parameter."""
+
+    @pytest.mark.parametrize("bad", (2.0, 2.5, "2", np.float64(3.0)), ids=("whole-float", "float", "str", "numpy-float"))
+    @pytest.mark.parametrize("call", tuple(_PARAM_CALLS))
+    def test_non_integers_raise_invalid_params(self, c5, call, bad):
+        owner, name = call.split("-")
+        with pytest.raises(InvalidParamsError, match=f"{owner} parameter {name!r} must be an integer"):
+            _PARAM_CALLS[call](c5, bad)
+
+    @pytest.mark.parametrize("call", tuple(_PARAM_CALLS))
+    def test_numpy_ints_and_bools_pass(self, c5, call):
+        for value, same in ((np.int64(3), 3), (np.int8(2), 2), (True, 1)):
+            assert _PARAM_CALLS[call](c5, value) == _PARAM_CALLS[call](c5, same), value
+

@@ -367,10 +367,11 @@ class TestStackedSpectra:
 
     def test_default_b8u_search_builds_no_spectrum(self, monkeypatch):
         # the bench search: one block whose orders all hold many samples, so
-        # every sample's eigenvalues come from a stack and no Spectrum is built
+        # every sample's eigenvalues come from a stack: the memo's own route
+        # (``bounds._eigenvalues``) never runs and no Spectrum is built
         calls = []
-        decompose, spectrum = spectral.eigen_decomposition, spectral.Spectrum
-        monkeypatch.setattr(bounds, "eigen_decomposition", lambda a: calls.append(a) or decompose(a))
+        decompose, spectrum = spectral._eigenvalues, spectral.Spectrum
+        monkeypatch.setattr(bounds, "_eigenvalues", lambda a, ndim: calls.append(a) or decompose(a, ndim))
         monkeypatch.setattr(spectral, "Spectrum", lambda **kw: calls.append(kw) or spectrum(**kw))
         cfg = make_cfg(n_min=5, n_max=7, samples=500, seed=0)
         assert search_counterexamples(cfg)

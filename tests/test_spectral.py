@@ -27,6 +27,7 @@ from signed_spectra import (
     walk_census,
     walk_from_spectrum,
 )
+from signed_spectra import spectral
 from signed_spectra.graph import _signed_matrix
 from signed_spectra.spectral import _eigenvalues, _face_peak, _ms_search, _switched_entries
 from signed_spectra.switching import propagation_labels
@@ -242,6 +243,18 @@ class TestStackedSolver:
         # ties in either order of the stack, and a stack of one edgeless graph
         assert_rows_are_own_eigenvalues(_signed_matrix(graphs[::-1]))
         assert_rows_are_own_eigenvalues(_signed_matrix([SignedGraph(n)]))
+
+    def test_signed_zero_ties_keep_the_stable_order(self, monkeypatch):
+        # ties sort by a stable argsort of -vals, as in eigen_decomposition:
+        # LAPACK's -0.0 before its 0.0 stays first, where reversing its
+        # ascending output would swap them
+        vals = np.array([-1.0, -0.0, 0.0, 1.0])
+        monkeypatch.setattr(spectral, "_eigh", lambda a: (np.broadcast_to(vals, a.shape[:-1]).copy(), a + np.eye(4)))
+        expected = np.array([1.0, -0.0, 0.0, -1.0]).tobytes()
+        matrix = np.zeros((4, 4))
+        assert eigen_decomposition(matrix).eigenvalues.tobytes() == expected
+        assert _eigenvalues(matrix, ndim=2).tobytes() == expected
+        assert _eigenvalues(matrix[None]).tobytes() == expected
 
     def test_one_eigh_call_per_stack(self, monkeypatch):
         calls = []
