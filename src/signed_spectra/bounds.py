@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Mapping, Sequence
@@ -133,14 +133,40 @@ def _kept(values: dict, name: object, compute: Callable[[], object]):
     return values[name]
 
 
+class _memo:
+    """``functools.cached_property`` without its lock: the first read of the
+    attribute computes it and stores it in the instance ``__dict__``, where
+    every later read finds it before this non-data descriptor.  On Python
+    3.10 and 3.11 ``cached_property`` takes an RLock on each first read
+    (about 1.7 us against 0.4 us here on 3.11, timeit), more than most of
+    ``_Ctx``'s values cost to compute; a context is never shared between
+    threads, so it needs no lock.  An exception stores nothing, and an
+    instance assignment wins over the descriptor."""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        value = ctx.__dict__[self.name] = self.compute(ctx)
+        return value
+
+
 class _Ctx:
     """Every quantity of one signed graph that ``bounds``, ``invariants`` and
     ``search`` read, computed once and always under the guards: it reads
     the limits on its first guarded read and checks each guarded value
-    before the memo's O(n) class key.  Every matrix quantity comes from one
-    int64 matrix, ``matrix``: the kernel runs on A for eps, on -|A| for
-    eps_b and on A^(r-1) for eps_r, through the helpers the public
-    functions call on their own matrix.  Of the spectrum it holds only the
+    before the memo's O(n) class key.  Each value is a ``_memo``: a plain
+    instance attribute after its first read, which ``search`` may also set
+    itself (the eigenvalues from a stacked ``eigh``).  Every matrix
+    quantity comes from one int64 matrix, ``matrix``: the kernel runs on A
+    for eps, on -|A| for eps_b and on A^(r-1) for eps_r, through the
+    helpers the public functions call on their own matrix.  Of the spectrum it holds only the
     sorted eigenvalues, from one ``eigh`` of that matrix with no
     eigenvectors kept and no ``Spectrum`` built: the registry reads no more
     than lambda_1, lambda_2, lambda_n and rho.  The eigenvalue reads check
@@ -153,25 +179,25 @@ class _Ctx:
         self._shared = shared
         self._walks: list[WalkCensus] = []
 
-    @cached_property
+    @_memo
     def matrix(self) -> np.ndarray:
         """g's signed adjacency matrix in int64, the one every matrix
         quantity is read from."""
         return _signed_matrix(self.g)
 
-    @cached_property
+    @_memo
     def eigenvalues(self) -> np.ndarray:
         """Sorted descending; ``search`` sets them from a stacked ``eigh``."""
         _check_dense(self.g.n)
         return _eigenvalues(self.matrix, ndim=2)
 
-    @cached_property
+    @_memo
     def _underlying_values(self) -> dict:
         """The values of the underlying graph: the shared entry, or this
         context's own."""
         return _underlying(self.g.n, self.g.underlying_pairs) if self._shared else {}
 
-    @cached_property
+    @_memo
     def _class(self) -> dict:
         """The values this signing shares with its switching class."""
         if not self._shared:
@@ -191,21 +217,21 @@ class _Ctx:
             return float(_eigenvalues(np.abs(self.matrix), ndim=2)[-1])
         return _kept(self._underlying_values, "lambda_n", compute)
 
-    @cached_property
+    @_memo
     def limits(self) -> dict[str, int]:
         return _guard_limits()
 
-    @cached_property
+    @_memo
     def eps(self) -> int:
         _check_guard(self.g.n, "frustration_index_exact", self.limits)
         return _kept(self._class, "eps", lambda: _frustration(self.matrix, self.g.m))
 
-    @cached_property
+    @_memo
     def eps_b(self) -> int:
         _check_guard(self.g.n, "edge_bipartiteness", self.limits)
         return _kept(self._underlying_values, "eps_b", lambda: _frustration(-np.abs(self.matrix), self.g.m))
 
-    @cached_property
+    @_memo
     def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         _check_guard(self.g.n, "balanced_clique_number", self.limits)
         # the class keeps the members, the same for every signing; the labels
@@ -232,12 +258,12 @@ class _Ctx:
             g = self.g if name == "eps" else all_negative(self.g)
             return frustration_index_upper(g, _HEURISTIC_ITERS, _HEURISTIC_SEED), False
 
-    @cached_property
+    @_memo
     def census(self) -> TriangleCensus:
         # a triangle's sign, the product of its edge signs, survives switching
         return _kept(self._class, "census", lambda: triangle_census(self.g))
 
-    @cached_property
+    @_memo
     def _chain(self) -> Iterator[WalkCensus]:
         """The walk censuses past those in ``_walks``, started on first read."""
         return _walk_chain(self.g)
@@ -268,15 +294,15 @@ class _Ctx:
     def rho(self) -> float:
         return _kept(self._class, "rho", lambda: max(abs(self.lambda1), abs(self.lambda_n)))
 
-    @cached_property
+    @_memo
     def lambda1(self) -> float:
         return float(self.eigenvalues[0])
 
-    @cached_property
+    @_memo
     def lambda2(self) -> float:
         return float(self.eigenvalues[1]) if len(self.eigenvalues) > 1 else 0.0
 
-    @cached_property
+    @_memo
     def lambda_n(self) -> float:
         return float(self.eigenvalues[-1])
 
@@ -460,6 +486,30 @@ def evaluate_bound(
     return _evaluate(_Ctx(g), info, params)
 
 
+def _row(
+    bound_id: str, hypothesis_met: bool, lhs: float, rhs: float, slack: float,
+    verdict: str, tolerance: float, params: dict[str, int], note: str
+) -> BoundEvaluation:
+    """``BoundEvaluation(...)`` of values this module made, built by writing
+    a new instance's ``__dict__`` key by key in field order.  On Python
+    3.11 (timeit) that takes about 0.6 us against 2.1 us for the frozen
+    constructor's nine ``object.__setattr__`` calls; written in field
+    order, the row keeps sharing its keys with the constructor's rows, at
+    about 220 bytes a row against 330 after ``dict.update`` (tracemalloc)."""
+    row = object.__new__(BoundEvaluation)
+    fields = row.__dict__
+    fields["bound_id"] = bound_id
+    fields["hypothesis_met"] = hypothesis_met
+    fields["lhs"] = lhs
+    fields["rhs"] = rhs
+    fields["slack"] = slack
+    fields["verdict"] = verdict
+    fields["tolerance"] = tolerance
+    fields["params"] = params
+    fields["note"] = note
+    return row
+
+
 def _evaluate(ctx: _Ctx, info: BoundInfo, params: dict[str, int]) -> BoundEvaluation:
     hyp, lhs, rhs, note = info.evaluator(ctx, params)
     tolerance = _REL_TOL * max(1.0, abs(rhs))
@@ -473,17 +523,8 @@ def _evaluate(ctx: _Ctx, info: BoundInfo, params: dict[str, int]) -> BoundEvalua
         verdict = HOLDS
     else:
         verdict = VIOLATED
-    return BoundEvaluation(
-        bound_id=info.bound_id,
-        hypothesis_met=hyp,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(rhs) - float(lhs),
-        verdict=verdict,
-        tolerance=tolerance,
-        params=params,
-        note=note,
-    )
+    lhs, rhs = float(lhs), float(rhs)
+    return _row(info.bound_id, hyp, lhs, rhs, rhs - lhs, verdict, tolerance, params, note)
 
 
 def _evaluate_or_skip(ctx: _Ctx, bound_id: str, params: dict[str, int]) -> BoundEvaluation:
@@ -491,17 +532,7 @@ def _evaluate_or_skip(ctx: _Ctx, bound_id: str, params: dict[str, int]) -> Bound
     try:
         return _evaluate(ctx, REGISTRY[bound_id], params)
     except (TooLargeError, OverflowError) as exc:
-        return BoundEvaluation(
-            bound_id=bound_id,
-            hypothesis_met=False,
-            lhs=0.0,
-            rhs=0.0,
-            slack=0.0,
-            verdict=SKIPPED,
-            tolerance=_REL_TOL,
-            params=params,
-            note=f"skipped: {exc}",
-        )
+        return _row(bound_id, False, 0.0, 0.0, 0.0, SKIPPED, _REL_TOL, params, f"skipped: {exc}")
 
 
 # B11's signed walk sums are a signing's own; every other row is the same for
@@ -538,25 +569,18 @@ def _plan(
     return tuple(plan)
 
 
-def _with_params(row: BoundEvaluation, params: dict[str, int]) -> BoundEvaluation:
-    """A copy of the frozen ``row`` holding ``params``, made by filling a new
-    instance's ``__dict__``: 0.85 us against 2.4 us for the constructor."""
-    copy = object.__new__(BoundEvaluation)
-    fields = vars(copy)
-    fields.update(vars(row))
-    fields["params"] = params
-    return copy
-
-
 # Cost per graph: a sweep meets most of its graphs in a class it has already
 # met (233 or 234 of the 307 graphs of a bench ``sweep`` pass), so what such
 # a graph pays sets the pace.  It pays for the class key, for B11's walk
-# sums, and for copying the 16 kept rows with its own params
-# (``_with_params``); the plan and its rows' keys come from ``_plan``, once
-# per choice of walk orders, after the orders are checked on every call.  A
-# graph of a new class pays for one int64 matrix, one ``eigh`` (two for
-# B3 and B4 on a graph with a negative edge) and the kernel runs of eps,
-# eps_b and eps_3, all read from that matrix.
+# sums, and for copying the 16 kept rows with its own params (``_row``);
+# the plan and its rows' keys come from ``_plan``, once per choice of walk
+# orders, after the orders are checked on every call.  A graph of a new
+# class pays for one int64 matrix, one ``eigh`` (two for B3 and B4 on a
+# graph with a negative edge) and the kernel runs of eps, eps_b and eps_3,
+# all read from that matrix.  None of it re-checks what the package built
+# itself: ``_eigenvalues`` takes the matrix unchecked, the memo reads take
+# no lock (``_memo``), and rows and walk censuses skip the frozen
+# constructor.
 def evaluate_all(
     g: SignedGraph,
     *,
@@ -590,7 +614,8 @@ def evaluate_all(
         if key is None:
             out.append(_evaluate_or_skip(ctx, bound_id, params))
         elif key in rows:  # the kept row with this call's own params, so no two results share them
-            out.append(_with_params(rows[key], params))
+            k = rows[key]
+            out.append(_row(k.bound_id, k.hypothesis_met, k.lhs, k.rhs, k.slack, k.verdict, k.tolerance, params, k.note))
         else:
             row = rows[key] = _evaluate_or_skip(ctx, bound_id, params)
             out.append(row)

@@ -23,6 +23,7 @@ from .errors import (
     NotSymmetricError,
     SelfLoopError,
     TooLargeError,
+    _int_param,
 )
 
 #: Dense matrices only; anything bigger than this is out of desk scale.
@@ -269,7 +270,14 @@ class SymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _symmetric_entries(self.entries, ndim=2)
+        # a float64 copy, checked square, finite and symmetric within 1e-12
+        a = np.array(self.entries, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise InvalidParamsError("matrix entries must be finite (no NaN or infinity)")
+        if not (a == a.T).all() and float(np.max(np.abs(a - a.T))) > 1e-12:
+            raise NotSymmetricError("matrix is not symmetric within 1e-12")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -277,21 +285,6 @@ class SymmetricMatrix:
         """Principal submatrix on the given (distinct) indices."""
         idx = np.asarray(sorted(set(keep)), dtype=int)
         return SymmetricMatrix(self.entries[np.ix_(idx, idx)])
-
-
-def _symmetric_entries(a, ndim: int) -> np.ndarray:
-    """A float64 copy of ``a``, checked to be one square matrix (``ndim`` 2)
-    or a stack of them (``ndim`` 3), finite (else InvalidParamsError) and
-    symmetric within 1e-12 (else NotSymmetricError)."""
-    a = np.array(a, dtype=float)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
-        raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidParamsError("matrix entries must be finite (no NaN or infinity)")
-    t = a.swapaxes(-1, -2)
-    if not (a == t).all() and float(np.max(np.abs(a - t))) > 1e-12:
-        raise NotSymmetricError("matrix is not symmetric within 1e-12")
-    return a
 
 
 def _signed_matrix(graphs: SignedGraph | Sequence[SignedGraph]) -> np.ndarray:
@@ -349,9 +342,10 @@ def paper_c5() -> SignedGraph:
 
 def signed_cycle(n: int, negative_edges: Iterable[int] = ()) -> SignedGraph:
     """Cycle 0-1-...-(n-1)-0; edge index i is the edge (i, (i+1) mod n)."""
+    n = _int_param("signed_cycle", "n", n)
     if n < 3:
         raise InvalidParamsError(f"a cycle needs at least 3 vertices, got n={n}")
-    neg = set(negative_edges)
+    neg = {_int_param("signed_cycle", "negative_edges", i) for i in negative_edges}
     bad = [i for i in neg if not 0 <= i < n]
     if bad:
         raise InvalidParamsError(f"negative edge indices {bad} outside [0, {n})")
@@ -364,6 +358,7 @@ def signed_cycle(n: int, negative_edges: Iterable[int] = ()) -> SignedGraph:
 
 def all_negative_complete(n: int) -> SignedGraph:
     """The signed graph (K_n, -1)."""
+    n = _int_param("all_negative_complete", "n", n)
     if n < 0:
         raise InvalidParamsError(f"vertex count must be nonnegative, got {n}")
     edges = [(u, v, -1) for u in range(n) for v in range(u + 1, n)]
@@ -381,11 +376,21 @@ def erdos_renyi_signed(n: int, p: float, q_neg: float, seed: int = 0) -> SignedG
     Deterministic for fixed arguments: pairs are visited in lexicographic
     order and a fresh seeded RNG drives both draws.
     """
+    n = _int_param("erdos_renyi_signed", "n", n)
+    seed = _int_param("erdos_renyi_signed", "seed", seed)
     if n < 0:
         raise InvalidParamsError(f"vertex count must be nonnegative, got {n}")
-    if not (0.0 <= p <= 1.0 and 0.0 <= q_neg <= 1.0):
-        raise InvalidParamsError(f"probabilities must lie in [0, 1], got p={p}, q_neg={q_neg}")
+    if not (_unit_interval(p) and _unit_interval(q_neg)):
+        raise InvalidParamsError(f"probabilities must lie in [0, 1], got p={p!r}, q_neg={q_neg!r}")
     return _signed_gnp(random.Random(seed), n, p, q_neg)
+
+
+def _unit_interval(p: object) -> bool:
+    """Whether ``p`` is a number in [0, 1]; False for NaN and non-numbers."""
+    try:
+        return 0.0 <= p <= 1.0
+    except TypeError:
+        return False
 
 
 def _signed_gnp(rng: random.Random, n: int, p: float, q_neg: float) -> SignedGraph:

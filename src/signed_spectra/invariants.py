@@ -427,7 +427,16 @@ def _walk_chain(g: SignedGraph) -> Iterator[WalkCensus]:
         w_total, w_signed = sum(unsigned), sum(signed)
         if w_total > _INT64_MAX:
             raise OverflowError(_WALK_OVERFLOW)
-        yield WalkCensus(r, w_total, w_signed, (w_total + w_signed) // 2, (w_total - w_signed) // 2)
+        # ``WalkCensus(...)`` without the frozen constructor's setattr calls:
+        # the fields go into ``__dict__`` in field order, as in ``bounds._row``
+        census = object.__new__(WalkCensus)
+        fields = census.__dict__
+        fields["r"] = r
+        fields["w_total"] = w_total
+        fields["w_signed"] = w_signed
+        fields["w_pos"] = (w_total + w_signed) // 2
+        fields["w_neg"] = (w_total - w_signed) // 2
+        yield census
         nu, ns = [0] * g.n, [0] * g.n
         for u, v, s in g.edges:
             nu[u] += unsigned[v]
@@ -458,7 +467,9 @@ def walk_census(g: SignedGraph, r: int) -> WalkCensus:
     r = _int_param("walk_census", "r", r)
     if r < 1:
         raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
-    return replace(next(islice(_walk_chain(g), _walk_order(r) - 1, None)), r=r)
+    k = _walk_order(r)
+    census = next(islice(_walk_chain(g), k - 1, None))
+    return census if k == r else replace(census, r=r)
 
 
 def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:

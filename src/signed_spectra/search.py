@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 from . import invariants
 from .bounds import _NO_EIGENVALUES, REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
 from .errors import InvalidConfigError, _int_param
-from .graph import MATRIX_MAX_N, SignedGraph, _signed_gnp, _signed_matrix
+from .graph import MATRIX_MAX_N, SignedGraph, _signed_gnp, _signed_matrix, _unit_interval
 from .spectral import _eigenvalues
 from .switching import is_switching_equivalent
 
@@ -55,12 +55,10 @@ class SearchConfig:
             raise InvalidConfigError(
                 f"need 1 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]"
             )
-        for name, value in (
-            ("edge_probability", self.edge_probability),
-            ("negative_probability", self.negative_probability),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise InvalidConfigError(f"{name} must lie in [0, 1], got {value}")
+        for name in ("edge_probability", "negative_probability"):
+            value = getattr(self, name)
+            if not _unit_interval(value):
+                raise InvalidConfigError(f"{name} must lie in [0, 1], got {value!r}")
         missing = [p for p in REGISTRY[self.target].required_params if p not in self.params]
         if missing:
             raise InvalidConfigError(

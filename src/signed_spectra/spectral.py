@@ -13,7 +13,11 @@ counterexample search those of a block's samples of one order from one
 ``eigh`` call on their stack.  LAPACK decomposes a stack's matrices one by
 one, and ``_eigenvalues`` sorts with ``eigen_decomposition``'s stable
 argsort, so each matrix gets the eigenvalues ``eigen_decomposition`` gives
-it, bit for bit.
+it, bit for bit.  Input is checked at the public boundary only:
+``eigen_decomposition``, ``spectrum_of`` and ``SymmetricMatrix`` check
+every matrix, while ``_eigenvalues`` takes only the int64 matrices that
+``graph._signed_matrix`` builds from valid graphs, or their ``np.abs``,
+which cannot fail those checks.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParamsError, NoConvergenceError, _int_param
-from .graph import SignedGraph, SymmetricMatrix, _symmetric_entries, adjacency_matrix
+from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix
 from .invariants import _max_balanced_clique
 from .switching import propagation_labels
 
@@ -105,7 +109,9 @@ def _eigenvalues(a: np.ndarray, ndim: int = 3) -> np.ndarray:
     order on each block of samples, and ``bounds._Ctx`` on a graph's int64
     matrix or its |A|.
 
-    ``a`` is checked as ``SymmetricMatrix`` checks one matrix.  The result
+    ``a`` is not checked: every caller passes an int64 matrix or stack
+    that ``graph._signed_matrix`` built from valid graphs, or its
+    ``np.abs``, so it is square, finite and exactly symmetric.  The result
     is bit for bit ``eigen_decomposition(a).eigenvalues`` (row i of it for
     ``a[i]`` of a stack): LAPACK decomposes a stack's matrices one by one,
     and the rows are sorted by the same stable argsort.  Reversing LAPACK's
@@ -113,8 +119,11 @@ def _eigenvalues(a: np.ndarray, ndim: int = 3) -> np.ndarray:
     would ``eigvalsh``, as LAPACK's driver without eigenvectors moves the
     last bits.
     """
-    vals, _ = _eigh(_symmetric_entries(a, ndim))
-    vals = np.take_along_axis(vals, np.argsort(-vals, axis=-1, kind="stable"), axis=-1)
+    vals, _ = _eigh(a)
+    if ndim == 2:  # indexing one row costs about half of ``take_along_axis``
+        vals = vals[np.argsort(-vals, kind="stable")]
+    else:
+        vals = np.take_along_axis(vals, np.argsort(-vals, axis=-1, kind="stable"), axis=-1)
     vals.setflags(write=False)
     return vals
 

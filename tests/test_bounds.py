@@ -818,6 +818,92 @@ class TestGuardLimits:
                     assert mine == outcome(lambda: public(g)), (name, shared, g.to_sg())
 
 
+def _assert_like_constructed(value) -> None:
+    """``value``, a frozen dataclass instance the package built without its
+    constructor, behaves as the constructor's: equal, the same repr and
+    fields in the same order, ``replace``, ``asdict`` and pickling work, and
+    every field stays frozen."""
+    names = [f.name for f in dataclasses.fields(value)]
+    made = type(value)(**{name: getattr(value, name) for name in names})
+    assert value == made and repr(value) == repr(made)
+    assert list(vars(value)) == names == list(vars(made))
+    assert dataclasses.replace(value) == made == pickle.loads(pickle.dumps(value))
+    assert dataclasses.asdict(value) == dataclasses.asdict(made)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+
+
+class TestBuiltValues:
+    """Rows and walk censuses skip the frozen constructor; each must still
+    be the value the constructor would make."""
+
+    @given(signed_graphs(max_n=8))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_and_censuses_equal_constructed_ones(self, g):
+        _underlying.cache_clear()
+        fresh, kept = evaluate_all(g), evaluate_all(g)  # the second copies kept rows
+        cold = [evaluate_bound(g, bound_id, params) for bound_id, params in _plan()]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("SIGNED_SPECTRA_MAX_N", "2")
+            guarded = evaluate_all(g)
+        skipped = [row for row in guarded if "exceeds the exact-computation guard" in row.note]
+        assert bool(skipped) == (g.n > 2)
+        for row in fresh + kept + cold + guarded:
+            _assert_like_constructed(row)
+        ctx = bounds._Ctx(g)
+        for r in (1, 2, 3, 5, 126):
+            with contextlib.suppress(OverflowError):  # r = 126 on a graph with a 2-path
+                _assert_like_constructed(walk_census(g, r))
+                _assert_like_constructed(ctx.walks(r))
+
+
+class TestMemo:
+    """``_Ctx``'s values are ``_memo``s: computed once per context, nothing
+    stored by a read that raises, and an instance assignment wins."""
+
+    NAMES = tuple(name for name, attr in vars(bounds._Ctx).items() if isinstance(attr, bounds._memo))
+
+    @pytest.fixture
+    def computes(self, monkeypatch):
+        counts: dict[str, int] = {}
+        for name in self.NAMES:
+            memo = vars(bounds._Ctx)[name]
+
+            def counted(ctx, name=name, compute=memo.compute):
+                counts[name] = counts.get(name, 0) + 1
+                return compute(ctx)
+
+            monkeypatch.setattr(memo, "compute", counted)
+        return counts
+
+    @pytest.mark.parametrize("shared", (False, True))
+    def test_each_value_is_computed_once_per_context(self, computes, c5, shared):
+        assert len(self.NAMES) == 13
+        _underlying.cache_clear()
+        ctx = bounds._Ctx(c5, shared=shared)
+        first = {name: getattr(ctx, name) for name in self.NAMES}
+        for name in self.NAMES:
+            assert getattr(ctx, name) is first[name]
+        assert computes == dict.fromkeys(self.NAMES, 1)
+
+    def test_a_read_past_its_guard_stores_nothing(self, computes):
+        ctx = bounds._Ctx(SignedGraph.from_edges(26, [(0, 1, -1)]))
+        for _ in range(3):
+            with pytest.raises(TooLargeError):
+                ctx.eps
+        assert computes["eps"] == 3 and "eps" not in vars(ctx)
+        assert ctx.omega_b == ctx.omega_b == 2 and computes["clique"] == 1  # its guard is 40
+
+    def test_an_assignment_wins(self, monkeypatch, c5):
+        monkeypatch.setattr(bounds, "_eigenvalues", lambda a, ndim: pytest.fail("decomposed"))
+        ctx = bounds._Ctx(c5)
+        vals = np.array([3.0, 2.0, -1.0, -1.5, -2.5])
+        ctx.eigenvalues = vals
+        assert ctx.eigenvalues is vals
+        assert (ctx.lambda1, ctx.lambda2, ctx.lambda_n, ctx.rho) == (3.0, 2.0, -2.5, 3.0)
+
+
 class TestJsonReport:
     def test_schema_and_significant_digits(self, c5):
         text = evaluations_to_json(evaluate_all(c5))

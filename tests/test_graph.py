@@ -339,11 +339,40 @@ class TestGenerators:
             ("signed_cycle", {"n": 5, "negative_edges": (9,)}),
             ("no_such_kind", {}),
             ("paper_c5", {"bogus": 1}),
+            ("erdos_renyi_signed", {"n": 5.0, "p": 0.5, "q_neg": 0.5}),
+            ("erdos_renyi_signed", {"n": 5, "p": 0.5, "q_neg": 0.5, "seed": 1.5}),
+            ("erdos_renyi_signed", {"n": 5, "p": None, "q_neg": 0.5}),
+            ("erdos_renyi_signed", {"n": 5, "p": 0.5, "q_neg": "x"}),
+            ("all_negative_complete", {"n": 3.0}),
+            ("signed_cycle", {"n": 5.0}),
+            ("signed_cycle", {"n": 5, "negative_edges": (1.0,)}),
         ],
     )
     def test_invalid_params(self, kind, params):
         with pytest.raises(InvalidParamsError):
             generate(kind, **params)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: erdos_renyi_signed(5.0, 0.5, 0.5), "'n' must be an integer, got 5.0"),
+            (lambda: erdos_renyi_signed(5, 0.5, 0.5, seed=1.5), "'seed' must be an integer, got 1.5"),
+            (lambda: erdos_renyi_signed(5, 0.5, 0.5, seed="1"), "'seed' must be an integer, got '1'"),
+            (lambda: erdos_renyi_signed(5, None, 0.5), r"probabilities must lie in \[0, 1\], got p=None"),
+            (lambda: all_negative_complete(3.0), "'n' must be an integer, got 3.0"),
+            (lambda: signed_cycle(5.0), "'n' must be an integer, got 5.0"),
+            (lambda: signed_cycle(5, negative_edges=(1.0,)), "'negative_edges' must be an integer, got 1.0"),
+        ],
+    )
+    def test_direct_calls_reject_non_integers(self, call, match):
+        # each used to raise a bare TypeError, or to take the value silently
+        with pytest.raises(InvalidParamsError, match=match):
+            call()
+
+    def test_numpy_ints_are_sizes_seeds_and_edge_indices(self):
+        assert erdos_renyi_signed(np.int64(9), 0.5, 0.5, seed=np.int32(4)) == erdos_renyi_signed(9, 0.5, 0.5, seed=4)
+        assert all_negative_complete(np.int64(4)) == all_negative_complete(4)
+        assert signed_cycle(np.int64(5), negative_edges=(np.int8(1),)) == signed_cycle(5, negative_edges=(1,))
 
     def test_signed_cycle_sign_layout(self):
         g = signed_cycle(4, negative_edges=(0, 3))

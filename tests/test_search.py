@@ -1,5 +1,7 @@
 """Counterexample search: determinism, replay, dedup, the C5 class."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from signed_spectra import (
     InvalidConfigError,
     SearchConfig,
     SignedGraph,
+    evaluate_all,
     findings_to_json,
     is_switching_equivalent,
     paper_c5,
@@ -19,7 +22,9 @@ from signed_spectra import (
     triangle_census,
 )
 from signed_spectra.cli import run_cli
+from signed_spectra.graph import _signed_matrix
 
+from .conftest import all_signings
 from .oracles import sample_by_from_edges, search_by_linear_scan
 
 
@@ -45,6 +50,13 @@ class TestConfigValidation:
     def test_bad_probability(self):
         with pytest.raises(InvalidConfigError):
             make_cfg(edge_probability=1.5)
+
+    @pytest.mark.parametrize("field", ("edge_probability", "negative_probability"))
+    @pytest.mark.parametrize("value", (1.5, -0.1, float("nan"), None, "x"))
+    def test_probabilities_must_be_numbers_in_range(self, field, value):
+        # None and "x" used to raise a bare TypeError from the range comparison
+        with pytest.raises(InvalidConfigError, match=rf"{field} must lie in \[0, 1\], got {value!r}"):
+            make_cfg(**{field: value})
 
     def test_bad_range(self):
         with pytest.raises(InvalidConfigError):
@@ -407,6 +419,65 @@ class TestStackedSpectra:
         captured = capsys.readouterr()
         assert captured.err == "error: walk order r must be >= 1, got 0\n"
         assert captured.out == ""
+
+
+class TestEigenvalueInputs:
+    """``spectral._eigenvalues`` checks nothing, so its callers must pass only
+    what ``_signed_matrix`` builds: the int64 matrix (``ndim`` 2) or stack
+    (``ndim`` 3) of the graphs at hand, or its ``np.abs``."""
+
+    @pytest.fixture
+    def inputs(self, monkeypatch):
+        calls = []
+        decompose = spectral._eigenvalues
+
+        def recorded(a, ndim=3):
+            calls.append((a.copy(), ndim))
+            return decompose(a, ndim)
+
+        monkeypatch.setattr(bounds, "_eigenvalues", recorded)
+        monkeypatch.setattr(search, "_eigenvalues", recorded)
+        return calls
+
+    @staticmethod
+    def assert_built(a, ndim, graphs) -> str:
+        """Which of the graphs' matrices ``a`` is: "signed" or "abs"."""
+        assert a.dtype == np.int64 and a.ndim == ndim
+        built = _signed_matrix(graphs)
+        if np.array_equal(a, built):
+            return "signed"
+        assert np.array_equal(a, np.abs(built)), graphs
+        return "abs"
+
+    def test_evaluate_all_over_every_signing_up_to_n_4(self, inputs):
+        bounds._underlying.cache_clear()
+        kinds = []
+        for n in range(1, 5):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                # all-negative first, so the unsigned lambda_n comes from |A|
+                signings = all_signings(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                for g in reversed(list(signings)):
+                    inputs.clear()
+                    evaluate_all(g)
+                    kinds += [self.assert_built(a, ndim, g) for a, ndim in inputs]
+                    assert all(ndim == 2 for _, ndim in inputs)
+        assert "signed" in kinds and "abs" in kinds
+
+    def test_b8u_search_of_200_samples(self, monkeypatch, inputs):
+        # small blocks leave samples alone in their order, which the memo
+        # decomposes itself, next to the stacks of the others
+        monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", 100)
+        cfg = make_cfg(n_min=3, n_max=7, samples=200, seed=7)
+        search_counterexamples(cfg)
+        expected = []
+        for block in _blocks_of_orders(cfg, 100):
+            expected += [(gs, 3) for gs in block.values() if len(gs) > 1]
+            expected += [(gs[0], 2) for gs in block.values() if len(gs) == 1]
+        ndims = [ndim for _, ndim in inputs]
+        assert ndims == [ndim for _, ndim in expected] and 2 in ndims and 3 in ndims
+        for (a, ndim), (graphs, _) in zip(inputs, expected):
+            assert self.assert_built(a, ndim, graphs) == "signed"
 
 
 def _relabel_cycle(g: SignedGraph) -> SignedGraph:
