@@ -65,7 +65,6 @@ from .spectral import (
     Spectrum,
     eigen_decomposition,
     ms_index,
-    ms_index_search,
     ms_witness,
     spectrum_of,
     walk_from_spectrum,

@@ -560,6 +560,7 @@ def _plan(
         elif bound_id == "B11":
             fanout = [(("q", q), ("r", r)) for q, r in qr_pairs]
         elif bound_id == "B13":
+            # read by nothing; kept only because recorded outputs hold these params
             fanout = [(("iters", 2), ("seed", 0))]
         else:
             fanout = [()]

@@ -37,17 +37,20 @@ class SignedGraph:
     """Simple undirected graph with every edge signed ``+1`` or ``-1``.
 
     Edges are canonical ``(u, v, sign)`` triples with ``u < v``; use
-    :meth:`from_edges` to build from uncanonicalized input.
+    :meth:`from_edges` to build from uncanonicalized input.  ``n``, the
+    endpoints and the signs must be integers in the sense of
+    ``operator.index``, as in :meth:`from_edges`.
     """
 
     n: int
     edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        if _int_param("SignedGraph", "n", self.n) < 0:
             raise InvalidParamsError(f"vertex count must be nonnegative, got {self.n}")
         seen: set[tuple[int, int]] = set()
         for u, v, s in self.edges:
+            u, v, s = _int_edge(u, v, s)
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -75,10 +78,7 @@ class SignedGraph:
         canon: list[Edge] = []
         pairs: set[tuple[int, int]] = set()
         for u, v, s in edges:
-            try:
-                u, v, s = operator.index(u), operator.index(v), operator.index(s)
-            except TypeError:
-                raise InvalidParamsError(f"edge ({u!r}, {v!r}, {s!r}) must hold integers") from None
+            u, v, s = _int_edge(u, v, s)
             if u > v:
                 u, v = v, u
             if (u, v) in pairs and u != v:
@@ -180,6 +180,16 @@ class SignedGraph:
 
     def to_sg(self) -> str:
         return serialize_signed_graph(self)
+
+
+def _int_edge(u: object, v: object, s: object) -> Edge:
+    """An edge's endpoints and sign as integers in the sense of
+    ``operator.index`` (Python and numpy ints, bools); anything else, a
+    whole float too, raises InvalidParamsError."""
+    try:
+        return operator.index(u), operator.index(v), operator.index(s)
+    except TypeError:
+        raise InvalidParamsError(f"edge ({u!r}, {v!r}, {s!r}) must hold integers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +355,13 @@ def signed_cycle(n: int, negative_edges: Iterable[int] = ()) -> SignedGraph:
     n = _int_param("signed_cycle", "n", n)
     if n < 3:
         raise InvalidParamsError(f"a cycle needs at least 3 vertices, got n={n}")
-    neg = {_int_param("signed_cycle", "negative_edges", i) for i in negative_edges}
+    try:
+        indices = iter(negative_edges)
+    except TypeError:
+        raise InvalidParamsError(
+            f"signed_cycle parameter 'negative_edges' must be an iterable of integers, got {negative_edges!r}"
+        ) from None
+    neg = {_int_param("signed_cycle", "negative_edges", i) for i in indices}
     bad = [i for i in neg if not 0 <= i < n]
     if bad:
         raise InvalidParamsError(f"negative edge indices {bad} outside [0, {n})")

@@ -23,17 +23,14 @@ which cannot fail those checks.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParamsError, NoConvergenceError, _int_param
 from .graph import SignedGraph, SymmetricMatrix, adjacency_matrix
 from .invariants import _max_balanced_clique
-from .switching import propagation_labels
 
 ZERO_TOL_FACTOR = 1e-8
 
@@ -187,138 +184,3 @@ def _clique_value(g: SignedGraph, clique: tuple[int, tuple[int, ...], tuple[int,
         for j in range(i + 1, len(members))
     )
     return Fraction(total, omega * omega)
-
-
-def ms_index_search(g: SignedGraph, iters: int = 16, seed: int = 0) -> float:
-    """Lower-bound search for the MS-index.
-
-    Starts from the balanced-clique witness (which already attains the
-    closed form) and adds seeded random restarts of a pairwise
-    mass-reallocation ascent on the unit l1 sphere.  The restarts run on
-    the canonical signing D A D of the switching class of ``g`` (D switches
-    a BFS spanning forest all-positive), so every signing of a class gets
-    the same restarts.  That is still a lower bound for ``g``: a point x of
-    the sphere maps to D x, also on the sphere, with (D x)^T A (D x) =
-    x^T (D A D) x.  Every evaluated point is feasible, so the result never
-    exceeds the true maximum beyond float roundoff.
-    """
-    iters = _int_param("ms_index_search", "iters", iters)
-    seed = _int_param("ms_index_search", "seed", seed)
-    exact = _clique_value(g, _max_balanced_clique(g))
-    labels, _, _ = propagation_labels(g, full=True)
-    canonical = _switched_entries(adjacency_matrix(g).entries, labels)
-    return max(float(exact), _ms_search(canonical, iters, seed))
-
-
-def _switched_entries(a: np.ndarray, labels: Sequence[int]) -> np.ndarray:
-    """D A D for D = diag(labels): bit for bit the adjacency entries of the
-    switched graph (``+ 0.0`` turns the products -1 * 0 back into 0.0)."""
-    d = np.asarray(labels, dtype=float)
-    return np.outer(d, d) * a + 0.0
-
-
-def _ms_search(a: np.ndarray, iters: int, seed: int) -> float:
-    """The best value of ``ms_index_search``'s restarts on the adjacency
-    entries ``a`` themselves, without the witness; -inf when no restart runs."""
-    if iters < 1:
-        raise InvalidParamsError(f"iters must be >= 1, got {iters}")
-    best = -math.inf
-    n = len(a)
-    if n < 2 or not a.any():
-        return best
-    rows = a.tolist()
-    nbrs = [[(k, w) for k, w in enumerate(row) if w] for row in rows]
-    # a sweep takes the pairs by index distance, so the first and noisiest
-    # moves of a sweep do not all fall on vertex 0
-    pairs = [(i, i + d, rows[i][i + d]) for d in range(1, n) for i in range(n - d)]
-    rng = random.Random(seed)
-    for _ in range(iters):
-        x = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
-        norm = float(np.sum(np.abs(x)))
-        if norm == 0.0:
-            continue
-        best = max(best, _polish(a, pairs, nbrs, x / norm))
-    return best
-
-
-def _polish(a: np.ndarray, pairs: list, nbrs: list, xa: np.ndarray) -> float:
-    """Cyclic pair ascent from ``xa`` on the unit l1 sphere, at most 40
-    sweeps over ``pairs``, the (i, j, A_ij) triples.
-
-    A pair move keeps |x_i| + |x_j| = b and every other coordinate.  With
-    g_i, g_j the gradients of 1/2 x^T A x off the pair and w = A_ij in
-    {-1, 0, 1}, the pair terms x_i g_i + x_j g_j + w x_i x_j are largest at
-    an endpoint (all of b on i or on j, signed by the gradient), unless
-    w != 0 and |g_i - w g_j| < b.  Then, with su = sign(g_i + w g_j), the
-    concave peak x_i = su r, x_j = su w (b - r), r = (b + su (g_i - w g_j)) / 2,
-    beats both endpoints.  Once a sweep ends on the same signed support S
-    as the one before, the stationary point of the face, A_SS z = sign(x_S),
-    is tried once: z / ||z||_1 replaces x if it keeps every sign and does
-    not lower the objective, and the next sweep confirms it.
-
-    The pair loop runs on Python floats (``pairs``, ``nbrs`` and lists
-    ``x`` and ``y = A x``): numpy scalar indexing costs more than the
-    arithmetic.
-    """
-    x = xa.tolist()
-    y = (a @ xa).tolist()
-    last = tried = None
-    for _ in range(40):
-        improved = False
-        for i, j, w in pairs:
-            xi, xj = x[i], x[j]
-            b = abs(xi) + abs(xj)
-            if b == 0.0:
-                continue
-            gi = y[i] - w * xj
-            gj = y[j] - w * xi
-            cur = xi * gi + xj * gj + w * xi * xj
-            if w != 0.0 and abs(gi - w * gj) < b:
-                su = 1.0 if gi + w * gj >= 0.0 else -1.0
-                r = (b + su * (gi - w * gj)) / 2.0
-                val = su * w * gj * b + r * r
-                new_i, new_j = su * r, su * w * (b - r)
-            elif abs(gi) >= abs(gj):
-                val = b * abs(gi)
-                new_i, new_j = (b if gi >= 0.0 else -b), 0.0
-            else:
-                val = b * abs(gj)
-                new_i, new_j = 0.0, (b if gj >= 0.0 else -b)
-            if val > cur + 1e-13 * (1.0 + abs(cur)):
-                x[i], x[j] = new_i, new_j
-                d_i, d_j = new_i - xi, new_j - xj
-                for k, w_k in nbrs[i]:
-                    y[k] += w_k * d_i
-                for k, w_k in nbrs[j]:
-                    y[k] += w_k * d_j
-                improved = True
-        if not improved:
-            break
-        xa = np.array(x)
-        xa /= float(np.sum(np.abs(xa)))
-        signs = tuple((v > 0.0) - (v < 0.0) for v in x)
-        if signs == last and signs != tried:
-            tried = signs
-            xa = _face_peak(a, xa, signs)
-        last = signs
-        x = xa.tolist()
-        y = (a @ xa).tolist()
-    xa = np.array(x)
-    return float(xa @ (a @ xa) / 2.0)
-
-
-def _face_peak(a: np.ndarray, xa: np.ndarray, signs: tuple[int, ...]) -> np.ndarray:
-    """The stationary point of 1/2 x^T A x on the face of the l1 sphere with
-    the sign pattern ``signs``, if it lies on that face and is no worse than
-    ``xa``; else ``xa``."""
-    support = [k for k, s in enumerate(signs) if s]
-    s = np.array([signs[k] for k in support], dtype=float)
-    try:
-        z = np.linalg.solve(a[np.ix_(support, support)], s)
-    except np.linalg.LinAlgError:
-        return xa
-    if not np.all(z * s > 0.0):
-        return xa
-    xz = np.zeros_like(xa)
-    xz[support] = z / float(np.sum(np.abs(z)))
-    return xz if xz @ (a @ xz) >= xa @ (a @ xa) else xa

@@ -9,14 +9,14 @@ of every switching instead of float products,
 walk sums by Python-int matrix powers instead of vector steps, eigenvalues
 by cyclic Jacobi rotations instead of LAPACK, the frustration local search
 with a full recount after every flip instead of incremental counts, the
-MS-index polish on numpy arrays instead of Python lists, the earlier
-four-sign MS-index polish as a yardstick for the search's detection power,
-and the earlier forms of lean or merged paths: spectrum post-processing by
-whole-array numpy reductions, the greedy balanced clique scanning every
-vertex, the search sampling through ``from_edges`` and deduplicating by a
-linear scan over every kept finding, the dense adjacency matrix filled into
-float zeros, the unsigned lambda_n from the all-positive signing's own
-matrix, and the signed G(n, p) draw built through ``from_edges``.
+maximum balanced clique cross-checked by seeded Motzkin-Straus restarts
+on the unit l1 sphere, and the earlier forms of lean or merged paths:
+spectrum post-processing by whole-array numpy reductions, the greedy
+balanced clique scanning every vertex, the search sampling through
+``from_edges`` and deduplicating by a linear scan over every kept finding,
+the dense adjacency matrix filled into float zeros, the unsigned lambda_n
+from the all-positive signing's own matrix, and the signed G(n, p) draw
+built through ``from_edges``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from signed_spectra import (
     eigen_decomposition,
     evaluate_bound,
     is_switching_equivalent,
-    ms_witness,
     triangle_census,
 )
 from signed_spectra.bounds import VIOLATED
@@ -220,8 +219,14 @@ def frustration_upper_by_recount(g: SignedGraph, iters: int, seed: int) -> int:
     return best
 
 
-def _ms_restarts(g: SignedGraph, iters: int, seed: int, polish) -> float:
-    """Largest ``polish`` value over the library's seeded restarts (-inf if none)."""
+def ms_restarts(g: SignedGraph, iters: int, seed: int) -> float:
+    """Largest value of 1/2 x^T A x that ``iters`` seeded random points of
+    the unit l1 sphere reach under ``_closed_form_polish`` (-inf if none).
+
+    Every polished point is feasible, so the result never exceeds the
+    Motzkin-Straus maximum (omega_b - 1) / (2 omega_b) beyond roundoff; a
+    result above the closed form of an understated omega_b catches it.
+    """
     a = adjacency_matrix(g).entries
     rng = random.Random(seed)
     best = float("-inf")
@@ -230,14 +235,22 @@ def _ms_restarts(g: SignedGraph, iters: int, seed: int, polish) -> float:
         norm = float(np.sum(np.abs(x)))
         if norm == 0.0:
             continue
-        best = max(best, polish(a, x / norm))
+        best = max(best, _closed_form_polish(a, x / norm))
     return best
 
 
 def _closed_form_polish(a: np.ndarray, x: np.ndarray) -> float:
-    """The library's pair polish on numpy arrays and scalars: pairs by index
-    distance, the closed-form best move per pair, dense gradient updates one
-    column at a time, and the face finish indexed by a boolean mask."""
+    """Cyclic pair ascent from ``x`` on the unit l1 sphere, at most 40
+    sweeps, on numpy arrays and scalars.
+
+    Pairs are taken by index distance.  A pair move keeps |x_i| + |x_j| = b
+    and goes to the best point of the pair's terms in closed form: an
+    endpoint signed by the gradient, or, when A_ij = w != 0 and
+    |g_i - w g_j| < b, the concave interior peak.  Once a sweep ends on the
+    signed support of the sweep before, the face's stationary point
+    A_SS z = sign(x_S) replaces x if it keeps every sign and does not lower
+    the value.
+    """
     n = len(x)
     y = a @ x
     last = tried = None
@@ -290,72 +303,6 @@ def _closed_form_polish(a: np.ndarray, x: np.ndarray) -> float:
         last = key
         y = a @ x
     return float(x @ (a @ x) / 2.0)
-
-
-def ms_search_on_arrays(g: SignedGraph, iters: int, seed: int) -> float:
-    """``ms_index_search`` with the pair polish on numpy arrays and scalars.
-
-    Same restarts and the same arithmetic in the same order as the library,
-    so results must agree bit for bit.
-    """
-    best = float(ms_witness(g)[1])
-    if g.n < 2 or g.m == 0:
-        return best
-    return max(best, _ms_restarts(g, iters, seed, _closed_form_polish))
-
-
-def _four_sign_polish(a: np.ndarray, x: np.ndarray) -> float:
-    """Cyclic pair ascent that scores every pair at 4 sign choices x 2-3
-    candidate points, and renormalises after each improving sweep."""
-    n = len(x)
-    y = a @ x
-    for _ in range(40):
-        improved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                budget = abs(x[i]) + abs(x[j])
-                if budget == 0.0:
-                    continue
-                w = a[i, j]
-                gi = y[i] - w * x[j]
-                gj = y[j] - w * x[i]
-                cur = x[i] * gi + x[j] * gj + w * x[i] * x[j]
-                cand_val, cand = cur, None
-                for su in (1.0, -1.0):
-                    for sj in (1.0, -1.0):
-                        # value of the pair terms at x_i = su*rr,
-                        # x_j = sj*(budget - rr) is a quadratic in rr
-                        a2 = -su * sj * w
-                        a1 = su * gi - sj * gj + su * sj * w * budget
-                        a0 = sj * gj * budget
-                        rrs = [0.0, budget]
-                        if a2 < 0.0:
-                            peak = -a1 / (2.0 * a2)
-                            if 0.0 < peak < budget:
-                                rrs.append(peak)
-                        for rr in rrs:
-                            val = a0 + a1 * rr + a2 * rr * rr
-                            if val > cand_val + 1e-13 * (1.0 + abs(cur)):
-                                cand_val, cand = val, (su * rr, sj * (budget - rr))
-                if cand is not None:
-                    old_i, old_j = x[i], x[j]
-                    x[i], x[j] = cand
-                    y += a[:, i] * (x[i] - old_i) + a[:, j] * (x[j] - old_j)
-                    improved = True
-        if not improved:
-            break
-        norm = float(np.sum(np.abs(x)))
-        if norm > 0.0:
-            x /= norm
-            y = a @ x
-    return float(x @ (a @ x) / 2.0)
-
-
-def ms_restarts_four_sign_polish(g: SignedGraph, iters: int, seed: int) -> float:
-    """Best value of the seeded restarts of ``ms_index_search`` (no witness),
-    each polished by the four-sign cyclic pair ascent the library used
-    before its closed-form moves; -inf when no restart ran."""
-    return _ms_restarts(g, iters, seed, _four_sign_polish)
 
 
 def spectrum_by_numpy_reductions(a: np.ndarray):

@@ -139,6 +139,29 @@ class TestConstruction:
             SignedGraph.from_edges(3, [(0, 2, 1), edge])
 
     @pytest.mark.parametrize(
+        "n, edges, match",
+        [
+            (5.0, frozenset(), "'n' must be an integer, got 5.0"),
+            ("3", frozenset(), "'n' must be an integer, got '3'"),
+            (np.float64(3.0), frozenset(), "'n' must be an integer"),
+            (3, frozenset({(0, 1.0, 1)}), "must hold integers"),
+            (3, frozenset({(0.0, 1, 1)}), "must hold integers"),
+            (3, frozenset({(0, 1, 1.0)}), "must hold integers"),
+            (3, frozenset({(0, 1, np.float64(-1.0))}), "must hold integers"),
+            (3, frozenset({(0, 1, "+")}), "must hold integers"),
+        ],
+        ids=["n-whole-float", "n-str", "n-numpy-float", "v-whole-float", "u-whole-float",
+             "sign-whole-float", "sign-numpy-float", "sign-str"],
+    )
+    def test_constructor_checks_integers(self, n, edges, match):
+        with pytest.raises(InvalidParamsError, match=match):
+            SignedGraph(n, edges)
+
+    def test_constructor_accepts_integer_types(self):
+        g = SignedGraph(np.int64(3), frozenset({(np.int64(0), np.int32(2), np.int8(-1)), (False, True, True)}))
+        assert g == SignedGraph(3, frozenset({(0, 2, -1), (0, 1, 1)}))
+
+    @pytest.mark.parametrize(
         "edge",
         [(0, 1, -1), (np.int64(1), np.int32(0), np.int8(-1)), (False, True, -1), (1, 0, np.int64(-1))],
         ids=["ints", "numpy-ints", "bools", "numpy-sign"],
@@ -362,6 +385,7 @@ class TestGenerators:
             (lambda: all_negative_complete(3.0), "'n' must be an integer, got 3.0"),
             (lambda: signed_cycle(5.0), "'n' must be an integer, got 5.0"),
             (lambda: signed_cycle(5, negative_edges=(1.0,)), "'negative_edges' must be an integer, got 1.0"),
+            (lambda: signed_cycle(5, negative_edges=3), "'negative_edges' must be an iterable of integers, got 3"),
         ],
     )
     def test_direct_calls_reject_non_integers(self, call, match):

@@ -26,7 +26,6 @@ from signed_spectra import (
     r_frustration_index,
     signed_cycle,
     triangle_census,
-    ms_index_search,
     spectrum_of,
     walk_census,
     walk_from_spectrum,
@@ -610,8 +609,6 @@ _PARAM_CALLS = {
     "walk_from_spectrum-k": lambda g, x: walk_from_spectrum(spectrum_of(g), x),
     "frustration_index_upper-iters": lambda g, x: frustration_index_upper(g, x),
     "frustration_index_upper-seed": lambda g, x: frustration_index_upper(g, 4, x),
-    "ms_index_search-iters": lambda g, x: ms_index_search(g, x),
-    "ms_index_search-seed": lambda g, x: ms_index_search(g, 2, x),
 }
 
 

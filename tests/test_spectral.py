@@ -20,7 +20,6 @@ from signed_spectra import (
     balanced_clique_number,
     eigen_decomposition,
     ms_index,
-    ms_index_search,
     ms_witness,
     spectrum_of,
     triangle_census,
@@ -29,14 +28,13 @@ from signed_spectra import (
 )
 from signed_spectra import spectral
 from signed_spectra.graph import _signed_matrix
-from signed_spectra.spectral import _eigenvalues, _face_peak, _ms_search, _switched_entries
+from signed_spectra.spectral import _eigenvalues
 from signed_spectra.switching import propagation_labels
 
 from .conftest import random_graphs, signed_graphs
 from .oracles import (
     jacobi_eigenvalues,
-    ms_restarts_four_sign_polish,
-    ms_search_on_arrays,
+    ms_restarts,
     spectrum_by_numpy_reductions,
 )
 
@@ -355,55 +353,17 @@ class TestMsIndex:
             a = adjacency_matrix(g).entries
             assert abs(float(x @ a @ x) / 2 - float(value)) <= 1e-12
 
-    def test_search_on_positive_triangle(self):
-        g = all_negative_complete(3).with_all_signs(1)
-        found = ms_index_search(g, iters=8, seed=0)
-        assert found >= 1 / 3 - 1e-9
-        assert found <= 1 / 3 + 1e-9
-
-    def test_search_on_edgeless(self):
-        assert ms_index_search(SignedGraph(3), iters=1, seed=0) == 0.0
-
-    def test_search_iters_validated(self, c5):
-        with pytest.raises(InvalidParamsError):
-            ms_index_search(c5, iters=0)
-
-    def test_search_on_c5(self, c5):
-        found = ms_index_search(c5, iters=8, seed=0)
-        assert 1 / 4 - 1e-9 <= found <= 1 / 4 + 1e-9
-
-    def test_search_matches_array_polish_bit_for_bit(self):
-        # the restarts run on the canonical signing of the class, whose
-        # witness attains the same closed form
-        for g in random_graphs(40, max_n=10, seed=43, p=(0.3, 0.6, 0.9), q=(0.3, 0.6)):
-            canonical = apply_switching(g, propagation_labels(g, full=True)[0])
-            for iters, seed in ((2, 0), (5, 9)):
-                assert ms_index_search(g, iters=iters, seed=seed) == ms_search_on_arrays(
-                    canonical, iters=iters, seed=seed
-                )
-
-    def test_face_finish(self):
-        # on a positive triangle the all-positive face peaks at the uniform
-        # witness; with one sign flipped the stationary point (-1, -1, 3) / 5
-        # lies off that face, so the polished point is kept
-        a = adjacency_matrix(all_negative_complete(3).with_all_signs(1)).entries
-        x = np.array([0.5, 0.3, 0.2])
-        assert np.allclose(_face_peak(a, x, (1, 1, 1)), [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
-        x = np.array([0.5, 0.3, -0.2])
-        assert _face_peak(a, x, (1, 1, -1)) is x
-
     def test_search_never_exceeds_closed_form_beyond_roundoff(self):
         for g in random_graphs(1500, max_n=14, seed=41, p=(0.2, 0.5, 0.8), q=(0.0, 0.3, 0.6, 1.0)):
-            assert ms_index_search(g, iters=3, seed=2) <= float(ms_index(g)) + 1e-12
+            assert ms_restarts(g, iters=3, seed=2) <= float(ms_index(g)) + 1e-12
 
     def test_restarts_catch_an_understated_omega_b(self):
         # omega_b understated by one: the witness then attains only the
-        # wrong closed form, so the restarts of ms_index_search alone
-        # (iters=2, seed=0) must beat it, a cross-check of the clique.  The
-        # four-sign polish the search used before its closed-form moves is
-        # the yardstick.  Each polish misses 5-6% of this corpus: graphs
-        # where both restarts settle on a maximal balanced clique one vertex
-        # short of a maximum one.
+        # wrong closed form, so the seeded restarts (iters=2, seed=0, on
+        # the canonical signing of the class) must beat it, a randomized
+        # cross-check of the clique.  They miss about 5% of this corpus:
+        # graphs where both restarts settle on a maximal balanced clique
+        # one vertex short of a maximum one.
         corpus = [
             g
             for g in random_graphs(
@@ -412,21 +372,17 @@ class TestMsIndex:
             if g.m
         ][:600]
         assert len(corpus) == 600
-        caught = old_caught = 0
+        caught = 0
         for g in corpus:
             omega = balanced_clique_number(g)
             wrong = float(Fraction(omega - 2, 2 * (omega - 1))) + 1e-8  # B13's tolerance
-            # the restarts of ms_index_search: on the canonical signing
-            labels = propagation_labels(g, full=True)[0]
-            caught += _ms_search(_switched_entries(adjacency_matrix(g).entries, labels), 2, 0) > wrong
-            canonical = apply_switching(g, labels)
-            old_caught += ms_restarts_four_sign_polish(canonical, 2, 0) > wrong
-        assert caught >= old_caught - len(corpus) // 100
+            canonical = apply_switching(g, propagation_labels(g, full=True)[0])
+            caught += ms_restarts(canonical, 2, 0) > wrong
         assert caught >= 0.94 * len(corpus)
 
     def test_search_never_exceeds_closed_form(self):
         for g in random_graphs(25, max_n=8, seed=37, p=(0.4, 0.7)):
-            found = ms_index_search(g, iters=6, seed=1)
+            found = ms_restarts(g, iters=6, seed=1)
             exact = float(ms_index(g))
             assert found <= exact + 1e-9
             assert found >= 0.0
