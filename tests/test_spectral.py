@@ -353,6 +353,55 @@ class TestMsIndex:
             a = adjacency_matrix(g).entries
             assert abs(float(x @ a @ x) / 2 - float(value)) <= 1e-12
 
+    @staticmethod
+    def _check_witness_on_clique(g, omega):
+        # +-1/omega on omega vertices, every pair adjacent with the sign that
+        # makes its term of 1/2 x^T A x positive
+        x, value = ms_witness(g)
+        support = [v for v in range(g.n) if x[v] != 0.0]
+        assert len(support) == omega
+        assert all(abs(x[v]) == 1 / omega for v in support)
+        for i, u in enumerate(support):
+            for v in support[i + 1 :]:
+                assert g.sign(u, v) * x[u] * x[v] > 0
+        assert value == Fraction(omega - 1, 2 * omega)
+
+    def test_witness_on_positive_triangle(self):
+        g = all_negative_complete(3).with_all_signs(1)
+        self._check_witness_on_clique(g, 3)
+        assert np.all(ms_witness(g)[0] > 0)
+
+    def test_witness_on_negative_triangle(self):
+        self._check_witness_on_clique(all_negative_complete(3), 2)
+
+    def test_witness_on_edgeless(self):
+        # a single vertex is the maximum balanced clique: value 0
+        self._check_witness_on_clique(SignedGraph(3), 1)
+
+    def test_witness_on_c5(self, c5):
+        self._check_witness_on_clique(c5, 2)
+
+    def test_index_and_witness_value_are_switching_invariant(self):
+        rng = random.Random(53)
+        for g in random_graphs(40, max_n=10, seed=53, p=(0.4, 0.8), q=(0.3, 0.6)):
+            switched = apply_switching(g, [rng.choice((1, -1)) for _ in range(g.n)])
+            assert ms_index(switched) == ms_index(g)
+            assert ms_witness(switched)[1] == ms_witness(g)[1]
+
+    def test_search_on_positive_triangle(self):
+        # the test-side restarts reach the closed form where it is the only
+        # local maximum
+        g = all_negative_complete(3).with_all_signs(1)
+        found = ms_restarts(g, iters=8, seed=0)
+        assert 1 / 3 - 1e-9 <= found <= 1 / 3 + 1e-9
+
+    def test_search_on_edgeless(self):
+        assert ms_restarts(SignedGraph(3), iters=1, seed=0) == 0.0
+
+    def test_search_on_c5(self, c5):
+        found = ms_restarts(c5, iters=8, seed=0)
+        assert 1 / 4 - 1e-9 <= found <= 1 / 4 + 1e-9
+
     def test_search_never_exceeds_closed_form_beyond_roundoff(self):
         for g in random_graphs(1500, max_n=14, seed=41, p=(0.2, 0.5, 0.8), q=(0.0, 0.3, 0.6, 1.0)):
             assert ms_restarts(g, iters=3, seed=2) <= float(ms_index(g)) + 1e-12
