@@ -237,7 +237,8 @@ class _Ctx:
         # the class keeps the members, the same for every signing; the labels
         # follow from the signs, sign(u, v) = label(u) label(v) on the clique
         size, members = _kept(self._class, "clique", lambda: _max_balanced_clique(self.g, force=True)[:2])
-        return size, members, (1, *(self.g.sign(members[0], v) for v in members[1:]))
+        positive = self.g._masks[0][members[0]]
+        return size, members, (1, *(1 if positive >> v & 1 else -1 for v in members[1:]))
 
     @property
     def omega_b(self) -> int:
@@ -416,7 +417,8 @@ def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 def _eval_b14(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     has_triangle = ctx.census.total > 0
-    has_two_path = any(ctx.g.degree(v) >= 2 for v in range(ctx.g.n))
+    # a vertex with two neighbours: its neighbour mask has a bit left past the lowest
+    has_two_path = any((p | q) & (p | q) - 1 for p, q in zip(*ctx.g._masks))
     hyp = ctx.census.t_plus == 0 and ctx.g.n >= 3 and (has_triangle or has_two_path)
     return hyp, 0.0, ctx.lambda2, ""
 

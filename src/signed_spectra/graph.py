@@ -40,6 +40,17 @@ class SignedGraph:
     :meth:`from_edges` to build from uncanonicalized input.  ``n``, the
     endpoints and the signs must be integers in the sense of
     ``operator.index``, as in :meth:`from_edges`.
+
+    Three lookup structures are built on first use and kept with the graph,
+    which never changes: ``_signs``, the sign of each ``(u, v)`` pair, for
+    :meth:`has_edge` and :meth:`sign`; ``_signed_adjacency``, per vertex its
+    ``(neighbour, sign)`` pairs in ascending neighbour order, linear in
+    n + m, for :meth:`neighbors`, :meth:`degree` and the BFS of
+    ``switching.propagation_labels``; and ``_masks``, per vertex bitmasks of
+    its positive and of its negative neighbours, for the balanced-clique
+    search, the triangle census and B14's two-path test.  The masks take up
+    to n bits per vertex, O(n^2) bits in all, so the linear-time BFS does
+    not read them.
     """
 
     n: int
@@ -120,12 +131,23 @@ class SignedGraph:
         return {(u, v): s for u, v, s in self.edges}
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+    def _signed_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for u, v, s in self.edges:
+            nbrs[u].append((v, s))
+            nbrs[v].append((u, s))
         return tuple(tuple(sorted(a)) for a in nbrs)
+
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(pos, neg)``: bit w of ``pos[v]`` (``neg[v]``) is set when vw is
+        a positive (negative) edge."""
+        pos, neg = [0] * self.n, [0] * self.n
+        for u, v, s in self.edges:
+            side = pos if s > 0 else neg
+            side[u] |= 1 << v
+            side[v] |= 1 << u
+        return tuple(pos), tuple(neg)
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -139,10 +161,17 @@ class SignedGraph:
         return self._signs[(u, v)]
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return self._adjacency[u]
+        """The neighbours of ``u`` in ascending order; IndexOutOfRangeError
+        for ``u`` outside [0, n)."""
+        return tuple([v for v, _ in self._signed_adjacency[self._vertex(u)]])
 
     def degree(self, u: int) -> int:
-        return len(self._adjacency[u])
+        return len(self._signed_adjacency[self._vertex(u)])
+
+    def _vertex(self, u: int) -> int:
+        if not 0 <= u < self.n:
+            raise IndexOutOfRangeError(f"vertex {u} outside [0, {self.n})")
+        return u
 
     @cached_property
     def underlying_pairs(self) -> frozenset[tuple[int, int]]:

@@ -7,7 +7,8 @@ x and -x coincide): M is the signed adjacency matrix A for eps, -|A| for
 eps_b and A^(r-1) for eps_r.  One kernel, ``_max_switching_form``, does
 every such maximisation exactly: up to n = ``_PRODUCT_MAX_N`` (10) in one
 product with a cached table of every switching, past it in blocked matrix
-products.  Both run in float32, float64 or int64, the first that holds
+products, which from n = 19 on skip the switchings a per-row upper bound
+rules out.  Both run in float32, float64 or int64, the first that holds
 every partial sum.  Up to the cap the blocked products would be one block,
 and the table lists the switchings in that block's order, so on ties both
 paths return the same certificate.  Guards cap the exponent: ``_GUARDS``
@@ -89,6 +90,15 @@ def _check_guard(n: int, what: str, limits: dict[str, int] | None = None, *, for
 # float64 or int64).
 _PRODUCT_MAX_N = 10
 
+# left rows from which ``_max_switching_form`` bounds every row and scans
+# only those that can hold a maximiser, and how many rows of the largest
+# bounds give it the incumbent.  Best of 31 for eps on G(n, 1/2) with one
+# BLAS thread, pruning took 0.091 against 0.072 ms at n = 16 and broke even
+# at n = 18 (256 rows: 0.133 against 0.136 ms); from n = 19 (512 rows) it
+# pays, 0.200 against 0.236 ms, and 0.243 against 0.364 ms at n = 20.
+_PRUNE_MIN_ROWS = 512
+_INCUMBENT_ROWS = 32
+
 
 @lru_cache(maxsize=None)  # n <= _PRODUCT_MAX_N and three dtypes: about 0.2 MB at most
 def _switching_table(n: int, dtype: type) -> np.ndarray:
@@ -127,6 +137,19 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     they run in float32 while ``bound`` is below 2^24, in float64 while it
     is below 2^53, and in int64 from there on.  A sign table that cannot be
     allocated raises TooLargeError.
+
+    From ``_PRUNE_MIN_ROWS`` left rows on (n >= 19), the scan skips rows
+    that cannot hold a maximiser.  No switching of a left row x_L beats
+
+        q_L + max q_H + ||2 M_HL x_L||_1,
+
+    whose partial sums are integers of magnitude at most sum |M_ij| too, so
+    it is exact in every dtype.  The incumbent is the best value over the
+    ``_INCUMBENT_ROWS`` rows of the largest bounds, taken in blocks of at
+    most ``_BLOCK_ENTRIES`` values.  The scan then runs over the rows whose
+    bound is at least the incumbent, in the full scan's order: every row
+    that holds a maximiser is among them, so the first maximiser, and with
+    it the certificate, is that of the full scan.
     """
     n = mat.shape[0]
     a = (n + 1) // 2
@@ -158,17 +181,25 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     right[:h] = xh.T
     right[h] = 1
     right[h + 1] = ((xh @ m[a:, a:]) * xh).sum(axis=1)
+    rows = np.arange(len(left))  # the left rows the scan takes
+    if len(left) >= _PRUNE_MIN_ROWS:
+        row_bound = left[:, h] + np.abs(left[:, :h]).sum(axis=1) + right[h + 1].max()
+        top = left[np.argpartition(row_bound, -_INCUMBENT_ROWS)[-_INCUMBENT_ROWS:]]
+        step = max(1, _BLOCK_ENTRIES // _INCUMBENT_ROWS)
+        incumbent = max((top @ right[:, c0 : c0 + step]).max() for c0 in range(0, len(xh), step))
+        rows = np.flatnonzero(row_bound >= incumbent)
+        left = left[rows]
     # tile both axes: one-row blocks would stream all of ``right`` per row of xl
     col_step = min(len(xh), max(1, _BLOCK_ENTRIES >> 8))
     row_step = max(1, _BLOCK_ENTRIES // col_step)
     best, code = -bound - 1, 0
-    for c0, r0 in product(range(0, len(xh), col_step), range(0, len(xl), row_step)):
+    for c0, r0 in product(range(0, len(xh), col_step), range(0, len(left), row_step)):
         block = left[r0 : r0 + row_step] @ right[:, c0 : c0 + col_step]
         k = int(block.argmax())
         if block.flat[k] > best:
             best = int(block.flat[k])
             i, j = divmod(k, block.shape[1])
-            code = (r0 + i) << 1 | (c0 + j) << a
+            code = int(rows[r0 + i]) << 1 | (c0 + j) << a
         if best == bound:
             break
     return best, tuple(1 - 2 * (code >> v & 1) for v in range(n))
@@ -289,35 +320,55 @@ def _max_balanced_clique(g: SignedGraph, *, force: bool = False) -> tuple[int, t
     sign(u, v) = label(u) * label(v) on every clique edge, normalizing the
     lowest member to +1.  A clique admitting such labels is exactly a
     balanced complete subgraph.
+
+    The candidates that may join the current clique are two bitmasks over
+    ``SignedGraph._masks``, one per label they would take.  Each step takes
+    the lowest candidate v, prunes when the clique plus every candidate left
+    cannot beat the best, and passes on the later candidates whose edge to v
+    has the sign their labels ask for.
     """
     _check_guard(g.n, "balanced_clique_number", force=force)
     if g.n == 0:
         raise InvalidParamsError("balanced clique number needs at least one vertex")
+    pos, neg = g._masks
     best_size = 1
     best_members: tuple[int, ...] = (0,)
     best_labels: tuple[int, ...] = (1,)
+    members: list[int] = []
+    labels: list[int] = []
 
-    def extend(members: list[int], labels: list[int], cand: list[tuple[int, int]]) -> None:
+    def extend(cp: int, cn: int) -> None:
+        """Grow ``members`` by the candidates cp (label +1) and cn (-1)."""
         nonlocal best_size, best_members, best_labels
-        if len(members) > best_size:
-            best_size = len(members)
+        size = len(members)
+        if size > best_size:
+            best_size = size
             best_members = tuple(members)
             best_labels = tuple(labels)
-        for idx, (v, lv) in enumerate(cand):
-            if len(members) + len(cand) - idx <= best_size:
+        while cp | cn:
+            cand = cp | cn
+            if size + cand.bit_count() <= best_size:
                 return
-            nxt = [
-                (w, lw)
-                for w, lw in cand[idx + 1 :]
-                if g.has_edge(v, w) and g.sign(v, w) == lv * lw
-            ]
-            extend(members + [v], labels + [lv], nxt)
+            low = cand & -cand
+            v = low.bit_length() - 1
+            members.append(v)
+            if cp & low:
+                cp ^= low
+                labels.append(1)
+                extend(cp & pos[v], cn & neg[v])
+            else:
+                cn ^= low
+                labels.append(-1)
+                extend(cp & neg[v], cn & pos[v])
+            members.pop()
+            labels.pop()
 
     for v in range(g.n):
-        if 1 + (g.n - v - 1) <= best_size:
+        if g.n - v <= best_size:
             break
-        cand = [(w, g.sign(v, w)) for w in g.neighbors(v) if w > v]
-        extend([v], [1], cand)
+        above = -1 << (v + 1)  # the vertices past v
+        members[:], labels[:] = [v], [1]
+        extend(pos[v] & above, neg[v] & above)
     return best_size, best_members, best_labels
 
 
@@ -371,25 +422,23 @@ class TriangleCensus:
 
 
 def triangle_census(g: SignedGraph) -> TriangleCensus:
-    """Enumerate all triangles; classify by the product of their edge signs.
+    """Count the triangles by the product of their edge signs.
 
+    For each edge uv with u < v, the common neighbours w > v are read off
+    ``SignedGraph._masks``: those joined to u and v by edges of one sign
+    close a triangle of the sign of uv, the others one of the opposite sign.
     6 * t_s equals trace(A^3) exactly in integer arithmetic.
     """
-    masks = [0] * g.n
-    for u, v, _ in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    pos, neg = g._masks
     t_plus = t_minus = 0
     for u, v, s_uv in g.edges:
-        common = masks[u] & masks[v] & ~((1 << (v + 1)) - 1)  # w > v only
-        while common:
-            w_bit = common & -common
-            w = w_bit.bit_length() - 1
-            common ^= w_bit
-            if s_uv * g.sign(u, w) * g.sign(v, w) > 0:
-                t_plus += 1
-            else:
-                t_minus += 1
+        above = -1 << (v + 1)  # w > v only
+        same = ((pos[u] & pos[v]) | (neg[u] & neg[v])) & above
+        opposite = ((pos[u] & neg[v]) | (neg[u] & pos[v])) & above
+        if s_uv < 0:
+            same, opposite = opposite, same
+        t_plus += same.bit_count()
+        t_minus += opposite.bit_count()
     return TriangleCensus(t_plus, t_minus)
 
 

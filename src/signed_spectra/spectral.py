@@ -178,9 +178,10 @@ def _clique_value(g: SignedGraph, clique: tuple[int, tuple[int, ...], tuple[int,
     """The exact value of ``ms_witness``'s vector for a (size, members,
     labels) balanced clique of ``g``, without building the vector."""
     omega, members, labels = clique
+    pos, neg = g._masks
     total = sum(
-        g.sign(u, members[j]) * labels[i] * labels[j]
+        ((pos[u] >> w & 1) - (neg[u] >> w & 1)) * labels[i] * labels[j]  # A_uw
         for i, u in enumerate(members)
-        for j in range(i + 1, len(members))
+        for j, w in enumerate(members[i + 1 :], i + 1)
     )
     return Fraction(total, omega * omega)

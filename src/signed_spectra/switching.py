@@ -93,11 +93,12 @@ def propagation_labels(
     gives every signing of one switching class the same signed graph, the
     class's canonical signing.
 
-    It reads the graph's neighbour tuples and sign dict directly: a
-    method call per edge visit would cost more than the visit.
+    It iterates the graph's cached ``(neighbour, sign)`` pairs
+    (``SignedGraph._signed_adjacency``) directly, with no method call or
+    sign lookup per edge visit, so time and memory stay linear in n + m.
     """
     labels = [0] * g.n  # first: past memory it fails at once, before n tuples are built
-    adjacency, signs = g._adjacency, g._signs
+    adjacency = g._signed_adjacency
     parent: dict[int, int] = {}
     conflict = None
     for root in range(g.n):
@@ -107,8 +108,7 @@ def propagation_labels(
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in adjacency[u]:
-                s = signs[(u, v) if u < v else (v, u)]
+            for v, s in adjacency[u]:
                 if labels[v] == 0:
                     labels[v] = labels[u] * s
                     parent[v] = u

@@ -32,6 +32,25 @@ def random_graphs(count: int, max_n: int, seed: int, p=(0.25, 0.5), q=(0.2, 0.4)
     return out
 
 
+def exact_kernel_corpus() -> list[SignedGraph]:
+    """Seeded graphs for the bitmask and adjacency kernels against their
+    dict-based oracles: G(n, p) with n = 18..60, p in {0.1, 0.3, 0.5, 0.8}
+    and q_neg in {0, 1/2, 1}, the all-negative signing of each, edgeless
+    graphs, n = 1, and graphs with isolated vertices."""
+    rng = random.Random(61)
+    graphs = []
+    for i, (p, q) in enumerate((p, q) for p in (0.1, 0.3, 0.5, 0.8) for q in (0.0, 0.5, 1.0)):
+        for n in (18, rng.randint(19, 40), rng.randint(41, 60)):
+            g = erdos_renyi_signed(n, p, q, seed=1000 * i + n)
+            graphs += [g, g.with_all_signs(-1)]
+    graphs += [SignedGraph(1), SignedGraph(2), SignedGraph(40)]
+    graphs += [
+        SignedGraph.from_edges(n, [(u, v, -s) for u, v, s in erdos_renyi_signed(n // 2, 0.6, 0.5, seed=n).edges])
+        for n in (6, 25, 50)
+    ]  # the upper half of the vertices isolated
+    return graphs
+
+
 def _connected(n: int, pairs) -> bool:
     parent = list(range(n))
 

@@ -15,14 +15,18 @@ spectrum post-processing by whole-array numpy reductions, the greedy
 balanced clique scanning every vertex, the search sampling through
 ``from_edges`` and deduplicating by a linear scan over every kept finding,
 the dense adjacency matrix filled into float zeros, the unsigned lambda_n
-from the all-positive signing's own matrix, and the signed G(n, p) draw
-built through ``from_edges``.
+from the all-positive signing's own matrix, the signed G(n, p) draw
+built through ``from_edges``, and the exact kernels before bitmasks and
+pruning: the balanced-clique search, the triangle census and the BFS sign
+propagation on sign and neighbour dicts, and the switching-class kernel
+scanning every switching.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from itertools import combinations, product
 
 import numpy as np
@@ -37,6 +41,7 @@ from signed_spectra import (
     is_switching_equivalent,
     triangle_census,
 )
+from signed_spectra import invariants
 from signed_spectra.bounds import VIOLATED
 from signed_spectra.spectral import ZERO_TOL_FACTOR
 from signed_spectra.switching import propagation_labels
@@ -410,3 +415,120 @@ def erdos_renyi_by_from_edges(n: int, p: float, q_neg: float, seed: int) -> Sign
             if rng.random() < p:
                 edges.append((u, v, -1 if rng.random() < q_neg else 1))
     return SignedGraph.from_edges(n, edges)
+
+
+def _dicts(g: SignedGraph) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
+    """The sign of every ``(u, v)`` pair with u < v, and every vertex's
+    neighbours in ascending order, built from ``g.edges`` alone."""
+    signs = {(u, v): s for u, v, s in g.edges}
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return signs, [sorted(a) for a in nbrs]
+
+
+def max_balanced_clique_by_dicts(g: SignedGraph) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(size, members, labels) of the branch and bound over candidate lists
+    of (vertex, label) pairs, with a dict lookup per candidate pair."""
+    signs, nbrs = _dicts(g)
+
+    def sign(u, v):
+        return signs.get((u, v) if u < v else (v, u))
+
+    best = (1, (0,), (1,))
+
+    def extend(members, labels, cand):
+        nonlocal best
+        if len(members) > best[0]:
+            best = (len(members), tuple(members), tuple(labels))
+        for idx, (v, lv) in enumerate(cand):
+            if len(members) + len(cand) - idx <= best[0]:
+                return
+            nxt = [(w, lw) for w, lw in cand[idx + 1 :] if sign(v, w) == lv * lw]
+            extend(members + [v], labels + [lv], nxt)
+
+    for v in range(g.n):
+        if g.n - v <= best[0]:
+            break
+        extend([v], [1], [(w, sign(v, w)) for w in nbrs[v] if w > v])
+    return best
+
+
+def triangle_census_by_sign_loop(g: SignedGraph) -> tuple[int, int]:
+    """(t_plus, t_minus): every triangle u < v < w found from its lowest
+    edge, its sign the product of three dict lookups."""
+    signs, nbrs = _dicts(g)
+    t_plus = t_minus = 0
+    for (u, v), s_uv in signs.items():
+        for w in set(nbrs[u]) & set(nbrs[v]):
+            if w > v:
+                if s_uv * signs[(u, w)] * signs[(v, w)] > 0:
+                    t_plus += 1
+                else:
+                    t_minus += 1
+    return t_plus, t_minus
+
+
+def propagation_labels_by_dicts(g: SignedGraph, full: bool = False):
+    """``propagation_labels`` with a sign-dict lookup per edge visit."""
+    signs, nbrs = _dicts(g)
+    labels = [0] * g.n
+    parent: dict[int, int] = {}
+    conflict = None
+    for root in range(g.n):
+        if labels[root]:
+            continue
+        labels[root] = 1
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in nbrs[u]:
+                s = signs[(u, v) if u < v else (v, u)]
+                if labels[v] == 0:
+                    labels[v] = labels[u] * s
+                    parent[v] = u
+                    queue.append(v)
+                elif conflict is None and labels[u] * s * labels[v] == -1:
+                    conflict = (u, v)
+                    if not full:
+                        return tuple(label or 1 for label in labels), conflict, parent
+    return tuple(labels), conflict, parent
+
+
+def max_switching_form_full_scan(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ...]]:
+    """``invariants._max_switching_form`` scanning every left row: the
+    blocked split, dtype tiers and tile order of the kernel, with no row
+    bound and no incumbent; up to ``_PRODUCT_MAX_N`` the kernel itself."""
+    n = mat.shape[0]
+    if n <= invariants._PRODUCT_MAX_N:
+        return invariants._max_switching_form(mat, bound)
+    a = (n + 1) // 2
+    h = n - a
+    dtype = np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64
+    m = mat.astype(dtype)
+    table = np.empty((1 << a, a), dtype=dtype)
+    table[:] = 1 - 2 * ((np.arange(1 << a)[:, None] >> np.arange(a)) & 1)
+    xl, xh = table[::2], table[: 1 << h, :h]
+    xl_m = xl @ m[:a]
+    left = np.empty((len(xl), h + 2), dtype=dtype)
+    left[:, :h] = 2 * xl_m[:, a:]
+    left[:, h] = (xl_m[:, :a] * xl).sum(axis=1)
+    left[:, h + 1] = 1
+    right = np.empty((h + 2, len(xh)), dtype=dtype)
+    right[:h] = xh.T
+    right[h] = 1
+    right[h + 1] = ((xh @ m[a:, a:]) * xh).sum(axis=1)
+    col_step = min(len(xh), max(1, invariants._BLOCK_ENTRIES >> 8))
+    row_step = max(1, invariants._BLOCK_ENTRIES // col_step)
+    best, code = -bound - 1, 0
+    for c0, r0 in product(range(0, len(xh), col_step), range(0, len(xl), row_step)):
+        block = left[r0 : r0 + row_step] @ right[:, c0 : c0 + col_step]
+        k = int(block.argmax())
+        if block.flat[k] > best:
+            best = int(block.flat[k])
+            i, j = divmod(k, block.shape[1])
+            code = (r0 + i) << 1 | (c0 + j) << a
+        if best == bound:
+            break
+    return best, tuple(1 - 2 * (code >> v & 1) for v in range(n))

@@ -233,6 +233,54 @@ class TestConstruction:
         assert h.sign(0, 1) == 1 and h.sign(1, 2) == 1
 
 
+class TestLookups:
+    """``neighbors``, ``degree`` and the cached ``_signed_adjacency`` and
+    ``_masks`` they and the exact kernels read."""
+
+    @pytest.mark.parametrize("u", (-1, -5, 5, 6))
+    def test_vertex_outside_range_rejected(self, u):
+        g = paper_c5()
+        with pytest.raises(IndexOutOfRangeError):
+            g.neighbors(u)
+        with pytest.raises(IndexOutOfRangeError):
+            g.degree(u)
+
+    def test_both_ends_of_the_range(self):
+        g = paper_c5()
+        assert g.neighbors(0) == (1, 4) and g.neighbors(4) == (0, 3)
+        assert g.degree(0) == g.degree(4) == 2
+        with pytest.raises(IndexOutOfRangeError):
+            SignedGraph(0).neighbors(0)
+
+    def test_agree_with_has_edge_and_sign_on_every_pair(self):
+        graphs = random_graphs(40, max_n=40, seed=67, p=(0.1, 0.5, 0.9), q=(0.0, 0.5, 1.0))
+        graphs += [SignedGraph(1), SignedGraph(3), all_negative_complete(6), paper_c5()]
+        for g in graphs:
+            pos, neg = g._masks
+            assert type(pos) is type(neg) is tuple and len(pos) == len(neg) == g.n
+            for u in range(g.n):
+                assert [v for v, _ in g._signed_adjacency[u]] == list(g.neighbors(u))
+                assert g.neighbors(u) == tuple(v for v in range(g.n) if g.has_edge(u, v))
+                assert g.degree(u) == (pos[u] | neg[u]).bit_count()
+                for v, s in g._signed_adjacency[u]:
+                    assert s == g.sign(u, v)
+                for v in range(g.n):
+                    p_bit, n_bit = pos[u] >> v & 1, neg[u] >> v & 1
+                    assert p_bit - n_bit == (g.sign(u, v) if g.has_edge(u, v) else 0), g.to_sg()
+                    assert not (p_bit and n_bit)
+                assert pos[u] >> g.n == neg[u] >> g.n == 0
+
+    def test_built_once_per_graph_as_immutable_tuples(self):
+        g = erdos_renyi_signed(12, 0.5, 0.5, seed=3)
+        masks, adjacency = g._masks, g._signed_adjacency
+        assert g._masks is masks and g._signed_adjacency is adjacency
+        assert all(type(side) is tuple and all(type(x) is int for x in side) for side in masks)
+        assert type(adjacency) is tuple and all(type(a) is tuple for a in adjacency)
+        # a graph equal to g has its own, equal structures
+        h = SignedGraph(g.n, g.edges)
+        assert h._masks == masks and h._masks is not masks and h == g
+
+
 class TestAdjacency:
     def test_c5_matrix_matches_reference(self):
         a = adjacency_matrix(paper_c5())

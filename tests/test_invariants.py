@@ -1,6 +1,7 @@
 """Frustration, bipartiteness, balanced cliques, triangle and walk censuses."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import islice, product
 
@@ -30,17 +31,21 @@ from signed_spectra import (
     walk_census,
     walk_from_spectrum,
 )
-from signed_spectra.bounds import _Ctx
+from signed_spectra.bounds import _Ctx, evaluate_all
+from signed_spectra.switching import propagation_labels
 
-from .conftest import random_graphs, signed_graphs
+from .conftest import exact_kernel_corpus, random_graphs, signed_graphs
 from .oracles import (
     brute_balanced_clique,
     deletion_frustration,
     enumerate_walks,
     frustration_upper_by_recount,
     greedy_balanced_clique_full_scan,
+    max_balanced_clique_by_dicts,
     max_switching_form_by_enumeration,
+    max_switching_form_full_scan,
     min_negative_walks,
+    triangle_census_by_sign_loop,
     walk_sums_by_matrix_power,
 )
 
@@ -200,6 +205,92 @@ class TestSmallKernel:
             [1, 1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1], [1, 1, -1, -1],
             [1, -1, 1, 1], [1, -1, -1, 1], [1, -1, 1, -1], [1, -1, -1, -1],
         ]
+
+
+def pruning_forms(n: int):
+    """(name, M, bound) for the pruned kernel at order n: A, -|A|, A^2 and
+    A^3 of G(n, 1/2), the zero matrix, the signed matrices of +K_n and -K_n,
+    and those of C_n, all positive and with one negative edge."""
+    g = erdos_renyi_signed(n, 0.5, 0.5, seed=n)
+    a = invariants._signed_matrix(g)
+    forms = [
+        ("A", a, 2 * g.m),
+        ("-|A|", -np.abs(a), 2 * g.m),
+        ("A^2", a @ a, walk_census(g, 3).w_total),
+        ("A^3", a @ a @ a, walk_census(g, 4).w_total),
+        ("0", np.zeros((n, n), dtype=np.int64), 0),
+    ]
+    for name, h in (
+        ("+K_n", all_negative_complete(n).with_all_signs(1)),
+        ("-K_n", all_negative_complete(n)),
+        ("C_n", signed_cycle(n)),
+        ("C_n, one negative edge", signed_cycle(n, negative_edges=(0,))),
+    ):
+        forms.append((name, invariants._signed_matrix(h), 2 * h.m))
+    return forms
+
+
+class TestPrunedKernel:
+    """From ``_PRUNE_MIN_ROWS`` left rows on, the kernel scans only the rows
+    whose bound reaches the incumbent; ``max_switching_form_full_scan``
+    scans them all."""
+
+    @pytest.mark.parametrize("n", range(19, 25))
+    def test_matches_full_scan_with_certificate(self, n):
+        assert 1 << (n + 1) // 2 - 1 >= invariants._PRUNE_MIN_ROWS  # the pruned path runs
+        for name, m, bound in pruning_forms(n):
+            assert invariants._max_switching_form(m, bound) == max_switching_form_full_scan(m, bound), name
+
+    def test_every_dtype_tier(self):
+        tiers = set()
+        for g in kernel_graphs(19):
+            for m, bound, tier in kernel_forms(g):
+                assert invariants._max_switching_form(m, bound) == max_switching_form_full_scan(m, bound), tier
+                tiers.add(tier)
+        assert tiers == {"float32", "float64", "int64"}
+
+    @pytest.mark.parametrize("n", (19, 20))
+    def test_ties_at_the_incumbent_keep_their_rows(self, n):
+        # on a balanced form every row that holds the maximum has a bound
+        # equal to it, and so equal to the incumbent; on the zero matrix every
+        # row does.  Pruning on equality would drop them all.
+        for h in (all_negative_complete(n).with_all_signs(1), signed_cycle(n), all_negative_complete(n)):
+            m = invariants._signed_matrix(h)
+            assert invariants._max_switching_form(m, 2 * h.m) == max_switching_form_full_scan(m, 2 * h.m)
+        zero = np.zeros((n, n), dtype=np.int64)
+        assert invariants._max_switching_form(zero, 0) == (0, (1,) * n)
+
+    @pytest.mark.parametrize("n", (11, 14, 18))
+    def test_pruning_below_the_cut_over_matches_full_scan(self, n, monkeypatch):
+        # the cut-over is a cost choice only: pruning from 32 rows on (n >= 11)
+        # gives the full scan's value and certificate too
+        monkeypatch.setattr(invariants, "_PRUNE_MIN_ROWS", invariants._INCUMBENT_ROWS)
+        for name, m, bound in pruning_forms(n):
+            assert invariants._max_switching_form(m, bound) == max_switching_form_full_scan(m, bound), name
+
+    def test_matches_full_scan_at_any_block_size(self, monkeypatch):
+        # the column tiles set the scan order, and so the certificate on ties
+        for entries in (2**5, 2**9, 2**20):
+            monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", entries)
+            for name, m, bound in pruning_forms(20):
+                assert invariants._max_switching_form(m, bound) == max_switching_form_full_scan(m, bound), (name, entries)
+
+    def test_incumbent_pass_is_blocked(self):
+        # a forced n = 30: one incumbent product over all 2^15 columns would
+        # add 32 x 2^15 float32 entries (4 MiB) to the full scan's peak
+        g = erdos_renyi_signed(30, 0.3, 0.5, seed=0)
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                return f(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        full, full_peak = peak(lambda: max_switching_form_full_scan(invariants._signed_matrix(g), 2 * g.m))
+        eps, pruned_peak = peak(lambda: frustration_index_exact(g, force=True))
+        assert eps == (g.m - full[0] // 2) // 2
+        assert pruned_peak <= full_peak + 2**20
 
 
 class TestFrustrationUpper:
@@ -395,6 +486,42 @@ class TestTriangleCensus:
             a[u, v] = a[v, u] = s
         trace_cubed = int(np.trace(a @ a @ a)) if g.n else 0
         assert 6 * triangle_census(g).t_s == trace_cubed
+
+
+class TestBitParallelKernels:
+    """The clique search and the triangle census on ``SignedGraph._masks``
+    against the dict-based kernels they replaced."""
+
+    @given(signed_graphs(max_n=10))
+    @settings(max_examples=150, deadline=None)
+    def test_match_dict_kernels_property(self, g):
+        assert invariants._max_balanced_clique(g) == max_balanced_clique_by_dicts(g)
+        census = triangle_census(g)
+        assert (census.t_plus, census.t_minus) == triangle_census_by_sign_loop(g)
+
+    def test_match_dict_kernels_on_corpus(self):
+        for g in exact_kernel_corpus():
+            assert invariants._max_balanced_clique(g, force=True) == max_balanced_clique_by_dicts(g), g.to_sg()
+            census = triangle_census(g)
+            assert (census.t_plus, census.t_minus) == triangle_census_by_sign_loop(g), g.to_sg()
+
+    def test_no_sign_lookup_on_the_exact_paths(self, monkeypatch):
+        # the clique search, the census, the BFS and every exact row of
+        # evaluate_all read masks and adjacency tuples, never the sign dict
+        def refuse(*args):
+            raise AssertionError("per-edge sign lookup")
+
+        monkeypatch.setattr(SignedGraph, "sign", refuse)
+        monkeypatch.setattr(SignedGraph, "has_edge", refuse)
+        monkeypatch.setattr(SignedGraph, "_signs", property(refuse))
+        graphs = [erdos_renyi_signed(n, 0.5, 0.5, seed=n) for n in (1, 5, 12, 40)]
+        for g in graphs:
+            invariants._max_balanced_clique(g)
+            triangle_census(g)
+            propagation_labels(g)
+            propagation_labels(g, full=True)
+        for g in graphs[:3] + [paper_c5()]:
+            assert all(ev.verdict for ev in evaluate_all(g))
 
 
 class TestWalkCensus:

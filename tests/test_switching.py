@@ -21,9 +21,10 @@ from signed_spectra import (
     spectrum_of,
 )
 from signed_spectra.invariants import balanced_clique_number, frustration_index_exact
+from signed_spectra.switching import propagation_labels
 
-from .conftest import signed_graphs
-from .oracles import balanced_by_dsu
+from .conftest import exact_kernel_corpus, signed_graphs
+from .oracles import balanced_by_dsu, propagation_labels_by_dicts
 
 
 def random_switching(n: int, seed: int) -> Switching:
@@ -106,6 +107,22 @@ class TestIsBalanced:
     @settings(max_examples=60, deadline=None)
     def test_balance_iff_zero_frustration(self, g):
         assert is_balanced(g).balanced == (frustration_index_exact(g) == 0)
+
+
+class TestPropagationLabels:
+    """The BFS over ``SignedGraph._signed_adjacency`` against the one that
+    looked each edge's sign up in a dict: the same labels, conflict edge,
+    parent map and stopping point."""
+
+    @given(signed_graphs(max_n=10), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_bfs_property(self, g, full):
+        assert propagation_labels(g, full=full) == propagation_labels_by_dicts(g, full)
+
+    def test_matches_dict_bfs_on_corpus(self):
+        for g in exact_kernel_corpus():
+            for full in (False, True):
+                assert propagation_labels(g, full=full) == propagation_labels_by_dicts(g, full), g.to_sg()
 
 
 class TestCycleSign:
