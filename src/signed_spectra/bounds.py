@@ -417,8 +417,7 @@ def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 def _eval_b14(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     has_triangle = ctx.census.total > 0
-    # a vertex with two neighbours: its neighbour mask has a bit left past the lowest
-    has_two_path = any((p | q) & (p | q) - 1 for p, q in zip(*ctx.g._masks))
+    has_two_path = any(ctx.g.degree(v) >= 2 for v in range(ctx.g.n))
     hyp = ctx.census.t_plus == 0 and ctx.g.n >= 3 and (has_triangle or has_two_path)
     return hyp, 0.0, ctx.lambda2, ""
 

@@ -48,9 +48,9 @@ class SignedGraph:
     n + m, for :meth:`neighbors`, :meth:`degree` and the BFS of
     ``switching.propagation_labels``; and ``_masks``, per vertex bitmasks of
     its positive and of its negative neighbours, for the balanced-clique
-    search, the triangle census and B14's two-path test.  The masks take up
-    to n bits per vertex, O(n^2) bits in all, so the linear-time BFS does
-    not read them.
+    search and the clique's labels and witness value.  The masks take up to
+    n bits per vertex, O(n^2) bits in all, so only those clique paths, which
+    are exponential in n and guarded, read them.
     """
 
     n: int

@@ -90,13 +90,14 @@ def _check_guard(n: int, what: str, limits: dict[str, int] | None = None, *, for
 # float64 or int64).
 _PRODUCT_MAX_N = 10
 
-# left rows from which ``_max_switching_form`` bounds every row and scans
-# only those that can hold a maximiser, and how many rows of the largest
-# bounds give it the incumbent.  Best of 31 for eps on G(n, 1/2) with one
-# BLAS thread, pruning took 0.091 against 0.072 ms at n = 16 and broke even
-# at n = 18 (256 rows: 0.133 against 0.136 ms); from n = 19 (512 rows) it
-# pays, 0.200 against 0.236 ms, and 0.243 against 0.364 ms at n = 20.
-_PRUNE_MIN_ROWS = 512
+# rows of the largest bounds that give ``_max_switching_form`` its
+# incumbent.  Best of 3 x 31 runs (3 x 9 from n = 22) for eps on G(n, 1/2)
+# with one BLAS thread, 8, 16 and 32 rows took 0.24, 0.25 and 0.27 ms at
+# n = 20 and 1.35, 1.35 and 1.39 ms at n = 24, level within noise.  Against
+# the full scan the pruned one took 0.27 against 0.39 ms at n = 20 and 1.39
+# against 5.5 ms at n = 24, and broke even at n = 18 (0.139 ms each); below
+# that the bound costs about 20 us more than it saves (0.057 against 0.035
+# ms at n = 11), on orders that no benchmark workload runs.
 _INCUMBENT_ROWS = 32
 
 
@@ -138,8 +139,8 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     is below 2^53, and in int64 from there on.  A sign table that cannot be
     allocated raises TooLargeError.
 
-    From ``_PRUNE_MIN_ROWS`` left rows on (n >= 19), the scan skips rows
-    that cannot hold a maximiser.  No switching of a left row x_L beats
+    The blocked scan skips the left rows that cannot hold a maximiser.  No
+    switching of a left row x_L beats
 
         q_L + max q_H + ||2 M_HL x_L||_1,
 
@@ -181,14 +182,13 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     right[:h] = xh.T
     right[h] = 1
     right[h + 1] = ((xh @ m[a:, a:]) * xh).sum(axis=1)
-    rows = np.arange(len(left))  # the left rows the scan takes
-    if len(left) >= _PRUNE_MIN_ROWS:
-        row_bound = left[:, h] + np.abs(left[:, :h]).sum(axis=1) + right[h + 1].max()
-        top = left[np.argpartition(row_bound, -_INCUMBENT_ROWS)[-_INCUMBENT_ROWS:]]
-        step = max(1, _BLOCK_ENTRIES // _INCUMBENT_ROWS)
-        incumbent = max((top @ right[:, c0 : c0 + step]).max() for c0 in range(0, len(xh), step))
-        rows = np.flatnonzero(row_bound >= incumbent)
-        left = left[rows]
+    # scan only the left rows whose bound reaches the incumbent
+    row_bound = left[:, h] + np.abs(left[:, :h]).sum(axis=1) + right[h + 1].max()
+    top = left[np.argsort(row_bound)[-_INCUMBENT_ROWS:]]
+    step = max(1, _BLOCK_ENTRIES // _INCUMBENT_ROWS)
+    incumbent = max((top @ right[:, c0 : c0 + step]).max() for c0 in range(0, len(xh), step))
+    rows = np.flatnonzero(row_bound >= incumbent)
+    left = left[rows]
     # tile both axes: one-row blocks would stream all of ``right`` per row of xl
     col_step = min(len(xh), max(1, _BLOCK_ENTRIES >> 8))
     row_step = max(1, _BLOCK_ENTRIES // col_step)
@@ -424,17 +424,22 @@ class TriangleCensus:
 def triangle_census(g: SignedGraph) -> TriangleCensus:
     """Count the triangles by the product of their edge signs.
 
-    For each edge uv with u < v, the common neighbours w > v are read off
-    ``SignedGraph._masks``: those joined to u and v by edges of one sign
-    close a triangle of the sign of uv, the others one of the opposite sign.
-    6 * t_s equals trace(A^3) exactly in integer arithmetic.
+    Per vertex u, two bitmasks hold its positive and its negative
+    neighbours above it, bit i standing for vertex u + 1 + i, so they take
+    about half the bits of whole neighbour masks and are dropped on return.
+    For each edge uv with u < v, shifting u's masks by v - u lines them up
+    with v's, and the common neighbours w > v joined to u and v by edges of
+    one sign close a triangle of the sign of uv, the others one of the
+    opposite sign.  6 * t_s equals trace(A^3) exactly in integer arithmetic.
     """
-    pos, neg = g._masks
+    pos, neg = [0] * g.n, [0] * g.n
+    for u, v, s in g.edges:
+        (pos if s > 0 else neg)[u] |= 1 << (v - u - 1)
     t_plus = t_minus = 0
     for u, v, s_uv in g.edges:
-        above = -1 << (v + 1)  # w > v only
-        same = ((pos[u] & pos[v]) | (neg[u] & neg[v])) & above
-        opposite = ((pos[u] & neg[v]) | (neg[u] & pos[v])) & above
+        pu, nu, pv, nv = pos[u] >> (v - u), neg[u] >> (v - u), pos[v], neg[v]
+        same = (pu & pv) | (nu & nv)
+        opposite = (pu & nv) | (nu & pv)
         if s_uv < 0:
             same, opposite = opposite, same
         t_plus += same.bit_count()

@@ -1,6 +1,7 @@
 """Frustration, bipartiteness, balanced cliques, triangle and walk censuses."""
 
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import islice, product
@@ -231,13 +232,11 @@ def pruning_forms(n: int):
 
 
 class TestPrunedKernel:
-    """From ``_PRUNE_MIN_ROWS`` left rows on, the kernel scans only the rows
-    whose bound reaches the incumbent; ``max_switching_form_full_scan``
-    scans them all."""
+    """Past ``_PRODUCT_MAX_N`` the kernel scans only the rows whose bound
+    reaches the incumbent; ``max_switching_form_full_scan`` scans them all."""
 
-    @pytest.mark.parametrize("n", range(19, 25))
+    @pytest.mark.parametrize("n", (11, 14, 18, *range(19, 25)))
     def test_matches_full_scan_with_certificate(self, n):
-        assert 1 << (n + 1) // 2 - 1 >= invariants._PRUNE_MIN_ROWS  # the pruned path runs
         for name, m, bound in pruning_forms(n):
             assert invariants._max_switching_form(m, bound) == max_switching_form_full_scan(m, bound), name
 
@@ -259,14 +258,6 @@ class TestPrunedKernel:
             assert invariants._max_switching_form(m, 2 * h.m) == max_switching_form_full_scan(m, 2 * h.m)
         zero = np.zeros((n, n), dtype=np.int64)
         assert invariants._max_switching_form(zero, 0) == (0, (1,) * n)
-
-    @pytest.mark.parametrize("n", (11, 14, 18))
-    def test_pruning_below_the_cut_over_matches_full_scan(self, n, monkeypatch):
-        # the cut-over is a cost choice only: pruning from 32 rows on (n >= 11)
-        # gives the full scan's value and certificate too
-        monkeypatch.setattr(invariants, "_PRUNE_MIN_ROWS", invariants._INCUMBENT_ROWS)
-        for name, m, bound in pruning_forms(n):
-            assert invariants._max_switching_form(m, bound) == max_switching_form_full_scan(m, bound), name
 
     def test_matches_full_scan_at_any_block_size(self, monkeypatch):
         # the column tiles set the scan order, and so the certificate on ties
@@ -489,8 +480,8 @@ class TestTriangleCensus:
 
 
 class TestBitParallelKernels:
-    """The clique search and the triangle census on ``SignedGraph._masks``
-    against the dict-based kernels they replaced."""
+    """The clique search on ``SignedGraph._masks`` and the triangle census
+    on its own shifted masks against the dict-based kernels they replaced."""
 
     @given(signed_graphs(max_n=10))
     @settings(max_examples=150, deadline=None)
@@ -504,6 +495,27 @@ class TestBitParallelKernels:
             assert invariants._max_balanced_clique(g, force=True) == max_balanced_clique_by_dicts(g), g.to_sg()
             census = triangle_census(g)
             assert (census.t_plus, census.t_minus) == triangle_census_by_sign_loop(g), g.to_sg()
+
+    def test_census_of_a_large_sparse_graph_keeps_no_masks(self):
+        # the census's masks live for one call: on a sparse n = 5,000 graph it
+        # peaks below one set of whole unsigned neighbour masks and leaves no
+        # lookup structure on the graph
+        rng = random.Random(0)
+        pairs = {tuple(sorted(rng.sample(range(5000), 2))) for _ in range(10_000)}
+        g = SignedGraph._unchecked(5000, frozenset((u, v, rng.choice((1, -1))) for u, v in pairs))
+        whole = [0] * g.n
+        for u, v, _ in g.edges:
+            whole[u] |= 1 << v
+            whole[v] |= 1 << u
+        tracemalloc.start()
+        try:
+            census = triangle_census(g)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (census.t_plus, census.t_minus) == triangle_census_by_sign_loop(g)
+        assert peak < sum(map(sys.getsizeof, whole))
+        assert retained < 2**14 and vars(g).keys() == {"n", "edges"}
 
     def test_no_sign_lookup_on_the_exact_paths(self, monkeypatch):
         # the clique search, the census, the BFS and every exact row of
