@@ -47,12 +47,12 @@ from .invariants import (
     _WALK_OVERFLOW,
     _check_guard,
     _frustration,
+    _frustration_uppers,
     _guard_limits,
     _max_balanced_clique,
     _r_frustration,
     _walk_chain,
     _walk_order,
-    frustration_index_upper,
     greedy_balanced_clique,
     triangle_census,
 )
@@ -244,20 +244,28 @@ class _Ctx:
     def omega_b(self) -> int:
         return self.clique[0]
 
+    @_memo
+    def _upper_bounds(self) -> dict[str, int]:
+        """Local-search upper bounds on eps and eps_b, from one draw of
+        restarts: ``frustration_index_upper`` of g and of (G, -1)."""
+        graphs = (self.g, all_negative(self.g))
+        return dict(zip(("eps", "eps_b"), _frustration_uppers(graphs, _HEURISTIC_ITERS, _HEURISTIC_SEED)))
+
     def exact_or_bound(self, name: str) -> tuple[int, bool]:
         """``eps``, ``eps_b`` or ``omega_b`` and whether it is exact.
 
         Past its guard the value is a heuristic bound instead: local search
-        gives upper bounds on eps and eps_b, a greedy clique a lower bound
-        on omega_b.  A bound is never memoised, here or across graphs.
+        gives upper bounds on eps and eps_b, both at once in
+        ``_upper_bounds``, a greedy clique a lower bound on omega_b.  A
+        bound is kept only in this context's ``_upper_bounds``: never under
+        an exact name, in ``_underlying`` or in a class entry.
         """
         try:
             return getattr(self, name), True
         except TooLargeError:
             if name == "omega_b":
                 return greedy_balanced_clique(self.g), False
-            g = self.g if name == "eps" else all_negative(self.g)
-            return frustration_index_upper(g, _HEURISTIC_ITERS, _HEURISTIC_SEED), False
+            return self._upper_bounds[name], False
 
     @_memo
     def census(self) -> TriangleCensus:

@@ -337,17 +337,22 @@ def _signed_matrix(graphs: SignedGraph | Sequence[SignedGraph]) -> np.ndarray:
     """
     if isinstance(graphs, SignedGraph):
         return _signed_matrix((graphs,))[0]
-    n = graphs[0].n
-    try:
-        a = np.zeros((len(graphs), n, n), dtype=np.int64)
-    except (MemoryError, ValueError):  # numpy's errors for a stack past memory or past intp
-        raise TooLargeError(
-            f"dense matrix: n={n} needs {n}^2 entries, which cannot be allocated", n=n
-        ) from None
+    a = _dense_zeros(len(graphs), graphs[0].n, np.int64)
     for ak, g in zip(a, graphs):
         for u, v, s in g.edges:
             ak[u, v] = ak[v, u] = s
     return a
+
+
+def _dense_zeros(k: int, n: int, dtype: type) -> np.ndarray:
+    """A (k, n, n) stack of zero matrices; one that cannot be allocated
+    raises TooLargeError."""
+    try:
+        return np.zeros((k, n, n), dtype=dtype)
+    except (MemoryError, ValueError):  # numpy's errors for a stack past memory or past intp
+        raise TooLargeError(
+            f"dense matrix: n={n} needs {n}^2 entries, which cannot be allocated", n=n
+        ) from None
 
 
 def _check_dense(n: int) -> None:

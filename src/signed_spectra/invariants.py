@@ -16,7 +16,8 @@ holds each exact function's limit on n, and ``_guard_limits`` the limits
 in force, all of them replaced by the ``SIGNED_SPECTRA_MAX_N`` environment
 variable when it is set.  ``force=True`` skips a guard and reads no limit.
 Past a guard, ``bounds._Ctx.exact_or_bound`` falls back to the heuristic
-bounds ``frustration_index_upper`` and ``greedy_balanced_clique``.
+bounds of ``frustration_index_upper``, for eps and eps_b at once from one
+draw of restarts (``_frustration_uppers``), and ``greedy_balanced_clique``.
 
 Walk counts are exact integer walk sums, taken by matrix-vector steps on
 Python integers; they raise OverflowError once the count of unsigned walks
@@ -29,13 +30,13 @@ import os
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import count, islice, product
-from typing import Iterator
+from itertools import chain, count, islice, product
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvalidParamsError, TooLargeError, _int_param
-from .graph import SignedGraph, _signed_matrix
+from .graph import SignedGraph, _dense_zeros, _signed_matrix
 from .switching import propagation_labels
 
 #: the largest n each exact function takes unless forced, by its guard's name
@@ -49,8 +50,9 @@ _GUARDS = {
 _INT64_MAX = 2**63 - 1
 _WALK_OVERFLOW = "walk counts exceed the 64-bit integer range"
 # entries per block: of one GEMM block of the switching kernel (256 KiB in
-# float64, 128 KiB in float32), of the restarts ``frustration_index_upper``
-# descends together, and of the samples ``search`` decomposes together
+# float64, 128 KiB in float32), of the restarts that each form of
+# ``_frustration_uppers`` descends together (one draw per block, shared by
+# the forms), and of the samples ``search`` decomposes together
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -101,6 +103,25 @@ _PRODUCT_MAX_N = 10
 _INCUMBENT_ROWS = 32
 
 
+def _exact_dtype(bound: int) -> type:
+    """The first of float32, float64 and int64 that holds every integer of
+    magnitude at most ``bound``: a float with a p-bit significand holds every
+    integer up to 2^p."""
+    return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64
+
+
+def _sign_table(a: int, dtype: type) -> np.ndarray:
+    """The 2^a x a table whose row i is the +-1 vector of the bits of i
+    (bit v set <=> -1), built by doubling: rows [2^v, 2^(v+1)) are rows
+    [0, 2^v) with column v set to -1."""
+    table = np.empty((1 << a, a), dtype=dtype)
+    table[0] = 1
+    for v in range(a):
+        table[1 << v : 2 << v] = table[: 1 << v]
+        table[1 << v : 2 << v, v] = -1
+    return table
+
+
 @lru_cache(maxsize=None)  # n <= _PRODUCT_MAX_N and three dtypes: about 0.2 MB at most
 def _switching_table(n: int, dtype: type) -> np.ndarray:
     """The +-1 rows of the 2^(n-1) switchings of order n with x_0 = +1, in
@@ -129,15 +150,15 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
 
     so the product of the rows [X_L 2M_LH | q_L | 1] with the columns
     [X_H | 1 | q_H] holds x^T M x for every switching.  It is taken one
-    GEMM block of at most ``_BLOCK_ENTRIES`` values at a time.  Up to the
-    cap the whole product is one block, and T lists the switchings in that
-    block's row-major order, so both paths return the same certificate on
-    ties.  Every partial sum is an integer of magnitude at most
-    sum |M_ij|, and a float with a p-bit significand holds every integer up
-    to 2^p, so the tables and products are exact in any summation order:
-    they run in float32 while ``bound`` is below 2^24, in float64 while it
-    is below 2^53, and in int64 from there on.  A sign table that cannot be
-    allocated raises TooLargeError.
+    GEMM block of at most ``_BLOCK_ENTRIES`` values at a time; X_L and X_H
+    are the even rows and a leading block of one ``_sign_table`` of the
+    2^a sign vectors of L.  Up to the cap the whole product is one block,
+    and T lists the switchings in that block's row-major order, so both
+    paths return the same certificate on ties.  Every partial sum is an
+    integer of magnitude at most sum |M_ij|, so the tables and products are
+    exact in any summation order in ``_exact_dtype(bound)``: float32 while
+    ``bound`` is below 2^24, float64 while it is below 2^53, and int64 from
+    there on.  A sign table that cannot be allocated raises TooLargeError.
 
     The blocked scan skips the left rows that cannot hold a maximiser.  No
     switching of a left row x_L beats
@@ -155,7 +176,7 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     n = mat.shape[0]
     a = (n + 1) // 2
     h = n - a
-    dtype = np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64
+    dtype = _exact_dtype(bound)
     m = mat.astype(dtype)
     if n <= _PRODUCT_MAX_N:
         table = _switching_table(n, dtype)
@@ -163,15 +184,13 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
         k = int(values.argmax())
         return int(values[k]), tuple(table[k].astype(int).tolist())
     try:
-        table = np.empty((1 << a, a), dtype=dtype)
+        table = _sign_table(a, dtype)
     except (MemoryError, ValueError):  # numpy's errors for a table past memory or past intp
         raise TooLargeError(
             f"switching-class kernel: n={n} needs a sign table of 2^{a} rows, "
             "which cannot be allocated",
             n=n,
         ) from None
-    # row i of the table is the +-1 vector of the bits of i (bit v set <=> -1)
-    table[:] = 1 - 2 * ((np.arange(1 << a)[:, None] >> np.arange(a)) & 1)
     xl, xh = table[::2], table[: 1 << h, :h]
     xl_m = xl @ m[:a]
     left = np.empty((len(xl), h + 2), dtype=dtype)
@@ -255,47 +274,98 @@ def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> 
     ``propagation_labels`` finds no conflict.  Otherwise steepest
     single-vertex-flip local search runs from the spanning-forest
     propagation labeling and from ``iters`` random restarts whose signs are
-    the stream of ``random.Random(seed).choice((1, -1))``, n per restart.
-    All of them descend together as the rows of one array, in blocks of at
-    most max(1, ``_BLOCK_ENTRIES`` // n) restarts so memory stays bounded
-    for any ``iters``; the labeling's row joins the first block.  Each row
-    reaches what its start would reach alone.  Ties are broken by lowest
-    vertex index.
+    the stream of ``random.Random(seed).choice((1, -1))``, n per restart,
+    with ties broken by lowest vertex index.  The restarts descend together
+    in blocks, in float32 while 2m < 2^24 and in float64 past it, both
+    exact: ``_frustration_uppers`` runs them, and ``bounds`` asks it for
+    eps and eps_b at once, from one draw of the restarts.
     """
     iters = _int_param("frustration_index_upper", "iters", iters)
     seed = _int_param("frustration_index_upper", "seed", seed)
     if iters < 1:
         raise InvalidParamsError(f"iters must be >= 1, got {iters}")
-    if g.m == 0:
-        return 0
-    a = _signed_matrix(g).astype(np.float64)  # for BLAS: every value is an integer of size <= 2m
-    labels, conflict, _ = propagation_labels(g)
-    if conflict is None:
-        return 0
-    a2 = 2 * a
+    return _frustration_uppers((g,), iters, seed)[0]
+
+
+def _frustration_uppers(graphs: Sequence[SignedGraph], iters: int, seed: int) -> tuple[int, ...]:
+    """``frustration_index_upper(h, iters, seed)`` for each h of ``graphs``,
+    graphs of one order and one edge count, from one draw of restarts.
+
+    Each restart is drawn once and descends in every form, in blocks of
+    at most max(1, ``_BLOCK_ENTRIES`` // n) restarts so memory stays bounded
+    for any ``iters``; the labeling's row joins each form's first block.
+    The rows of a block descend together, each reaching what its start
+    would reach alone.  A form is the ``_flip_table`` of a graph that is
+    neither edgeless nor balanced; no restart is drawn when none is left.
+    Every value is an integer of magnitude at most 2m, so the descent runs
+    in ``_exact_dtype(2m)``, float32 while 2m < 2^24 and float64 past it,
+    and sums its row totals in float64.  The float32 tables of two forms
+    take 16 n^2 bytes.  Past 2^24 a table takes 16 n^2 bytes alone, so the
+    graphs run one after the other, each from its own draw of the same
+    stream.  A table that cannot be allocated raises TooLargeError before
+    the balance test.
+    """
+    n, m = graphs[0].n, graphs[0].m
+    if m == 0:
+        return (0,) * len(graphs)
+    dtype = _exact_dtype(2 * m)
+    if dtype is not np.float32 and len(graphs) > 1:
+        return tuple(_frustration_uppers((h,), iters, seed)[0] for h in graphs)
+    best = [0] * len(graphs)
+    forms = []
+    for i, h in enumerate(graphs):
+        table = _flip_table(h, dtype)
+        labels, conflict, _ = propagation_labels(h)
+        if conflict is not None:
+            best[i] = m
+            forms.append((i, table, labels))
     rng = random.Random(seed)
-    block = max(1, _BLOCK_ENTRIES // g.n)
-    best = g.m
-    for first in range(0, iters, block):
-        k = min(block, iters - first)
-        x = _choice_signs(rng, k * g.n).reshape(k, g.n).astype(np.float64)
-        if first == 0:
-            x = np.concatenate(([labels], x))
-        # with ax = x A, flipping v changes a row's negative-edge count by
-        # d_v = x_v (ax)_v = deg v - 2 neg v, and subtracts 2 x_v A[v] from ax
-        # (x_v the sign before the flip)
-        ax = x @ a
-        while len(x):
-            d = x * ax
-            v = d.argmin(axis=1)  # the lowest vertex on ties
-            go = d[np.arange(len(x)), v] < 0
-            if not go.all():  # a stopped row leaves (m - x^T A x / 2) / 2 negative edges
-                best = min(best, (g.m - int(d[~go].sum(axis=1).max()) // 2) // 2)
-                x, ax, v = x[go], ax[go], v[go]
-            rows = np.arange(len(x))
-            s = x[rows, v]
-            x[rows, v] = -s
-            ax -= s[:, None] * a2[v]
+    block = max(1, _BLOCK_ENTRIES // n)
+    for first in range(0, iters if forms else 0, block):
+        signs = _choice_signs(rng, min(block, iters - first) * n).reshape(-1, n).astype(dtype)
+        for i, table, labels in forms:
+            x = np.concatenate((np.array([labels], dtype), signs)) if first == 0 else signs.copy()
+            best[i] = min(best[i], _descend(table, x, m))
+    return tuple(best)
+
+
+def _flip_table(g: SignedGraph, dtype: type) -> np.ndarray:
+    """The (2n, n) table whose rows v and n + v are -2 A[v] and 2 A[v], for
+    A the signed matrix of ``g``: the change to x A when x_v flips from +1
+    and from -1.  It is set from the edges; one that cannot be allocated
+    raises TooLargeError."""
+    n = g.n
+    table = _dense_zeros(2, n, dtype).reshape(2 * n, n)
+    u, v, s = np.fromiter(chain.from_iterable(g.edges), np.intp, 3 * g.m).reshape(-1, 3).T
+    table[u, v] = table[v, u] = -2 * s
+    table[n + u, v] = table[n + v, u] = 2 * s
+    return table
+
+
+def _descend(table: np.ndarray, x: np.ndarray, m: int) -> int:
+    """The fewest negative edges over the local minima that steepest
+    single-vertex flips reach from the rows of x, on the graph with m edges
+    whose ``_flip_table`` is ``table``; x is overwritten."""
+    k, n = x.shape
+    # with ax = x A, flipping v changes a row's negative-edge count by
+    # d_v = x_v (ax)_v = deg v - 2 neg v, and ax by row v or n + v of the table
+    ax = x @ table[n:]
+    ax /= 2
+    starts = np.arange(0, k * n, n)
+    best = m
+    while len(x):
+        d = x * ax
+        v = d.argmin(axis=1)  # the lowest vertex on ties
+        at = starts[: len(x)] + v
+        go = d.reshape(-1)[at] < 0
+        if not go.all():  # a stopped row leaves (m - x^T A x / 2) / 2 negative edges
+            best = min(best, (m - int(d[~go].sum(axis=1, dtype=np.float64).max()) // 2) // 2)
+            x, ax, v = x[go], ax[go], v[go]
+            at = starts[: len(x)] + v
+        flat = x.reshape(-1)
+        s = flat[at]
+        flat[at] = -s
+        ax += table.take(np.where(s > 0, v, v + n), axis=0)
     return best
 
 

@@ -878,7 +878,7 @@ class TestMemo:
 
     @pytest.mark.parametrize("shared", (False, True))
     def test_each_value_is_computed_once_per_context(self, computes, c5, shared):
-        assert len(self.NAMES) == 13
+        assert len(self.NAMES) == 14
         _underlying.cache_clear()
         ctx = bounds._Ctx(c5, shared=shared)
         first = {name: getattr(ctx, name) for name in self.NAMES}

@@ -208,7 +208,7 @@ class TestInvariants:
 
     def test_heuristic_value_is_not_shared(self, c5_file, capsys, monkeypatch):
         # a sentinel fallback tells a shared heuristic eps_b from the exact 1
-        monkeypatch.setattr(bounds, "frustration_index_upper", lambda g, iters, seed: 99)
+        monkeypatch.setattr(bounds, "_frustration_uppers", lambda graphs, iters, seed: (99,) * len(graphs))
         monkeypatch.setenv("SIGNED_SPECTRA_MAX_N", "4")
         _underlying.cache_clear()
         assert run_cli(["invariants", c5_file]) == 0
@@ -351,6 +351,29 @@ class TestBounds:
         )
         assert (done.returncode, done.stdout, done.stderr) == (*expected, "")
         assert expected[0] == 0
+
+    def test_cold_calls_import_no_heavy_numpy_submodule(self, tmp_path):
+        # numpy.random costs 10-15 ms on its first use in a process and
+        # numpy.ma (which np.unique imports) 18 ms; no CLI path needs either
+        path = write_graph(tmp_path / "g30.sg", gnm_signed(30, 130, 7))
+        calls = [
+            ["bounds", path, "--json"],
+            ["invariants", path],  # n = 30 is past the guards: the heuristic fallback
+            ["search", "--target", "B8u", "--n", "5:7", "--p", "0.5", "--qneg", "0.5",
+             "--samples", "50", "--seed", "0", "--json"],
+        ]
+        script = (
+            "import contextlib, io, sys\n"
+            "from signed_spectra.cli import run_cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    codes = [run_cli(c) for c in {calls!r}]\n"
+            "print(codes, 'heuristic bound' in out.getvalue(), "
+            "[m for m in ('numpy.random', 'numpy.ma') if m in sys.modules])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(), check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0, 0] True []\n", "")
 
 
 class TestParserReuse:

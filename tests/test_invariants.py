@@ -284,6 +284,18 @@ class TestPrunedKernel:
         assert pruned_peak <= full_peak + 2**20
 
 
+class TestSignTable:
+    """The blocked kernel's table of every sign vector of the L half."""
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64, np.int64))
+    def test_row_i_holds_the_bits_of_i(self, dtype):
+        for a in range(1, 15):
+            table = invariants._sign_table(a, dtype)
+            assert table.dtype == dtype and table.shape == (1 << a, a)
+            bits = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
+            assert np.array_equal(table, 1 - 2 * bits), a
+
+
 class TestFrustrationUpper:
     def test_balanced_graph_reaches_zero(self):
         g = signed_cycle(4, negative_edges=(0, 1, 2, 3))
@@ -370,6 +382,114 @@ class TestChoiceSigns:
         drawn = np.concatenate([invariants._choice_signs(rng, k) for k in sizes])
         assert drawn.tolist() == [loop.choice((1, -1)) for _ in range(sum(sizes))]
         assert rng.getstate() == loop.getstate()
+
+
+def pair_corpus() -> list[SignedGraph]:
+    """Seeded G(n, p) graphs with n = 26..60, p in {0.1, 0.3, 0.5} and
+    q_neg in {0, 1/2, 1}, cycling through the nine pairs as n grows."""
+    pairs = [(p, q) for p in (0.1, 0.3, 0.5) for q in (0.0, 0.5, 1.0)]
+    return [erdos_renyi_signed(n, *pairs[n % 9], seed=n) for n in range(26, 61)]
+
+
+def early_exits() -> dict[str, SignedGraph]:
+    """n = 30 graphs on which one form, both or neither stops before any
+    restart: (eps, eps_b) is (0, > 0), (> 0, 0), (0, 0) and (0, 0)."""
+    return {
+        "balanced, not bipartite": erdos_renyi_signed(30, 0.3, 0.0, seed=30),
+        "bipartite, unbalanced": signed_cycle(30, negative_edges=(0,)),
+        "balanced and bipartite": signed_cycle(30),
+        "edgeless": SignedGraph(30),
+    }
+
+
+class TestSharedDraw:
+    """``_frustration_uppers`` descends eps and eps_b from one draw of
+    restarts; each value is the one its form reaches alone."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The number of restart signs of each ``_choice_signs`` call."""
+        sizes: list[int] = []
+        choice_signs = invariants._choice_signs
+
+        def counted(rng, k):
+            sizes.append(k)
+            return choice_signs(rng, k)
+
+        monkeypatch.setattr(invariants, "_choice_signs", counted)
+        return sizes
+
+    @pytest.mark.parametrize("iters", (1, 7, 200))
+    def test_matches_each_form_alone(self, iters):
+        for g in pair_corpus():
+            h, seed = all_negative(g), g.n % 3
+            expected = (frustration_index_upper(g, iters, seed), frustration_index_upper(h, iters, seed))
+            assert invariants._frustration_uppers((g, h), iters, seed) == expected, (g.to_sg(), seed)
+
+    @pytest.mark.parametrize("iters", (1, 7))
+    def test_matches_recount(self, iters):
+        for g in pair_corpus():
+            h = all_negative(g)
+            for seed in range(3):
+                expected = (frustration_upper_by_recount(g, iters, seed), frustration_upper_by_recount(h, iters, seed))
+                assert invariants._frustration_uppers((g, h), iters, seed) == expected, (g.to_sg(), seed)
+
+    def test_matches_recount_at_cli_settings(self):
+        for g in pair_corpus()[::5]:
+            h = all_negative(g)
+            expected = (frustration_upper_by_recount(g, 200, 0), frustration_upper_by_recount(h, 200, 0))
+            assert invariants._frustration_uppers((g, h), 200, 0) == expected, g.to_sg()
+
+    @pytest.mark.parametrize("rows", (1, 3, 64))
+    def test_one_draw_per_block(self, rows, draws, monkeypatch):
+        for g in pair_corpus()[::6]:
+            h = all_negative(g)
+            expected = (frustration_upper_by_recount(g, 30, 1), frustration_upper_by_recount(h, 30, 1))
+            monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", rows * g.n + g.n - 1)
+            draws.clear()
+            assert invariants._frustration_uppers((g, h), 30, 1) == expected, g.to_sg()
+            blocks = [min(rows, 30 - first) * g.n for first in range(0, 30, rows)]
+            assert draws == blocks
+
+    def test_float64_tier_runs_the_forms_one_after_the_other(self, draws, monkeypatch):
+        tables = []
+        descend = invariants._descend
+
+        def spied(table, x, m):
+            tables.append((table.dtype, x.dtype))
+            return descend(table, x, m)
+
+        monkeypatch.setattr(invariants, "_descend", spied)
+        graphs = pair_corpus()[::5]
+        expected = [invariants._frustration_uppers((g, all_negative(g)), 7, 2) for g in graphs]
+        assert set(tables) == {(np.dtype(np.float32),) * 2}
+        tables.clear()
+        monkeypatch.setattr(invariants, "_exact_dtype", lambda bound: np.float64)
+        for g, values in zip(graphs, expected):
+            draws.clear()
+            assert invariants._frustration_uppers((g, all_negative(g)), 7, 2) == values, g.to_sg()
+            unbalanced = sum(propagation_labels(f)[1] is not None for f in (g, all_negative(g)))
+            assert draws == [7 * g.n] * unbalanced  # one draw of the stream per form
+        assert set(tables) == {(np.dtype(np.float64),) * 2}
+
+    @pytest.mark.parametrize("name", tuple(early_exits()))
+    def test_early_exits(self, name, draws):
+        g = early_exits()[name]
+        h = all_negative(g)
+        values = invariants._frustration_uppers((g, h), 200, 0)
+        assert values == (frustration_upper_by_recount(g, 200, 0), frustration_upper_by_recount(h, 200, 0))
+        balanced = [propagation_labels(f)[1] is None for f in (g, h)]
+        assert [value == 0 for value in values] == balanced
+        # one draw of 200 restarts unless both forms stop before it
+        assert draws == ([] if all(balanced) else [200 * g.n])
+
+    def test_flip_table_rows(self):
+        for g in (paper_c5(), *pair_corpus()[:3], early_exits()["edgeless"]):
+            for h in (g, all_negative(g)):
+                a = invariants._signed_matrix(h)
+                table = invariants._flip_table(h, np.float32)
+                assert table.dtype == np.float32
+                assert np.array_equal(table, np.concatenate((-2 * a, 2 * a)))
 
 
 class TestEdgeBipartiteness:
@@ -740,6 +860,32 @@ class TestInvariantReport:
         assert frustration >= 1  # upper bound
         assert eps_b >= 1  # upper bound
         assert omega_b <= 2  # greedy lower bound
+
+
+    def test_fallback_takes_both_bounds_from_one_draw(self, monkeypatch):
+        g = erdos_renyi_signed(30, 0.3, 0.5, seed=3)
+        expected = (frustration_index_upper(g, 200, 0), frustration_index_upper(all_negative(g), 200, 0))
+        draws = []
+        choice_signs = invariants._choice_signs
+        monkeypatch.setattr(invariants, "_choice_signs", lambda rng, k: draws.append(k) or choice_signs(rng, k))
+        ctx = _Ctx(g)
+        assert (ctx.exact_or_bound("eps"), ctx.exact_or_bound("eps_b")) == ((expected[0], False), (expected[1], False))
+        assert draws == [200 * g.n]
+
+    def test_fallback_memory(self):
+        # two float32 tables of (2n, n) entries take 16 n^2 bytes, what a
+        # float64 A and 2A take; float64 tables would take twice that
+        n = 600
+        g = erdos_renyi_signed(n, 0.01, 0.5, seed=6)
+        ctx = _Ctx(g)
+        tracemalloc.start()
+        try:
+            values = ctx.exact_or_bound("eps"), ctx.exact_or_bound("eps_b")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values == ((425, False), (438, False))
+        assert peak <= 16 * n * n + 2 * 2**20
 
 
 _PARAM_CALLS = {
