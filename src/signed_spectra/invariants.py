@@ -103,25 +103,6 @@ _PRODUCT_MAX_N = 10
 _INCUMBENT_ROWS = 32
 
 
-def _exact_dtype(bound: int) -> type:
-    """The first of float32, float64 and int64 that holds every integer of
-    magnitude at most ``bound``: a float with a p-bit significand holds every
-    integer up to 2^p."""
-    return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64
-
-
-def _sign_table(a: int, dtype: type) -> np.ndarray:
-    """The 2^a x a table whose row i is the +-1 vector of the bits of i
-    (bit v set <=> -1), built by doubling: rows [2^v, 2^(v+1)) are rows
-    [0, 2^v) with column v set to -1."""
-    table = np.empty((1 << a, a), dtype=dtype)
-    table[0] = 1
-    for v in range(a):
-        table[1 << v : 2 << v] = table[: 1 << v]
-        table[1 << v : 2 << v, v] = -1
-    return table
-
-
 @lru_cache(maxsize=None)  # n <= _PRODUCT_MAX_N and three dtypes: about 0.2 MB at most
 def _switching_table(n: int, dtype: type) -> np.ndarray:
     """The +-1 rows of the 2^(n-1) switchings of order n with x_0 = +1, in
@@ -150,15 +131,15 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
 
     so the product of the rows [X_L 2M_LH | q_L | 1] with the columns
     [X_H | 1 | q_H] holds x^T M x for every switching.  It is taken one
-    GEMM block of at most ``_BLOCK_ENTRIES`` values at a time; X_L and X_H
-    are the even rows and a leading block of one ``_sign_table`` of the
-    2^a sign vectors of L.  Up to the cap the whole product is one block,
-    and T lists the switchings in that block's row-major order, so both
-    paths return the same certificate on ties.  Every partial sum is an
-    integer of magnitude at most sum |M_ij|, so the tables and products are
-    exact in any summation order in ``_exact_dtype(bound)``: float32 while
-    ``bound`` is below 2^24, float64 while it is below 2^53, and int64 from
-    there on.  A sign table that cannot be allocated raises TooLargeError.
+    GEMM block of at most ``_BLOCK_ENTRIES`` values at a time.  Up to the
+    cap the whole product is one block, and T lists the switchings in that
+    block's row-major order, so both paths return the same certificate on
+    ties.  Every partial sum is an integer of magnitude at most
+    sum |M_ij|, and a float with a p-bit significand holds every integer up
+    to 2^p, so the tables and products are exact in any summation order:
+    they run in float32 while ``bound`` is below 2^24, in float64 while it
+    is below 2^53, and in int64 from there on.  A sign table that cannot be
+    allocated raises TooLargeError.
 
     The blocked scan skips the left rows that cannot hold a maximiser.  No
     switching of a left row x_L beats
@@ -176,7 +157,7 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     n = mat.shape[0]
     a = (n + 1) // 2
     h = n - a
-    dtype = _exact_dtype(bound)
+    dtype = np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64
     m = mat.astype(dtype)
     if n <= _PRODUCT_MAX_N:
         table = _switching_table(n, dtype)
@@ -184,13 +165,15 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
         k = int(values.argmax())
         return int(values[k]), tuple(table[k].astype(int).tolist())
     try:
-        table = _sign_table(a, dtype)
+        table = np.empty((1 << a, a), dtype=dtype)
     except (MemoryError, ValueError):  # numpy's errors for a table past memory or past intp
         raise TooLargeError(
             f"switching-class kernel: n={n} needs a sign table of 2^{a} rows, "
             "which cannot be allocated",
             n=n,
         ) from None
+    # row i of the table is the +-1 vector of the bits of i (bit v set <=> -1)
+    table[:] = 1 - 2 * ((np.arange(1 << a)[:, None] >> np.arange(a)) & 1)
     xl, xh = table[::2], table[: 1 << h, :h]
     xl_m = xl @ m[:a]
     left = np.empty((len(xl), h + 2), dtype=dtype)
@@ -276,9 +259,9 @@ def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> 
     propagation labeling and from ``iters`` random restarts whose signs are
     the stream of ``random.Random(seed).choice((1, -1))``, n per restart,
     with ties broken by lowest vertex index.  The restarts descend together
-    in blocks, in float32 while 2m < 2^24 and in float64 past it, both
-    exact: ``_frustration_uppers`` runs them, and ``bounds`` asks it for
-    eps and eps_b at once, from one draw of the restarts.
+    in blocks, in float32: ``_frustration_uppers`` runs them, and
+    ``bounds`` asks it for eps and eps_b at once, from one draw of the
+    restarts.
     """
     iters = _int_param("frustration_index_upper", "iters", iters)
     seed = _int_param("frustration_index_upper", "seed", seed)
@@ -297,24 +280,21 @@ def _frustration_uppers(graphs: Sequence[SignedGraph], iters: int, seed: int) ->
     The rows of a block descend together, each reaching what its start
     would reach alone.  A form is the ``_flip_table`` of a graph that is
     neither edgeless nor balanced; no restart is drawn when none is left.
-    Every value is an integer of magnitude at most 2m, so the descent runs
-    in ``_exact_dtype(2m)``, float32 while 2m < 2^24 and float64 past it,
-    and sums its row totals in float64.  The float32 tables of two forms
-    take 16 n^2 bytes.  Past 2^24 a table takes 16 n^2 bytes alone, so the
-    graphs run one after the other, each from its own draw of the same
-    stream.  A table that cannot be allocated raises TooLargeError before
-    the balance test.
+    The descent runs in float32, which is exact: every value it holds, an
+    entry of x (2A) or a partial sum of one, is an integer of magnitude at
+    most 2 deg v <= 2(n - 1), below 2^24 for every n <= 2^23, and past that
+    a (2n, n) table of over 2^47 entries cannot be allocated.  Row totals are
+    summed in float64.  The float32 tables of two forms take the 16 n^2
+    bytes of one float64 A and 2A.  A table that cannot be allocated raises
+    TooLargeError before the balance test.
     """
     n, m = graphs[0].n, graphs[0].m
     if m == 0:
         return (0,) * len(graphs)
-    dtype = _exact_dtype(2 * m)
-    if dtype is not np.float32 and len(graphs) > 1:
-        return tuple(_frustration_uppers((h,), iters, seed)[0] for h in graphs)
     best = [0] * len(graphs)
     forms = []
     for i, h in enumerate(graphs):
-        table = _flip_table(h, dtype)
+        table = _flip_table(h)
         labels, conflict, _ = propagation_labels(h)
         if conflict is not None:
             best[i] = m
@@ -322,20 +302,20 @@ def _frustration_uppers(graphs: Sequence[SignedGraph], iters: int, seed: int) ->
     rng = random.Random(seed)
     block = max(1, _BLOCK_ENTRIES // n)
     for first in range(0, iters if forms else 0, block):
-        signs = _choice_signs(rng, min(block, iters - first) * n).reshape(-1, n).astype(dtype)
+        signs = _choice_signs(rng, min(block, iters - first) * n).reshape(-1, n).astype(np.float32)
         for i, table, labels in forms:
-            x = np.concatenate((np.array([labels], dtype), signs)) if first == 0 else signs.copy()
+            x = np.concatenate((np.array([labels], np.float32), signs)) if first == 0 else signs.copy()
             best[i] = min(best[i], _descend(table, x, m))
     return tuple(best)
 
 
-def _flip_table(g: SignedGraph, dtype: type) -> np.ndarray:
-    """The (2n, n) table whose rows v and n + v are -2 A[v] and 2 A[v], for
-    A the signed matrix of ``g``: the change to x A when x_v flips from +1
-    and from -1.  It is set from the edges; one that cannot be allocated
-    raises TooLargeError."""
+def _flip_table(g: SignedGraph) -> np.ndarray:
+    """The float32 (2n, n) table whose rows v and n + v are -2 A[v] and
+    2 A[v], for A the signed matrix of ``g``: the change to x A when x_v
+    flips from +1 and from -1.  It is set from the edges; one that cannot
+    be allocated raises TooLargeError."""
     n = g.n
-    table = _dense_zeros(2, n, dtype).reshape(2 * n, n)
+    table = _dense_zeros(2, n, np.float32).reshape(2 * n, n)
     u, v, s = np.fromiter(chain.from_iterable(g.edges), np.intp, 3 * g.m).reshape(-1, 3).T
     table[u, v] = table[v, u] = -2 * s
     table[n + u, v] = table[n + v, u] = 2 * s

@@ -284,18 +284,6 @@ class TestPrunedKernel:
         assert pruned_peak <= full_peak + 2**20
 
 
-class TestSignTable:
-    """The blocked kernel's table of every sign vector of the L half."""
-
-    @pytest.mark.parametrize("dtype", (np.float32, np.float64, np.int64))
-    def test_row_i_holds_the_bits_of_i(self, dtype):
-        for a in range(1, 15):
-            table = invariants._sign_table(a, dtype)
-            assert table.dtype == dtype and table.shape == (1 << a, a)
-            bits = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
-            assert np.array_equal(table, 1 - 2 * bits), a
-
-
 class TestFrustrationUpper:
     def test_balanced_graph_reaches_zero(self):
         g = signed_cycle(4, negative_edges=(0, 1, 2, 3))
@@ -451,27 +439,6 @@ class TestSharedDraw:
             blocks = [min(rows, 30 - first) * g.n for first in range(0, 30, rows)]
             assert draws == blocks
 
-    def test_float64_tier_runs_the_forms_one_after_the_other(self, draws, monkeypatch):
-        tables = []
-        descend = invariants._descend
-
-        def spied(table, x, m):
-            tables.append((table.dtype, x.dtype))
-            return descend(table, x, m)
-
-        monkeypatch.setattr(invariants, "_descend", spied)
-        graphs = pair_corpus()[::5]
-        expected = [invariants._frustration_uppers((g, all_negative(g)), 7, 2) for g in graphs]
-        assert set(tables) == {(np.dtype(np.float32),) * 2}
-        tables.clear()
-        monkeypatch.setattr(invariants, "_exact_dtype", lambda bound: np.float64)
-        for g, values in zip(graphs, expected):
-            draws.clear()
-            assert invariants._frustration_uppers((g, all_negative(g)), 7, 2) == values, g.to_sg()
-            unbalanced = sum(propagation_labels(f)[1] is not None for f in (g, all_negative(g)))
-            assert draws == [7 * g.n] * unbalanced  # one draw of the stream per form
-        assert set(tables) == {(np.dtype(np.float64),) * 2}
-
     @pytest.mark.parametrize("name", tuple(early_exits()))
     def test_early_exits(self, name, draws):
         g = early_exits()[name]
@@ -487,7 +454,7 @@ class TestSharedDraw:
         for g in (paper_c5(), *pair_corpus()[:3], early_exits()["edgeless"]):
             for h in (g, all_negative(g)):
                 a = invariants._signed_matrix(h)
-                table = invariants._flip_table(h, np.float32)
+                table = invariants._flip_table(h)
                 assert table.dtype == np.float32
                 assert np.array_equal(table, np.concatenate((-2 * a, 2 * a)))
 
