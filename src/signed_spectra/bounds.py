@@ -53,6 +53,7 @@ from .invariants import (
     _r_frustration,
     _walk_chain,
     _walk_order,
+    _walk_totals,
     greedy_balanced_clique,
     triangle_census,
 )
@@ -87,18 +88,23 @@ class BoundEvaluation:
 # signed walk sums (Zaslavsky, "Signed graphs", 1982).  Only ``evaluate_all``
 # and ``invariants`` share across graphs, through ``_Ctx(g, shared=True)``:
 # a sweep over all signings meets each class many times (the 307 graphs of
-# the bench ``sweep`` fall into 74 classes), and ``invariants`` reads what
+# the bench ``sweep`` fall into 87 classes), and ``invariants`` reads what
 # ``bounds`` filled for the same file.  ``evaluate_bound`` and ``search``
 # rarely meet an underlying graph twice, so they keep every value in their
 # own context.  One entry suffices because sweeps visit all 2^m signings of
 # an underlying graph in a row.  It keeps the unsigned lambda_n and eps_b,
-# and under ``"classes"`` eps, eps_r, the balanced clique's members, rho,
-# the triangle census and the rows of ``evaluate_all`` per switching class.
-# A class is keyed by its canonical signing: the negative edges left after
-# switching a BFS spanning forest all-positive.  rho lives in the class like the
-# rest, so B11 of a shared context reads the rho of the first signing of its
-# class that read one.  ``evaluate_all`` hands a later signing of a class the
-# rows of the first one it met, B13's among them, except B11's; ``eigh`` on
+# the unsigned walk sums of each order met with the last unsigned walk
+# vector (``invariants._walk_chain``), the BFS spanning forest of the first
+# signing met, and under ``"classes"`` eps, eps_r, the balanced clique's
+# members, rho, the triangle census and the rows of ``evaluate_all`` per
+# switching class.  A class is keyed by its canonical signing: the negative
+# edges left after switching the spanning forest all-positive.  The first
+# signing takes the forest's labels from its BFS; every later one labels
+# the kept forest in one pass (``_forest_labels``).  rho lives in the class
+# like the rest, so B11 of a shared context reads the rho of the first
+# signing of its class that read one.  ``evaluate_all`` hands a later
+# signing of a class the rows of the first one it met, B13's among them,
+# except B11's; ``eigh`` on
 # D A D is not bit-identical to ``eigh`` on A, so those rows, and B11's rho,
 # carry the first signing's roundoff.  Within one context every matrix
 # quantity (eps, eps_b, eps_r and both spectra) is read from the one int64
@@ -106,9 +112,9 @@ class BoundEvaluation:
 # ``invariants`` reads only exact integers from the entry.
 
 # Classes kept for the one underlying graph; all are dropped when a new one
-# would pass it.  A class that holds the 17 shared rows of ``evaluate_all``
-# takes about 8 KB (``tracemalloc``, n = 5 and 8), so the entry stays
-# within about 8 MB.
+# would pass it.  A class that holds the 16 shared rows of ``evaluate_all``
+# and their list in plan order takes about 8 KB (``tracemalloc``, n = 5 and
+# 8), so the entry stays within about 8 MB.
 _MAX_CLASSES = 1024
 
 
@@ -124,6 +130,20 @@ def _class_key(g: SignedGraph, labels: Sequence[int]) -> frozenset[tuple[int, in
     """The negative edges of ``g`` switched by ``labels``; with the labels of
     ``propagation_labels(g, full=True)``, the same for a whole switching class."""
     return frozenset((u, v) for u, v, s in g.edges if labels[u] * s * labels[v] < 0)
+
+
+def _forest_labels(g: SignedGraph, forest: Mapping[int, int]) -> list[int]:
+    """The labels of ``propagation_labels(g, full=True)``, from ``forest``,
+    its BFS parent of each vertex in BFS order, kept from another signing of
+    g's underlying graph.  That BFS takes the neighbours of each vertex in
+    ascending order, whatever their signs, so its forest is the same on every
+    signing: each vertex takes its parent's label, negated across a
+    negative tree edge, which is found in ``g.edges``."""
+    labels = [1] * g.n
+    edges = g.edges
+    for v, p in forest.items():
+        labels[v] = -labels[p] if ((p, v, -1) if p < v else (v, p, -1)) in edges else labels[p]
+    return labels
 
 
 def _kept(values: dict, name: object, compute: Callable[[], object]):
@@ -161,7 +181,7 @@ class _Ctx:
     """Every quantity of one signed graph that ``bounds``, ``invariants`` and
     ``search`` read, computed once and always under the guards: it reads
     the limits on its first guarded read and checks each guarded value
-    before the memo's O(n) class key.  Each value is a ``_memo``: a plain
+    before the memo's O(n + m) class key.  Each value is a ``_memo``: a plain
     instance attribute after its first read, which ``search`` may also set
     itself (the eigenvalues from a stacked ``eigh``).  Every matrix
     quantity comes from one int64 matrix, ``matrix``: the kernel runs on A
@@ -202,8 +222,14 @@ class _Ctx:
         """The values this signing shares with its switching class."""
         if not self._shared:
             return {}
-        classes = self._underlying_values.setdefault("classes", {})
-        key = _class_key(self.g, propagation_labels(self.g, full=True)[0])
+        entry = self._underlying_values
+        classes = entry.setdefault("classes", {})
+        forest = entry.get("forest")
+        if forest is None:  # the first signing met: one BFS, whose forest the others label
+            labels, _, entry["forest"] = propagation_labels(self.g, full=True)
+        else:
+            labels = _forest_labels(self.g, forest)
+        key = _class_key(self.g, labels)
         if key not in classes and len(classes) >= _MAX_CLASSES:
             classes.clear()
         return classes.setdefault(key, {})
@@ -274,21 +300,26 @@ class _Ctx:
 
     @_memo
     def _chain(self) -> Iterator[WalkCensus]:
-        """The walk censuses past those in ``_walks``, started on first read."""
-        return _walk_chain(self.g)
+        """The walk censuses past those in ``_walks``, started on first read
+        on the unsigned sums kept with the underlying graph."""
+        return _walk_chain(self.g, _kept(self._underlying_values, "walks", lambda: _walk_totals(self.g.n)))
 
     def walks(self, r: int) -> WalkCensus:
         """``walk_census(g, r)``; every order extends one chain from the
         all-ones vector, so r = 1..4 take three matrix-vector steps, and no r
-        takes more than 124 (``_walk_order``)."""
+        takes more than 124 (``_walk_order``).  Where another context of g's
+        underlying graph has stepped the unsigned vector, a step takes only
+        the signed one."""
         if r < 1:
             raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
         k = _walk_order(r)
-        for census in islice(self._chain, max(0, k - len(self._walks))):
-            self._walks.append(census)
-        if len(self._walks) < k:  # the chain ended at an overflow
-            raise OverflowError(_WALK_OVERFLOW)
-        return self._walks[k - 1] if k == r else replace(self._walks[k - 1], r=r)
+        walks = self._walks
+        if len(walks) < k:
+            for census in islice(self._chain, k - len(walks)):
+                walks.append(census)
+            if len(walks) < k:  # the chain ended at an overflow
+                raise OverflowError(_WALK_OVERFLOW)
+        return walks[k - 1] if k == r else replace(walks[k - 1], r=r)
 
     def eps_r(self, r: int) -> int:
         _check_guard(self.g.n, "r_frustration_index", self.limits)
@@ -299,7 +330,7 @@ class _Ctx:
             return 2 * self.eps
         return _kept(self._class, ("eps_r", r), lambda: _r_frustration(self.matrix, r, w_total))
 
-    @property
+    @_memo
     def rho(self) -> float:
         return _kept(self._class, "rho", lambda: max(abs(self.lambda1), abs(self.lambda_n)))
 
@@ -558,10 +589,12 @@ _NO_EIGENVALUES = frozenset(("B5", "B13"))
 @lru_cache(maxsize=16)
 def _plan(
     rs: tuple[int, ...], qr_pairs: tuple[tuple[int, int], ...]
-) -> tuple[tuple[str, tuple, tuple | None], ...]:
-    """The rows of ``evaluate_all`` for checked walk orders, in order: each
-    entry's id, its params as items, and the key its row is kept under in
-    the switching class, None for a row of the signing's own."""
+) -> tuple[tuple, tuple[tuple[str, dict[str, int], tuple | None], ...]]:
+    """The key of a class's list of kept rows for checked walk orders,
+    ``(rs, qr_pairs)`` as one object for every class, and the rows of
+    ``evaluate_all`` for them, in order: each entry's id, its params, which
+    each row takes a copy of, and the key its row is kept under in the
+    switching class, None for a row of the signing's own."""
     plan = []
     for bound_id in BOUND_ORDER:
         if bound_id == "B10":
@@ -575,16 +608,19 @@ def _plan(
             fanout = [()]
         for items in fanout:
             key = None if bound_id in _PER_SIGNING else (bound_id, *sorted(items))
-            plan.append((bound_id, items, key))
-    return tuple(plan)
+            plan.append((bound_id, dict(items), key))
+    return (rs, qr_pairs), tuple(plan)
 
 
 # Cost per graph: a sweep meets most of its graphs in a class it has already
-# met (233 or 234 of the 307 graphs of a bench ``sweep`` pass), so what such
-# a graph pays sets the pace.  It pays for the class key, for B11's walk
-# sums, and for copying the 16 kept rows with its own params (``_row``);
-# the plan and its rows' keys come from ``_plan``, once per choice of walk
-# orders, after the orders are checked on every call.  A graph of a new
+# met (220 of the 307 graphs of a bench ``sweep`` pass), so what such a graph
+# pays sets the pace.  It pays only for what switching does not keep: its
+# class key, one pass over the kept spanning forest and its edges; its
+# signed walk sums, whose unsigned ones it reads from the entry; B11's rows;
+# and one loop that copies the class's kept rows, in plan order, with its
+# own params (``_row``).  The plan comes from ``_plan``, once per choice of
+# walk orders, after the orders are checked on every call.  The first
+# signing of an underlying graph runs the one BFS, and a graph of a new
 # class pays for one int64 matrix, one ``eigh`` (two for B3 and B4 on a
 # graph with a negative edge) and the kernel runs of eps, eps_b and eps_3,
 # all read from that matrix.  None of it re-checks what the package built
@@ -616,19 +652,22 @@ def evaluate_all(
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
     ctx = _Ctx(g, shared=True)
-    # a guard override can turn a row into a skip, so rows are kept per limits
-    rows = ctx._class.setdefault(("rows", *ctx.limits.values()), {})
+    # a guard override can turn a row into a skip, so rows are kept per
+    # limits: each under its key, and per choice of walk orders in plan
+    # order, None for B11's
+    kept = ctx._class.setdefault(("rows", *ctx.limits.values()), {})
+    plan_key, plan = _plan(rs, qr_pairs)
+    rows = kept.get(plan_key) or kept.setdefault(plan_key, [kept.get(key) for _, _, key in plan])
     out: list[BoundEvaluation] = []
-    for bound_id, items, key in _plan(rs, qr_pairs):
-        params = dict(items)
-        if key is None:
-            out.append(_evaluate_or_skip(ctx, bound_id, params))
-        elif key in rows:  # the kept row with this call's own params, so no two results share them
-            k = rows[key]
+    for i, ((bound_id, template, key), k) in enumerate(zip(plan, rows)):
+        params = template.copy()
+        if k is not None:  # the kept row with this call's own params, so no two results share them
             out.append(_row(k.bound_id, k.hypothesis_met, k.lhs, k.rhs, k.slack, k.verdict, k.tolerance, params, k.note))
-        else:
-            row = rows[key] = _evaluate_or_skip(ctx, bound_id, params)
-            out.append(row)
+            continue
+        row = _evaluate_or_skip(ctx, bound_id, params)
+        if key is not None:
+            rows[i] = kept.setdefault(key, row)
+        out.append(row)
     return out
 
 

@@ -7,7 +7,7 @@ x and -x coincide): M is the signed adjacency matrix A for eps, -|A| for
 eps_b and A^(r-1) for eps_r.  One kernel, ``_max_switching_form``, does
 every such maximisation exactly: up to n = ``_PRODUCT_MAX_N`` (10) in one
 product with a cached table of every switching, past it in blocked matrix
-products, which from n = 19 on skip the switchings a per-row upper bound
+products, which (n >= 11) skip the switchings a per-row upper bound
 rules out.  Both run in float32, float64 or int64, the first that holds
 every partial sum.  Up to the cap the blocked products would be one block,
 and the table lists the switchings in that block's order, so on ties both
@@ -21,7 +21,9 @@ draw of restarts (``_frustration_uppers``), and ``greedy_balanced_clique``.
 
 Walk counts are exact integer walk sums, taken by matrix-vector steps on
 Python integers; they raise OverflowError once the count of unsigned walks
-exceeds 2^63 - 1, the one overflow rule of the walk layer.
+exceeds 2^63 - 1, the one overflow rule of the walk layer.  The unsigned
+sums depend on the underlying graph alone, so the signings of one can
+share them, and each then steps only its signed vector.
 """
 
 from __future__ import annotations
@@ -512,7 +514,13 @@ class WalkCensus:
     w_neg: int
 
 
-def _walk_chain(g: SignedGraph) -> Iterator[WalkCensus]:
+def _walk_totals(n: int) -> list:
+    """The unsigned walk sums of a graph of order n as far as order 1, in the
+    form ``_walk_chain`` reads and extends: ``[sums, vector]``."""
+    return [[n], [1] * n]
+
+
+def _walk_chain(g: SignedGraph, totals: list | None = None) -> Iterator[WalkCensus]:
     """The walk censuses of ``g`` for r = 1, 2, 3, ..., exact and in order.
 
     Each order takes one matrix-vector step over the edges from the vectors
@@ -525,12 +533,21 @@ def _walk_chain(g: SignedGraph) -> Iterator[WalkCensus]:
     when e^T |A|^(r-1) e exceeds 2^63 - 1" is the same as checking every
     entry of every power.  The counts are exact, so the rule needs no
     prediction.
+
+    The unsigned sums depend on the underlying graph alone, so every signing
+    of it can read one ``totals`` (``_walk_totals``): ``[sums, vector]``,
+    with ``sums[r - 1]`` the unsigned sum of each order met so far and
+    ``vector`` the unsigned walk vector of the last of them.  Where the next
+    sum is there, the chain steps its signed vector alone; past the last, it
+    steps both vectors and appends to ``totals``, or raises at an overflow,
+    which every chain that reaches it meets again.  With none given it
+    starts its own.
     """
-    unsigned, signed = [1] * g.n, [1] * g.n
+    totals = _walk_totals(g.n) if totals is None else totals
+    sums = totals[0]
+    signed = [1] * g.n
     for r in count(1):
-        w_total, w_signed = sum(unsigned), sum(signed)
-        if w_total > _INT64_MAX:
-            raise OverflowError(_WALK_OVERFLOW)
+        w_total, w_signed = sums[r - 1], sum(signed)
         # ``WalkCensus(...)`` without the frozen constructor's setattr calls:
         # the fields go into ``__dict__`` in field order, as in ``bounds._row``
         census = object.__new__(WalkCensus)
@@ -541,13 +558,24 @@ def _walk_chain(g: SignedGraph) -> Iterator[WalkCensus]:
         fields["w_pos"] = (w_total + w_signed) // 2
         fields["w_neg"] = (w_total - w_signed) // 2
         yield census
-        nu, ns = [0] * g.n, [0] * g.n
-        for u, v, s in g.edges:
-            nu[u] += unsigned[v]
-            nu[v] += unsigned[u]
-            ns[u] += s * signed[v]
-            ns[v] += s * signed[u]
-        unsigned, signed = nu, ns
+        ns = [0] * g.n
+        if r < len(sums):
+            for u, v, s in g.edges:
+                ns[u] += s * signed[v]
+                ns[v] += s * signed[u]
+        else:
+            unsigned, nu = totals[1], [0] * g.n
+            for u, v, s in g.edges:
+                nu[u] += unsigned[v]
+                nu[v] += unsigned[u]
+                ns[u] += s * signed[v]
+                ns[v] += s * signed[u]
+            w_next = sum(nu)
+            if w_next > _INT64_MAX:
+                raise OverflowError(_WALK_OVERFLOW)
+            sums.append(w_next)
+            totals[1] = nu
+        signed = ns
 
 
 def _walk_order(r: int) -> int:

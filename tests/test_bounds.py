@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -10,11 +11,11 @@ import os
 import pickle
 import random
 import re
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signed_spectra import (
@@ -47,6 +48,7 @@ from signed_spectra import (
 from signed_spectra import bounds, graph, invariants, spectral
 from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
 from signed_spectra.cli import run_cli
+from signed_spectra.switching import propagation_labels
 
 from .conftest import all_signings, connected_underlying_graphs, random_graphs, signed_graphs
 from .oracles import ms_restarts, unsigned_lambda_n_by_all_positive
@@ -444,14 +446,14 @@ class TestEvaluateAll:
         assert single == next(ev for ev in evaluate_all(c5, rs=(3,)) if ev.bound_id == "B10")
 
 
-def _plan(rs=DEFAULT_B10_RS) -> list[tuple[str, dict]]:
+def _plan(rs=DEFAULT_B10_RS, qr_pairs=DEFAULT_B11_QRS) -> list[tuple[str, dict]]:
     """The (bound id, params) that ``evaluate_all`` evaluates, in its order."""
     plan = []
     for bound_id in BOUND_ORDER:
         if bound_id == "B10":
             plan += [(bound_id, {"r": r}) for r in rs]
         elif bound_id == "B11":
-            plan += [(bound_id, {"q": q, "r": r}) for q, r in DEFAULT_B11_QRS]
+            plan += [(bound_id, {"q": q, "r": r}) for q, r in qr_pairs]
         elif bound_id == "B13":
             plan.append((bound_id, {"iters": 2, "seed": 0}))
         else:
@@ -647,8 +649,8 @@ class TestSwitchingClassMemo:
         assert len(bfs) == 1 and bfs[0] == switched
         classes = _underlying(g.n, g.underlying_pairs)["classes"]
         assert list(classes) == [key] and {"eps", "clique"} <= set(classes[key])
-        evaluate_all(g)  # reads the class invariants filled
-        assert len(bfs) == 2 and bfs[1] is g
+        evaluate_all(g)  # reads the class invariants filled, keyed on the kept forest with no BFS
+        assert len(bfs) == 1
         assert list(classes) == [key] and _underlying.cache_info().currsize == 1
 
     def test_class_budget_drops_the_classes(self, monkeypatch):
@@ -668,6 +670,136 @@ class TestSwitchingClassMemo:
                 assert len(_underlying(g.n, g.underlying_pairs)["classes"]) <= budget
             assert self._replay(graphs, budget) > 0
         assert _underlying.cache_info().currsize == 1
+
+
+@st.composite
+def underlying_shapes(draw, max_n: int = 7, max_m: int = 5) -> tuple[int, list]:
+    """An underlying graph of at most ``max_m`` edges, so at most 2^max_m
+    signings: n = 1 and m = 0, isolated vertices and several components
+    among them."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_m)) if pairs else []
+    return n, sorted(chosen)
+
+
+def _signings(shape, rnd) -> list[SignedGraph]:
+    """Every signing of ``shape``, in the order ``rnd`` shuffles them to."""
+    graphs = list(all_signings(*shape))
+    rnd.shuffle(graphs)
+    return graphs
+
+
+class TestKnownUnderlyingGraph:
+    """A signing of an underlying graph the memo holds keys its class on the
+    kept spanning forest, reads the kept unsigned walk sums and copies its
+    class's kept rows."""
+
+    @given(underlying_shapes(), st.randoms(use_true_random=False))
+    @example((1, []), random.Random(0))
+    @example((7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]), random.Random(1))
+    @settings(max_examples=60, deadline=None)
+    def test_the_key_is_the_bfs_key_with_no_bfs(self, shape, rnd):
+        graphs = _signings(shape, rnd)
+        # each key from a BFS on a copy, so the graphs read build nothing yet
+        keys = [
+            bounds._class_key(g, propagation_labels(g, full=True)[0])
+            for g in (SignedGraph.from_edges(h.n, h.edges) for h in graphs)
+        ]
+        bfs, built = [], []
+        adjacency = SignedGraph._signed_adjacency
+
+        def counted(g):
+            built.append(g)
+            return adjacency.func(g)
+
+        _underlying.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "propagation_labels", lambda g, **kw: bfs.append(g) or propagation_labels(g, **kw))
+            replacement = functools.cached_property(counted)
+            replacement.__set_name__(SignedGraph, "_signed_adjacency")
+            mp.setattr(SignedGraph, "_signed_adjacency", replacement)
+            for g, key in zip(graphs, keys):
+                ctx = bounds._Ctx(g, shared=True)
+                assert ctx._class is _underlying(g.n, g.underlying_pairs)["classes"][key], g.to_sg()
+            assert bfs == built == graphs[:1]
+            for g in graphs:  # fills each class's rows
+                evaluate_all(g)
+            assert bfs == graphs[:1]
+            # evaluate_all on a class whose rows it holds runs no BFS and
+            # builds no adjacency tuples
+            built.clear()
+            for g in (SignedGraph.from_edges(h.n, h.edges) for h in graphs):
+                evaluate_all(g)
+            assert bfs == graphs[:1] and built == []
+
+    @staticmethod
+    def _census_or_overflow(read, r):
+        try:
+            return read(r)
+        except OverflowError as exc:
+            return str(exc)
+
+    def _check_walks(self, first, second, r0, orders):
+        """``_Ctx.walks`` of ``second`` against ``walk_census``, after a
+        context of ``first`` read order ``r0`` and kept the unsigned sums."""
+        for shared in (True, False):
+            _underlying.cache_clear()
+            one = bounds._Ctx(first, shared=shared)
+            self._census_or_overflow(one.walks, r0)
+            # a shared context reads the sums ``one`` kept; another keeps its own
+            two = bounds._Ctx(second, shared=shared)
+            assert (two._underlying_values is one._underlying_values) == shared
+            for r in orders:
+                mine = self._census_or_overflow(two.walks, r)
+                assert mine == self._census_or_overflow(lambda r: walk_census(second, r), r), (second.to_sg(), r)
+
+    @given(signed_graphs(max_n=8), st.integers(1, 130), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_walks_on_the_kept_unsigned_sums(self, g, r0, rnd):
+        h = SignedGraph.from_edges(g.n, [(u, v, rnd.choice((1, -1))) for u, v, _ in g.edges])
+        orders = list(range(1, 131))
+        rnd.shuffle(orders)
+        self._check_walks(g, h, r0, orders)
+
+    @pytest.mark.parametrize("r0", (1, 4, 16, 17, 123, 124, 130))
+    def test_walks_at_the_overflow_orders(self, r0):
+        # P3 leaves 64 bits at order 124 and K14 at 16; a graph of degree at
+        # most 1 never does, and past 125 repeats with period 2
+        p3 = [(0, 1), (1, 2)]
+        k14 = list(combinations(range(14), 2))
+        matching = [(0, 3), (1, 4)]
+        for n, pairs in ((3, p3), (14, k14), (6, matching)):
+            first = SignedGraph.from_edges(n, [(u, v, -1) for u, v in pairs])
+            second = SignedGraph.from_edges(n, [(u, v, (-1) ** (u + v)) for u, v in pairs])
+            self._check_walks(first, second, r0, [*range(1, 131), 10**9, 10**9 + 1, 15, 16, 17, 123, 124])
+
+    @given(underlying_shapes(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_copied_rows_share_no_params(self, shape, rnd):
+        _underlying.cache_clear()
+        results = [evaluate_all(g) for g in _signings(shape, rnd) * 2]
+        rows = [ev for evals in results for ev in evals]
+        assert len({id(ev.params) for ev in rows}) == len(rows)
+        assert all(type(ev.params) is dict for ev in rows)
+        assert all([ev.params for ev in evals] == [p for _, p in _plan()] for evals in results)
+
+    @given(underlying_shapes(max_n=6, max_m=4), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_another_plan_in_a_known_class_gets_its_own_rows(self, shape, rnd):
+        rs, qr_pairs = (2, 5, 2), ((3, 2), (1, 1))
+        plan = _plan(rs, qr_pairs)
+        _underlying.cache_clear()
+        for g in _signings(shape, rnd):
+            default = {(ev.bound_id, tuple(ev.params.items())): ev for ev in evaluate_all(g)}
+            other = evaluate_all(g, rs=rs, qr_pairs=qr_pairs)
+            assert [(ev.bound_id, ev.params) for ev in other] == plan
+            for ev in other:
+                mine = default.get((ev.bound_id, tuple(ev.params.items())))
+                if mine is not None and ev.bound_id != "B11":  # one kept row per key and class
+                    assert _bits(ev) == _bits(mine), (g.to_sg(), ev.bound_id)
+                cold = evaluate_bound(g, ev.bound_id, ev.params)
+                assert (ev.verdict, ev.hypothesis_met, ev.note) == (cold.verdict, cold.hypothesis_met, cold.note)
 
 
 def _check_b13_witness(g: SignedGraph) -> None:
@@ -878,7 +1010,7 @@ class TestMemo:
 
     @pytest.mark.parametrize("shared", (False, True))
     def test_each_value_is_computed_once_per_context(self, computes, c5, shared):
-        assert len(self.NAMES) == 14
+        assert len(self.NAMES) == 15
         _underlying.cache_clear()
         ctx = bounds._Ctx(c5, shared=shared)
         first = {name: getattr(ctx, name) for name in self.NAMES}

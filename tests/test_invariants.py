@@ -371,6 +371,26 @@ class TestChoiceSigns:
         assert drawn.tolist() == [loop.choice((1, -1)) for _ in range(sum(sizes))]
         assert rng.getstate() == loop.getstate()
 
+    @pytest.mark.parametrize("seed", range(21))
+    def test_matches_choice_at_every_size(self, seed):
+        # the restart sizes of ``frustration_index_upper`` at n = 30 and 40
+        # among them: the same picks, and rng left where ``choice`` leaves it
+        for k in (*range(1, 65), 6000, 8040):
+            rng, loop = random.Random(seed), random.Random(seed)
+            assert invariants._choice_signs(rng, k).tolist() == [loop.choice((1, -1)) for _ in range(k)]
+            assert rng.getstate() == loop.getstate(), (seed, k)
+
+    @pytest.mark.parametrize("rows", (1, 7))
+    def test_blocks_of_restarts_match_the_recount(self, rows, monkeypatch):
+        # eps and eps_b from one draw over several blocks, each drawn on from
+        # where the last left rng, as each form alone and recounted reaches
+        graphs = pair_corpus()[::4]
+        for g in graphs:
+            h, seed = all_negative(g), g.n % 3
+            monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", rows * g.n)
+            expected = tuple(frustration_upper_by_recount(x, iters=20, seed=seed) for x in (g, h))
+            assert invariants._frustration_uppers((g, h), 20, seed) == expected, g.to_sg()
+
 
 def pair_corpus() -> list[SignedGraph]:
     """Seeded G(n, p) graphs with n = 26..60, p in {0.1, 0.3, 0.5} and
