@@ -83,44 +83,68 @@ class BoundEvaluation:
     note: str = ""
 
 
-# Cross-graph sharing.  Switching (A -> D A D, D a +-1 diagonal) keeps the
-# eigenvalues and every combinatorial quantity the registry reads except the
-# signed walk sums (Zaslavsky, "Signed graphs", 1982).  Only ``evaluate_all``
-# and ``invariants`` share across graphs, through ``_Ctx(g, shared=True)``:
-# a sweep over all signings meets each class many times (the 307 graphs of
-# the bench ``sweep`` fall into 87 classes), and ``invariants`` reads what
-# ``bounds`` filled for the same file.  ``evaluate_bound`` and ``search``
-# rarely meet an underlying graph twice, so they keep every value in their
-# own context.  One entry suffices because sweeps visit all 2^m signings of
-# an underlying graph in a row.  It keeps the unsigned lambda_n and eps_b,
-# the unsigned walk sums of each order met with the last unsigned walk
-# vector (``invariants._walk_chain``), the BFS spanning forest of the first
-# signing met, and under ``"classes"`` eps, eps_r, the balanced clique's
-# members, rho, the triangle census and the rows of ``evaluate_all`` per
-# switching class.  A class is keyed by its canonical signing: the negative
-# edges left after switching the spanning forest all-positive.  The first
-# signing takes the forest's labels from its BFS; every later one labels
-# the kept forest in one pass (``_forest_labels``).  rho lives in the class
-# like the rest, so B11 of a shared context reads the rho of the first
-# signing of its class that read one.  ``evaluate_all`` hands a later
-# signing of a class the rows of the first one it met, B13's among them,
-# except B11's; ``eigh`` on
-# D A D is not bit-identical to ``eigh`` on A, so those rows, and B11's rho,
-# carry the first signing's roundoff.  Within one context every matrix
-# quantity (eps, eps_b, eps_r and both spectra) is read from the one int64
-# matrix ``_Ctx.matrix``.
-# ``invariants`` reads only exact integers from the entry.
+class _Underlying:
+    """The values every signing of one underlying graph shares, kept by
+    ``_underlying`` for ``evaluate_all`` and ``invariants``.
+
+    Switching (A -> D A D, D a +-1 diagonal) keeps the eigenvalues and every
+    combinatorial quantity the registry reads except the signed walk sums
+    (Zaslavsky, "Signed graphs", 1982).  A sweep over all signings meets
+    each class many times, and ``invariants`` reads what ``bounds`` filled
+    for the same file; ``evaluate_bound`` and ``search`` rarely meet an
+    underlying graph twice, so their contexts keep records of their own.
+    One record suffices because sweeps visit all signings of an underlying
+    graph in a row.  Each field is None until its first fill:
+
+    * ``forest``: the BFS spanning forest of the first signing met, each
+      vertex's parent in BFS order, which every later signing labels in one
+      pass (``_forest_labels``);
+    * ``walks``: the unsigned walk sums of each order met, with the last
+      unsigned walk vector (``invariants._walk_chain``);
+    * ``lambda_n`` and ``eps_b`` of the unsigned graph;
+    * ``classes``: a ``_Class`` per switching class, keyed by its canonical
+      signing, the negative edges left after switching the forest
+      all-positive; past ``_MAX_CLASSES`` a new class drops them all.
+
+    ``invariants`` reads only exact integers from the record.
+    """
+
+    forest = walks = lambda_n = eps_b = classes = None
+
+
+class _Class:
+    """The values one switching class shares, each None until its first
+    fill: ``eps``, ``clique`` (the size and members of a maximum balanced
+    clique), ``census``, ``rho`` from the eigenvalues of the first signing
+    that read it, and ``rows``.  ``rows`` maps the guard limits and walk orders of an
+    ``evaluate_all`` call, ``(*limits, rs, qr_pairs)``, to its rows in plan
+    order, None in B11's slots.
+
+    A sweep meets most signings in a class it has met, so what they pay
+    sets its pace: only what switching does not keep.  That is the class
+    key, one pass over the kept forest and the edges; the signed walk sums;
+    B11's rows, from those sums and the class's rho; and one loop that
+    copies the kept rows with the call's own params.  The first signing of
+    a class pays for one int64 matrix, one ``eigh`` (two for B3 and B4 with
+    a negative edge) and the kernel runs of eps and eps_r, and the first of
+    an underlying graph its BFS and eps_b's kernel run.  ``eigh`` on
+    D A D is not bit-identical to ``eigh`` on A, so copied rows and B11's
+    rho carry the roundoff of the signing that filled them.
+    """
+
+    eps = clique = census = rho = rows = None
+
 
 # Classes kept for the one underlying graph; all are dropped when a new one
-# would pass it.  A class that holds the 16 shared rows of ``evaluate_all``
-# and their list in plan order takes about 8 KB (``tracemalloc``, n = 5 and
-# 8), so the entry stays within about 8 MB.
+# would pass it.  Filled with one plan's rows each, the 1,024 classes of
+# K6 take 8.6 MB (``tracemalloc``), about 8.4 KB a class; a test holds
+# them within 9 MiB.
 _MAX_CLASSES = 1024
 
 
 @lru_cache(maxsize=1)
-def _underlying(n: int, pairs: frozenset[tuple[int, int]]) -> dict:
-    return {}
+def _underlying(n: int, pairs: frozenset[tuple[int, int]]) -> _Underlying:
+    return _Underlying()
 
 
 _HEURISTIC_ITERS, _HEURISTIC_SEED = 200, 0  # local-search fallback past the guards
@@ -146,22 +170,21 @@ def _forest_labels(g: SignedGraph, forest: Mapping[int, int]) -> list[int]:
     return labels
 
 
-def _kept(values: dict, name: object, compute: Callable[[], object]):
-    """``values[name]``, computed on the first read."""
-    if name not in values:
-        values[name] = compute()
-    return values[name]
+def _kept(record: _Underlying | _Class, name: str, compute: Callable[[], object]):
+    """``record``'s field ``name``, computed on the first read."""
+    if getattr(record, name) is None:
+        setattr(record, name, compute())
+    return getattr(record, name)
 
 
 class _memo:
     """``functools.cached_property`` without its lock: the first read of the
     attribute computes it and stores it in the instance ``__dict__``, where
     every later read finds it before this non-data descriptor.  On Python
-    3.10 and 3.11 ``cached_property`` takes an RLock on each first read
-    (about 1.7 us against 0.4 us here on 3.11, timeit), more than most of
-    ``_Ctx``'s values cost to compute; a context is never shared between
-    threads, so it needs no lock.  An exception stores nothing, and an
-    instance assignment wins over the descriptor."""
+    3.10 and 3.11 ``cached_property`` takes an RLock on each first read,
+    which costs more than most of ``_Ctx``'s values; a context is never
+    shared between threads, so it needs no lock.  An exception stores
+    nothing, and an instance assignment wins over the descriptor."""
 
     def __init__(self, compute: Callable):
         self.compute = compute
@@ -209,30 +232,30 @@ class _Ctx:
     def eigenvalues(self) -> np.ndarray:
         """Sorted descending; ``search`` sets them from a stacked ``eigh``."""
         _check_dense(self.g.n)
-        return _eigenvalues(self.matrix, ndim=2)
+        return _eigenvalues(self.matrix)
 
     @_memo
-    def _underlying_values(self) -> dict:
-        """The values of the underlying graph: the shared entry, or this
+    def _underlying_values(self) -> _Underlying:
+        """The values of the underlying graph: the shared record, or this
         context's own."""
-        return _underlying(self.g.n, self.g.underlying_pairs) if self._shared else {}
+        return _underlying(self.g.n, self.g.underlying_pairs) if self._shared else _Underlying()
 
     @_memo
-    def _class(self) -> dict:
+    def _class(self) -> _Class:
         """The values this signing shares with its switching class."""
         if not self._shared:
-            return {}
+            return _Class()
         entry = self._underlying_values
-        classes = entry.setdefault("classes", {})
-        forest = entry.get("forest")
-        if forest is None:  # the first signing met: one BFS, whose forest the others label
-            labels, _, entry["forest"] = propagation_labels(self.g, full=True)
+        if entry.forest is None:  # the first signing met: one BFS, whose forest the others label
+            labels, _, entry.forest = propagation_labels(self.g, full=True)
+            entry.classes = {}
         else:
-            labels = _forest_labels(self.g, forest)
+            labels = _forest_labels(self.g, entry.forest)
+        classes = entry.classes
         key = _class_key(self.g, labels)
         if key not in classes and len(classes) >= _MAX_CLASSES:
             classes.clear()
-        return classes.setdefault(key, {})
+        return classes.get(key) or classes.setdefault(key, _Class())
 
     @property
     def unsigned_lambda_n(self) -> float:
@@ -240,7 +263,7 @@ class _Ctx:
             if not self.g.m_minus:  # an all-positive g is its own unsigned graph
                 return float(self.eigenvalues[-1])
             _check_dense(self.g.n)
-            return float(_eigenvalues(np.abs(self.matrix), ndim=2)[-1])
+            return float(_eigenvalues(np.abs(self.matrix))[-1])
         return _kept(self._underlying_values, "lambda_n", compute)
 
     @_memo
@@ -284,7 +307,7 @@ class _Ctx:
         gives upper bounds on eps and eps_b, both at once in
         ``_upper_bounds``, a greedy clique a lower bound on omega_b.  A
         bound is kept only in this context's ``_upper_bounds``: never under
-        an exact name, in ``_underlying`` or in a class entry.
+        an exact name, in ``_underlying`` or in a class record.
         """
         try:
             return getattr(self, name), True
@@ -315,8 +338,7 @@ class _Ctx:
         k = _walk_order(r)
         walks = self._walks
         if len(walks) < k:
-            for census in islice(self._chain, k - len(walks)):
-                walks.append(census)
+            walks.extend(islice(self._chain, k - len(walks)))
             if len(walks) < k:  # the chain ended at an overflow
                 raise OverflowError(_WALK_OVERFLOW)
         return walks[k - 1] if k == r else replace(walks[k - 1], r=r)
@@ -328,7 +350,7 @@ class _Ctx:
             return 0
         if r == 2:  # A^(r-1) = A, so eps_2 = 2 * eps exactly
             return 2 * self.eps
-        return _kept(self._class, ("eps_r", r), lambda: _r_frustration(self.matrix, r, w_total))
+        return _r_frustration(self.matrix, r, w_total)
 
     @_memo
     def rho(self) -> float:
@@ -531,11 +553,9 @@ def _row(
     verdict: str, tolerance: float, params: dict[str, int], note: str
 ) -> BoundEvaluation:
     """``BoundEvaluation(...)`` of values this module made, built by writing
-    a new instance's ``__dict__`` key by key in field order.  On Python
-    3.11 (timeit) that takes about 0.6 us against 2.1 us for the frozen
-    constructor's nine ``object.__setattr__`` calls; written in field
-    order, the row keeps sharing its keys with the constructor's rows, at
-    about 220 bytes a row against 330 after ``dict.update`` (tracemalloc)."""
+    a new instance's ``__dict__`` key by key, which skips the frozen
+    constructor's ``object.__setattr__`` calls.  Written in field order, the
+    row shares its keys with the constructor's rows, which keeps it small."""
     row = object.__new__(BoundEvaluation)
     fields = row.__dict__
     fields["bound_id"] = bound_id
@@ -587,46 +607,24 @@ _NO_EIGENVALUES = frozenset(("B5", "B13"))
 
 
 @lru_cache(maxsize=16)
-def _plan(
-    rs: tuple[int, ...], qr_pairs: tuple[tuple[int, int], ...]
-) -> tuple[tuple, tuple[tuple[str, dict[str, int], tuple | None], ...]]:
-    """The key of a class's list of kept rows for checked walk orders,
-    ``(rs, qr_pairs)`` as one object for every class, and the rows of
-    ``evaluate_all`` for them, in order: each entry's id, its params, which
-    each row takes a copy of, and the key its row is kept under in the
-    switching class, None for a row of the signing's own."""
+def _plan(rs: tuple[int, ...], qr_pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[str, dict[str, int]], ...]:
+    """The rows of ``evaluate_all`` for checked walk orders, in order: each
+    entry's id and its params, which each row takes a copy of."""
     plan = []
     for bound_id in BOUND_ORDER:
         if bound_id == "B10":
-            fanout = [(("r", r),) for r in rs]
+            fanout = [{"r": r} for r in rs]
         elif bound_id == "B11":
-            fanout = [(("q", q), ("r", r)) for q, r in qr_pairs]
+            fanout = [{"q": q, "r": r} for q, r in qr_pairs]
         elif bound_id == "B13":
             # read by nothing; kept only because recorded outputs hold these params
-            fanout = [(("iters", 2), ("seed", 0))]
+            fanout = [{"iters": 2, "seed": 0}]
         else:
-            fanout = [()]
-        for items in fanout:
-            key = None if bound_id in _PER_SIGNING else (bound_id, *sorted(items))
-            plan.append((bound_id, dict(items), key))
-    return (rs, qr_pairs), tuple(plan)
+            fanout = [{}]
+        plan += [(bound_id, params) for params in fanout]
+    return tuple(plan)
 
 
-# Cost per graph: a sweep meets most of its graphs in a class it has already
-# met (220 of the 307 graphs of a bench ``sweep`` pass), so what such a graph
-# pays sets the pace.  It pays only for what switching does not keep: its
-# class key, one pass over the kept spanning forest and its edges; its
-# signed walk sums, whose unsigned ones it reads from the entry; B11's rows;
-# and one loop that copies the class's kept rows, in plan order, with its
-# own params (``_row``).  The plan comes from ``_plan``, once per choice of
-# walk orders, after the orders are checked on every call.  The first
-# signing of an underlying graph runs the one BFS, and a graph of a new
-# class pays for one int64 matrix, one ``eigh`` (two for B3 and B4 on a
-# graph with a negative edge) and the kernel runs of eps, eps_b and eps_3,
-# all read from that matrix.  None of it re-checks what the package built
-# itself: ``_eigenvalues`` takes the matrix unchecked, the memo reads take
-# no lock (``_memo``), and rows and walk censuses skip the frozen
-# constructor.
 def evaluate_all(
     g: SignedGraph,
     *,
@@ -641,32 +639,31 @@ def evaluate_all(
     the sequence.
 
     Within a switching class only B11's signed walk sums depend on the
-    signing.  So a signing whose class this function has met gets the rows
-    of the first signing it met for every other entry, B13's included, and
-    B11 takes that signing's rho: eigenvalue-derived floats may differ from
-    a fresh decomposition of ``g`` in the last bits, far inside the 1e-8
-    tolerance.
+    signing.  So a signing whose class this function has met under the same
+    walk orders and guard limits gets the rows of the first signing it met
+    there for every other entry, B13's included, and B11 takes the class's
+    rho: eigenvalue-derived floats may differ from a fresh decomposition of
+    ``g`` in the last bits, far inside the 1e-8 tolerance.
     """
     rs = tuple(_int_param("B10", "r", r) for r in rs)
     qr_pairs = tuple((_int_param("B11", "q", q), _int_param("B11", "r", r)) for q, r in qr_pairs)
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
     ctx = _Ctx(g, shared=True)
-    # a guard override can turn a row into a skip, so rows are kept per
-    # limits: each under its key, and per choice of walk orders in plan
-    # order, None for B11's
-    kept = ctx._class.setdefault(("rows", *ctx.limits.values()), {})
-    plan_key, plan = _plan(rs, qr_pairs)
-    rows = kept.get(plan_key) or kept.setdefault(plan_key, [kept.get(key) for _, _, key in plan])
+    plan = _plan(rs, qr_pairs)
+    # a guard override can turn a row into a skip, so rows are kept per limits
+    kept = _kept(ctx._class, "rows", dict)
+    key = (*ctx.limits.values(), rs, qr_pairs)
+    rows = kept.get(key) or kept.setdefault(key, [None] * len(plan))
     out: list[BoundEvaluation] = []
-    for i, ((bound_id, template, key), k) in enumerate(zip(plan, rows)):
+    for i, ((bound_id, template), k) in enumerate(zip(plan, rows)):
         params = template.copy()
         if k is not None:  # the kept row with this call's own params, so no two results share them
             out.append(_row(k.bound_id, k.hypothesis_met, k.lhs, k.rhs, k.slack, k.verdict, k.tolerance, params, k.note))
             continue
         row = _evaluate_or_skip(ctx, bound_id, params)
-        if key is not None:
-            rows[i] = kept.setdefault(key, row)
+        if bound_id not in _PER_SIGNING:
+            rows[i] = row
         out.append(row)
     return out
 

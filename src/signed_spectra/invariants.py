@@ -86,22 +86,15 @@ def _check_guard(n: int, what: str, limits: dict[str, int] | None = None, *, for
 # ---------------------------------------------------------------------------
 
 # orders up to which ``_max_switching_form`` takes every switching in one
-# product.  Best of 5 on G(n, 0.6) with one BLAS thread, it took 7.0 us
-# against the blocked path's 26.6 us at n = 6 and 13.7 against 29.3 us at
-# n = 10; its lead shrinks to 18.2 against 31.7 us at n = 11 and 30.4
-# against 33.6 us at n = 12 while each order doubles its table, so the cap
-# keeps the tables of one dtype within about 40 KB in float32 (74 KB in
-# float64 or int64).
+# product, which beats the blocked path there; past it the lead shrinks
+# while each order doubles the table, and the cap keeps the tables of one
+# dtype within about 40 KB in float32 (74 KB in float64 or int64).
 _PRODUCT_MAX_N = 10
 
 # rows of the largest bounds that give ``_max_switching_form`` its
-# incumbent.  Best of 3 x 31 runs (3 x 9 from n = 22) for eps on G(n, 1/2)
-# with one BLAS thread, 8, 16 and 32 rows took 0.24, 0.25 and 0.27 ms at
-# n = 20 and 1.35, 1.35 and 1.39 ms at n = 24, level within noise.  Against
-# the full scan the pruned one took 0.27 against 0.39 ms at n = 20 and 1.39
-# against 5.5 ms at n = 24, and broke even at n = 18 (0.139 ms each); below
-# that the bound costs about 20 us more than it saves (0.057 against 0.035
-# ms at n = 11), on orders that no benchmark workload runs.
+# incumbent; 8 to 32 rows run level, and the pruning pays from about
+# n = 18, costing a little more than it saves on smaller orders that no
+# benchmark workload runs.
 _INCUMBENT_ROWS = 32
 
 

@@ -98,13 +98,12 @@ def eigen_decomposition(a: SymmetricMatrix | np.ndarray) -> Spectrum:
     )
 
 
-def _eigenvalues(a: np.ndarray, ndim: int = 3) -> np.ndarray:
-    """The eigenvalues of each matrix of a (k, n, n) stack, or with
-    ``ndim`` 2 of one (n, n) matrix, sorted descending, as one read-only
-    (k, n) or (n,) array from one ``eigh`` call, with no eigenvectors kept
-    and no ``Spectrum`` built.  The counterexample search calls it once per
-    order on each block of samples, and ``bounds._Ctx`` on a graph's int64
-    matrix or its |A|.
+def _eigenvalues(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each matrix of a (k, n, n) stack, or of one (n, n)
+    matrix, sorted descending, as one read-only (k, n) or (n,) array from
+    one ``eigh`` call, with no eigenvectors kept and no ``Spectrum`` built.
+    The counterexample search calls it once per order on each block of
+    samples, and ``bounds._Ctx`` on a graph's int64 matrix or its |A|.
 
     ``a`` is not checked: every caller passes an int64 matrix or stack
     that ``graph._signed_matrix`` built from valid graphs, or its
@@ -117,7 +116,7 @@ def _eigenvalues(a: np.ndarray, ndim: int = 3) -> np.ndarray:
     last bits.
     """
     vals, _ = _eigh(a)
-    if ndim == 2:  # indexing one row costs about half of ``take_along_axis``
+    if a.ndim == 2:  # indexing one row costs about half of ``take_along_axis``
         vals = vals[np.argsort(-vals, kind="stable")]
     else:
         vals = np.take_along_axis(vals, np.argsort(-vals, axis=-1, kind="stable"), axis=-1)

@@ -7,17 +7,18 @@ Usage (from the root of a checkout)::
 Each pass clears the switching-class memo and calls ``evaluate_all`` on
 every graph of one bench ``sweep`` pass (``sweep_inputs`` of
 ``bench/worker.py``, read only), in order, timing each call with no tracer.
-A call takes one of three paths:
+A call takes one of three paths, read from the memo after the call:
 
-* ``known class``: the memo holds the signing's switching class;
-* ``new class``: the memo holds its underlying graph but not its class;
-* ``new underlying``: the memo holds neither.
+* ``new underlying``: the record ``_underlying`` returns is a new one;
+* ``new class``: the record is the same, and its ``classes`` changed size;
+* ``known class``: neither.
 
 The script prints the count of each path per pass and the median
 microseconds of its calls over every pass but the first, which pays the
 process's cold costs.  It runs with one BLAS thread unless
-``OPENBLAS_NUM_THREADS`` is set.  Pytest does not collect it: its name does
-not match ``test_*.py``.
+``OPENBLAS_NUM_THREADS`` is set.  Pytest does not collect it, as its name
+does not match ``test_*.py``; ``test_sweep_paths.py`` runs it on two passes
+and checks each path's count.
 """
 
 from __future__ import annotations
@@ -38,28 +39,29 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from worker import sweep_inputs  # noqa: E402
 
 from signed_spectra import SignedGraph  # noqa: E402
-from signed_spectra.bounds import _class_key, _underlying, evaluate_all  # noqa: E402
-from signed_spectra.switching import propagation_labels  # noqa: E402
+from signed_spectra.bounds import _underlying, evaluate_all  # noqa: E402
 
 PATHS = ("known class", "new class", "new underlying")
 
 
-def classify(inputs: list) -> list[str]:
-    """The path each graph of one pass takes, from the memo's rules: one
-    underlying graph at a time, and its classes keyed by their canonical
-    signing.  The sweep meets far fewer classes per underlying graph than
-    the memo's budget, so no class is dropped."""
-    paths, underlying, classes = [], None, set()
-    for n, edges in inputs:
-        g = SignedGraph.from_edges(n, edges)  # a copy: the timed graph builds its own lookups
-        key = _class_key(g, propagation_labels(g, full=True)[0])
-        if (n, g.underlying_pairs) != underlying:
-            underlying, classes = (n, g.underlying_pairs), set()
-            paths.append("new underlying")
+def run_pass(graphs: list[SignedGraph]) -> list[tuple[str, float]]:
+    """Clear the memo and call ``evaluate_all`` on each graph in order; the
+    path and the seconds of each call."""
+    _underlying.cache_clear()
+    out, entry, size = [], None, 0
+    clock = time.perf_counter
+    for g in graphs:
+        start = clock()
+        evaluate_all(g)
+        elapsed = clock() - start
+        record = _underlying(g.n, g.underlying_pairs)  # the record the call used
+        if record is not entry:
+            path = "new underlying"
         else:
-            paths.append("known class" if key in classes else "new class")
-        classes.add(key)
-    return paths
+            path = "new class" if len(record.classes) != size else "known class"
+        entry, size = record, len(record.classes)
+        out.append((path, elapsed))
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,18 +70,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--passes", type=int, default=20)
     args = parser.parse_args(argv)
     inputs = sweep_inputs(args.seed)
-    paths = classify(inputs)
     times: dict[str, list[float]] = {path: [] for path in PATHS}
-    clock = time.perf_counter
+    calls: list[tuple[str, float]] = []
     for i in range(args.passes):
-        graphs = [SignedGraph.from_edges(n, edges) for n, edges in inputs]
-        _underlying.cache_clear()
-        for g, path in zip(graphs, paths):
-            start = clock()
-            evaluate_all(g)
-            elapsed = clock() - start
-            if i:
+        calls = run_pass([SignedGraph.from_edges(n, edges) for n, edges in inputs])
+        if i:
+            for path, elapsed in calls:
                 times[path].append(elapsed)
+    paths = [path for path, _ in calls]
     print(f"seed {args.seed}, {len(inputs)} graphs a pass, {args.passes} passes, "
           f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
     for path in PATHS:

@@ -11,6 +11,7 @@ import os
 import pickle
 import random
 import re
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -556,7 +557,7 @@ class TestSwitchingClassMemo:
         firsts = _first_met(graphs, budget)
         for g, own, first in zip(graphs, cold, firsts):
             evals = evaluate_all(g)
-            assert len(_underlying(g.n, g.underlying_pairs)["classes"]) <= bounds._MAX_CLASSES
+            assert len(_underlying(g.n, g.underlying_pairs).classes) <= bounds._MAX_CLASSES
             _check_rows(evals, own, cold[first])
         return sum(first != i for i, first in enumerate(firsts))
 
@@ -647,8 +648,8 @@ class TestSwitchingClassMemo:
         path.write_text(switched.to_sg(), encoding="utf-8")
         assert run_cli(["invariants", str(path)]) == 0
         assert len(bfs) == 1 and bfs[0] == switched
-        classes = _underlying(g.n, g.underlying_pairs)["classes"]
-        assert list(classes) == [key] and {"eps", "clique"} <= set(classes[key])
+        classes = _underlying(g.n, g.underlying_pairs).classes
+        assert list(classes) == [key] and None not in (classes[key].eps, classes[key].clique)
         evaluate_all(g)  # reads the class invariants filled, keyed on the kept forest with no BFS
         assert len(bfs) == 1
         assert list(classes) == [key] and _underlying.cache_info().currsize == 1
@@ -667,9 +668,34 @@ class TestSwitchingClassMemo:
             # also the signing's own cold row
             for g, evals in zip(graphs, expected):
                 assert evaluate_all(g) == evals, (budget, g.to_sg())
-                assert len(_underlying(g.n, g.underlying_pairs)["classes"]) <= budget
+                assert len(_underlying(g.n, g.underlying_pairs).classes) <= budget
             assert self._replay(graphs, budget) > 0
         assert _underlying.cache_info().currsize == 1
+
+    # the memo's budget: every class of one underlying graph, each holding
+    # the default plan's rows, within this many bytes (about 8.3 KB a class)
+    MAX_MEMO_BYTES = 9 * 2**20
+
+    def test_a_full_memo_stays_within_its_byte_budget(self):
+        # K6 has 2^10 classes, one per signing of the edges off the BFS star
+        # at 0, which stays positive, so each signing below is its class's
+        # canonical one
+        star = [(0, v, 1) for v in range(1, 6)]
+        rest = list(combinations(range(1, 6), 2))
+        signings = [star + [(u, v, s) for (u, v), s in zip(rest, signs)] for signs in product((1, -1), repeat=10)]
+        evaluate_all(SignedGraph.from_edges(6, signings[1]))  # module caches other than the memo
+        _underlying.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for edges in signings:
+                evaluate_all(SignedGraph.from_edges(6, edges))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        g = SignedGraph.from_edges(6, signings[0])
+        assert len(_underlying(g.n, g.underlying_pairs).classes) == bounds._MAX_CLASSES == len(signings)
+        assert grown <= self.MAX_MEMO_BYTES, grown
 
 
 @st.composite
@@ -721,7 +747,7 @@ class TestKnownUnderlyingGraph:
             mp.setattr(SignedGraph, "_signed_adjacency", replacement)
             for g, key in zip(graphs, keys):
                 ctx = bounds._Ctx(g, shared=True)
-                assert ctx._class is _underlying(g.n, g.underlying_pairs)["classes"][key], g.to_sg()
+                assert ctx._class is _underlying(g.n, g.underlying_pairs).classes[key], g.to_sg()
             assert bfs == built == graphs[:1]
             for g in graphs:  # fills each class's rows
                 evaluate_all(g)
@@ -787,20 +813,45 @@ class TestKnownUnderlyingGraph:
     @given(underlying_shapes(max_n=6, max_m=4), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
     def test_another_plan_in_a_known_class_gets_its_own_rows(self, shape, rnd):
+        # every class holds the default plan's rows; another plan, run over
+        # the signings in reverse, keeps its own rows per class: those of the
+        # first signing it meets there, from that signing's own eigenvalues
         rs, qr_pairs = (2, 5, 2), ((3, 2), (1, 1))
         plan = _plan(rs, qr_pairs)
+        graphs = _signings(shape, rnd)
         _underlying.cache_clear()
-        for g in _signings(shape, rnd):
-            default = {(ev.bound_id, tuple(ev.params.items())): ev for ev in evaluate_all(g)}
+        for g in graphs:
+            evaluate_all(g)
+        again = graphs[::-1]
+        for g, first in zip(again, _first_met(again)):
             other = evaluate_all(g, rs=rs, qr_pairs=qr_pairs)
             assert [(ev.bound_id, ev.params) for ev in other] == plan
-            for ev in other:
-                mine = default.get((ev.bound_id, tuple(ev.params.items())))
-                if mine is not None and ev.bound_id != "B11":  # one kept row per key and class
-                    assert _bits(ev) == _bits(mine), (g.to_sg(), ev.bound_id)
-                cold = evaluate_bound(g, ev.bound_id, ev.params)
-                assert (ev.verdict, ev.hypothesis_met, ev.note) == (cold.verdict, cold.hypothesis_met, cold.note)
+            for ev, (bound_id, params) in zip(other, plan):
+                mine = evaluate_bound(g, bound_id, params)
+                if bound_id == "B11":  # its own walk sums, the class's rho
+                    assert ev.lhs.hex() == mine.lhs.hex(), g.to_sg()
+                else:
+                    assert _bits(ev) == _bits(evaluate_bound(again[first], bound_id, params)), (g.to_sg(), bound_id)
+                assert (ev.verdict, ev.hypothesis_met, ev.note) == (mine.verdict, mine.hypothesis_met, mine.note)
 
+
+    def test_another_plan_reads_the_signings_own_eigenvalues(self):
+        # evaluate_all fills the class from g under the default plan; another
+        # plan on a switching h of g returns h's own cold rows but B11's, bit
+        # for bit, where the default plan on h hands out some of g's rows
+        rs, qr_pairs = (2, 3), ((1, 1),)
+        moved = 0
+        for g in random_graphs(40, max_n=9, seed=91, p=(0.5,), q=(0.5,)):
+            rng = random.Random(g.to_sg())
+            h = apply_switching(g, [rng.choice((1, -1)) for _ in range(g.n)])
+            _underlying.cache_clear()
+            evaluate_all(g)
+            for ev in evaluate_all(h, rs=rs, qr_pairs=qr_pairs):
+                if ev.bound_id != "B11":
+                    assert _bits(ev) == _bits(evaluate_bound(h, ev.bound_id, ev.params)), (g.to_sg(), ev.bound_id)
+            cold = [_bits(evaluate_bound(h, *item)) for item in _plan()]
+            moved += sum(map(tuple.__ne__, map(_bits, evaluate_all(h)), cold))
+        assert moved > 0
 
 def _check_b13_witness(g: SignedGraph) -> None:
     """B13 of ``evaluate_all`` reads the exact witness value, and seeded
@@ -1027,7 +1078,7 @@ class TestMemo:
         assert ctx.omega_b == ctx.omega_b == 2 and computes["clique"] == 1  # its guard is 40
 
     def test_an_assignment_wins(self, monkeypatch, c5):
-        monkeypatch.setattr(bounds, "_eigenvalues", lambda a, ndim: pytest.fail("decomposed"))
+        monkeypatch.setattr(bounds, "_eigenvalues", lambda a: pytest.fail("decomposed"))
         ctx = bounds._Ctx(c5)
         vals = np.array([3.0, 2.0, -1.0, -1.5, -2.5])
         ctx.eigenvalues = vals

@@ -383,7 +383,7 @@ class TestStackedSpectra:
         # (``bounds._eigenvalues``) never runs and no Spectrum is built
         calls = []
         decompose, spectrum = spectral._eigenvalues, spectral.Spectrum
-        monkeypatch.setattr(bounds, "_eigenvalues", lambda a, ndim: calls.append(a) or decompose(a, ndim))
+        monkeypatch.setattr(bounds, "_eigenvalues", lambda a: calls.append(a) or decompose(a))
         monkeypatch.setattr(spectral, "Spectrum", lambda **kw: calls.append(kw) or spectrum(**kw))
         cfg = make_cfg(n_min=5, n_max=7, samples=500, seed=0)
         assert search_counterexamples(cfg)
@@ -423,17 +423,17 @@ class TestStackedSpectra:
 
 class TestEigenvalueInputs:
     """``spectral._eigenvalues`` checks nothing, so its callers must pass only
-    what ``_signed_matrix`` builds: the int64 matrix (``ndim`` 2) or stack
-    (``ndim`` 3) of the graphs at hand, or its ``np.abs``."""
+    what ``_signed_matrix`` builds: the int64 matrix or stack of the graphs
+    at hand, or its ``np.abs``."""
 
     @pytest.fixture
     def inputs(self, monkeypatch):
         calls = []
         decompose = spectral._eigenvalues
 
-        def recorded(a, ndim=3):
-            calls.append((a.copy(), ndim))
-            return decompose(a, ndim)
+        def recorded(a):
+            calls.append((a.copy(), a.ndim))
+            return decompose(a)
 
         monkeypatch.setattr(bounds, "_eigenvalues", recorded)
         monkeypatch.setattr(search, "_eigenvalues", recorded)
@@ -476,7 +476,7 @@ class TestEigenvalueInputs:
             expected += [(gs[0], 2) for gs in block.values() if len(gs) == 1]
         ndims = [ndim for _, ndim in inputs]
         assert ndims == [ndim for _, ndim in expected] and 2 in ndims and 3 in ndims
-        for (a, ndim), (graphs, _) in zip(inputs, expected):
+        for (a, _), (graphs, ndim) in zip(inputs, expected):
             assert self.assert_built(a, ndim, graphs) == "signed"
 
 

@@ -257,7 +257,7 @@ class TestStackedSolver:
         expected = np.array([1.0, -0.0, 0.0, -1.0]).tobytes()
         matrix = np.zeros((4, 4))
         assert eigen_decomposition(matrix).eigenvalues.tobytes() == expected
-        assert _eigenvalues(matrix, ndim=2).tobytes() == expected
+        assert _eigenvalues(matrix).tobytes() == expected
         assert _eigenvalues(matrix[None]).tobytes() == expected
 
     def test_one_eigh_call_per_stack(self, monkeypatch):

@@ -1,0 +1,21 @@
+"""``sweep_paths.py``, the opt-in per-path timing script, on two passes."""
+
+from __future__ import annotations
+
+import os
+import re
+import sys
+
+
+def test_a_sweep_pass_splits_into_the_three_paths(monkeypatch, capsys):
+    # the script reads each call's path from the memo itself, so a change to
+    # the memo that breaks the script or moves the split fails here
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ and bench/
+    from tests import sweep_paths
+
+    assert sweep_paths.main(["--seed", "0", "--passes", "2"]) == 0
+    lines = re.findall(r"^  (known class|new class|new underlying) +(\d+) a pass +median +([\d.]+) us$",
+                       capsys.readouterr().out, re.MULTILINE)
+    assert {path: int(count) for path, count, _ in lines} == {"known class": 220, "new class": 16, "new underlying": 71}
+    assert all(float(median) > 0 for _, _, median in lines)
