@@ -31,28 +31,24 @@ Registry:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError, _int_param
-from .graph import SignedGraph, _check_dense, _signed_matrix, all_negative
+from .graph import MATRIX_MAX_N, SignedGraph, _check_dense, _signed_matrix, all_negative
 from .invariants import (
     TriangleCensus,
-    WalkCensus,
-    _WALK_OVERFLOW,
     _check_guard,
     _frustration,
     _frustration_uppers,
     _guard_limits,
     _max_balanced_clique,
     _r_frustration,
-    _walk_chain,
-    _walk_order,
+    _walk_sums,
     _walk_totals,
     greedy_balanced_clique,
     triangle_census,
@@ -100,7 +96,7 @@ class _Underlying:
       vertex's parent in BFS order, which every later signing labels in one
       pass (``_forest_labels``);
     * ``walks``: the unsigned walk sums of each order met, with the last
-      unsigned walk vector (``invariants._walk_chain``);
+      unsigned walk vector (``invariants._walk_sums``);
     * ``lambda_n`` and ``eps_b`` of the unsigned graph;
     * ``classes``: a ``_Class`` per switching class, keyed by its canonical
       signing, the negative edges left after switching the forest
@@ -215,12 +211,13 @@ class _Ctx:
     than lambda_1, lambda_2, lambda_n and rho.  The eigenvalue reads check
     the dense-matrix guard that ``adjacency_matrix`` checks.  A ``shared``
     context keeps what switching keeps in ``_underlying``, for the other
-    signings of its underlying graph; any other keeps it to itself."""
+    signings of its underlying graph; any other keeps it to itself, as does
+    one past the dense-matrix guard, where no eigenvalue row can be
+    computed, so its O(n) class key would serve no row."""
 
     def __init__(self, g: SignedGraph, shared: bool = False):
         self.g = g
-        self._shared = shared
-        self._walks: list[WalkCensus] = []
+        self._shared = shared and g.n <= MATRIX_MAX_N
 
     @_memo
     def matrix(self) -> np.ndarray:
@@ -322,35 +319,26 @@ class _Ctx:
         return _kept(self._class, "census", lambda: triangle_census(self.g))
 
     @_memo
-    def _chain(self) -> Iterator[WalkCensus]:
-        """The walk censuses past those in ``_walks``, started on first read
-        on the unsigned sums kept with the underlying graph."""
-        return _walk_chain(self.g, _kept(self._underlying_values, "walks", lambda: _walk_totals(self.g.n)))
+    def _signed_walks(self) -> list:
+        """The signed walk sums of each order met, with the last signed walk
+        vector (``invariants._walk_totals``)."""
+        return _walk_totals(self.g.n)
 
-    def walks(self, r: int) -> WalkCensus:
-        """``walk_census(g, r)``; every order extends one chain from the
-        all-ones vector, so r = 1..4 take three matrix-vector steps, and no r
-        takes more than 124 (``_walk_order``).  Where another context of g's
-        underlying graph has stepped the unsigned vector, a step takes only
-        the signed one."""
-        if r < 1:
-            raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
-        k = _walk_order(r)
-        walks = self._walks
-        if len(walks) < k:
-            walks.extend(islice(self._chain, k - len(walks)))
-            if len(walks) < k:  # the chain ended at an overflow
-                raise OverflowError(_WALK_OVERFLOW)
-        return walks[k - 1] if k == r else replace(walks[k - 1], r=r)
+    def walks(self, r: int) -> tuple[int, int]:
+        """``walk_census(g, r)``'s (w_total, w_signed); every order steps on
+        from the last one met, so r = 1..4 take three matrix-vector steps, and
+        no r takes more than 124.  Where another context of g's underlying
+        graph has stepped the unsigned vector, a step takes only the signed
+        one."""
+        unsigned = _kept(self._underlying_values, "walks", lambda: _walk_totals(self.g.n))
+        return _walk_sums(self.g, r, unsigned, self._signed_walks)
 
     def eps_r(self, r: int) -> int:
         _check_guard(self.g.n, "r_frustration_index", self.limits)
-        w_total = self.walks(r).w_total  # and r >= 1
-        if r == 1 or self.g.m == 0:
-            return 0
+        w_total, _ = self.walks(r)  # and r >= 1
         if r == 2:  # A^(r-1) = A, so eps_2 = 2 * eps exactly
             return 2 * self.eps
-        return _r_frustration(self.matrix, r, w_total)
+        return _r_frustration(lambda: self.matrix, r, w_total)
 
     @_memo
     def rho(self) -> float:
@@ -441,7 +429,7 @@ def _eval_b9(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 def _eval_b10(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     r = p["r"]
-    rhs = (ctx.walks(r).w_total - ctx.eps_r(r)) * (1.0 - 1.0 / ctx.omega_b)
+    rhs = (ctx.walks(r)[0] - ctx.eps_r(r)) * (1.0 - 1.0 / ctx.omega_b)
     return True, ctx.lambda1 ** r, rhs, ""
 
 
@@ -452,10 +440,10 @@ def _eval_b11(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     if q < 1:
         raise InvalidParamsError(f"B11 needs q >= 1, got {q}")
     hyp = q % 2 == 1
-    w_q = ctx.walks(q).w_signed
+    _, w_q = ctx.walks(q)
     if hyp and w_q <= 0:
         return hyp, 0.0, ctx.rho ** r, f"skipped: w_{q} = {w_q} <= 0"
-    lhs = ctx.walks(q + r).w_signed / w_q if w_q > 0 else 0.0
+    lhs = ctx.walks(q + r)[1] / w_q if w_q > 0 else 0.0
     return hyp, lhs, ctx.rho ** r, ""
 
 
@@ -478,7 +466,8 @@ def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 def _eval_b14(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     has_triangle = ctx.census.total > 0
-    has_two_path = any(ctx.g.degree(v) >= 2 for v in range(ctx.g.n))
+    # some vertex has degree >= 2 exactly when one of the 2m endpoints repeats
+    has_two_path = len({w for u, v, _ in ctx.g.edges for w in (u, v)}) < 2 * ctx.g.m
     hyp = ctx.census.t_plus == 0 and ctx.g.n >= 3 and (has_triangle or has_two_path)
     return hyp, 0.0, ctx.lambda2, ""
 

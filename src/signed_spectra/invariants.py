@@ -20,20 +20,21 @@ bounds of ``frustration_index_upper``, for eps and eps_b at once from one
 draw of restarts (``_frustration_uppers``), and ``greedy_balanced_clique``.
 
 Walk counts are exact integer walk sums, taken by matrix-vector steps on
-Python integers; they raise OverflowError once the count of unsigned walks
-exceeds 2^63 - 1, the one overflow rule of the walk layer.  The unsigned
-sums depend on the underlying graph alone, so the signings of one can
-share them, and each then steps only its signed vector.
+Python integers in one function, ``_walk_sums``, which ``walk_census`` and
+``bounds._Ctx.walks`` both call; it raises OverflowError once the count of
+unsigned walks exceeds 2^63 - 1, the one overflow rule of the walk layer.
+The unsigned sums depend on the underlying graph alone, so the signings of
+one can share them, and each then steps only its signed vector.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, islice, product
-from typing import Iterator, Sequence
+from itertools import chain, product
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,7 +51,6 @@ _GUARDS = {
 }
 
 _INT64_MAX = 2**63 - 1
-_WALK_OVERFLOW = "walk counts exceed the 64-bit integer range"
 # entries per block: of one GEMM block of the switching kernel (256 KiB in
 # float64, 128 KiB in float32), of the restarts that each form of
 # ``_frustration_uppers`` descends together (one draw per block, shared by
@@ -508,80 +508,68 @@ class WalkCensus:
 
 
 def _walk_totals(n: int) -> list:
-    """The unsigned walk sums of a graph of order n as far as order 1, in the
-    form ``_walk_chain`` reads and extends: ``[sums, vector]``."""
+    """The walk sums of a graph of order n as far as order 1, in the form
+    ``_walk_sums`` reads and extends: ``[sums, vector]``."""
     return [[n], [1] * n]
 
 
-def _walk_chain(g: SignedGraph, totals: list | None = None) -> Iterator[WalkCensus]:
-    """The walk censuses of ``g`` for r = 1, 2, 3, ..., exact and in order.
-
-    Each order takes one matrix-vector step over the edges from the vectors
-    of the order before, starting from the all-ones vector, and the chain
-    raises OverflowError at the first order whose unsigned sum
-    e^T |A|^(r-1) e leaves the 64-bit range.  From r = 2 on that sum never
-    decreases: every vertex a walk reaches has a neighbour, so each walk
-    extends by one more step.  So an entry of some |A|^k (k <= r - 1) above
-    2^63 - 1 forces the sum at order r above it too, and the one rule "raise
-    when e^T |A|^(r-1) e exceeds 2^63 - 1" is the same as checking every
-    entry of every power.  The counts are exact, so the rule needs no
-    prediction.
-
-    The unsigned sums depend on the underlying graph alone, so every signing
-    of it can read one ``totals`` (``_walk_totals``): ``[sums, vector]``,
-    with ``sums[r - 1]`` the unsigned sum of each order met so far and
-    ``vector`` the unsigned walk vector of the last of them.  Where the next
-    sum is there, the chain steps its signed vector alone; past the last, it
-    steps both vectors and appends to ``totals``, or raises at an overflow,
-    which every chain that reaches it meets again.  With none given it
-    starts its own.
-    """
-    totals = _walk_totals(g.n) if totals is None else totals
-    sums = totals[0]
-    signed = [1] * g.n
-    for r in count(1):
-        w_total, w_signed = sums[r - 1], sum(signed)
-        # ``WalkCensus(...)`` without the frozen constructor's setattr calls:
-        # the fields go into ``__dict__`` in field order, as in ``bounds._row``
-        census = object.__new__(WalkCensus)
-        fields = census.__dict__
-        fields["r"] = r
-        fields["w_total"] = w_total
-        fields["w_signed"] = w_signed
-        fields["w_pos"] = (w_total + w_signed) // 2
-        fields["w_neg"] = (w_total - w_signed) // 2
-        yield census
-        ns = [0] * g.n
-        if r < len(sums):
-            for u, v, s in g.edges:
-                ns[u] += s * signed[v]
-                ns[v] += s * signed[u]
-        else:
-            unsigned, nu = totals[1], [0] * g.n
-            for u, v, s in g.edges:
-                nu[u] += unsigned[v]
-                nu[v] += unsigned[u]
-                ns[u] += s * signed[v]
-                ns[v] += s * signed[u]
-            w_next = sum(nu)
-            if w_next > _INT64_MAX:
-                raise OverflowError(_WALK_OVERFLOW)
-            sums.append(w_next)
-            totals[1] = nu
-        signed = ns
-
-
 def _walk_order(r: int) -> int:
-    """The order of the chain that ``walk_census(g, r)`` reads: r itself up
+    """The order whose sums ``_walk_sums`` returns for order r: r itself up
     to 125, and past it 124 or 125, whichever has the parity of r.
 
     A graph with a vertex of degree >= 2 contains the path P3, whose
     unsigned walk count leaves the 64-bit range at order 124, and walk
-    counts only grow on a supergraph, so its chain raises by order 124.  On
-    any other graph every walk past its first vertex runs back and forth
-    along one edge, so its censuses repeat with period 2 from order 2.
+    counts only grow on a supergraph, so its walk sums overflow by order
+    124.  On any other graph every walk past its first vertex runs back and
+    forth along one edge, so its sums repeat with period 2 from order 2.
     """
     return r if r <= 125 else 124 + r % 2
+
+
+def _walk_sums(g: SignedGraph, r: int, unsigned: list, signed: list) -> tuple[int, int]:
+    """(e^T |A|^(r-1) e, e^T A^(r-1) e), exact; r < 1 raises InvalidParamsError.
+
+    ``unsigned`` and ``signed`` are ``_walk_totals`` lists ``[sums, vector]``,
+    with ``sums[k - 1]`` the walk sum of each order k met so far and
+    ``vector`` the walk vector of the last of them; both are stepped as far
+    as order ``_walk_order(r)``, one matrix-vector step over the edges per
+    order.  The unsigned sums depend on the underlying graph alone, so every
+    signing of it can read one ``unsigned`` list: where it is ahead a step
+    takes the signed vector alone, and else one pass steps both and appends
+    to it.  That step raises OverflowError at the first order whose unsigned
+    sum leaves the 64-bit range, which every signing that reaches it meets
+    again.  From r = 2 on that sum never decreases: every vertex a walk
+    reaches has a neighbour, so each walk extends by one more step.  So an
+    entry of some |A|^k (k <= r - 1) above 2^63 - 1 forces the sum at order r
+    above it too, and the one rule "raise when e^T |A|^(r-1) e exceeds
+    2^63 - 1" is the same as checking every entry of every power; the
+    signed sum is at most the unsigned one in magnitude.
+    """
+    if r < 1:
+        raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
+    k = _walk_order(r)
+    sums, signed_sums = unsigned[0], signed[0]
+    while len(signed_sums) < k:
+        x, nx = signed[1], [0] * g.n
+        if len(signed_sums) < len(sums):
+            for u, v, s in g.edges:
+                nx[u] += s * x[v]
+                nx[v] += s * x[u]
+        else:
+            y, ny = unsigned[1], [0] * g.n
+            for u, v, s in g.edges:
+                ny[u] += y[v]
+                ny[v] += y[u]
+                nx[u] += s * x[v]
+                nx[v] += s * x[u]
+            w_total = sum(ny)
+            if w_total > _INT64_MAX:
+                raise OverflowError("walk counts exceed the 64-bit integer range")
+            sums.append(w_total)
+            unsigned[1] = ny
+        signed_sums.append(sum(nx))
+        signed[1] = nx
+    return sums[k - 1], signed_sums[k - 1]
 
 
 def walk_census(g: SignedGraph, r: int) -> WalkCensus:
@@ -590,11 +578,8 @@ def walk_census(g: SignedGraph, r: int) -> WalkCensus:
     Takes at most 124 matrix-vector steps for any r (``_walk_order``).
     """
     r = _int_param("walk_census", "r", r)
-    if r < 1:
-        raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
-    k = _walk_order(r)
-    census = next(islice(_walk_chain(g), k - 1, None))
-    return census if k == r else replace(census, r=r)
+    w_total, w_signed = _walk_sums(g, r, _walk_totals(g.n), _walk_totals(g.n))
+    return WalkCensus(r, w_total, w_signed, (w_total + w_signed) // 2, (w_total - w_signed) // 2)
 
 
 def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
@@ -613,13 +598,15 @@ def r_frustration_index(g: SignedGraph, r: int, *, force: bool = False) -> int:
     if r < 1:
         raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
     _check_guard(g.n, "r_frustration_index", force=force)
-    if g.n == 0 or g.m == 0 or r == 1:
+    return _r_frustration(lambda: _signed_matrix(g), r, walk_census(g, r).w_total)
+
+
+def _r_frustration(matrix: Callable[[], np.ndarray], r: int, w_total: int) -> int:
+    """``r_frustration_index`` for r >= 1 of the graph whose signed int64
+    matrix ``matrix()`` gives, given w_total = e^T |A|^(r-1) e: 0 for r = 1,
+    and for w_total = 0, which for r >= 2 means no edges.  Those two build
+    no matrix, which on a large forced graph could not be allocated."""
+    if r == 1 or w_total == 0:
         return 0
-    return _r_frustration(_signed_matrix(g), r, walk_census(g, r).w_total)
-
-
-def _r_frustration(a: np.ndarray, r: int, w_total: int) -> int:
-    """``r_frustration_index`` for r >= 2 and m >= 1 of the graph whose
-    signed int64 matrix is ``a``, given w_total = e^T |A|^(r-1) e."""
-    best, _ = _max_switching_form(np.linalg.matrix_power(a, r - 1), w_total)
+    best, _ = _max_switching_form(np.linalg.matrix_power(matrix(), r - 1), w_total)
     return (w_total - best) // 2

@@ -233,12 +233,13 @@ class TestEvaluateAll:
         assert by_key[("B10", 2)].verdict == "holds"
 
     def test_one_walk_chain_matches_walk_census(self):
-        # every order extends the context's one chain, in any order of reads
+        # every order steps the context's one list of sums, in any order of reads
         for g in random_graphs(40, max_n=12, seed=17, p=(0.25, 0.5, 0.9), q=(0.2, 0.5)):
             ctx = bounds._Ctx(g)
             for r in (3, 1, 4, 2, 8, 5, 7, 6):
-                assert ctx.walks(r) == walk_census(g, r), (g.to_sg(), r)
-            assert len(ctx._walks) == 8
+                census = walk_census(g, r)
+                assert ctx.walks(r) == (census.w_total, census.w_signed), (g.to_sg(), r)
+            assert len(ctx._signed_walks[0]) == 8
         # |A|^15 of K14 fits in 64 bits and |A|^16 does not: the overflow
         # raises at the same order as walk_census, and orders below it stay
         g = all_negative_complete(14)
@@ -250,7 +251,7 @@ class TestEvaluateAll:
                 with pytest.raises(OverflowError, match=str(exc)):
                     ctx.walks(r)
             else:
-                assert r <= 16 and ctx.walks(r) == expected
+                assert r <= 16 and ctx.walks(r) == (expected.w_total, expected.w_signed)
         with pytest.raises(InvalidParamsError):
             ctx.walks(0)
 
@@ -766,6 +767,11 @@ class TestKnownUnderlyingGraph:
         except OverflowError as exc:
             return str(exc)
 
+    @staticmethod
+    def _walk_sums(g, r):
+        census = walk_census(g, r)
+        return census.w_total, census.w_signed
+
     def _check_walks(self, first, second, r0, orders):
         """``_Ctx.walks`` of ``second`` against ``walk_census``, after a
         context of ``first`` read order ``r0`` and kept the unsigned sums."""
@@ -778,7 +784,7 @@ class TestKnownUnderlyingGraph:
             assert (two._underlying_values is one._underlying_values) == shared
             for r in orders:
                 mine = self._census_or_overflow(two.walks, r)
-                assert mine == self._census_or_overflow(lambda r: walk_census(second, r), r), (second.to_sg(), r)
+                assert mine == self._census_or_overflow(lambda r: self._walk_sums(second, r), r), (second.to_sg(), r)
 
     @given(signed_graphs(max_n=8), st.integers(1, 130), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -966,6 +972,25 @@ class TestGuardLimits:
             with pytest.raises(TooLargeError):
                 read()
 
+    def test_no_class_key_or_adjacency_past_the_dense_guard(self, monkeypatch):
+        # past MATRIX_MAX_N no eigenvalue row can be computed, so evaluate_all
+        # keys no class (an O(n) BFS) and finds B14's 2-path from the edges,
+        # building no O(n) adjacency tuples
+        g = SignedGraph.from_edges(10**6, [(0, 1, -1)])
+        monkeypatch.setattr(bounds, "propagation_labels", lambda *a, **k: pytest.fail("class key"))
+        adjacency = property(lambda g: pytest.fail("adjacency tuples"))
+        monkeypatch.setattr(SignedGraph, "_signed_adjacency", adjacency)
+        assert not bounds._Ctx(g, shared=True)._shared
+        rows = evaluate_all(g)
+        assert len(rows) == 19 and {row.verdict for row in rows} == {"skipped"}
+        assert {row.note for row in rows} == {
+            "skipped: adjacency matrix guard: n=1000000 exceeds 2048",
+            *(f"skipped: {name}: n=1000000 exceeds the exact-computation guard {limit} "
+              "(pass force=True or set SIGNED_SPECTRA_MAX_N to override)"
+              for name, limit in (("frustration_index_exact", 25), ("r_frustration_index", 20),
+                                  ("balanced_clique_number", 40))),
+        }
+
     @given(
         signed_graphs(max_n=12),
         st.one_of(st.none(), st.integers(0, 12)),
@@ -1017,8 +1042,8 @@ def _assert_like_constructed(value) -> None:
 
 
 class TestBuiltValues:
-    """Rows and walk censuses skip the frozen constructor; each must still
-    be the value the constructor would make."""
+    """Rows skip the frozen constructor; each must still be the value the
+    constructor would make, as a walk census is."""
 
     @given(signed_graphs(max_n=8))
     @settings(max_examples=40, deadline=None)
@@ -1033,11 +1058,9 @@ class TestBuiltValues:
         assert bool(skipped) == (g.n > 2)
         for row in fresh + kept + cold + guarded:
             _assert_like_constructed(row)
-        ctx = bounds._Ctx(g)
         for r in (1, 2, 3, 5, 126):
             with contextlib.suppress(OverflowError):  # r = 126 on a graph with a 2-path
                 _assert_like_constructed(walk_census(g, r))
-                _assert_like_constructed(ctx.walks(r))
 
 
 class TestMemo:
