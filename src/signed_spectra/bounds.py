@@ -54,7 +54,7 @@ from .invariants import (
     triangle_census,
 )
 from .spectral import _clique_value, _eigenvalues
-from .switching import propagation_labels
+from .switching import _canonical_signing
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -80,61 +80,37 @@ class BoundEvaluation:
 
 
 class _Underlying:
-    """The values every signing of one underlying graph shares, kept by
-    ``_underlying`` for ``evaluate_all`` and ``invariants``.
+    """What every signing of one underlying graph shares, kept by
+    ``_underlying`` for ``evaluate_all`` and ``invariants``; each field is
+    None until its first fill:
 
-    Switching (A -> D A D, D a +-1 diagonal) keeps the eigenvalues and every
-    combinatorial quantity the registry reads except the signed walk sums
-    (Zaslavsky, "Signed graphs", 1982).  A sweep over all signings meets
-    each class many times, and ``invariants`` reads what ``bounds`` filled
-    for the same file; ``evaluate_bound`` and ``search`` rarely meet an
-    underlying graph twice, so their contexts keep records of their own.
-    One record suffices because sweeps visit all signings of an underlying
-    graph in a row.  Each field is None until its first fill:
-
-    * ``forest``: the BFS spanning forest of the first signing met, each
-      vertex's parent in BFS order, which every later signing labels in one
-      pass (``_forest_labels``);
-    * ``walks``: the unsigned walk sums of each order met, with the last
-      unsigned walk vector (``invariants._walk_sums``);
+    * ``forest``: the spanning forest of ``switching._canonical_signing``,
+      from the first signing met;
     * ``lambda_n`` and ``eps_b`` of the unsigned graph;
     * ``classes``: a ``_Class`` per switching class, keyed by its canonical
-      signing, the negative edges left after switching the forest
-      all-positive; past ``_MAX_CLASSES`` a new class drops them all.
+      signing; past ``_MAX_CLASSES`` a new class drops them all.
 
     ``invariants`` reads only exact integers from the record.
     """
 
-    forest = walks = lambda_n = eps_b = classes = None
+    forest = lambda_n = eps_b = classes = None
 
 
 class _Class:
-    """The values one switching class shares, each None until its first
-    fill: ``eps``, ``clique`` (the size and members of a maximum balanced
+    """What one switching class shares, each None until its first fill:
+    ``eps``, ``clique`` (the size and members of a maximum balanced
     clique), ``census``, ``rho`` from the eigenvalues of the first signing
-    that read it, and ``rows``.  ``rows`` maps the guard limits and walk orders of an
-    ``evaluate_all`` call, ``(*limits, rs, qr_pairs)``, to its rows in plan
-    order, None in B11's slots.
-
-    A sweep meets most signings in a class it has met, so what they pay
-    sets its pace: only what switching does not keep.  That is the class
-    key, one pass over the kept forest and the edges; the signed walk sums;
-    B11's rows, from those sums and the class's rho; and one loop that
-    copies the kept rows with the call's own params.  The first signing of
-    a class pays for one int64 matrix, one ``eigh`` (two for B3 and B4 with
-    a negative edge) and the kernel runs of eps and eps_r, and the first of
-    an underlying graph its BFS and eps_b's kernel run.  ``eigh`` on
-    D A D is not bit-identical to ``eigh`` on A, so copied rows and B11's
-    rho carry the roundoff of the signing that filled them.
+    that read it, ``rows_key``, the ``(*limits, rs, qr_pairs)`` of the last
+    ``evaluate_all`` call on the class, and ``rows``, its rows in plan
+    order, None in B11's slots and in those not yet filled.
     """
 
-    eps = clique = census = rho = rows = None
+    eps = clique = census = rho = rows_key = rows = None
 
 
 # Classes kept for the one underlying graph; all are dropped when a new one
-# would pass it.  Filled with one plan's rows each, the 1,024 classes of
-# K6 take 8.6 MB (``tracemalloc``), about 8.4 KB a class; a test holds
-# them within 9 MiB.
+# would pass it.  A test holds the 1,024 classes of K6, filled with the
+# default plan's rows, within 9 MiB.
 _MAX_CLASSES = 1024
 
 
@@ -144,26 +120,6 @@ def _underlying(n: int, pairs: frozenset[tuple[int, int]]) -> _Underlying:
 
 
 _HEURISTIC_ITERS, _HEURISTIC_SEED = 200, 0  # local-search fallback past the guards
-
-
-def _class_key(g: SignedGraph, labels: Sequence[int]) -> frozenset[tuple[int, int]]:
-    """The negative edges of ``g`` switched by ``labels``; with the labels of
-    ``propagation_labels(g, full=True)``, the same for a whole switching class."""
-    return frozenset((u, v) for u, v, s in g.edges if labels[u] * s * labels[v] < 0)
-
-
-def _forest_labels(g: SignedGraph, forest: Mapping[int, int]) -> list[int]:
-    """The labels of ``propagation_labels(g, full=True)``, from ``forest``,
-    its BFS parent of each vertex in BFS order, kept from another signing of
-    g's underlying graph.  That BFS takes the neighbours of each vertex in
-    ascending order, whatever their signs, so its forest is the same on every
-    signing: each vertex takes its parent's label, negated across a
-    negative tree edge, which is found in ``g.edges``."""
-    labels = [1] * g.n
-    edges = g.edges
-    for v, p in forest.items():
-        labels[v] = -labels[p] if ((p, v, -1) if p < v else (v, p, -1)) in edges else labels[p]
-    return labels
 
 
 def _kept(record: _Underlying | _Class, name: str, compute: Callable[[], object]):
@@ -198,22 +154,14 @@ class _memo:
 
 class _Ctx:
     """Every quantity of one signed graph that ``bounds``, ``invariants`` and
-    ``search`` read, computed once and always under the guards: it reads
-    the limits on its first guarded read and checks each guarded value
-    before the memo's O(n + m) class key.  Each value is a ``_memo``: a plain
-    instance attribute after its first read, which ``search`` may also set
-    itself (the eigenvalues from a stacked ``eigh``).  Every matrix
-    quantity comes from one int64 matrix, ``matrix``: the kernel runs on A
-    for eps, on -|A| for eps_b and on A^(r-1) for eps_r, through the
-    helpers the public functions call on their own matrix.  Of the spectrum it holds only the
-    sorted eigenvalues, from one ``eigh`` of that matrix with no
-    eigenvectors kept and no ``Spectrum`` built: the registry reads no more
-    than lambda_1, lambda_2, lambda_n and rho.  The eigenvalue reads check
-    the dense-matrix guard that ``adjacency_matrix`` checks.  A ``shared``
-    context keeps what switching keeps in ``_underlying``, for the other
-    signings of its underlying graph; any other keeps it to itself, as does
-    one past the dense-matrix guard, where no eigenvalue row can be
-    computed, so its O(n) class key would serve no row."""
+    ``search`` read, each computed on its first read (a ``_memo``, which
+    ``search`` may also set itself) and always under the guards, each
+    checked before any O(n) work.  Every matrix quantity comes from one
+    int64 matrix, ``matrix``, and of the spectrum it holds only the sorted
+    eigenvalues.  A ``shared`` context keeps what switching keeps in
+    ``_underlying``, for the other signings of its underlying graph; any
+    other keeps it to itself, as does one past the dense-matrix guard,
+    where no eigenvalue row can be computed."""
 
     def __init__(self, g: SignedGraph, shared: bool = False):
         self.g = g
@@ -243,13 +191,10 @@ class _Ctx:
         if not self._shared:
             return _Class()
         entry = self._underlying_values
+        _, key, forest = _canonical_signing(self.g, entry.forest)
         if entry.forest is None:  # the first signing met: one BFS, whose forest the others label
-            labels, _, entry.forest = propagation_labels(self.g, full=True)
-            entry.classes = {}
-        else:
-            labels = _forest_labels(self.g, entry.forest)
+            entry.forest, entry.classes = forest, {}
         classes = entry.classes
-        key = _class_key(self.g, labels)
         if key not in classes and len(classes) >= _MAX_CLASSES:
             classes.clear()
         return classes.get(key) or classes.setdefault(key, _Class())
@@ -319,23 +264,20 @@ class _Ctx:
         return _kept(self._class, "census", lambda: triangle_census(self.g))
 
     @_memo
-    def _signed_walks(self) -> list:
-        """The signed walk sums of each order met, with the last signed walk
-        vector (``invariants._walk_totals``)."""
+    def _walks(self) -> list:
+        """The walk state ``walks`` steps (``invariants._walk_totals``)."""
         return _walk_totals(self.g.n)
 
     def walks(self, r: int) -> tuple[int, int]:
-        """``walk_census(g, r)``'s (w_total, w_signed); every order steps on
-        from the last one met, so r = 1..4 take three matrix-vector steps, and
-        no r takes more than 124.  Where another context of g's underlying
-        graph has stepped the unsigned vector, a step takes only the signed
-        one."""
-        unsigned = _kept(self._underlying_values, "walks", lambda: _walk_totals(self.g.n))
-        return _walk_sums(self.g, r, unsigned, self._signed_walks)
+        """``walk_census(g, r)``'s (w_total, w_signed); each order steps on
+        from the last one met."""
+        return _walk_sums(self.g, r, self._walks)
 
     def eps_r(self, r: int) -> int:
+        if r < 1:
+            raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
         _check_guard(self.g.n, "r_frustration_index", self.limits)
-        w_total, _ = self.walks(r)  # and r >= 1
+        w_total, _ = self.walks(r)
         if r == 2:  # A^(r-1) = A, so eps_2 = 2 * eps exactly
             return 2 * self.eps
         return _r_frustration(lambda: self.matrix, r, w_total)
@@ -421,15 +363,16 @@ def _eval_b8u(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 
 def _eval_b9(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
+    lhs = ctx.lambda1 ** 2  # the dense guard before the O(n) census
     t_s = ctx.census.t_s
-    hyp = t_s >= 0
     rhs = ctx.g.m + (6.0 * max(t_s, 0)) ** (2.0 / 3.0)
-    return hyp, ctx.lambda1 ** 2, rhs, ""
+    return t_s >= 0, lhs, rhs, ""
 
 
 def _eval_b10(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     r = p["r"]
-    rhs = (ctx.walks(r)[0] - ctx.eps_r(r)) * (1.0 - 1.0 / ctx.omega_b)
+    eps_r = ctx.eps_r(r)  # its guard before the O(n) walk vectors
+    rhs = (ctx.walks(r)[0] - eps_r) * (1.0 - 1.0 / ctx.omega_b)
     return True, ctx.lambda1 ** r, rhs, ""
 
 
@@ -440,11 +383,12 @@ def _eval_b11(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     if q < 1:
         raise InvalidParamsError(f"B11 needs q >= 1, got {q}")
     hyp = q % 2 == 1
+    rhs = ctx.rho ** r  # the dense guard before the O(n) walk vectors
     _, w_q = ctx.walks(q)
     if hyp and w_q <= 0:
-        return hyp, 0.0, ctx.rho ** r, f"skipped: w_{q} = {w_q} <= 0"
+        return hyp, 0.0, rhs, f"skipped: w_{q} = {w_q} <= 0"
     lhs = ctx.walks(q + r)[1] / w_q if w_q > 0 else 0.0
-    return hyp, lhs, ctx.rho ** r, ""
+    return hyp, lhs, rhs, ""
 
 
 def _eval_b12(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
@@ -465,11 +409,12 @@ def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 
 def _eval_b14(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
+    lambda2 = ctx.lambda2  # the dense guard before the O(n) census
     has_triangle = ctx.census.total > 0
     # some vertex has degree >= 2 exactly when one of the 2m endpoints repeats
     has_two_path = len({w for u, v, _ in ctx.g.edges for w in (u, v)}) < 2 * ctx.g.m
     hyp = ctx.census.t_plus == 0 and ctx.g.n >= 3 and (has_triangle or has_two_path)
-    return hyp, 0.0, ctx.lambda2, ""
+    return hyp, 0.0, lambda2, ""
 
 
 @dataclass(frozen=True)
@@ -625,14 +570,10 @@ def evaluate_all(
     B10 fans out over ``rs`` and B11 over ``qr_pairs``.  Entries whose
     guarded invariants overflow their guard, or whose walk counts leave the
     64-bit range, come back with verdict ``skipped`` instead of aborting
-    the sequence.
-
-    Within a switching class only B11's signed walk sums depend on the
-    signing.  So a signing whose class this function has met under the same
-    walk orders and guard limits gets the rows of the first signing it met
-    there for every other entry, B13's included, and B11 takes the class's
-    rho: eigenvalue-derived floats may differ from a fresh decomposition of
-    ``g`` in the last bits, far inside the 1e-8 tolerance.
+    the sequence.  A signing of a switching class whose rows the memo keeps
+    for the same walk orders and guard limits gets those rows for every
+    entry but B11, and B11 the class's rho, so their floats may differ from
+    ``g``'s own in the last bits, far inside the 1e-8 tolerance.
     """
     rs = tuple(_int_param("B10", "r", r) for r in rs)
     qr_pairs = tuple((_int_param("B11", "q", q), _int_param("B11", "r", r)) for q, r in qr_pairs)
@@ -640,10 +581,11 @@ def evaluate_all(
         raise InvalidParamsError("bounds need at least one vertex")
     ctx = _Ctx(g, shared=True)
     plan = _plan(rs, qr_pairs)
-    # a guard override can turn a row into a skip, so rows are kept per limits
-    kept = _kept(ctx._class, "rows", dict)
-    key = (*ctx.limits.values(), rs, qr_pairs)
-    rows = kept.get(key) or kept.setdefault(key, [None] * len(plan))
+    kept = ctx._class
+    key = (*ctx.limits.values(), rs, qr_pairs)  # a guard override can turn a row into a skip
+    if kept.rows_key != key:
+        kept.rows_key, kept.rows = key, [None] * len(plan)
+    rows = kept.rows
     out: list[BoundEvaluation] = []
     for i, ((bound_id, template), k) in enumerate(zip(plan, rows)):
         params = template.copy()

@@ -1,30 +1,18 @@
 """Exact and heuristic computation of the combinatorial invariants.
 
 Frustration index, edge bipartiteness and the r-frustration index are
-minima over the switching class, and each is one maximisation of a
-quadratic form x^T M x over the 2^(n-1) switchings x (vertex 0 is pinned,
-x and -x coincide): M is the signed adjacency matrix A for eps, -|A| for
-eps_b and A^(r-1) for eps_r.  One kernel, ``_max_switching_form``, does
-every such maximisation exactly: up to n = ``_PRODUCT_MAX_N`` (10) in one
-product with a cached table of every switching, past it in blocked matrix
-products, which (n >= 11) skip the switchings a per-row upper bound
-rules out.  Both run in float32, float64 or int64, the first that holds
-every partial sum.  Up to the cap the blocked products would be one block,
-and the table lists the switchings in that block's order, so on ties both
-paths return the same certificate.  Guards cap the exponent: ``_GUARDS``
-holds each exact function's limit on n, and ``_guard_limits`` the limits
-in force, all of them replaced by the ``SIGNED_SPECTRA_MAX_N`` environment
-variable when it is set.  ``force=True`` skips a guard and reads no limit.
-Past a guard, ``bounds._Ctx.exact_or_bound`` falls back to the heuristic
-bounds of ``frustration_index_upper``, for eps and eps_b at once from one
-draw of restarts (``_frustration_uppers``), and ``greedy_balanced_clique``.
+minima over the switching class, each one maximisation of x^T M x over the
+2^(n-1) switchings x (vertex 0 pinned) by one kernel,
+``_max_switching_form``: M is the signed adjacency matrix A for eps, -|A|
+for eps_b and A^(r-1) for eps_r.  ``_GUARDS`` holds each exact function's
+limit on n and ``_guard_limits`` the limits in force, all of them replaced
+by the ``SIGNED_SPECTRA_MAX_N`` environment variable when it is set;
+``force=True`` skips a guard and reads no limit.  Past a guard,
+``bounds._Ctx.exact_or_bound`` falls back to the heuristic bounds of
+``frustration_index_upper`` and ``greedy_balanced_clique``.
 
-Walk counts are exact integer walk sums, taken by matrix-vector steps on
-Python integers in one function, ``_walk_sums``, which ``walk_census`` and
-``bounds._Ctx.walks`` both call; it raises OverflowError once the count of
-unsigned walks exceeds 2^63 - 1, the one overflow rule of the walk layer.
-The unsigned sums depend on the underlying graph alone, so the signings of
-one can share them, and each then steps only its signed vector.
+Walk counts are exact integers from ``_walk_sums``, which raises
+OverflowError once the count of unsigned walks exceeds 2^63 - 1.
 """
 
 from __future__ import annotations
@@ -508,9 +496,10 @@ class WalkCensus:
 
 
 def _walk_totals(n: int) -> list:
-    """The walk sums of a graph of order n as far as order 1, in the form
-    ``_walk_sums`` reads and extends: ``[sums, vector]``."""
-    return [[n], [1] * n]
+    """The walk state of a graph of order n at order 1, the one argument
+    ``_walk_sums`` reads and extends: ``[sums, unsigned vector, signed
+    vector]``, with ``sums[k - 1]`` the pair of walk sums at order k."""
+    return [[(n, n)], [1] * n, [1] * n]
 
 
 def _walk_order(r: int) -> int:
@@ -526,50 +515,38 @@ def _walk_order(r: int) -> int:
     return r if r <= 125 else 124 + r % 2
 
 
-def _walk_sums(g: SignedGraph, r: int, unsigned: list, signed: list) -> tuple[int, int]:
+def _walk_sums(g: SignedGraph, r: int, walks: list) -> tuple[int, int]:
     """(e^T |A|^(r-1) e, e^T A^(r-1) e), exact; r < 1 raises InvalidParamsError.
 
-    ``unsigned`` and ``signed`` are ``_walk_totals`` lists ``[sums, vector]``,
-    with ``sums[k - 1]`` the walk sum of each order k met so far and
-    ``vector`` the walk vector of the last of them; both are stepped as far
-    as order ``_walk_order(r)``, one matrix-vector step over the edges per
-    order.  The unsigned sums depend on the underlying graph alone, so every
-    signing of it can read one ``unsigned`` list: where it is ahead a step
-    takes the signed vector alone, and else one pass steps both and appends
-    to it.  That step raises OverflowError at the first order whose unsigned
-    sum leaves the 64-bit range, which every signing that reaches it meets
-    again.  From r = 2 on that sum never decreases: every vertex a walk
-    reaches has a neighbour, so each walk extends by one more step.  So an
-    entry of some |A|^k (k <= r - 1) above 2^63 - 1 forces the sum at order r
-    above it too, and the one rule "raise when e^T |A|^(r-1) e exceeds
-    2^63 - 1" is the same as checking every entry of every power; the
-    signed sum is at most the unsigned one in magnitude.
+    ``walks`` is a ``_walk_totals`` state, stepped as far as order
+    ``_walk_order(r)`` by one pass over the edges per order, which steps
+    both vectors.  That step raises OverflowError, and keeps the state, at
+    the first order whose unsigned sum leaves the 64-bit range.  From r = 2
+    on that sum never decreases: every vertex a walk reaches has a
+    neighbour, so each walk extends by one more step.  So an entry of some
+    |A|^k (k <= r - 1) above 2^63 - 1 forces the sum at order r above it
+    too, and the one rule "raise when e^T |A|^(r-1) e exceeds 2^63 - 1" is
+    the same as checking every entry of every power; the signed sum is at
+    most the unsigned one in magnitude.
     """
     if r < 1:
         raise InvalidParamsError(f"walk order r must be >= 1, got {r}")
     k = _walk_order(r)
-    sums, signed_sums = unsigned[0], signed[0]
-    while len(signed_sums) < k:
-        x, nx = signed[1], [0] * g.n
-        if len(signed_sums) < len(sums):
-            for u, v, s in g.edges:
-                nx[u] += s * x[v]
-                nx[v] += s * x[u]
-        else:
-            y, ny = unsigned[1], [0] * g.n
-            for u, v, s in g.edges:
-                ny[u] += y[v]
-                ny[v] += y[u]
-                nx[u] += s * x[v]
-                nx[v] += s * x[u]
-            w_total = sum(ny)
-            if w_total > _INT64_MAX:
-                raise OverflowError("walk counts exceed the 64-bit integer range")
-            sums.append(w_total)
-            unsigned[1] = ny
-        signed_sums.append(sum(nx))
-        signed[1] = nx
-    return sums[k - 1], signed_sums[k - 1]
+    sums = walks[0]
+    while len(sums) < k:
+        y, x = walks[1], walks[2]
+        ny, nx = [0] * g.n, [0] * g.n
+        for u, v, s in g.edges:
+            ny[u] += y[v]
+            ny[v] += y[u]
+            nx[u] += s * x[v]
+            nx[v] += s * x[u]
+        w_total = sum(ny)
+        if w_total > _INT64_MAX:
+            raise OverflowError("walk counts exceed the 64-bit integer range")
+        sums.append((w_total, sum(nx)))
+        walks[1], walks[2] = ny, nx
+    return sums[k - 1]
 
 
 def walk_census(g: SignedGraph, r: int) -> WalkCensus:
@@ -578,7 +555,7 @@ def walk_census(g: SignedGraph, r: int) -> WalkCensus:
     Takes at most 124 matrix-vector steps for any r (``_walk_order``).
     """
     r = _int_param("walk_census", "r", r)
-    w_total, w_signed = _walk_sums(g, r, _walk_totals(g.n), _walk_totals(g.n))
+    w_total, w_signed = _walk_sums(g, r, _walk_totals(g.n))
     return WalkCensus(r, w_total, w_signed, (w_total + w_signed) // 2, (w_total - w_signed) // 2)
 
 

@@ -89,9 +89,7 @@ def propagation_labels(
 
     The BFS stops at the conflict and labels the vertices it has not
     reached +1, unless ``full``: then it labels the whole spanning forest,
-    which depends on the underlying graph alone.  Switching by those labels
-    gives every signing of one switching class the same signed graph, the
-    class's canonical signing.
+    which depends on the underlying graph alone (``_canonical_signing``).
 
     It iterates the graph's cached ``(neighbour, sign)`` pairs
     (``SignedGraph._signed_adjacency``) directly, with no method call or
@@ -118,6 +116,31 @@ def propagation_labels(
                     if not full:
                         return tuple(label or 1 for label in labels), conflict, parent
     return tuple(labels), conflict, parent
+
+
+def _canonical_signing(
+    g: SignedGraph, forest: dict[int, int] | None = None
+) -> tuple[Sequence[int], frozenset[tuple[int, int]], dict[int, int]]:
+    """``(labels, key, forest)`` of the signing of g's switching class that
+    is positive on a spanning forest of its underlying graph.
+
+    ``forest`` maps each non-root vertex to its parent, parents first; by
+    default it is the BFS forest of ``propagation_labels(g, full=True)``,
+    the same for every signing of one underlying graph.  ``labels`` switch
+    every forest edge positive, with each root +1, and ``key`` is the set
+    of edges (u, v) left negative.  On one forest, two signings of an
+    underlying graph have equal keys exactly when they are switching
+    equivalent.  A given forest is labelled in one pass, with no BFS.
+    """
+    if forest is None:
+        labels, _, forest = propagation_labels(g, full=True)
+    else:
+        labels = [1] * g.n
+        edges = g.edges
+        for v, p in forest.items():
+            labels[v] = -labels[p] if ((p, v, -1) if p < v else (v, p, -1)) in edges else labels[p]
+    key = frozenset((u, v) for u, v, s in g.edges if labels[u] * s * labels[v] < 0)
+    return labels, key, forest
 
 
 def _fundamental_cycle(u: int, v: int, parent: dict[int, int]) -> tuple[int, ...]:
@@ -164,14 +187,10 @@ def cycle_sign(g: SignedGraph, cycle: Sequence[int]) -> int:
 
 
 def is_switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
-    """Whether some switching of ``g1`` equals ``g2``.
-
-    Requires the same underlying graph.  Decided by balance of the
-    sign-quotient graph tau(e) = sigma1(e) * sigma2(e), in linear time.
-    """
+    """Whether some switching of ``g1`` equals ``g2``; raises
+    UnderlyingMismatchError unless they share their underlying graph.
+    Linear time."""
     if g1.n != g2.n or g1.underlying_pairs != g2.underlying_pairs:
         raise UnderlyingMismatchError("graphs do not share the same underlying graph")
-    quotient = SignedGraph._unchecked(
-        g1.n, frozenset((u, v, s * g2.sign(u, v)) for u, v, s in g1.edges)
-    )
-    return is_balanced(quotient).balanced
+    _, key, forest = _canonical_signing(g1)
+    return _canonical_signing(g2, forest)[1] == key

@@ -19,7 +19,8 @@ from the all-positive signing's own matrix, the signed G(n, p) draw
 built through ``from_edges``, and the exact kernels before bitmasks and
 pruning: the balanced-clique search, the triangle census and the BFS sign
 propagation on sign and neighbour dicts, and the switching-class kernel
-scanning every switching.
+scanning every switching; and switching equivalence by the balance of the
+quotient signing instead of canonical signings.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from signed_spectra import (
     SearchConfig,
     SearchFinding,
     SignedGraph,
+    UnderlyingMismatchError,
     adjacency_matrix,
     eigen_decomposition,
     evaluate_bound,
-    is_switching_equivalent,
     triangle_census,
 )
 from signed_spectra import invariants
@@ -70,6 +71,14 @@ def balanced_by_dsu(n: int, signed_edges) -> bool:
             parent[ru] = rv
             parity[ru] = su * s * sv
     return True
+
+
+def switching_equivalent_by_quotient(g1: SignedGraph, g2: SignedGraph) -> bool:
+    """``is_switching_equivalent`` by the balance of the quotient signing
+    sigma1(e) * sigma2(e) of the shared underlying graph, by union-find."""
+    if g1.n != g2.n or g1.underlying_pairs != g2.underlying_pairs:
+        raise UnderlyingMismatchError("graphs do not share the same underlying graph")
+    return balanced_by_dsu(g1.n, [(u, v, s * g2.sign(u, v)) for u, v, s in g1.sorted_edges()])
 
 
 def deletion_frustration(g: SignedGraph) -> int:
@@ -374,7 +383,7 @@ def search_by_linear_scan(cfg: SearchConfig) -> list[SearchFinding]:
         if any(
             other.n == g.n
             and other.underlying_pairs == g.underlying_pairs
-            and is_switching_equivalent(other, g)
+            and switching_equivalent_by_quotient(other, g)
             for other, _ in kept
         ):
             continue
@@ -497,12 +506,10 @@ def propagation_labels_by_dicts(g: SignedGraph, full: bool = False):
 
 
 def max_switching_form_full_scan(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ...]]:
-    """``invariants._max_switching_form`` scanning every left row: the
-    blocked split, dtype tiers and tile order of the kernel, with no row
-    bound and no incumbent; up to ``_PRODUCT_MAX_N`` the kernel itself."""
+    """``invariants._max_switching_form`` past ``_PRODUCT_MAX_N``, scanning
+    every left row: the blocked split, dtype tiers and tile order of the
+    kernel, with no row bound and no incumbent."""
     n = mat.shape[0]
-    if n <= invariants._PRODUCT_MAX_N:
-        return invariants._max_switching_form(mat, bound)
     a = (n + 1) // 2
     h = n - a
     dtype = np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64

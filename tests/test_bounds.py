@@ -46,10 +46,10 @@ from signed_spectra import (
     signed_cycle,
     walk_census,
 )
-from signed_spectra import bounds, graph, invariants, spectral
+from signed_spectra import bounds, graph, invariants, spectral, switching
 from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
 from signed_spectra.cli import run_cli
-from signed_spectra.switching import propagation_labels
+from signed_spectra.switching import _canonical_signing, propagation_labels
 
 from .conftest import all_signings, connected_underlying_graphs, random_graphs, signed_graphs
 from .oracles import ms_restarts, unsigned_lambda_n_by_all_positive
@@ -231,15 +231,19 @@ class TestEvaluateAll:
             assert by_key[key].verdict == "skipped"
             assert "64-bit" in by_key[key].note
         assert by_key[("B10", 2)].verdict == "holds"
+        # past eps_r's guard B10 skips on the guard before it steps any walk
+        b10 = evaluate_all(all_negative_complete(21), rs=(60,))[10]
+        assert (b10.bound_id, b10.verdict) == ("B10", "skipped")
+        assert b10.note.startswith("skipped: r_frustration_index: n=21 exceeds"), b10.note
 
     def test_one_walk_chain_matches_walk_census(self):
-        # every order steps the context's one list of sums, in any order of reads
+        # every order steps the context's one walk state, in any order of reads
         for g in random_graphs(40, max_n=12, seed=17, p=(0.25, 0.5, 0.9), q=(0.2, 0.5)):
             ctx = bounds._Ctx(g)
             for r in (3, 1, 4, 2, 8, 5, 7, 6):
                 census = walk_census(g, r)
                 assert ctx.walks(r) == (census.w_total, census.w_signed), (g.to_sg(), r)
-            assert len(ctx._signed_walks[0]) == 8
+            assert len(ctx._walks[0]) == 8
         # |A|^15 of K14 fits in 64 bits and |A|^16 does not: the overflow
         # raises at the same order as walk_census, and orders below it stay
         g = all_negative_complete(14)
@@ -587,7 +591,7 @@ class TestSwitchingClassMemo:
 
     def test_rows_are_kept_per_guard_override(self, monkeypatch):
         # rows filled under one SIGNED_SPECTRA_MAX_N value are never read
-        # under another, and those of each value stay
+        # under another: the class keeps the rows of the last limits met
         g = erdos_renyi_signed(n=7, p=0.6, q_neg=0.5, seed=3)
         switched = apply_switching(g, [(-1) ** v for v in range(g.n)])
         calls = []
@@ -604,11 +608,17 @@ class TestSwitchingClassMemo:
         skipped = {ev.bound_id for ev in guarded if ev.verdict == "skipped"}
         assert skipped == {"B1", "B2", "B3", "B5", "B6", "B7", "B10", "B13"}
         assert all(ev.verdict != "skipped" for ev in plain + again)
-        # the rows filled without the override are read, not recomputed
+        # the override's rows replaced those filled without it, so the
+        # switched graph's rows are its own; the next call reads them back
+        assert calls == [1]
+        for ev in again:
+            if ev.bound_id != "B11":  # B11 reads the class's rho, filled from g
+                assert _bits(ev) == _bits(evaluate_bound(switched, ev.bound_id, ev.params)), ev.bound_id
+        calls.clear()
+        assert [_bits(ev) for ev in evaluate_all(g) if ev.bound_id != "B11"] == [
+            _bits(ev) for ev in again if ev.bound_id != "B11"
+        ]
         assert calls == []
-        for ev, mine in zip(again, plain):
-            if ev.bound_id not in ("B11", "B13"):
-                assert _bits(ev) == _bits(mine), ev.bound_id
 
     def test_rows_share_no_params(self, c5):
         # each result owns its rows' params: mutating one touches no other
@@ -631,16 +641,16 @@ class TestSwitchingClassMemo:
         # evaluate_bound keeps every value in its own context; evaluate_all
         # and invariants key the class on their first read of it
         bfs = []
-        labels = bounds.propagation_labels
+        labels = switching.propagation_labels
 
         def counted(g, **kw):
             bfs.append(g)
             return labels(g, **kw)
 
-        monkeypatch.setattr(bounds, "propagation_labels", counted)
         g = erdos_renyi_signed(n=7, p=0.5, q_neg=0.5, seed=7)
         switched = apply_switching(g, [(-1) ** v for v in range(g.n)])
-        key = bounds._class_key(g, labels(g, full=True)[0])
+        key = _canonical_signing(g)[1]
+        monkeypatch.setattr(switching, "propagation_labels", counted)
         _underlying.cache_clear()
         for bound_id in ("B2", "B3", "B5", "B10"):
             evaluate_bound(g, bound_id, {"r": 3})
@@ -698,6 +708,27 @@ class TestSwitchingClassMemo:
         assert len(_underlying(g.n, g.underlying_pairs).classes) == bounds._MAX_CLASSES == len(signings)
         assert grown <= self.MAX_MEMO_BYTES, grown
 
+    def test_calls_with_other_walk_orders_keep_one_row_list(self, c5):
+        # 4,000 plans, each a new (rs, qr_pairs); the class keeps the rows of
+        # the last one, so the memo stays within 1 MiB however many it meets
+        plans = [
+            ((1 + i % 8, 1 + i // 8 % 8), ((1, 1 + i // 64 % 8), (3, 1 + i // 512)))
+            for i in range(4000)
+        ]
+        evaluate_all(c5, rs=plans[-1][0], qr_pairs=plans[-1][1])  # module caches other than the memo
+        _underlying.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for rs, qr_pairs in plans:
+                evaluate_all(c5, rs=rs, qr_pairs=qr_pairs)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kept = _underlying(c5.n, c5.underlying_pairs).classes
+        assert len(kept) == 1 and next(iter(kept.values())).rows_key[-2:] == plans[-1]
+        assert grown <= 2**20, grown
+
 
 @st.composite
 def underlying_shapes(draw, max_n: int = 7, max_m: int = 5) -> tuple[int, list]:
@@ -719,8 +750,7 @@ def _signings(shape, rnd) -> list[SignedGraph]:
 
 class TestKnownUnderlyingGraph:
     """A signing of an underlying graph the memo holds keys its class on the
-    kept spanning forest, reads the kept unsigned walk sums and copies its
-    class's kept rows."""
+    kept spanning forest and copies its class's kept rows."""
 
     @given(underlying_shapes(), st.randoms(use_true_random=False))
     @example((1, []), random.Random(0))
@@ -729,10 +759,7 @@ class TestKnownUnderlyingGraph:
     def test_the_key_is_the_bfs_key_with_no_bfs(self, shape, rnd):
         graphs = _signings(shape, rnd)
         # each key from a BFS on a copy, so the graphs read build nothing yet
-        keys = [
-            bounds._class_key(g, propagation_labels(g, full=True)[0])
-            for g in (SignedGraph.from_edges(h.n, h.edges) for h in graphs)
-        ]
+        keys = [_canonical_signing(g)[1] for g in (SignedGraph.from_edges(h.n, h.edges) for h in graphs)]
         bfs, built = [], []
         adjacency = SignedGraph._signed_adjacency
 
@@ -742,7 +769,7 @@ class TestKnownUnderlyingGraph:
 
         _underlying.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "propagation_labels", lambda g, **kw: bfs.append(g) or propagation_labels(g, **kw))
+            mp.setattr(switching, "propagation_labels", lambda g, **kw: bfs.append(g) or propagation_labels(g, **kw))
             replacement = functools.cached_property(counted)
             replacement.__set_name__(SignedGraph, "_signed_adjacency")
             mp.setattr(SignedGraph, "_signed_adjacency", replacement)
@@ -773,13 +800,13 @@ class TestKnownUnderlyingGraph:
         return census.w_total, census.w_signed
 
     def _check_walks(self, first, second, r0, orders):
-        """``_Ctx.walks`` of ``second`` against ``walk_census``, after a
-        context of ``first`` read order ``r0`` and kept the unsigned sums."""
+        """``_Ctx.walks`` of ``second`` against ``walk_census`` at every
+        order, after a context of ``first`` read order ``r0``."""
         for shared in (True, False):
             _underlying.cache_clear()
             one = bounds._Ctx(first, shared=shared)
             self._census_or_overflow(one.walks, r0)
-            # a shared context reads the sums ``one`` kept; another keeps its own
+            # a shared context shares ``one``'s record; another keeps its own
             two = bounds._Ctx(second, shared=shared)
             assert (two._underlying_values is one._underlying_values) == shared
             for r in orders:
@@ -966,18 +993,28 @@ class TestGuardLimits:
 
     def test_guards_are_checked_before_the_class_key(self, monkeypatch):
         # the class key's BFS is O(n), so a read past its guard must not reach it
-        monkeypatch.setattr(bounds, "propagation_labels", lambda *a, **k: pytest.fail("class key"))
+        monkeypatch.setattr(bounds, "_canonical_signing", lambda *a, **k: pytest.fail("class key"))
         ctx = bounds._Ctx(SignedGraph.from_edges(41, [(0, 1, -1)]), shared=True)
         for read in (lambda: ctx.eps, lambda: ctx.eps_b, lambda: ctx.clique, lambda: ctx.eps_r(3)):
             with pytest.raises(TooLargeError):
                 read()
 
+    def test_a_bad_walk_order_is_invalid_at_any_n(self):
+        # eps_r checks r >= 1 before its guard, as r_frustration_index does
+        for n in (5, 30):
+            g = erdos_renyi_signed(n=n, p=0.5, q_neg=0.5, seed=n)
+            for read in (lambda: bounds._Ctx(g).eps_r(0), lambda: r_frustration_index(g, 0)):
+                with pytest.raises(InvalidParamsError):
+                    read()
+
     def test_no_class_key_or_adjacency_past_the_dense_guard(self, monkeypatch):
         # past MATRIX_MAX_N no eigenvalue row can be computed, so evaluate_all
-        # keys no class (an O(n) BFS) and finds B14's 2-path from the edges,
-        # building no O(n) adjacency tuples
+        # keys no class (an O(n) BFS), builds no O(n) adjacency tuples, and
+        # checks each row's guard before its O(n) triangle census or walks
         g = SignedGraph.from_edges(10**6, [(0, 1, -1)])
-        monkeypatch.setattr(bounds, "propagation_labels", lambda *a, **k: pytest.fail("class key"))
+        monkeypatch.setattr(bounds, "_canonical_signing", lambda *a, **k: pytest.fail("class key"))
+        monkeypatch.setattr(bounds, "triangle_census", lambda *a, **k: pytest.fail("triangle census"))
+        monkeypatch.setattr(bounds, "_walk_sums", lambda *a, **k: pytest.fail("walk sums"))
         adjacency = property(lambda g: pytest.fail("adjacency tuples"))
         monkeypatch.setattr(SignedGraph, "_signed_adjacency", adjacency)
         assert not bounds._Ctx(g, shared=True)._shared

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from itertools import combinations
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signed_spectra import (
@@ -24,7 +26,7 @@ from signed_spectra.invariants import balanced_clique_number, frustration_index_
 from signed_spectra.switching import propagation_labels
 
 from .conftest import exact_kernel_corpus, signed_graphs
-from .oracles import balanced_by_dsu, propagation_labels_by_dicts
+from .oracles import balanced_by_dsu, propagation_labels_by_dicts, switching_equivalent_by_quotient
 
 
 def random_switching(n: int, seed: int) -> Switching:
@@ -147,7 +149,38 @@ class TestCycleSign:
             cycle_sign(g, (0, 1))
 
 
+@st.composite
+def signing_pairs(draw, max_n: int = 9) -> tuple[SignedGraph, SignedGraph, SignedGraph]:
+    """A signing g, a random switching of it and an independent signing of
+    its underlying graph, which may have isolated vertices and several
+    components."""
+    n = draw(st.integers(1, max_n))
+    candidates = list(combinations(range(n), 2))
+    pairs = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+
+    def signing() -> SignedGraph:
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(pairs), max_size=len(pairs)))
+        return SignedGraph.from_edges(n, [(u, v, s) for (u, v), s in zip(pairs, signs)])
+
+    g, other = signing(), signing()
+    eta = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return g, apply_switching(g, eta), other
+
+
 class TestSwitchingEquivalence:
+    @given(signing_pairs())
+    @example((
+        SignedGraph.from_edges(8, [(0, 1, -1), (1, 2, 1), (0, 2, 1), (4, 5, -1), (5, 6, -1), (4, 6, -1)]),
+        SignedGraph.from_edges(8, [(0, 1, 1), (1, 2, -1), (0, 2, 1), (4, 5, 1), (5, 6, 1), (4, 6, -1)]),
+        SignedGraph.from_edges(8, [(0, 1, -1), (1, 2, 1), (0, 2, 1), (4, 5, 1), (5, 6, -1), (4, 6, -1)]),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_quotient_balance_oracle(self, graphs):
+        g, switched, other = graphs
+        for a, b in ((g, switched), (switched, g), (g, other), (other, switched)):
+            assert is_switching_equivalent(a, b) == switching_equivalent_by_quotient(a, b), (a.to_sg(), b.to_sg())
+        assert is_switching_equivalent(g, switched)
+
     @given(signed_graphs(min_n=1, max_n=8), st.integers(0, 2**16))
     @settings(max_examples=80, deadline=None)
     def test_switched_graph_is_equivalent(self, g, seed):
