@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -43,6 +42,7 @@ from .graph import MATRIX_MAX_N, SignedGraph, _check_dense, _signed_matrix, all_
 from .invariants import (
     TriangleCensus,
     _check_guard,
+    _clique_labels,
     _frustration,
     _frustration_uppers,
     _guard_limits,
@@ -53,7 +53,7 @@ from .invariants import (
     greedy_balanced_clique,
     triangle_census,
 )
-from .spectral import _clique_value, _eigenvalues
+from .spectral import _clique_value, _eigenvalues, _ms_closed_form
 from .switching import _canonical_signing
 
 HOLDS = "holds"
@@ -225,11 +225,8 @@ class _Ctx:
     @_memo
     def clique(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         _check_guard(self.g.n, "balanced_clique_number", self.limits)
-        # the class keeps the members, the same for every signing; the labels
-        # follow from the signs, sign(u, v) = label(u) label(v) on the clique
         size, members = _kept(self._class, "clique", lambda: _max_balanced_clique(self.g, force=True)[:2])
-        positive = self.g._masks[0][members[0]]
-        return size, members, (1, *(1 if positive >> v & 1 else -1 for v in members[1:]))
+        return size, members, _clique_labels(self.g, members)
 
     @property
     def omega_b(self) -> int:
@@ -398,7 +395,7 @@ def _eval_b12(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     clique = ctx.clique
-    exact = Fraction(clique[0] - 1, 2 * clique[0])  # ms_index closed form
+    exact = _ms_closed_form(clique[0])
     # Local maxima of the Motzkin-Straus program sit on maximal cliques, so
     # no search over the sphere beats the witness but by roundoff
     witness_value = _clique_value(ctx.g, clique)

@@ -117,7 +117,10 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     GEMM block of at most ``_BLOCK_ENTRIES`` values at a time.  Up to the
     cap the whole product is one block, and T lists the switchings in that
     block's row-major order, so both paths return the same certificate on
-    ties.  Every partial sum is an integer of magnitude at most
+    ties.  Past ``_PRODUCT_MAX_N`` the certificate is the first maximiser of
+    the tiled scan, whose tiles follow ``_BLOCK_ENTRIES``: on ties it is
+    some maximiser with x_0 = +1 and moves with that constant (it does on
+    -K_20).  Every partial sum is an integer of magnitude at most
     sum |M_ij|, and a float with a p-bit significand holds every integer up
     to 2^p, so the tables and products are exact in any summation order:
     they run in float32 while ``bound`` is below 2^24, in float64 while it
@@ -349,60 +352,61 @@ def edge_bipartiteness(g: SignedGraph, *, force: bool = False) -> int:
 def _max_balanced_clique(g: SignedGraph, *, force: bool = False) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Branch-and-bound maximum balanced clique.
 
-    Returns (size, members, labels); labels are vertex signs with
-    sign(u, v) = label(u) * label(v) on every clique edge, normalizing the
-    lowest member to +1.  A clique admitting such labels is exactly a
-    balanced complete subgraph.
+    Returns (size, members, labels), members ascending.  The labels are
+    vertex signs with sign(u, v) = label(u) * label(v) on every clique edge:
+    +1 on the lowest member and, on every other member, its sign to the
+    lowest (``_clique_labels``).  A clique admitting such labels is exactly
+    a balanced complete subgraph.
 
     The candidates that may join the current clique are two bitmasks over
     ``SignedGraph._masks``, one per label they would take.  Each step takes
     the lowest candidate v, prunes when the clique plus every candidate left
     cannot beat the best, and passes on the later candidates whose edge to v
-    has the sign their labels ask for.
+    has the sign their labels ask for.  The search is one loop over a list
+    of members and a list of the masks saved at each descent, with no
+    recursion, so it has no depth limit.
     """
     _check_guard(g.n, "balanced_clique_number", force=force)
     if g.n == 0:
         raise InvalidParamsError("balanced clique number needs at least one vertex")
     pos, neg = g._masks
-    best_size = 1
-    best_members: tuple[int, ...] = (0,)
-    best_labels: tuple[int, ...] = (1,)
-    members: list[int] = []
-    labels: list[int] = []
-
-    def extend(cp: int, cn: int) -> None:
-        """Grow ``members`` by the candidates cp (label +1) and cn (-1)."""
-        nonlocal best_size, best_members, best_labels
-        size = len(members)
-        if size > best_size:
-            best_size = size
-            best_members = tuple(members)
-            best_labels = tuple(labels)
-        while cp | cn:
-            cand = cp | cn
-            if size + cand.bit_count() <= best_size:
-                return
+    best: tuple[int, ...] = (0,)
+    members = [0]
+    saved: list[tuple[int, int]] = []  # each open level's candidates, less the member it added
+    cp, cn = pos[0], neg[0]  # candidates with label +1 and -1
+    while True:
+        cand = cp | cn
+        if cand and len(members) + cand.bit_count() > len(best):
             low = cand & -cand
             v = low.bit_length() - 1
-            members.append(v)
             if cp & low:
                 cp ^= low
-                labels.append(1)
-                extend(cp & pos[v], cn & neg[v])
+                saved.append((cp, cn))
+                cp, cn = cp & pos[v], cn & neg[v]
             else:
                 cn ^= low
-                labels.append(-1)
-                extend(cp & neg[v], cn & pos[v])
+                saved.append((cp, cn))
+                cp, cn = cp & neg[v], cn & pos[v]
+            members.append(v)
+            if len(members) > len(best):
+                best = tuple(members)
+        elif saved:
+            cp, cn = saved.pop()
             members.pop()
-            labels.pop()
+        elif g.n - members[0] - 1 > len(best):  # a later lowest member may beat the best
+            v = members[0] + 1
+            members[0] = v
+            above = -2 << v
+            cp, cn = pos[v] & above, neg[v] & above
+        else:
+            return len(best), best, _clique_labels(g, best)
 
-    for v in range(g.n):
-        if g.n - v <= best_size:
-            break
-        above = -1 << (v + 1)  # the vertices past v
-        members[:], labels[:] = [v], [1]
-        extend(pos[v] & above, neg[v] & above)
-    return best_size, best_members, best_labels
+
+def _clique_labels(g: SignedGraph, members: Sequence[int]) -> tuple[int, ...]:
+    """The labels of a balanced clique: +1 on its first member and, on every
+    other member, its sign to the first."""
+    positive = g._masks[0][members[0]]
+    return (1, *(1 if positive >> v & 1 else -1 for v in members[1:]))
 
 
 def balanced_clique_number(g: SignedGraph, *, force: bool = False) -> int:

@@ -155,7 +155,11 @@ def ms_index(g: SignedGraph) -> Fraction:
 
     Exact rational (omega_b - 1) / (2 * omega_b).
     """
-    omega = _max_balanced_clique(g)[0]
+    return _ms_closed_form(_max_balanced_clique(g)[0])
+
+
+def _ms_closed_form(omega: int) -> Fraction:
+    """(omega - 1) / (2 omega), the MS-index of a balanced clique number."""
     return Fraction(omega - 1, 2 * omega)
 
 

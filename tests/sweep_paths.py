@@ -15,10 +15,12 @@ A call takes one of three paths, read from the memo after the call:
 
 The script prints the count of each path per pass and the median
 microseconds of its calls over every pass but the first, which pays the
-process's cold costs.  It runs with one BLAS thread unless
-``OPENBLAS_NUM_THREADS`` is set.  Pytest does not collect it, as its name
-does not match ``test_*.py``; ``test_sweep_paths.py`` runs it on two passes
-and checks each path's count.
+process's cold costs.  Next to that median it prints the quartiles of the
+per-pass medians over the same passes, the spread that a change to a path
+must clear before two runs can tell it apart.  It runs with one BLAS
+thread unless ``OPENBLAS_NUM_THREADS`` is set.  Pytest does not collect
+it, as its name does not match ``test_*.py``; ``test_sweep_paths.py``
+runs it on two passes and checks each path's count.
 """
 
 from __future__ import annotations
@@ -64,25 +66,37 @@ def run_pass(graphs: list[SignedGraph]) -> list[tuple[str, float]]:
     return out
 
 
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    """The first and third quartiles of values, inclusive of their range."""
+    if len(values) < 2:
+        return (values[0],) * 2 if values else (float("nan"),) * 2
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--passes", type=int, default=20)
     args = parser.parse_args(argv)
     inputs = sweep_inputs(args.seed)
-    times: dict[str, list[float]] = {path: [] for path in PATHS}
+    times: dict[str, list[list[float]]] = {path: [] for path in PATHS}  # per pass
     calls: list[tuple[str, float]] = []
     for i in range(args.passes):
         calls = run_pass([SignedGraph.from_edges(n, edges) for n, edges in inputs])
         if i:
-            for path, elapsed in calls:
-                times[path].append(elapsed)
+            for path in PATHS:
+                times[path].append([elapsed for taken, elapsed in calls if taken == path])
     paths = [path for path, _ in calls]
     print(f"seed {args.seed}, {len(inputs)} graphs a pass, {args.passes} passes, "
           f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
     for path in PATHS:
-        median = statistics.median(times[path]) * 1e6 if times[path] else float("nan")
-        print(f"  {path:15} {paths.count(path):4d} a pass   median {median:8.1f} us")
+        every = [elapsed * 1e6 for one_pass in times[path] for elapsed in one_pass]
+        medians = [statistics.median(one_pass) * 1e6 for one_pass in times[path] if one_pass]
+        median = statistics.median(every) if every else float("nan")
+        q1, q3 = _quartiles(medians)
+        print(f"  {path:15} {paths.count(path):4d} a pass   median {median:8.1f} us"
+              f"   pass medians q1 {q1:8.1f} q3 {q3:8.1f} us")
     return 0
 
 

@@ -886,6 +886,63 @@ class TestKnownUnderlyingGraph:
             moved += sum(map(tuple.__ne__, map(_bits, evaluate_all(h)), cold))
         assert moved > 0
 
+
+def _complete_multipartite(*parts: int) -> SignedGraph:
+    """The all-positive complete multipartite graph with parts of these sizes."""
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    pairs = combinations(range(len(part)), 2)
+    return SignedGraph.from_edges(len(part), [(u, v, 1) for u, v in pairs if part[u] != part[v]])
+
+
+_TURAN_ROWS = ("B1", "B2", "B5", "B10", "B11", "B13")
+
+#: the parts of each all-positive family, and its rows that hold with
+#: equality: a bound id (every one of its rows) or a bound id and params
+EQUALITY_FAMILIES = {
+    "K_6": ((1,) * 6, ("B1", "B2", "B5", "B6", "B7", "B10", "B11", "B13")),
+    "K_{3,3}": ((3, 3), ("B1", "B2", "B3", "B4", "B5", "B8", "B9", "B10", "B11", "B12", "B13", "B14")),
+    "K_{2,4}": ((2, 4), ("B2", "B3", "B8", "B9", ("B10", {"r": 2}), ("B11", {"q": 1, "r": 2}), "B12", "B13", "B14")),
+    "T(6, 3)": ((2, 2, 2), _TURAN_ROWS),
+    "T(8, 4)": ((2, 2, 2, 2), _TURAN_ROWS),
+}
+
+
+def _check_tight(g: SignedGraph, specs, skip: tuple[str, ...] = ()) -> None:
+    """Each row that ``specs`` names, but those of the bounds in ``skip``,
+    holds with |slack| within its tolerance, on rows that ``g`` computes
+    itself, not rows kept for another signing."""
+    _underlying.cache_clear()
+    evals = evaluate_all(g)
+    for spec in specs:
+        bound_id, params = spec if isinstance(spec, tuple) else (spec, {})
+        if bound_id in skip:
+            continue
+        rows = [ev for ev in evals if ev.bound_id == bound_id and params.items() <= ev.params.items()]
+        assert rows, spec
+        for ev in rows:
+            assert ev.verdict == "holds" and abs(ev.slack) <= ev.tolerance, (g.to_sg(), ev)
+
+
+class TestEqualityFamilies:
+    """A right side that is too loose passes criterion 03 and the golden
+    rows; on a family where its bound is tight it leaves the tolerance."""
+
+    @pytest.mark.parametrize("family", EQUALITY_FAMILIES)
+    def test_rows_hold_with_equality(self, family):
+        parts, specs = EQUALITY_FAMILIES[family]
+        _check_tight(_complete_multipartite(*parts), specs)
+
+    @pytest.mark.parametrize("family", EQUALITY_FAMILIES)
+    def test_switchings_keep_every_row_but_b11_tight(self, family):
+        # B11's walk counts are those of the signing, not of the class
+        parts, specs = EQUALITY_FAMILIES[family]
+        g = _complete_multipartite(*parts)
+        rng = random.Random(family)
+        for _ in range(5):
+            h = apply_switching(g, [rng.choice((1, -1)) for _ in range(g.n)])
+            _check_tight(h, specs, skip=("B11",))
+
+
 def _check_b13_witness(g: SignedGraph) -> None:
     """B13 of ``evaluate_all`` reads the exact witness value, and seeded
     restarts on the l1 sphere stay at or below it but for roundoff."""

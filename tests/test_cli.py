@@ -23,6 +23,7 @@ from signed_spectra import (
     BoundEvaluation,
     SignedGraph,
     all_negative,
+    all_negative_complete,
     erdos_renyi_signed,
     paper_c5,
     parse_signed_graph,
@@ -344,6 +345,17 @@ class TestBounds:
         assert (done.returncode, done.stderr) == (0, "")
         rows = done.stdout.splitlines()[1:]
         assert len(rows) == 19 and all(row.split()[1] == "skipped" for row in rows), done.stdout
+
+    def test_a_lifted_guard_takes_a_clique_of_a_thousand(self, tmp_path, capsys, monkeypatch):
+        # the balanced clique of the all-positive K_1000 is deeper than the
+        # interpreter's recursion limit; the search holds no recursion, so
+        # the report is printed and the exit is 0
+        monkeypatch.setenv("SIGNED_SPECTRA_MAX_N", "1000")
+        path = write_graph(tmp_path / "k1000.sg", all_negative_complete(1000).with_all_signs(1))
+        assert run_cli(["bounds", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "B13      holds                        0.4995         0.4995" in captured.out
 
     def test_python_dash_m_runs_the_cli(self, c5_file, capsys):
         expected = (run_cli(["bounds", c5_file, "--json"]), capsys.readouterr().out)

@@ -265,6 +265,21 @@ class TestPrunedKernel:
             for name, m, bound in pruning_forms(20):
                 assert invariants._max_switching_form(m, bound) == max_switching_form_full_scan(m, bound), (name, entries)
 
+    def test_tie_certificates_attain_the_value_at_every_block_size(self, monkeypatch):
+        # the certificate is the first maximiser of the tiled scan, so on
+        # ties it moves with the block size (it does on -K_20): check that
+        # each one attains the value, which stays the same
+        graphs = [all_negative_complete(20), *(erdos_renyi_signed(20, 0.5, 0.5, seed=s) for s in range(3))]
+        for g in graphs:
+            m = invariants._signed_matrix(g)
+            values = set()
+            for entries in (2**9, 2**15, 2**20):
+                monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", entries)
+                best, x = invariants._max_switching_form(m, 2 * g.m)
+                assert x[0] == 1 and best == int(np.array(x) @ m @ np.array(x)), (g.to_sg(), entries)
+                values.add(best)
+            assert len(values) == 1, g.to_sg()
+
     def test_incumbent_pass_is_blocked(self):
         # a forced n = 30: one incumbent product over all 2^15 columns would
         # add 32 x 2^15 float32 entries (4 MiB) to the full scan's peak
@@ -521,6 +536,12 @@ class TestBalancedClique:
     def test_guard(self):
         with pytest.raises(TooLargeError):
             balanced_clique_number(SignedGraph(41))
+
+    def test_forced_search_has_no_depth_limit(self):
+        # the search keeps its members in a list, not in stack frames, so a
+        # clique deeper than the interpreter's recursion limit is found
+        k = all_negative_complete(1200).with_all_signs(1)
+        assert balanced_clique_number(k, force=True) == 1200
 
     def test_matches_subset_oracle_on_corpus(self):
         for g in random_graphs(60, max_n=9, seed=43, p=(0.4, 0.7)):

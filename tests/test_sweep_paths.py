@@ -15,7 +15,8 @@ def test_a_sweep_pass_splits_into_the_three_paths(monkeypatch, capsys):
     from tests import sweep_paths
 
     assert sweep_paths.main(["--seed", "0", "--passes", "2"]) == 0
-    lines = re.findall(r"^  (known class|new class|new underlying) +(\d+) a pass +median +([\d.]+) us$",
+    lines = re.findall(r"^  (known class|new class|new underlying) +(\d+) a pass +median +([\d.]+) us"
+                       r" +pass medians q1 +([\d.]+) q3 +([\d.]+) us$",
                        capsys.readouterr().out, re.MULTILINE)
-    assert {path: int(count) for path, count, _ in lines} == {"known class": 220, "new class": 16, "new underlying": 71}
-    assert all(float(median) > 0 for _, _, median in lines)
+    assert {path: int(count) for path, count, *_ in lines} == {"known class": 220, "new class": 16, "new underlying": 71}
+    assert all(float(median) > 0 and 0 < float(q1) <= float(q3) for _, _, median, q1, q3 in lines)
