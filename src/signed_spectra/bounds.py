@@ -53,7 +53,7 @@ from .invariants import (
     greedy_balanced_clique,
     triangle_census,
 )
-from .spectral import _clique_value, _eigenvalues, _ms_closed_form
+from .spectral import _clique_total, _clique_value, _eigenvalues, _ms_closed_form
 from .switching import _canonical_signing
 
 HOLDS = "holds"
@@ -266,8 +266,11 @@ class _Ctx:
         return _walk_totals(self.g.n)
 
     def walks(self, r: int) -> tuple[int, int]:
-        """``walk_census(g, r)``'s (w_total, w_signed); each order steps on
-        from the last one met."""
+        """``walk_census(g, r)``'s (w_total, w_signed); an order already met
+        is read back, and each new one steps on from the last one met."""
+        sums = self._walks[0]
+        if 0 < r <= len(sums):  # below 126, so ``_walk_order(r)`` is r
+            return sums[r - 1]
         return _walk_sums(self.g, r, self._walks)
 
     def eps_r(self, r: int) -> int:
@@ -394,15 +397,15 @@ def _eval_b12(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 
 
 def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
-    clique = ctx.clique
-    exact = _ms_closed_form(clique[0])
-    # Local maxima of the Motzkin-Straus program sit on maximal cliques, so
-    # no search over the sphere beats the witness but by roundoff
-    witness_value = _clique_value(ctx.g, clique)
+    omega = ctx.clique[0]
+    # Local maxima of the Motzkin-Straus program sit on maximal cliques, so no search over
+    # the sphere beats the witness but by roundoff; each int / int side is correctly rounded
+    total = _clique_total(ctx.g, ctx.clique)
     note = ""
-    if witness_value != exact:
-        note = f"witness value {witness_value} does not attain the closed form {exact}"
-    return True, float(witness_value), float(exact), note
+    if 2 * total != (omega - 1) * omega:  # total / omega^2 misses (omega - 1) / (2 omega)
+        witness, exact = _clique_value(ctx.g, ctx.clique), _ms_closed_form(omega)
+        note = f"witness value {witness} does not attain the closed form {exact}"
+    return True, total / (omega * omega), (omega - 1) / (2 * omega), note
 
 
 def _eval_b14(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
@@ -518,17 +521,9 @@ def _evaluate(ctx: _Ctx, info: BoundInfo, params: dict[str, int]) -> BoundEvalua
     return _row(info.bound_id, hyp, lhs, rhs, rhs - lhs, verdict, tolerance, params, note)
 
 
-def _evaluate_or_skip(ctx: _Ctx, bound_id: str, params: dict[str, int]) -> BoundEvaluation:
-    """``_evaluate``, with a guard or a walk overflow turned into a skipped row."""
-    try:
-        return _evaluate(ctx, REGISTRY[bound_id], params)
-    except (TooLargeError, OverflowError) as exc:
-        return _row(bound_id, False, 0.0, 0.0, 0.0, SKIPPED, _REL_TOL, params, f"skipped: {exc}")
-
-
 # B11's signed walk sums are a signing's own; every other row is the same for
 # a whole switching class.  B13's is too: with the labels l_v = sign(m0, v),
-# m0 the clique's lowest member, a pair term of ``_clique_value`` is 1 for a
+# m0 the clique's lowest member, a pair term of ``_clique_total`` is 1 for a
 # pair holding m0 and else the sign of the triangle (m0, u, v), and
 # switching keeps both.
 _PER_SIGNING = frozenset(("B11",))
@@ -570,10 +565,14 @@ def evaluate_all(
     the sequence.  A signing of a switching class whose rows the memo keeps
     for the same walk orders and guard limits gets those rows for every
     entry but B11, and B11 the class's rho, so their floats may differ from
-    ``g``'s own in the last bits, far inside the 1e-8 tolerance.
+    ``g``'s own in the last bits, far inside the 1e-8 tolerance.  B13
+    decides in integers: its witness attains the closed form exactly when
+    its pair sum is (omega_b - 1) omega_b / 2.
     """
-    rs = tuple(_int_param("B10", "r", r) for r in rs)
-    qr_pairs = tuple((_int_param("B11", "q", q), _int_param("B11", "r", r)) for q, r in qr_pairs)
+    if rs is not DEFAULT_B10_RS:  # the defaults are integers already
+        rs = tuple(_int_param("B10", "r", r) for r in rs)
+    if qr_pairs is not DEFAULT_B11_QRS:
+        qr_pairs = tuple((_int_param("B11", "q", q), _int_param("B11", "r", r)) for q, r in qr_pairs)
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
     ctx = _Ctx(g, shared=True)
@@ -587,11 +586,17 @@ def evaluate_all(
     for i, ((bound_id, template), k) in enumerate(zip(plan, rows)):
         params = template.copy()
         if k is not None:  # the kept row with this call's own params, so no two results share them
-            out.append(_row(k.bound_id, k.hypothesis_met, k.lhs, k.rhs, k.slack, k.verdict, k.tolerance, params, k.note))
-            continue
-        row = _evaluate_or_skip(ctx, bound_id, params)
-        if bound_id not in _PER_SIGNING:
-            rows[i] = row
+            row = object.__new__(BoundEvaluation)
+            fields = row.__dict__
+            fields.update(k.__dict__)
+            fields["params"] = params
+        else:
+            try:
+                row = _evaluate(ctx, REGISTRY[bound_id], params)
+            except (TooLargeError, OverflowError) as exc:  # a guard or a walk overflow skips the row
+                row = _row(bound_id, False, 0.0, 0.0, 0.0, SKIPPED, _REL_TOL, params, f"skipped: {exc}")
+            if bound_id not in _PER_SIGNING:
+                rows[i] = row
         out.append(row)
     return out
 

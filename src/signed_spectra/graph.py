@@ -399,11 +399,9 @@ def signed_cycle(n: int, negative_edges: Iterable[int] = ()) -> SignedGraph:
     bad = [i for i in neg if not 0 <= i < n]
     if bad:
         raise InvalidParamsError(f"negative edge indices {bad} outside [0, {n})")
-    edges = []
-    for i in range(n):
-        u, v = i, (i + 1) % n
-        edges.append((u, v, -1 if i in neg else 1))
-    return SignedGraph.from_edges(n, edges)
+    edges = [(i, i + 1, -1 if i in neg else 1) for i in range(n - 1)]
+    edges.append((0, n - 1, -1 if n - 1 in neg else 1))  # the closing edge, canonical
+    return SignedGraph._unchecked(n, frozenset(edges))
 
 
 def all_negative_complete(n: int) -> SignedGraph:
@@ -411,8 +409,7 @@ def all_negative_complete(n: int) -> SignedGraph:
     n = _int_param("all_negative_complete", "n", n)
     if n < 0:
         raise InvalidParamsError(f"vertex count must be nonnegative, got {n}")
-    edges = [(u, v, -1) for u in range(n) for v in range(u + 1, n)]
-    return SignedGraph.from_edges(n, edges)
+    return SignedGraph._unchecked(n, frozenset((u, v, -1) for u in range(n) for v in range(u + 1, n)))
 
 
 def all_negative(g: SignedGraph) -> SignedGraph:

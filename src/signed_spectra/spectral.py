@@ -6,18 +6,11 @@ entries in {-1, 0, 1} up to order 64 the reconstruction error stays below
 1e-8 and the eigenvector orthogonality error below 1e-10 (acceptance
 criterion 08).  A LAPACK failure to converge is raised as
 NoConvergenceError.  ``eigen_decomposition``, ``spectrum_of`` and
-``Spectrum`` serve the ``spectrum`` command and the public API.  The
-registry reads only eigenvalues, through ``_eigenvalues``: ``bounds._Ctx``
-takes a graph's from one ``eigh`` of its int64 matrix, and the
-counterexample search those of a block's samples of one order from one
-``eigh`` call on their stack.  LAPACK decomposes a stack's matrices one by
-one, and ``_eigenvalues`` sorts with ``eigen_decomposition``'s stable
-argsort, so each matrix gets the eigenvalues ``eigen_decomposition`` gives
-it, bit for bit.  Input is checked at the public boundary only:
-``eigen_decomposition``, ``spectrum_of`` and ``SymmetricMatrix`` check
-every matrix, while ``_eigenvalues`` takes only the int64 matrices that
-``graph._signed_matrix`` builds from valid graphs, or their ``np.abs``,
-which cannot fail those checks.
+``Spectrum`` serve the ``spectrum`` command and the public API, and check
+every matrix.  The registry and the counterexample search read only
+eigenvalues, through ``_eigenvalues``, which checks none, as it takes only
+int64 matrices built from valid graphs; it gives each matrix the
+eigenvalues of ``eigen_decomposition``, bit for bit.
 """
 
 from __future__ import annotations
@@ -180,11 +173,15 @@ def ms_witness(g: SignedGraph) -> tuple[np.ndarray, Fraction]:
 def _clique_value(g: SignedGraph, clique: tuple[int, tuple[int, ...], tuple[int, ...]]) -> Fraction:
     """The exact value of ``ms_witness``'s vector for a (size, members,
     labels) balanced clique of ``g``, without building the vector."""
-    omega, members, labels = clique
+    return Fraction(_clique_total(g, clique), clique[0] ** 2)
+
+
+def _clique_total(g: SignedGraph, clique: tuple[int, tuple[int, ...], tuple[int, ...]]) -> int:
+    """The integer sum of A_uw l_u l_w over the clique's pairs u < w."""
+    _, members, labels = clique
     pos, neg = g._masks
-    total = sum(
+    return sum(
         ((pos[u] >> w & 1) - (neg[u] >> w & 1)) * labels[i] * labels[j]  # A_uw
         for i, u in enumerate(members)
         for j, w in enumerate(members[i + 1 :], i + 1)
     )
-    return Fraction(total, omega * omega)

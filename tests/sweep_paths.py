@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 tests/sweep_paths.py [--seed 0] [--passes 20]
+    python3 tests/sweep_paths.py [--seed 0] [--passes 20] [--src DIR]
 
 Each pass clears the switching-class memo and calls ``evaluate_all`` on
 every graph of one bench ``sweep`` pass (``sweep_inputs`` of
@@ -21,6 +21,12 @@ must clear before two runs can tell it apart.  It runs with one BLAS
 thread unless ``OPENBLAS_NUM_THREADS`` is set.  Pytest does not collect
 it, as its name does not match ``test_*.py``; ``test_sweep_paths.py``
 runs it on two passes and checks each path's count.
+
+``--src DIR`` imports the package from DIR, by default this checkout's
+``src/``.  Pointed at the ``src/`` of another checkout (a ``git worktree``
+of the parent commit, say), it times that tree on this checkout's inputs,
+so runs of the two trees taken in turn give per-path medians that
+alternating runs can compare.
 """
 
 from __future__ import annotations
@@ -36,19 +42,30 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path.insert(0, str(ROOT / "bench"))
 
 from worker import sweep_inputs  # noqa: E402
-
-from signed_spectra import SignedGraph  # noqa: E402
-from signed_spectra.bounds import _underlying, evaluate_all  # noqa: E402
 
 PATHS = ("known class", "new class", "new underlying")
 
 
-def run_pass(graphs: list[SignedGraph]) -> list[tuple[str, float]]:
-    """Clear the memo and call ``evaluate_all`` on each graph in order; the
-    path and the seconds of each call."""
+def import_package(src: Path):
+    """``signed_spectra`` imported from the directory ``src``.  A process
+    holds one copy of the package, so one already imported from elsewhere
+    is refused."""
+    sys.path.insert(0, str(src))
+    import signed_spectra.bounds
+
+    found = Path(signed_spectra.__file__).resolve().parent.parent
+    if found != src.resolve():
+        raise SystemExit(f"signed_spectra is already imported from {found}, not from {src}")
+    return signed_spectra
+
+
+def run_pass(bounds, graphs: list) -> list[tuple[str, float]]:
+    """Clear the memo of the module ``bounds`` and call its ``evaluate_all``
+    on each graph in order; the path and the seconds of each call."""
+    _underlying, evaluate_all = bounds._underlying, bounds.evaluate_all
     _underlying.cache_clear()
     out, entry, size = [], None, 0
     clock = time.perf_counter
@@ -78,18 +95,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--passes", type=int, default=20)
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the directory to import the package from")
     args = parser.parse_args(argv)
+    package = import_package(args.src)
     inputs = sweep_inputs(args.seed)
     times: dict[str, list[list[float]]] = {path: [] for path in PATHS}  # per pass
     calls: list[tuple[str, float]] = []
     for i in range(args.passes):
-        calls = run_pass([SignedGraph.from_edges(n, edges) for n, edges in inputs])
+        calls = run_pass(package.bounds, [package.SignedGraph.from_edges(n, edges) for n, edges in inputs])
         if i:
             for path in PATHS:
                 times[path].append([elapsed for taken, elapsed in calls if taken == path])
     paths = [path for path, _ in calls]
     print(f"seed {args.seed}, {len(inputs)} graphs a pass, {args.passes} passes, "
-          f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
+          f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}, src {args.src}")
     for path in PATHS:
         every = [elapsed * 1e6 for one_pass in times[path] for elapsed in one_pass]
         medians = [statistics.median(one_pass) * 1e6 for one_pass in times[path] if one_pass]

@@ -895,15 +895,21 @@ def _complete_multipartite(*parts: int) -> SignedGraph:
 
 
 _TURAN_ROWS = ("B1", "B2", "B5", "B10", "B11", "B13")
+_CLIQUE_ROWS = ("B1", "B2", "B5", "B6", "B7", "B10", "B11", "B13")
+_BIPARTITE_ROWS = ("B1", "B2", "B3", "B4", "B5", "B8", "B9", "B10", "B11", "B12", "B13", "B14")
 
-#: the parts of each all-positive family, and its rows that hold with
-#: equality: a bound id (every one of its rows) or a bound id and params
+#: each all-positive family, and its rows that hold with equality: a bound
+#: id (every one of its rows) or a bound id and params
 EQUALITY_FAMILIES = {
-    "K_6": ((1,) * 6, ("B1", "B2", "B5", "B6", "B7", "B10", "B11", "B13")),
-    "K_{3,3}": ((3, 3), ("B1", "B2", "B3", "B4", "B5", "B8", "B9", "B10", "B11", "B12", "B13", "B14")),
-    "K_{2,4}": ((2, 4), ("B2", "B3", "B8", "B9", ("B10", {"r": 2}), ("B11", {"q": 1, "r": 2}), "B12", "B13", "B14")),
-    "T(6, 3)": ((2, 2, 2), _TURAN_ROWS),
-    "T(8, 4)": ((2, 2, 2, 2), _TURAN_ROWS),
+    **{f"K_{n}": (_complete_multipartite(*(1,) * n), _CLIQUE_ROWS) for n in range(3, 13)},
+    **{f"K_{{{a},{a}}}": (_complete_multipartite(a, a), _BIPARTITE_ROWS) for a in range(2, 7)},
+    "K_{2,4}": (
+        _complete_multipartite(2, 4),
+        ("B2", "B3", "B8", "B9", ("B10", {"r": 2}), ("B11", {"q": 1, "r": 2}), "B12", "B13", "B14"),
+    ),
+    "T(6, 3)": (_complete_multipartite(2, 2, 2), _TURAN_ROWS),
+    "T(8, 4)": (_complete_multipartite(2, 2, 2, 2), _TURAN_ROWS),
+    "C_6": (signed_cycle(6), ("B11",)),  # w_k = 6 * 2^(k-1) and rho = 2
 }
 
 
@@ -929,25 +935,46 @@ class TestEqualityFamilies:
 
     @pytest.mark.parametrize("family", EQUALITY_FAMILIES)
     def test_rows_hold_with_equality(self, family):
-        parts, specs = EQUALITY_FAMILIES[family]
-        _check_tight(_complete_multipartite(*parts), specs)
+        _check_tight(*EQUALITY_FAMILIES[family])
 
     @pytest.mark.parametrize("family", EQUALITY_FAMILIES)
     def test_switchings_keep_every_row_but_b11_tight(self, family):
         # B11's walk counts are those of the signing, not of the class
-        parts, specs = EQUALITY_FAMILIES[family]
-        g = _complete_multipartite(*parts)
+        g, specs = EQUALITY_FAMILIES[family]
         rng = random.Random(family)
         for _ in range(5):
             h = apply_switching(g, [rng.choice((1, -1)) for _ in range(g.n)])
             _check_tight(h, specs, skip=("B11",))
 
+    def test_a_looser_b7_constant_is_caught(self, monkeypatch):
+        # B7 with its constant 1/2 cut to 1/4 still holds everywhere, so
+        # criterion 03 passes it; every family tight on B7 catches it
+        info = bounds.REGISTRY["B7"]
+
+        def mutant(ctx, p):
+            hyp, lhs, rhs, note = info.evaluator(ctx, p)
+            return hyp, lhs, rhs + 0.25, note
+
+        monkeypatch.setitem(bounds.REGISTRY, "B7", dataclasses.replace(info, evaluator=mutant))
+        tight = [g for g, specs in EQUALITY_FAMILIES.values() if "B7" in specs]
+        assert len(tight) == 10
+        try:
+            for g in tight:
+                with pytest.raises(AssertionError):
+                    _check_tight(g, ("B7",))
+                _underlying.cache_clear()
+                assert all(ev.verdict == "holds" for ev in evaluate_all(g) if ev.bound_id == "B7"), g
+        finally:
+            _underlying.cache_clear()  # no record keeps the mutant's rows
+
 
 def _check_b13_witness(g: SignedGraph) -> None:
-    """B13 of ``evaluate_all`` reads the exact witness value, and seeded
-    restarts on the l1 sphere stay at or below it but for roundoff."""
+    """B13 of ``evaluate_all`` reads the exact witness value: its integer
+    sides are the floats of the exact Fractions.  Seeded restarts on the l1
+    sphere stay at or below it but for roundoff."""
     b13 = next(ev for ev in evaluate_all(g) if ev.bound_id == "B13")
-    assert b13.lhs == b13.rhs == float(ms_index(g)), g.to_sg()
+    witness = spectral._clique_value(g, invariants._max_balanced_clique(g))
+    assert b13.lhs == float(witness) == b13.rhs == float(ms_index(g)), g.to_sg()
     assert b13.slack == 0.0 and b13.verdict == "holds", g.to_sg()
     assert ms_restarts(g, iters=2, seed=0) <= b13.rhs + 1e-12, g.to_sg()
 
@@ -986,10 +1013,40 @@ class TestB13Witness:
             for g in _sweep_strata(seed):
                 _check_b13_witness(g)
 
+    def test_seeded_gnp(self):
+        for g in random_graphs(60, max_n=12, seed=30, p=(0.3, 0.6, 0.9), q=(0.0, 0.5, 1.0)):
+            _check_b13_witness(g)
+
     @given(signed_graphs(max_n=9))
     @settings(max_examples=150, deadline=None)
     def test_random_graphs(self, g):
         _check_b13_witness(g)
+
+    @pytest.mark.parametrize("edges, members, lhs, rhs, note", [
+        # labels (1, 1, -1), pair sum 1: 1/9 against 2/6
+        ([(0, 1, 1)], (0, 1, 2), 1 / 9, 1 / 3, "witness value 1/9 does not attain the closed form 1/3"),
+        # labels (1, 1, 1, -1), pair sum 2: 2/16 against 3/8
+        ([(0, 1, 1), (0, 2, 1)], (0, 1, 2, 3), 1 / 8, 3 / 8,
+         "witness value 1/8 does not attain the closed form 3/8"),
+    ])
+    def test_a_witness_that_misses_is_violated(self, monkeypatch, edges, members, lhs, rhs, note):
+        # a search that returned a non-clique: the cold row and the kept-row
+        # copies name its value and the closed form in lowest terms
+        n = len(members)
+        g = SignedGraph.from_edges(n, edges)
+        fake = (n, members, invariants._clique_labels(g, members))
+        monkeypatch.setattr(bounds, "_max_balanced_clique", lambda g, force=False: fake)
+        switched = apply_switching(g, [-1] + [1] * (n - 1))  # g is a forest: one class
+        try:
+            _underlying.cache_clear()
+            rows = [evaluate_bound(g, *TestB13PerClass.B13)]
+            rows += [next(ev for ev in evaluate_all(h) if ev.bound_id == "B13") for h in (g, g, switched)]
+            for row in rows:
+                assert (row.verdict, row.hypothesis_met, row.note) == ("violated", True, note)
+                assert (row.lhs, row.rhs, row.slack) == (lhs, rhs, rhs - lhs)
+            assert all(_bits(row) == _bits(rows[0]) for row in rows)
+        finally:
+            _underlying.cache_clear()  # no record keeps the fake clique
 
 
 class _CountingEnviron(dict):

@@ -437,6 +437,19 @@ class TestGenerators:
         assert all_negative_complete(np.int64(4)) == all_negative_complete(4)
         assert signed_cycle(np.int64(5), negative_edges=(np.int8(1),)) == signed_cycle(5, negative_edges=(1,))
 
+    def test_built_without_checks_equal_the_from_edges_builds(self):
+        # both skip __post_init__'s per-edge checks; the closing edge is (0, n - 1)
+        for n in range(10):
+            complete = [(v, u, -1) for u in range(n) for v in range(u)]
+            assert all_negative_complete(n) == SignedGraph.from_edges(n, complete)
+            if n < 3:
+                with pytest.raises(InvalidParamsError):
+                    signed_cycle(n)
+                continue
+            for neg in ((), (0,), (n - 1,), (1, n - 1), tuple(range(n))):
+                cycle = [(i, (i + 1) % n, -1 if i in neg else 1) for i in range(n)]
+                assert signed_cycle(n, negative_edges=neg) == SignedGraph.from_edges(n, cycle), (n, neg)
+
     def test_signed_cycle_sign_layout(self):
         g = signed_cycle(4, negative_edges=(0, 3))
         assert g.sign(0, 1) == -1 and g.sign(3, 0) == -1
