@@ -7,6 +7,13 @@ B1..B14 carry an enforced hypothesis and are expected to hold on every
 input; B8u is the deliberately unconditional triangle-free inequality,
 kept around because small unbalanced cycles violate it.
 
+A row's verdict is, in this order: the evaluator's own when it decides one
+(B11's ``skipped`` when w_q <= 0, B13's ``violated`` when its witness
+misses the closed form); else ``hypothesis_not_met`` when the hypothesis
+fails; else ``holds`` or ``violated`` by the tolerance rule.  In
+``evaluate_all`` a guard or a walk overflow gives ``skipped``.  No verdict
+reads a note.
+
 Registry:
   B1   lambda_1 <= n (1 - 1/omega_b)
   B2   lambda_1^2 <= 2 (m - eps) (1 - 1/omega_b)
@@ -299,20 +306,20 @@ class _Ctx:
         return float(self.eigenvalues[-1])
 
 
-_Outcome = tuple[bool, float, float, str]  # hypothesis_met, lhs, rhs, note
+_Outcome = tuple[bool, float, float, str, str | None]  # hypothesis_met, lhs, rhs, note, own verdict
 
 
 def _eval_b1(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
-    return True, ctx.lambda1, ctx.g.n * (1.0 - 1.0 / ctx.omega_b), ""
+    return True, ctx.lambda1, ctx.g.n * (1.0 - 1.0 / ctx.omega_b), "", None
 
 
 def _eval_b2(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     rhs = 2.0 * (ctx.g.m - ctx.eps) * (1.0 - 1.0 / ctx.omega_b)
-    return True, ctx.lambda1 ** 2, rhs, ""
+    return True, ctx.lambda1 ** 2, rhs, "", None
 
 
 def _eval_b3(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
-    return True, ctx.unsigned_lambda_n ** 2, float(ctx.g.m - ctx.eps_b), ""
+    return True, ctx.unsigned_lambda_n ** 2, float(ctx.g.m - ctx.eps_b), "", None
 
 
 def _eval_b4(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
@@ -321,24 +328,24 @@ def _eval_b4(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     else:
         k = (ctx.g.n - 1) // 2
         rhs = math.sqrt(k * (k + 1))
-    return True, abs(ctx.unsigned_lambda_n), rhs, ""
+    return True, abs(ctx.unsigned_lambda_n), rhs, "", None
 
 
 def _eval_b5(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     rhs = ctx.eps + (ctx.g.n ** 2 / 2.0) * (1.0 - 1.0 / ctx.omega_b)
-    return True, float(ctx.g.m), rhs, ""
+    return True, float(ctx.g.m), rhs, "", None
 
 
 def _eval_b6(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     m_eff = ctx.g.m - ctx.eps
     k = (1 + math.isqrt(8 * m_eff + 1)) // 2
     rhs = math.sqrt(2.0 * m_eff * (1.0 - 1.0 / k))
-    return True, ctx.lambda1, rhs, ""
+    return True, ctx.lambda1, rhs, "", None
 
 
 def _eval_b7(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     m_eff = ctx.g.m - ctx.eps
-    return True, ctx.lambda1, math.sqrt(2.0 * m_eff + 0.25) - 0.5, ""
+    return True, ctx.lambda1, math.sqrt(2.0 * m_eff + 0.25) - 0.5, "", None
 
 
 def _b8_sides(ctx: _Ctx) -> tuple[float, float]:
@@ -354,26 +361,26 @@ def _eval_b8(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
         if ctx.census.total == 0
         else "negative triangles present (t_s < 0 reading)"
     )
-    return hyp, lhs, rhs, note
+    return hyp, lhs, rhs, note, None
 
 
 def _eval_b8u(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     lhs, rhs = _b8_sides(ctx)
-    return True, lhs, rhs, "unconditional probe; violations are expected"
+    return True, lhs, rhs, "unconditional probe; violations are expected", None
 
 
 def _eval_b9(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     lhs = ctx.lambda1 ** 2  # the dense guard before the O(n) census
     t_s = ctx.census.t_s
     rhs = ctx.g.m + (6.0 * max(t_s, 0)) ** (2.0 / 3.0)
-    return t_s >= 0, lhs, rhs, ""
+    return t_s >= 0, lhs, rhs, "", None
 
 
 def _eval_b10(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     r = p["r"]
     eps_r = ctx.eps_r(r)  # its guard before the O(n) walk vectors
     rhs = (ctx.walks(r)[0] - eps_r) * (1.0 - 1.0 / ctx.omega_b)
-    return True, ctx.lambda1 ** r, rhs, ""
+    return True, ctx.lambda1 ** r, rhs, "", None
 
 
 def _eval_b11(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
@@ -386,14 +393,14 @@ def _eval_b11(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     rhs = ctx.rho ** r  # the dense guard before the O(n) walk vectors
     _, w_q = ctx.walks(q)
     if hyp and w_q <= 0:
-        return hyp, 0.0, rhs, f"skipped: w_{q} = {w_q} <= 0"
+        return hyp, 0.0, rhs, f"skipped: w_{q} = {w_q} <= 0", SKIPPED
     lhs = ctx.walks(q + r)[1] / w_q if w_q > 0 else 0.0
-    return hyp, lhs, rhs, ""
+    return hyp, lhs, rhs, "", None
 
 
 def _eval_b12(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     lhs = min(ctx.lambda1 ** 2, ctx.lambda_n ** 2)
-    return True, lhs, float(ctx.g.m), ""
+    return True, lhs, float(ctx.g.m), "", None
 
 
 def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
@@ -401,11 +408,11 @@ def _eval_b13(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     # Local maxima of the Motzkin-Straus program sit on maximal cliques, so no search over
     # the sphere beats the witness but by roundoff; each int / int side is correctly rounded
     total = _clique_total(ctx.g, ctx.clique)
-    note = ""
+    note, verdict = "", None
     if 2 * total != (omega - 1) * omega:  # total / omega^2 misses (omega - 1) / (2 omega)
         witness, exact = _clique_value(ctx.g, ctx.clique), _ms_closed_form(omega)
-        note = f"witness value {witness} does not attain the closed form {exact}"
-    return True, total / (omega * omega), (omega - 1) / (2 * omega), note
+        note, verdict = f"witness value {witness} does not attain the closed form {exact}", VIOLATED
+    return True, total / (omega * omega), (omega - 1) / (2 * omega), note, verdict
 
 
 def _eval_b14(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
@@ -414,7 +421,7 @@ def _eval_b14(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
     # some vertex has degree >= 2 exactly when one of the 2m endpoints repeats
     has_two_path = len({w for u, v, _ in ctx.g.edges for w in (u, v)}) < 2 * ctx.g.m
     hyp = ctx.census.t_plus == 0 and ctx.g.n >= 3 and (has_triangle or has_two_path)
-    return hyp, 0.0, lambda2, ""
+    return hyp, 0.0, lambda2, "", None
 
 
 @dataclass(frozen=True)
@@ -424,6 +431,12 @@ class BoundInfo:
     enforced: bool
     required_params: tuple[str, ...]
     evaluator: Callable[[_Ctx, Mapping[str, int]], _Outcome]
+    reads_eigenvalues: bool = True  # False lets a search skip the eigensolves
+    # True when a row is the signing's own (B11's signed walk sums).  Any other row is the
+    # same for a whole switching class, B13's too: with the labels l_v = sign(m0, v), m0
+    # the clique's lowest member, a pair term of ``_clique_total`` is 1 for a pair holding
+    # m0 and else the sign of the triangle (m0, u, v), and switching keeps both.
+    per_signing: bool = False
 
 
 REGISTRY: dict[str, BoundInfo] = {
@@ -433,22 +446,20 @@ REGISTRY: dict[str, BoundInfo] = {
         BoundInfo("B2", "lambda_1^2 <= 2 (m - eps) (1 - 1/omega_b)", True, (), _eval_b2),
         BoundInfo("B3", "lambda_n(G)^2 <= m - eps_b(G) on the unsigned graph", True, (), _eval_b3),
         BoundInfo("B4", "|lambda_n(G)| <= k or sqrt(k(k+1)) on the unsigned graph", True, (), _eval_b4),
-        BoundInfo("B5", "m <= eps + (n^2/2)(1 - 1/omega_b)", True, (), _eval_b5),
+        BoundInfo("B5", "m <= eps + (n^2/2)(1 - 1/omega_b)", True, (), _eval_b5, reads_eigenvalues=False),
         BoundInfo("B6", "lambda_1 <= sqrt(2 (m-eps) (1 - 1/floor(1/2 + sqrt(2(m-eps)+1/4))))", True, (), _eval_b6),
         BoundInfo("B7", "lambda_1 <= sqrt(2 (m-eps) + 1/4) - 1/2", True, (), _eval_b7),
         BoundInfo("B8", "lambda_1^2 + lambda_2^2 <= m under the no-positive-triangle hypothesis", True, (), _eval_b8),
         BoundInfo("B8u", "lambda_1^2 + lambda_2^2 <= m, unconditional probe", False, (), _eval_b8u),
         BoundInfo("B9", "lambda_1^2 <= m + (6 t_s)^(2/3) when t_s >= 0", True, (), _eval_b9),
         BoundInfo("B10", "lambda_1^r <= (w_r(G) - eps_r)(1 - 1/omega_b)", True, ("r",), _eval_b10),
-        BoundInfo("B11", "w_(q+r)/w_q <= rho^r for odd q", True, ("q", "r"), _eval_b11),
+        BoundInfo("B11", "w_(q+r)/w_q <= rho^r for odd q", True, ("q", "r"), _eval_b11, per_signing=True),
         BoundInfo("B12", "min(lambda_1^2, lambda_n^2) <= m", True, (), _eval_b12),
-        BoundInfo("B13", "clique witness value <= (omega_b - 1)/(2 omega_b), and attains it", True, (), _eval_b13),
+        BoundInfo("B13", "clique witness value <= (omega_b - 1)/(2 omega_b), and attains it", True, (), _eval_b13,
+                  reads_eigenvalues=False),
         BoundInfo("B14", "0 <= lambda_2 under the no-positive-triangle hypothesis", True, (), _eval_b14),
     )
 }
-
-#: Evaluation order for evaluate_all: registry order with parameter fan-out.
-BOUND_ORDER: tuple[str, ...] = tuple(REGISTRY)
 
 DEFAULT_B10_RS: tuple[int, ...] = (1, 2, 3)
 DEFAULT_B11_QRS: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (3, 1))
@@ -505,50 +516,36 @@ def _row(
 
 
 def _evaluate(ctx: _Ctx, info: BoundInfo, params: dict[str, int]) -> BoundEvaluation:
-    hyp, lhs, rhs, note = info.evaluator(ctx, params)
+    hyp, lhs, rhs, note, verdict = info.evaluator(ctx, params)
     tolerance = _REL_TOL * max(1.0, abs(rhs))
-    if note.startswith("skipped"):
-        verdict = SKIPPED
-    elif not hyp:
-        verdict = HYPOTHESIS_NOT_MET
-    elif note.startswith("witness value"):
-        verdict = VIOLATED
-    elif lhs <= rhs + tolerance:
-        verdict = HOLDS
-    else:
-        verdict = VIOLATED
+    if verdict is None:
+        if not hyp:
+            verdict = HYPOTHESIS_NOT_MET
+        elif lhs <= rhs + tolerance:
+            verdict = HOLDS
+        else:
+            verdict = VIOLATED
     lhs, rhs = float(lhs), float(rhs)
     return _row(info.bound_id, hyp, lhs, rhs, rhs - lhs, verdict, tolerance, params, note)
 
 
-# B11's signed walk sums are a signing's own; every other row is the same for
-# a whole switching class.  B13's is too: with the labels l_v = sign(m0, v),
-# m0 the clique's lowest member, a pair term of ``_clique_total`` is 1 for a
-# pair holding m0 and else the sign of the triangle (m0, u, v), and
-# switching keeps both.
-_PER_SIGNING = frozenset(("B11",))
-# B5 reads only integers and B13 only its exact clique witness, so a search
-# on them skips the eigensolves.
-_NO_EIGENVALUES = frozenset(("B5", "B13"))
+# Params no evaluator reads, planned only because ``bench/reference.json`` records
+# them, until ROADMAP item 1 re-records it without them.
+_UNREAD_PARAMS = {"B13": {"iters": 2, "seed": 0}}
 
 
 @lru_cache(maxsize=16)
 def _plan(rs: tuple[int, ...], qr_pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[str, dict[str, int]], ...]:
-    """The rows of ``evaluate_all`` for checked walk orders, in order: each
-    entry's id and its params, which each row takes a copy of."""
-    plan = []
-    for bound_id in BOUND_ORDER:
-        if bound_id == "B10":
-            fanout = [{"r": r} for r in rs]
-        elif bound_id == "B11":
-            fanout = [{"q": q, "r": r} for q, r in qr_pairs]
-        elif bound_id == "B13":
-            # read by nothing; kept only because recorded outputs hold these params
-            fanout = [{"iters": 2, "seed": 0}]
-        else:
-            fanout = [{}]
-        plan += [(bound_id, params) for params in fanout]
-    return tuple(plan)
+    """The rows of ``evaluate_all`` for checked walk orders, in registry
+    order: each entry's id and its params, which each row takes a copy of.
+    An entry fans out over ``rs`` or ``qr_pairs`` by its ``required_params``.
+    Ids, not entries, so each call reads the registry as it is."""
+    values = {(): [()], ("r",): [(r,) for r in rs], ("q", "r"): qr_pairs}
+    return tuple(
+        (bound_id, dict(_UNREAD_PARAMS.get(bound_id, zip(info.required_params, v))))
+        for bound_id, info in REGISTRY.items()
+        for v in values[info.required_params]
+    )
 
 
 def evaluate_all(
@@ -591,11 +588,12 @@ def evaluate_all(
             fields.update(k.__dict__)
             fields["params"] = params
         else:
+            info = REGISTRY[bound_id]
             try:
-                row = _evaluate(ctx, REGISTRY[bound_id], params)
+                row = _evaluate(ctx, info, params)
             except (TooLargeError, OverflowError) as exc:  # a guard or a walk overflow skips the row
                 row = _row(bound_id, False, 0.0, 0.0, 0.0, SKIPPED, _REL_TOL, params, f"skipped: {exc}")
-            if bound_id not in _PER_SIGNING:
+            if not info.per_signing:
                 rows[i] = row
         out.append(row)
     return out

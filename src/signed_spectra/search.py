@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from . import invariants
-from .bounds import _NO_EIGENVALUES, REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
+from .bounds import REGISTRY, VIOLATED, _Ctx, _evaluate, _fmt_float, _json_array
 from .errors import InvalidConfigError, _int_param
 from .graph import MATRIX_MAX_N, SignedGraph, _signed_gnp, _signed_matrix, _unit_interval
 from .spectral import _eigenvalues
@@ -123,7 +123,7 @@ def _decompose(block: Sequence[tuple[int, _Ctx]], target: str) -> None:
     alone in its order, or past the adjacency guard, is left to
     ``_Ctx.eigenvalues``, which decomposes it, or raises the guard, only if
     the target reads them."""
-    if target in _NO_EIGENVALUES:
+    if not REGISTRY[target].reads_eigenvalues:
         return
     by_order: dict[int, list[_Ctx]] = {}
     for _, ctx in block:

@@ -47,7 +47,7 @@ from signed_spectra import (
     walk_census,
 )
 from signed_spectra import bounds, graph, invariants, spectral, switching
-from signed_spectra.bounds import BOUND_ORDER, DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
+from signed_spectra.bounds import DEFAULT_B10_RS, DEFAULT_B11_QRS, _underlying
 from signed_spectra.cli import run_cli
 from signed_spectra.switching import _canonical_signing, propagation_labels
 
@@ -110,23 +110,24 @@ class TestSingleEvaluations:
         assert ev.verdict == "skipped"
         assert "w_3" in ev.note
 
-    def test_b13_search_vs_closed_form(self, c5):
-        ev = evaluate_bound(c5, "B13", {"iters": 4, "seed": 0})
-        assert ev.verdict == "holds"
-        assert ev.rhs == 0.25
-        assert ev.lhs <= ev.rhs + ev.tolerance
+    def test_b13_witness_attains_the_closed_form(self, c5):
+        # both sides are correctly rounded quotients of equal rationals, so equal to the bit
+        for g, rhs in ((c5, 0.25), (_complete_multipartite(1, 1, 1, 1), 0.375), (_complete_multipartite(3, 3), 0.25)):
+            ev = evaluate_bound(g, "B13")
+            assert ev.verdict == "holds", g.to_sg()
+            assert ev.lhs == ev.rhs == rhs and ev.slack == 0.0, g.to_sg()
 
     @pytest.mark.parametrize("bound_id", tuple(bounds.REGISTRY))
     def test_entries_without_eigenvalues_read_none(self, monkeypatch, c5, bound_id):
-        # search skips the eigensolves for the entries of _NO_EIGENVALUES:
-        # with every route to an eigenvalue raising, exactly those evaluate
+        # search skips the eigensolves for the entries that read none: with
+        # every route to an eigenvalue raising, exactly those evaluate
         def unreachable(*args, **kwargs):
             raise AssertionError("eigenvalues read")
 
         monkeypatch.setattr(bounds._Ctx, "eigenvalues", property(unreachable))
         monkeypatch.setattr(bounds, "_eigenvalues", unreachable)
         params = {"q": 1, "r": 2}
-        if bound_id in bounds._NO_EIGENVALUES:
+        if not bounds.REGISTRY[bound_id].reads_eigenvalues:
             for g in [c5, SignedGraph(1)] + random_graphs(40, max_n=8, seed=19):
                 assert evaluate_bound(g, bound_id, params).verdict == "holds", g.to_sg()
         else:
@@ -193,7 +194,7 @@ class TestEvaluateAll:
 
     def test_ordering_is_registry_order(self, c5):
         ids = [ev.bound_id for ev in evaluate_all(c5)]
-        positions = [BOUND_ORDER.index(i) for i in ids]
+        positions = [tuple(bounds.REGISTRY).index(i) for i in ids]
         assert positions == sorted(positions)
         assert [ev.params["r"] for ev in evaluate_all(c5) if ev.bound_id == "B10"] == [1, 2, 3]
 
@@ -455,7 +456,7 @@ class TestEvaluateAll:
 def _plan(rs=DEFAULT_B10_RS, qr_pairs=DEFAULT_B11_QRS) -> list[tuple[str, dict]]:
     """The (bound id, params) that ``evaluate_all`` evaluates, in its order."""
     plan = []
-    for bound_id in BOUND_ORDER:
+    for bound_id in bounds.REGISTRY:
         if bound_id == "B10":
             plan += [(bound_id, {"r": r}) for r in rs]
         elif bound_id == "B11":
@@ -952,8 +953,8 @@ class TestEqualityFamilies:
         info = bounds.REGISTRY["B7"]
 
         def mutant(ctx, p):
-            hyp, lhs, rhs, note = info.evaluator(ctx, p)
-            return hyp, lhs, rhs + 0.25, note
+            hyp, lhs, rhs, note, verdict = info.evaluator(ctx, p)
+            return hyp, lhs, rhs + 0.25, note, verdict
 
         monkeypatch.setitem(bounds.REGISTRY, "B7", dataclasses.replace(info, evaluator=mutant))
         tight = [g for g, specs in EQUALITY_FAMILIES.values() if "B7" in specs]
@@ -1022,6 +1023,7 @@ class TestB13Witness:
     def test_random_graphs(self, g):
         _check_b13_witness(g)
 
+    @pytest.mark.parametrize("reworded", [False, True])
     @pytest.mark.parametrize("edges, members, lhs, rhs, note", [
         # labels (1, 1, -1), pair sum 1: 1/9 against 2/6
         ([(0, 1, 1)], (0, 1, 2), 1 / 9, 1 / 3, "witness value 1/9 does not attain the closed form 1/3"),
@@ -1029,13 +1031,17 @@ class TestB13Witness:
         ([(0, 1, 1), (0, 2, 1)], (0, 1, 2, 3), 1 / 8, 3 / 8,
          "witness value 1/8 does not attain the closed form 3/8"),
     ])
-    def test_a_witness_that_misses_is_violated(self, monkeypatch, edges, members, lhs, rhs, note):
+    def test_a_witness_that_misses_is_violated(self, monkeypatch, edges, members, lhs, rhs, note, reworded):
         # a search that returned a non-clique: the cold row and the kept-row
-        # copies name its value and the closed form in lowest terms
+        # copies name its value and the closed form in lowest terms, and the
+        # verdict stays when the note is reworded
         n = len(members)
         g = SignedGraph.from_edges(n, edges)
         fake = (n, members, invariants._clique_labels(g, members))
         monkeypatch.setattr(bounds, "_max_balanced_clique", lambda g, force=False: fake)
+        if reworded:
+            _reword_notes(monkeypatch)
+            note = "reworded"
         switched = apply_switching(g, [-1] + [1] * (n - 1))  # g is a forest: one class
         try:
             _underlying.cache_clear()
@@ -1047,6 +1053,75 @@ class TestB13Witness:
             assert all(_bits(row) == _bits(rows[0]) for row in rows)
         finally:
             _underlying.cache_clear()  # no record keeps the fake clique
+
+
+def _reword_notes(monkeypatch) -> None:
+    """Every registry entry with its evaluator's note replaced by "reworded"."""
+    def reworded(evaluator):
+        def evaluate(ctx, p):
+            hyp, lhs, rhs, _, verdict = evaluator(ctx, p)
+            return hyp, lhs, rhs, "reworded", verdict
+        return evaluate
+
+    for bound_id, info in list(bounds.REGISTRY.items()):
+        monkeypatch.setitem(bounds.REGISTRY, bound_id, dataclasses.replace(info, evaluator=reworded(info.evaluator)))
+
+
+def _recomputed_verdict(ctx: bounds._Ctx, ev: BoundEvaluation) -> str:
+    """``ev``'s verdict from its evaluator's own verdict, then its hypothesis,
+    then its sides against its tolerance; a guard or a walk overflow skips."""
+    try:
+        own = bounds.REGISTRY[ev.bound_id].evaluator(ctx, ev.params)[4]
+    except (TooLargeError, OverflowError):
+        return "skipped"
+    assert ev.tolerance == 1e-8 * max(1.0, abs(ev.rhs)), ev
+    if own is not None:
+        return own
+    if not ev.hypothesis_met:
+        return "hypothesis_not_met"
+    return "holds" if ev.lhs <= ev.rhs + ev.tolerance else "violated"
+
+
+class TestVerdictRule:
+    """A verdict is the evaluator's own, then the hypothesis, then the
+    tolerance rule; no note is read."""
+
+    def test_reworded_notes_change_no_verdict(self, monkeypatch, c5):
+        # C4 with alternating signs has w_3 = 0, so B11 at q = 3 skips
+        cases = [(c5, {}), (signed_cycle(4, negative_edges=(1, 3)), {"qr_pairs": ((3, 1),)})]
+
+        def rows(g, plan):
+            _underlying.cache_clear()
+            evals = evaluate_all(g, **plan)
+            return evals + [evaluate_bound(g, ev.bound_id, ev.params) for ev in evals]
+
+        before = [rows(g, plan) for g, plan in cases]
+        _reword_notes(monkeypatch)
+        try:
+            after = [rows(g, plan) for g, plan in cases]
+        finally:
+            _underlying.cache_clear()  # no record keeps the reworded rows
+        assert {ev.verdict for evals in before for ev in evals} == {
+            "holds", "violated", "hypothesis_not_met", "skipped"
+        }
+        for old, new in zip(before, after):
+            assert [ev.verdict for ev in new] == [ev.verdict for ev in old]
+            assert all(ev.note == "reworded" for ev in new)
+
+    @pytest.mark.parametrize("max_n", [None, "4"])
+    def test_every_verdict_follows_from_the_outcome(self, monkeypatch, c5, max_n):
+        if max_n is not None:
+            monkeypatch.setenv("SIGNED_SPECTRA_MAX_N", max_n)
+        cases = [(g, {}) for g in random_graphs(40, max_n=8, seed=23, q=(0.0, 0.5, 1.0))]
+        cases += [(c5, {}), (signed_cycle(4, negative_edges=(1, 3)), {})]
+        cases += [(all_negative_complete(14), {"rs": (2, 60), "qr_pairs": ((1, 60),)})]  # walks overflow
+        verdicts = set()
+        for g, plan in cases:
+            ctx = bounds._Ctx(g)
+            for ev in evaluate_all(g, **plan):
+                assert ev.verdict == _recomputed_verdict(ctx, ev), (g.to_sg(), ev)
+                verdicts.add(ev.verdict)
+        assert verdicts == {"holds", "violated", "hypothesis_not_met", "skipped"}
 
 
 class _CountingEnviron(dict):
