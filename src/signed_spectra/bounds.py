@@ -45,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidParamsError, MissingParamError, TooLargeError, UnknownBoundError, _int_param
-from .graph import MATRIX_MAX_N, SignedGraph, _check_dense, _signed_matrix, all_negative
+from .graph import MATRIX_MAX_N, SignedGraph, _check_dense, _memo, _signed_matrix, all_negative
 from .invariants import (
     TriangleCensus,
     _check_guard,
@@ -134,29 +134,6 @@ def _kept(record: _Underlying | _Class, name: str, compute: Callable[[], object]
     if getattr(record, name) is None:
         setattr(record, name, compute())
     return getattr(record, name)
-
-
-class _memo:
-    """``functools.cached_property`` without its lock: the first read of the
-    attribute computes it and stores it in the instance ``__dict__``, where
-    every later read finds it before this non-data descriptor.  On Python
-    3.10 and 3.11 ``cached_property`` takes an RLock on each first read,
-    which costs more than most of ``_Ctx``'s values; a context is never
-    shared between threads, so it needs no lock.  An exception stores
-    nothing, and an instance assignment wins over the descriptor."""
-
-    def __init__(self, compute: Callable):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, ctx, owner=None):
-        if ctx is None:
-            return self
-        value = ctx.__dict__[self.name] = self.compute(ctx)
-        return value
 
 
 class _Ctx:
@@ -427,7 +404,6 @@ def _eval_b14(ctx: _Ctx, p: Mapping[str, int]) -> _Outcome:
 @dataclass(frozen=True)
 class BoundInfo:
     bound_id: str
-    summary: str
     enforced: bool
     required_params: tuple[str, ...]
     evaluator: Callable[[_Ctx, Mapping[str, int]], _Outcome]
@@ -442,22 +418,21 @@ class BoundInfo:
 REGISTRY: dict[str, BoundInfo] = {
     info.bound_id: info
     for info in (
-        BoundInfo("B1", "lambda_1 <= n (1 - 1/omega_b)", True, (), _eval_b1),
-        BoundInfo("B2", "lambda_1^2 <= 2 (m - eps) (1 - 1/omega_b)", True, (), _eval_b2),
-        BoundInfo("B3", "lambda_n(G)^2 <= m - eps_b(G) on the unsigned graph", True, (), _eval_b3),
-        BoundInfo("B4", "|lambda_n(G)| <= k or sqrt(k(k+1)) on the unsigned graph", True, (), _eval_b4),
-        BoundInfo("B5", "m <= eps + (n^2/2)(1 - 1/omega_b)", True, (), _eval_b5, reads_eigenvalues=False),
-        BoundInfo("B6", "lambda_1 <= sqrt(2 (m-eps) (1 - 1/floor(1/2 + sqrt(2(m-eps)+1/4))))", True, (), _eval_b6),
-        BoundInfo("B7", "lambda_1 <= sqrt(2 (m-eps) + 1/4) - 1/2", True, (), _eval_b7),
-        BoundInfo("B8", "lambda_1^2 + lambda_2^2 <= m under the no-positive-triangle hypothesis", True, (), _eval_b8),
-        BoundInfo("B8u", "lambda_1^2 + lambda_2^2 <= m, unconditional probe", False, (), _eval_b8u),
-        BoundInfo("B9", "lambda_1^2 <= m + (6 t_s)^(2/3) when t_s >= 0", True, (), _eval_b9),
-        BoundInfo("B10", "lambda_1^r <= (w_r(G) - eps_r)(1 - 1/omega_b)", True, ("r",), _eval_b10),
-        BoundInfo("B11", "w_(q+r)/w_q <= rho^r for odd q", True, ("q", "r"), _eval_b11, per_signing=True),
-        BoundInfo("B12", "min(lambda_1^2, lambda_n^2) <= m", True, (), _eval_b12),
-        BoundInfo("B13", "clique witness value <= (omega_b - 1)/(2 omega_b), and attains it", True, (), _eval_b13,
-                  reads_eigenvalues=False),
-        BoundInfo("B14", "0 <= lambda_2 under the no-positive-triangle hypothesis", True, (), _eval_b14),
+        BoundInfo("B1", True, (), _eval_b1),
+        BoundInfo("B2", True, (), _eval_b2),
+        BoundInfo("B3", True, (), _eval_b3),
+        BoundInfo("B4", True, (), _eval_b4),
+        BoundInfo("B5", True, (), _eval_b5, reads_eigenvalues=False),
+        BoundInfo("B6", True, (), _eval_b6),
+        BoundInfo("B7", True, (), _eval_b7),
+        BoundInfo("B8", True, (), _eval_b8),
+        BoundInfo("B8u", False, (), _eval_b8u),
+        BoundInfo("B9", True, (), _eval_b9),
+        BoundInfo("B10", True, ("r",), _eval_b10),
+        BoundInfo("B11", True, ("q", "r"), _eval_b11, per_signing=True),
+        BoundInfo("B12", True, (), _eval_b12),
+        BoundInfo("B13", True, (), _eval_b13, reads_eigenvalues=False),
+        BoundInfo("B14", True, (), _eval_b14),
     )
 }
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +31,31 @@ MATRIX_MAX_N = 2048
 Edge = tuple[int, int, int]  # (u, v, sign) with u < v and sign in {-1, +1}
 
 
+class _memo:
+    """A cached property with no lock: the first read of the attribute
+    computes it and stores it in the instance ``__dict__``, where every
+    later read finds it before this non-data descriptor.  On Python 3.10
+    and 3.11 the cached property of ``functools`` takes an RLock on each
+    first read, which costs more than most of the values held here.  Every
+    value held is a pure function of its instance, so two threads that race
+    on a first read both compute it and store equal values; no lock is
+    needed.  An exception stores nothing, and an instance assignment wins
+    over the descriptor."""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Simple undirected graph with every edge signed ``+1`` or ``-1``.
@@ -41,42 +65,31 @@ class SignedGraph:
     endpoints and the signs must be integers in the sense of
     ``operator.index``, as in :meth:`from_edges`.
 
-    Three lookup structures are built on first use and kept with the graph,
-    which never changes: ``_signs``, the sign of each ``(u, v)`` pair, for
-    :meth:`has_edge` and :meth:`sign`; ``_signed_adjacency``, per vertex its
-    ``(neighbour, sign)`` pairs in ascending neighbour order, linear in
+    Four lookups are built on first use (a lock-free ``_memo``) and kept
+    with the graph, which never changes: ``_signed_adjacency``, per vertex
+    its ``(neighbour, sign)`` pairs in ascending neighbour order, linear in
     n + m, for :meth:`neighbors`, :meth:`degree` and the BFS of
-    ``switching.propagation_labels``; and ``_masks``, per vertex bitmasks of
-    its positive and of its negative neighbours, for the balanced-clique
-    search and the clique's labels and witness value.  The masks take up to
-    n bits per vertex, O(n^2) bits in all, so only those clique paths, which
-    are exponential in n and guarded, read them.
+    ``switching.propagation_labels``; ``_masks``, per vertex bitmasks of its
+    positive and of its negative neighbours, for the balanced-clique search
+    and the clique's labels and witness value; ``underlying_pairs``, the
+    ``(u, v)`` pairs, which :meth:`has_edge` reads; and ``m_minus``.
+    :meth:`sign` looks ``(u, v, +1)`` and ``(u, v, -1)`` up in ``edges``.
+    The masks take up to n bits per vertex, O(n^2) bits in all, so only
+    those clique paths, which are exponential in n and guarded, read them.
     """
 
     n: int
     edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self) -> None:
-        if _int_param("SignedGraph", "n", self.n) < 0:
-            raise InvalidParamsError(f"vertex count must be nonnegative, got {self.n}")
+        n = _order("SignedGraph", self.n)
         seen: set[tuple[int, int]] = set()
         for u, v, s in self.edges:
             u, v, s = _int_edge(u, v, s)
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise IndexOutOfRangeError(
-                    f"edge ({u}, {v}) has a vertex outside [0, {self.n})"
-                )
-            if u > v:
+            if _edge(n, u, v, s, seen) != (u, v, s):
                 raise InvalidParamsError(
                     f"edges must be stored with u < v, got ({u}, {v}); use from_edges()"
                 )
-            if s not in (-1, 1):
-                raise InvalidParamsError(f"edge sign must be +1 or -1, got {s!r}")
-            if (u, v) in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":
@@ -86,23 +99,16 @@ class SignedGraph:
         (Python and numpy ints, bools); anything else, a whole float too,
         raises InvalidParamsError.
         """
-        canon: list[Edge] = []
-        pairs: set[tuple[int, int]] = set()
-        for u, v, s in edges:
-            u, v, s = _int_edge(u, v, s)
-            if u > v:
-                u, v = v, u
-            if (u, v) in pairs and u != v:
-                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-            pairs.add((u, v))
-            canon.append((u, v, s))
-        return cls(n, frozenset(canon))
+        n = _order("SignedGraph", n)
+        seen: set[tuple[int, int]] = set()
+        return cls._unchecked(n, frozenset([_edge(n, *_int_edge(u, v, s), seen) for u, v, s in edges]))
 
     @classmethod
     def _unchecked(cls, n: int, edges: frozenset[Edge]) -> "SignedGraph":
         """A graph from ``n`` and canonical ``edges`` that are known to be
         valid, without the checks of ``__post_init__``: for graphs derived
-        from a valid graph, and for the parser, which checks each line."""
+        from a valid graph, and for the builders that check each edge with
+        ``_edge``."""
         g = object.__new__(cls)
         vars(g).update(n=n, edges=edges)
         return g
@@ -116,7 +122,7 @@ class SignedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @_memo
     def m_minus(self) -> int:
         return sum(1 for _, _, s in self.edges if s < 0)
 
@@ -126,11 +132,7 @@ class SignedGraph:
 
     # -- lookups -------------------------------------------------------
 
-    @cached_property
-    def _signs(self) -> dict[tuple[int, int], int]:
-        return {(u, v): s for u, v, s in self.edges}
-
-    @cached_property
+    @_memo
     def _signed_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         nbrs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for u, v, s in self.edges:
@@ -138,7 +140,7 @@ class SignedGraph:
             nbrs[v].append((u, s))
         return tuple(tuple(sorted(a)) for a in nbrs)
 
-    @cached_property
+    @_memo
     def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(pos, neg)``: bit w of ``pos[v]`` (``neg[v]``) is set when vw is
         a positive (negative) edge."""
@@ -152,13 +154,17 @@ class SignedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in self._signs
+        return (u, v) in self.underlying_pairs
 
     def sign(self, u: int, v: int) -> int:
         """Sign of the edge between ``u`` and ``v``; KeyError if absent."""
         if u > v:
             u, v = v, u
-        return self._signs[(u, v)]
+        if (u, v, 1) in self.edges:
+            return 1
+        if (u, v, -1) in self.edges:
+            return -1
+        raise KeyError((u, v))
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """The neighbours of ``u`` in ascending order; IndexOutOfRangeError
@@ -173,7 +179,7 @@ class SignedGraph:
             raise IndexOutOfRangeError(f"vertex {u} outside [0, {self.n})")
         return u
 
-    @cached_property
+    @_memo
     def underlying_pairs(self) -> frozenset[tuple[int, int]]:
         """Edge set of the underlying unsigned graph."""
         return frozenset((u, v) for u, v, _ in self.edges)
@@ -221,6 +227,35 @@ def _int_edge(u: object, v: object, s: object) -> Edge:
         raise InvalidParamsError(f"edge ({u!r}, {v!r}, {s!r}) must hold integers") from None
 
 
+def _edge(n: int, u: int, v: int, s: int, seen: set[tuple[int, int]], line: int | None = None) -> Edge:
+    """The canonical ``(min, max, s)`` of the integer edge ``(u, v, s)`` of a
+    graph on ``n`` vertices whose pairs so far are ``seen``; adds the pair to
+    ``seen``.  The one edge rule of every builder: raises, in this order,
+    SelfLoopError, IndexOutOfRangeError, InvalidParamsError for a sign other
+    than +1 or -1, and DuplicateEdgeError, the parse errors at ``line``."""
+    if u == v:
+        raise SelfLoopError(f"self-loop at vertex {u}", line=line)
+    if not (0 <= u < n and 0 <= v < n):
+        raise IndexOutOfRangeError(f"edge ({u}, {v}) has a vertex outside [0, {n})", line=line)
+    if s not in (-1, 1):
+        raise InvalidParamsError(f"edge sign must be +1 or -1, got {s!r}")
+    if u > v:
+        u, v = v, u
+    if (u, v) in seen:
+        raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", line=line)
+    seen.add((u, v))
+    return u, v, s
+
+
+def _order(owner: str, n: object) -> int:
+    """``owner``'s vertex count ``n`` as an integer (``_int_param``); a
+    negative one raises InvalidParamsError."""
+    n = _int_param(owner, "n", n)
+    if n < 0:
+        raise InvalidParamsError(f"vertex count must be nonnegative, got {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # .sg text format
 # ---------------------------------------------------------------------------
@@ -231,8 +266,11 @@ def parse_signed_graph(text: str) -> SignedGraph:
     The first significant line is the vertex count ``n``; every following
     significant line is ``u v s`` with ``s`` one of ``+`` / ``-``.  ``#``
     starts a comment, blank lines are skipped, CRLF input is accepted.
-    Rejects self-loops, duplicate edges and out-of-range indices, each with
-    the offending line number.
+    The parser's own checks are the layout of each line, the integer
+    tokens, a nonnegative vertex count and the ``+``/``-`` sign; each edge
+    then goes through the edge rule that every builder shares, which
+    rejects self-loops, out-of-range indices and duplicate edges.  Every
+    error names the offending line number.
     """
     n: int | None = None
     triples: list[Edge] = []
@@ -273,18 +311,7 @@ def parse_signed_graph(text: str) -> SignedGraph:
             raise MalformedLineError(
                 f"edge sign must be '+' or '-', got {parts[2]!r}", line=lineno
             )
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}", line=lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRangeError(
-                f"edge ({u}, {v}) has a vertex outside [0, {n})", line=lineno
-            )
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", line=lineno)
-        seen.add((u, v))
-        triples.append((u, v, s))
+        triples.append(_edge(n, u, v, s, seen, line=lineno))
     if n is None:
         raise MalformedLineError("missing vertex-count line", line=max(lineno, 1))
     return SignedGraph._unchecked(n, frozenset(triples))
@@ -406,9 +433,7 @@ def signed_cycle(n: int, negative_edges: Iterable[int] = ()) -> SignedGraph:
 
 def all_negative_complete(n: int) -> SignedGraph:
     """The signed graph (K_n, -1)."""
-    n = _int_param("all_negative_complete", "n", n)
-    if n < 0:
-        raise InvalidParamsError(f"vertex count must be nonnegative, got {n}")
+    n = _order("all_negative_complete", n)
     return SignedGraph._unchecked(n, frozenset((u, v, -1) for u in range(n) for v in range(u + 1, n)))
 
 
@@ -423,10 +448,8 @@ def erdos_renyi_signed(n: int, p: float, q_neg: float, seed: int = 0) -> SignedG
     Deterministic for fixed arguments: pairs are visited in lexicographic
     order and a fresh seeded RNG drives both draws.
     """
-    n = _int_param("erdos_renyi_signed", "n", n)
+    n = _order("erdos_renyi_signed", n)
     seed = _int_param("erdos_renyi_signed", "seed", seed)
-    if n < 0:
-        raise InvalidParamsError(f"vertex count must be nonnegative, got {n}")
     if not (_unit_interval(p) and _unit_interval(q_neg)):
         raise InvalidParamsError(f"probabilities must lie in [0, 1], got p={p!r}, q_neg={q_neg!r}")
     return _signed_gnp(random.Random(seed), n, p, q_neg)

@@ -41,10 +41,6 @@ class Switching:
     def __len__(self) -> int:
         return len(self.signs)
 
-    @classmethod
-    def all_positive(cls, n: int) -> "Switching":
-        return cls((1,) * n)
-
 
 @dataclass(frozen=True)
 class BalanceCertificate:

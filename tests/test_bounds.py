@@ -3,7 +3,6 @@
 import contextlib
 import copy
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -766,12 +765,12 @@ class TestKnownUnderlyingGraph:
 
         def counted(g):
             built.append(g)
-            return adjacency.func(g)
+            return adjacency.compute(g)
 
         _underlying.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(switching, "propagation_labels", lambda g, **kw: bfs.append(g) or propagation_labels(g, **kw))
-            replacement = functools.cached_property(counted)
+            replacement = graph._memo(counted)
             replacement.__set_name__(SignedGraph, "_signed_adjacency")
             mp.setattr(SignedGraph, "_signed_adjacency", replacement)
             for g, key in zip(graphs, keys):

