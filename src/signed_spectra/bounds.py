@@ -38,6 +38,8 @@ Registry:
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -88,19 +90,23 @@ class BoundEvaluation:
 
 class _Underlying:
     """What every signing of one underlying graph shares, kept by
-    ``_underlying`` for ``evaluate_all`` and ``invariants``; each field is
-    None until its first fill:
+    ``_underlying`` for ``evaluate_all`` and ``invariants``:
 
+    * ``key``, the ``(n, pairs)`` of the graph, None in a context's own;
     * ``forest``: the spanning forest of ``switching._canonical_signing``,
-      from the first signing met;
-    * ``lambda_n`` and ``eps_b`` of the unsigned graph;
-    * ``classes``: a ``_Class`` per switching class, keyed by its canonical
-      signing; past ``_MAX_CLASSES`` a new class drops them all.
+      from the first signing met, None until then;
+    * ``lambda_n`` and ``eps_b`` of the unsigned graph, None until filled;
+    * ``classes``: a ``_Class`` per switching class met, keyed by its
+      canonical signing;
+    * ``nbytes``: what the memo charges for the record and its classes.
 
     ``invariants`` reads only exact integers from the record.
     """
 
-    forest = lambda_n = eps_b = classes = None
+    forest = lambda_n = eps_b = None
+
+    def __init__(self, key: tuple[int, frozenset[tuple[int, int]]] | None = None):
+        self.key, self.classes, self.nbytes = key, {}, 0
 
 
 class _Class:
@@ -115,15 +121,69 @@ class _Class:
     eps = clique = census = rho = rows_key = rows = None
 
 
-# Classes kept for the one underlying graph; all are dropped when a new one
-# would pass it.  A test holds the 1,024 classes of K6, filled with the
-# default plan's rows, within 9 MiB.
-_MAX_CLASSES = 1024
+# The memo's whole budget.  Each record is charged _ITEM_BYTES for every vertex and
+# edge of its graph and two more, and each class for every pair of its key, every slot
+# of its rows and two more; past _MEMO_BYTES the least recently used records go, each
+# with all its classes.  _ITEM_BYTES bounds the largest item, a kept row (about 450
+# bytes).  A test fills the memo with K6's 1,024 classes, forests of up to 2,000
+# vertices and other graphs, and holds what it keeps within _MEMO_BYTES.
+_MEMO_BYTES = 16 * 2**20
+_ITEM_BYTES = 512
 
 
-@lru_cache(maxsize=1)
+class _Store:
+    """The records ``_underlying`` keeps, least recently used first, the
+    bytes charged for them, and the count of records it has made.  One lock
+    guards them all, so concurrent callers charge each record and class
+    once."""
+
+    def __init__(self):
+        self.records: OrderedDict[tuple, _Underlying] = OrderedDict()
+        self.nbytes = self.misses = 0
+        self.lock = threading.Lock()
+
+    def info(self) -> _CacheInfo:
+        return _CacheInfo(self.misses, len(self.records))
+
+    def clear(self) -> None:
+        with self.lock:
+            self.records.clear()
+            self.nbytes = self.misses = 0
+
+    def charge(self, record: _Underlying, items: int) -> None:
+        """Charge a kept ``record`` for ``items`` more items, then drop the
+        least recently used records until the memo is within its budget.
+        A record no longer kept is not charged.  The caller holds the lock."""
+        if self.records.get(record.key) is not record:
+            return
+        record.nbytes += items * _ITEM_BYTES
+        self.nbytes += items * _ITEM_BYTES
+        while self.nbytes > _MEMO_BYTES:
+            self.nbytes -= self.records.popitem(last=False)[1].nbytes
+
+
+_CacheInfo = namedtuple("CacheInfo", "misses currsize")
+_store = _Store()
+
+
 def _underlying(n: int, pairs: frozenset[tuple[int, int]]) -> _Underlying:
-    return _Underlying()
+    """The kept record of the underlying graph ``(n, pairs)``, made and
+    charged on a miss, and now the most recently used.  As on an
+    ``lru_cache``, ``cache_info()`` gives the ``misses`` and the
+    ``currsize``, and ``cache_clear()`` empties the memo."""
+    key = (n, pairs)
+    with _store.lock:
+        record = _store.records.get(key)
+        if record is None:
+            _store.misses += 1
+            record = _store.records[key] = _Underlying(key)
+            _store.charge(record, 2 + n + len(pairs))
+        else:
+            _store.records.move_to_end(record.key)
+    return record
+
+
+_underlying.cache_info, _underlying.cache_clear = _store.info, _store.clear
 
 
 _HEURISTIC_ITERS, _HEURISTIC_SEED = 200, 0  # local-search fallback past the guards
@@ -176,12 +236,15 @@ class _Ctx:
             return _Class()
         entry = self._underlying_values
         _, key, forest = _canonical_signing(self.g, entry.forest)
-        if entry.forest is None:  # the first signing met: one BFS, whose forest the others label
-            entry.forest, entry.classes = forest, {}
-        classes = entry.classes
-        if key not in classes and len(classes) >= _MAX_CLASSES:
-            classes.clear()
-        return classes.get(key) or classes.setdefault(key, _Class())
+        kept = entry.classes.get(key)
+        if kept is None:
+            with _store.lock:  # so one caller adds the class and is charged for it
+                entry.forest = forest  # the first signing's BFS forest, which the others label
+                kept = entry.classes.get(key)
+                if kept is None:
+                    kept = entry.classes[key] = _Class()
+                    _store.charge(entry, 2 + len(key))
+        return kept
 
     @property
     def unsigned_lambda_n(self) -> float:
@@ -534,12 +597,14 @@ def evaluate_all(
     B10 fans out over ``rs`` and B11 over ``qr_pairs``.  Entries whose
     guarded invariants overflow their guard, or whose walk counts leave the
     64-bit range, come back with verdict ``skipped`` instead of aborting
-    the sequence.  A signing of a switching class whose rows the memo keeps
-    for the same walk orders and guard limits gets those rows for every
-    entry but B11, and B11 the class's rho, so their floats may differ from
-    ``g``'s own in the last bits, far inside the 1e-8 tolerance.  B13
-    decides in integers: its witness attains the closed form exactly when
-    its pair sum is (omega_b - 1) omega_b / 2.
+    the sequence.  The memo keeps the most recently used underlying graphs,
+    each with its switching classes, within ``_MEMO_BYTES``.  A signing of
+    a class whose rows it keeps for the same walk orders and guard limits
+    gets those rows for every entry but B11, and B11 the class's rho, all
+    filled by whichever earlier call met the class first, so their floats
+    may differ from ``g``'s own in the last bits, far inside the 1e-8
+    tolerance.  B13 decides in integers: its witness attains the closed
+    form exactly when its pair sum is (omega_b - 1) omega_b / 2.
     """
     if rs is not DEFAULT_B10_RS:  # the defaults are integers already
         rs = tuple(_int_param("B10", "r", r) for r in rs)
@@ -552,16 +617,18 @@ def evaluate_all(
     kept = ctx._class
     key = (*ctx.limits.values(), rs, qr_pairs)  # a guard override can turn a row into a skip
     if kept.rows_key != key:
-        kept.rows_key, kept.rows = key, [None] * len(plan)
+        with _store.lock:  # charged for the slots it adds, or refunded for those it drops
+            _store.charge(ctx._underlying_values, len(plan) - len(kept.rows or ()))
+            kept.rows_key, kept.rows = key, [None] * len(plan)
     rows = kept.rows
     out: list[BoundEvaluation] = []
     for i, ((bound_id, template), k) in enumerate(zip(plan, rows)):
         params = template.copy()
         if k is not None:  # the kept row with this call's own params, so no two results share them
-            row = object.__new__(BoundEvaluation)
-            fields = row.__dict__
-            fields.update(k.__dict__)
+            fields = k.__dict__.copy()
             fields["params"] = params
+            row = object.__new__(BoundEvaluation)
+            object.__setattr__(row, "__dict__", fields)
         else:
             info = REGISTRY[bound_id]
             try:

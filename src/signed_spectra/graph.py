@@ -63,7 +63,7 @@ class SignedGraph:
     Edges are canonical ``(u, v, sign)`` triples with ``u < v``; use
     :meth:`from_edges` to build from uncanonicalized input.  ``n``, the
     endpoints and the signs must be integers in the sense of
-    ``operator.index``, as in :meth:`from_edges`.
+    ``operator.index``, as in :meth:`from_edges`, and are stored as ints.
 
     Four lookups are built on first use (a lock-free ``_memo``) and kept
     with the graph, which never changes: ``_signed_adjacency``, per vertex
@@ -84,12 +84,16 @@ class SignedGraph:
     def __post_init__(self) -> None:
         n = _order("SignedGraph", self.n)
         seen: set[tuple[int, int]] = set()
-        for u, v, s in self.edges:
-            u, v, s = _int_edge(u, v, s)
-            if _edge(n, u, v, s, seen) != (u, v, s):
+        edges = []
+        for edge in self.edges:
+            u, v, s = edge = _int_edge(*edge)
+            if _edge(n, u, v, s, seen) != edge:
                 raise InvalidParamsError(
                     f"edges must be stored with u < v, got ({u}, {v}); use from_edges()"
                 )
+            edges.append(edge)
+        # the checked ints, so that a bool or a numpy int is written back as the int it is
+        vars(self).update(n=n, edges=frozenset(edges))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":

@@ -9,8 +9,10 @@ every graph of one bench ``sweep`` pass (``sweep_inputs`` of
 ``bench/worker.py``, read only), in order, timing each call with no tracer.
 A call takes one of three paths, read from the memo after the call:
 
-* ``new underlying``: the record ``_underlying`` returns is a new one;
-* ``new class``: the record is the same, and its ``classes`` changed size;
+* ``new underlying``: the call made the record of its underlying graph
+  (a step in ``_underlying.cache_info().misses``);
+* ``new class``: the record was kept already, and the call added a class
+  to it;
 * ``known class``: neither.
 
 The script prints the count of each path per pass and the median
@@ -67,18 +69,20 @@ def run_pass(bounds, graphs: list) -> list[tuple[str, float]]:
     on each graph in order; the path and the seconds of each call."""
     _underlying, evaluate_all = bounds._underlying, bounds.evaluate_all
     _underlying.cache_clear()
-    out, entry, size = [], None, 0
+    out, sizes = [], {}  # sizes: the class count of each record after its last call
     clock = time.perf_counter
     for g in graphs:
+        misses = _underlying.cache_info().misses
         start = clock()
         evaluate_all(g)
         elapsed = clock() - start
+        made = _underlying.cache_info().misses != misses
         record = _underlying(g.n, g.underlying_pairs)  # the record the call used
-        if record is not entry:
+        if made:
             path = "new underlying"
         else:
-            path = "new class" if len(record.classes) != size else "known class"
-        entry, size = record, len(record.classes)
+            path = "new class" if len(record.classes) != sizes[record] else "known class"
+        sizes[record] = len(record.classes)
         out.append((path, elapsed))
     return out
 

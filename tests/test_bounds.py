@@ -10,6 +10,8 @@ import os
 import pickle
 import random
 import re
+import sys
+import threading
 import tracemalloc
 from itertools import combinations, product
 
@@ -471,22 +473,30 @@ def _shape(g: SignedGraph) -> tuple:
     return g.n, g.underlying_pairs
 
 
-def _first_met(graphs, budget=None) -> list[int]:
+def _first_met(graphs) -> list[int]:
     """For each graph of one memoised ``evaluate_all`` run over ``graphs``,
     the index of the first signing of its switching class that the run met,
-    found by switching equivalence, not by the memo's key."""
-    out, firsts = [], []  # firsts: first-met signings of the one underlying graph
+    found by switching equivalence, not by the memo's key.  The memo keeps
+    every underlying graph of the run."""
+    out, firsts = [], {}  # per underlying graph, the first-met signings of its classes
     for i, g in enumerate(graphs):
-        if firsts and _shape(graphs[firsts[0]]) != _shape(g):
-            firsts = []  # a new underlying graph replaces the entry
-        first = next((j for j in firsts if is_switching_equivalent(graphs[j], g)), None)
+        met = firsts.setdefault(_shape(g), [])
+        first = next((j for j in met if is_switching_equivalent(graphs[j], g)), None)
         if first is None:
-            if len(firsts) == budget:
-                firsts = []  # a class past the budget drops them all
-            firsts.append(i)
+            met.append(i)
             first = i
         out.append(first)
     return out
+
+
+def _check_charges() -> None:
+    """The memo charges each record it keeps for exactly what the record
+    holds, its total is the sum of those charges, and it is within budget."""
+    store = bounds._store
+    for (n, pairs), record in store.records.items():
+        items = 2 + n + len(pairs) + sum(2 + len(key) + len(kept.rows or ()) for key, kept in record.classes.items())
+        assert record.nbytes == items * bounds._ITEM_BYTES, (n, sorted(pairs))
+    assert store.nbytes == sum(record.nbytes for record in store.records.values()) <= bounds._MEMO_BYTES
 
 
 def _bits(ev) -> tuple:
@@ -523,6 +533,21 @@ def _sweep_strata(seed: int) -> list[SignedGraph]:
     return [g for n, m in sorted(strata) for g in all_signings(n, rng.choice(strata[n, m]))]
 
 
+def _k6_signings() -> list[SignedGraph]:
+    """One signing per switching class of K6: its 2^10 classes are the
+    signings of the edges off the BFS star at 0, which stays positive, so
+    each signing is its class's canonical one."""
+    star = [(0, v, 1) for v in range(1, 6)]
+    rest = list(combinations(range(1, 6), 2))
+    return [SignedGraph.from_edges(6, star + [(u, v, s) for (u, v), s in zip(rest, signs)])
+            for signs in product((1, -1), repeat=10)]
+
+
+# underlying graphs whose signings the memo tests interleave
+_MEMO_SHAPES = [(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]), (4, list(combinations(range(4), 2))),
+                (4, [(0, 1), (1, 2), (0, 2), (2, 3)]), (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])]
+
+
 class TestSwitchingClassMemo:
     """Values kept per underlying graph and per switching class."""
 
@@ -551,7 +576,7 @@ class TestSwitchingClassMemo:
         assert bounds._Ctx(switched, shared=True).clique == bounds._max_balanced_clique(switched)
 
     @staticmethod
-    def _replay(graphs, budget=None) -> int:
+    def _replay(graphs) -> int:
         """Check one memoised ``evaluate_all`` run over ``graphs`` against
         cold runs; returns how many signings read another's rows."""
         cold = []
@@ -559,11 +584,10 @@ class TestSwitchingClassMemo:
             _underlying.cache_clear()
             cold.append(evaluate_all(g))
         _underlying.cache_clear()
-        firsts = _first_met(graphs, budget)
+        firsts = _first_met(graphs)
         for g, own, first in zip(graphs, cold, firsts):
-            evals = evaluate_all(g)
-            assert len(_underlying(g.n, g.underlying_pairs).classes) <= bounds._MAX_CLASSES
-            _check_rows(evals, own, cold[first])
+            _check_rows(evaluate_all(g), own, cold[first])
+        _check_charges()
         return sum(first != i for i, first in enumerate(firsts))
 
     def test_sweep_strata_match_cold_runs(self):
@@ -665,48 +689,55 @@ class TestSwitchingClassMemo:
         assert len(bfs) == 1
         assert list(classes) == [key] and _underlying.cache_info().currsize == 1
 
-    def test_class_budget_drops_the_classes(self, monkeypatch):
-        # K4 plus a pendant edge: 2^7 signings in 2^3 classes
-        graphs = list(all_signings(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]))
+    def test_a_small_budget_drops_whole_graphs(self, monkeypatch):
+        # K4 plus a pendant edge: 2^7 signings in 2^3 classes, met class by class
+        graphs = sorted(all_signings(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]),
+                        key=lambda g: sorted(_canonical_signing(g)[1]))
         expected = []
         for g in graphs:
             _underlying.cache_clear()
             expected.append(evaluate_all(g))
-        for budget in (3, 1):
-            monkeypatch.setattr(bounds, "_MAX_CLASSES", budget)
+        decomposed = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: decomposed.append(1) or eigh(a))
+        # room for the record (2 + n + m items) and about k classes of
+        # 2 + |key| + 19 items each; a class past that drops the record
+        for k in (3, 1):
+            monkeypatch.setattr(bounds, "_MEMO_BYTES", (14 + 24 * k) * bounds._ITEM_BYTES)
             _underlying.cache_clear()
+            reads = 0  # calls that read kept rows, so decompose nothing
             # these signings decompose to the same bytes, so every row is
             # also the signing's own cold row
             for g, evals in zip(graphs, expected):
-                assert evaluate_all(g) == evals, (budget, g.to_sg())
-                assert len(_underlying(g.n, g.underlying_pairs).classes) <= budget
-            assert self._replay(graphs, budget) > 0
+                decomposed.clear()
+                assert evaluate_all(g) == evals, (k, g.to_sg())
+                reads += not decomposed
+                _check_charges()
+                assert len(_underlying(g.n, g.underlying_pairs).classes) <= k
+            assert _underlying.cache_info().misses > 1  # the record was dropped and made again
+            assert reads > 0
         assert _underlying.cache_info().currsize == 1
 
-    # the memo's budget: every class of one underlying graph, each holding
-    # the default plan's rows, within this many bytes (about 8.3 KB a class)
-    MAX_MEMO_BYTES = 9 * 2**20
+    # every class of K6, each holding the default plan's rows, stays within
+    # this many bytes (about 8 KB a class)
+    MAX_K6_BYTES = 9 * 2**20
 
     def test_a_full_memo_stays_within_its_byte_budget(self):
-        # K6 has 2^10 classes, one per signing of the edges off the BFS star
-        # at 0, which stays positive, so each signing below is its class's
-        # canonical one
-        star = [(0, v, 1) for v in range(1, 6)]
-        rest = list(combinations(range(1, 6), 2))
-        signings = [star + [(u, v, s) for (u, v), s in zip(rest, signs)] for signs in product((1, -1), repeat=10)]
-        evaluate_all(SignedGraph.from_edges(6, signings[1]))  # module caches other than the memo
+        signings = _k6_signings()
+        evaluate_all(SignedGraph.from_edges(6, signings[1].edges))  # module caches other than the memo
         _underlying.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for edges in signings:
-                evaluate_all(SignedGraph.from_edges(6, edges))
+            for g in signings:
+                evaluate_all(SignedGraph.from_edges(6, g.edges))
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        g = SignedGraph.from_edges(6, signings[0])
-        assert len(_underlying(g.n, g.underlying_pairs).classes) == bounds._MAX_CLASSES == len(signings)
-        assert grown <= self.MAX_MEMO_BYTES, grown
+        g = signings[0]
+        assert len(_underlying(g.n, g.underlying_pairs).classes) == len(signings) == 1024
+        _check_charges()
+        assert grown <= self.MAX_K6_BYTES, grown
 
     def test_calls_with_other_walk_orders_keep_one_row_list(self, c5):
         # 4,000 plans, each a new (rs, qr_pairs); the class keeps the rows of
@@ -727,7 +758,139 @@ class TestSwitchingClassMemo:
             tracemalloc.stop()
         kept = _underlying(c5.n, c5.underlying_pairs).classes
         assert len(kept) == 1 and next(iter(kept.values())).rows_key[-2:] == plans[-1]
+        _check_charges()  # each plan's rows refund the last one's
         assert grown <= 2**20, grown
+
+
+class TestRecentGraphs:
+    """The memo keeps the most recently used underlying graphs, each with
+    its classes, within ``_MEMO_BYTES``."""
+
+    def test_a_graph_met_again_reads_its_kept_rows(self, monkeypatch):
+        g = erdos_renyi_signed(n=7, p=0.5, q_neg=0.5, seed=7)
+        switched = apply_switching(g, [(-1) ** v for v in range(g.n)])
+        others = [erdos_renyi_signed(n=6, p=0.5, q_neg=0.5, seed=seed) for seed in range(3)] + [paper_c5()]
+        cold = []
+        for h in (g, switched):
+            _underlying.cache_clear()
+            cold.append(evaluate_all(h))
+        _underlying.cache_clear()
+        evaluate_all(g)
+        for h in others:  # other underlying graphs in between
+            evaluate_all(h)
+        calls = []
+        eigh, kernel = np.linalg.eigh, invariants._max_switching_form
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+        monkeypatch.setattr(invariants, "_max_switching_form", lambda *a: calls.append("kernel") or kernel(*a))
+        again = evaluate_all(switched)
+        assert calls == []
+        _check_rows(again, cold[1], cold[0])
+        assert _underlying.cache_info().currsize == 1 + len(others)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interleaved_calls_match_cold_evaluations(self, seed):
+        # signings of a few underlying graphs, met in a seeded order
+        rnd = random.Random(seed)
+        graphs = [g for shape in _MEMO_SHAPES for g in rnd.sample(list(all_signings(*shape)), 12)]
+        rnd.shuffle(graphs)
+        _underlying.cache_clear()
+        for g in graphs:
+            for ev in evaluate_all(g):
+                cold = evaluate_bound(g, ev.bound_id, ev.params)
+                for name in ("verdict", "hypothesis_met", "note", "params"):
+                    assert getattr(ev, name) == getattr(cold, name), (g.to_sg(), ev.bound_id, name)
+                for name in ("lhs", "rhs"):  # integers exactly, other floats within roundoff
+                    mine, theirs = getattr(ev, name), getattr(cold, name)
+                    assert mine == theirs if theirs.is_integer() else math.isclose(mine, theirs, rel_tol=1e-9)
+        assert _underlying.cache_info().currsize == len(_MEMO_SHAPES)
+        _check_charges()
+
+    def test_a_filled_memo_stays_within_its_budget(self):
+        # K6's 1,024 classes, then trees with forests of up to 2,000
+        # vertices, then graphs whose rows carry guard notes, then the
+        # sweep's small graphs: together far past the budget
+        rnd = random.Random(5)
+        k6 = _k6_signings()
+        trees = [SignedGraph.from_edges(n, [(rnd.randrange(v), v, rnd.choice((1, -1))) for v in range(1, n)])
+                 for n in (2000, 1500, 1800, 2000, 1200, 1900, 2000, 1600)]
+        guarded = [erdos_renyi_signed(n=n, p=0.3, q_neg=0.5, seed=n) for n in (26, 30, 34)]
+        small = [g for seed in range(2) for g in _sweep_strata(seed)]
+        evaluate_all(guarded[0])  # module caches other than the memo
+        _underlying.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for g in k6 + guarded:
+                evaluate_all(g)
+            for g in trees:
+                bounds._Ctx(g, shared=True)._class
+            for g in small:
+                evaluate_all(g)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        _check_charges()
+        assert _underlying.cache_info().misses > _underlying.cache_info().currsize  # some were dropped
+        assert grown <= bounds._MEMO_BYTES, grown
+
+    def test_two_callers_meeting_a_new_class_add_it_once(self, c5):
+        # both callers look the class up before either adds it: one adds it
+        # and is charged, the other finds it under the lock
+        _underlying.cache_clear()
+        record = _underlying(c5.n, c5.underlying_pairs)
+        barrier, waited = threading.Barrier(2, timeout=10), set()
+
+        class Meeting(dict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if threading.get_ident() not in waited:  # each caller's first look
+                    waited.add(threading.get_ident())
+                    barrier.wait()
+                return value
+
+        record.classes = Meeting()
+        found = []
+        threads = [threading.Thread(target=lambda: found.append(bounds._Ctx(c5, shared=True)._class)) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(found) == 2 and found[0] is found[1] and len(record.classes) == 1
+        _check_charges()
+
+    def test_concurrent_callers_charge_each_record_once(self, monkeypatch):
+        # threads interleave signings of a few graphs under a budget that
+        # drops records as they go; the charges still match the contents
+        graphs = [g for shape in _MEMO_SHAPES for g in all_signings(*shape)]
+        expected = {}
+        for g in graphs:
+            _underlying.cache_clear()
+            expected[g] = [(ev.verdict, ev.note) for ev in evaluate_all(g)]
+        monkeypatch.setattr(bounds, "_MEMO_BYTES", 150 * bounds._ITEM_BYTES)
+        _underlying.cache_clear()
+        failures = []
+
+        def run(order):
+            for g in order:
+                if [(ev.verdict, ev.note) for ev in evaluate_all(g)] != expected[g]:
+                    failures.append(g)
+
+        # two threads in one order meet each new class together, two in others
+        orders = [random.Random(seed).sample(graphs, len(graphs)) for seed in (0, 0, 1, 2)]
+        threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the memo's steps too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        _check_charges()
 
 
 @st.composite

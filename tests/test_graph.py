@@ -158,6 +158,26 @@ class TestConstruction:
     def test_constructor_accepts_integer_types(self):
         g = SignedGraph(np.int64(3), frozenset({(np.int64(0), np.int32(2), np.int8(-1)), (False, True, True)}))
         assert g == SignedGraph(3, frozenset({(0, 2, -1), (0, 1, 1)}))
+        assert type(g.n) is int and all(type(x) is int for e in g.edges for x in e)
+
+    @pytest.mark.parametrize(
+        "n, edges, text",
+        [
+            (True, frozenset(), "1\n"),
+            (2, frozenset({(False, True, 1)}), "2\n0 1 +\n"),
+            (np.int64(3), frozenset({(np.int8(0), np.int64(2), np.int32(-1)), (np.int16(1), 2, True)}),
+             "3\n0 2 -\n1 2 +\n"),
+            (3, frozenset({(0, 1, -1), (1, 2, 1)}), "3\n0 1 -\n1 2 +\n"),
+        ],
+        ids=["bool-n", "bool-edge", "numpy-ints", "plain-ints"],
+    )
+    def test_constructor_graphs_round_trip_through_text(self, n, edges, text):
+        # the constructor stores the ints it checked, so to_sg writes them
+        # as the parser reads them
+        g = SignedGraph(n, edges)
+        assert g.to_sg() == text
+        assert parse_signed_graph(g.to_sg()) == g
+        assert parse_signed_graph(g.to_sg()).to_sg() == text
 
     @pytest.mark.parametrize(
         "edge",

@@ -11,7 +11,8 @@ import pytest
 
 def test_a_sweep_pass_splits_into_the_three_paths(monkeypatch, capsys):
     # the script reads each call's path from the memo itself, so a change to
-    # the memo that breaks the script or moves the split fails here
+    # the memo that breaks the script or moves the split fails here; the 13
+    # graphs a pass that come back after other graphs find their records kept
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ and bench/
     from tests import sweep_paths
@@ -20,7 +21,7 @@ def test_a_sweep_pass_splits_into_the_three_paths(monkeypatch, capsys):
     lines = re.findall(r"^  (known class|new class|new underlying) +(\d+) a pass +median +([\d.]+) us"
                        r" +pass medians q1 +([\d.]+) q3 +([\d.]+) us$",
                        capsys.readouterr().out, re.MULTILINE)
-    assert {path: int(count) for path, count, *_ in lines} == {"known class": 220, "new class": 16, "new underlying": 71}
+    assert {path: int(count) for path, count, *_ in lines} == {"known class": 233, "new class": 16, "new underlying": 58}
     assert all(float(median) > 0 and 0 < float(q1) <= float(q3) for _, _, median, q1, q3 in lines)
 
 
