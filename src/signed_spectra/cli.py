@@ -7,15 +7,24 @@ without vertices for ``bounds`` or ``invariants``), 3 an exact-computation
 guard was exceeded, an exact walk count left the 64-bit integer range, or
 ``invariants --force`` met a switching-class sign table that cannot be
 allocated, or the input ran the process out of memory.
+
+The grammar of ``spectrum``, ``invariants``, ``bounds`` and ``search`` is
+one table, ``_GRAMMAR``.  ``run_cli`` reads a well-formed call of those
+four straight from it: exact long options as ``--opt value`` or
+``--opt=value``, no value that starts with ``-``, every positional and
+required option present.  Anything else (help, a usage error, an
+abbreviation, ``--``, ``gen``) goes to the argparse parser that
+``build_parser`` builds from the same table, so every help and usage byte
+is argparse's; a well-formed call neither imports nor builds it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from .bounds import (
     DEFAULT_B10_RS,
@@ -33,43 +42,97 @@ from .invariants import balanced_clique_number, edge_bipartiteness, frustration_
 from .search import SearchConfig, findings_to_json, search_counterexamples
 from .spectral import spectrum_of
 
+if TYPE_CHECKING:
+    import argparse
+
+#: command -> (help, positionals, {long option: (converter, default,
+#: required, help)}); a converter of None marks a ``store_true`` flag, and
+#: an option's dest is its name without the dashes, ``-`` read as ``_``
+_GRAMMAR = {
+    "spectrum": ("eigenvalues of a .sg file", ("file",), {}),
+    "invariants": ("combinatorial invariants of a .sg file", ("file",), {
+        "--force": (None, False, False, "run exact enumerations even past their guards"),
+    }),
+    "bounds": ("evaluate every registered bound", ("file",), {
+        "--json": (None, False, False, "machine-readable report"),
+        "--r": (int, None, False, "walk order for B10/B11"),
+        "--q": (int, None, False, "walk order q for B11"),
+    }),
+    "search": ("random search for bound violations", (), {
+        "--target": (str, None, True, "bound id to probe"),
+        "--n": (str, None, True, "order range A:B"),
+        "--p": (float, None, True, "edge probability"),
+        "--qneg": (float, None, True, "negative-sign probability"),
+        "--samples": (int, None, True, None),
+        "--seed": (int, 0, False, None),
+        "--triangle-free": (None, False, False, None),
+        "--r": (int, None, False, "walk order for B10/B11 targets"),
+        "--q": (int, None, False, "walk order q for B11 targets"),
+        "--json": (None, False, False, None),
+    }),
+}
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed call of a ``_GRAMMAR``
+    command, or None for any other argv."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, positionals, options = _GRAMMAR[argv[0]]
+    values = {_dest(option): default for option, (_, default, _, _) in options.items()}
+    given, seen, rest = [], set(), iter(argv[1:])
+    for token in rest:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        option, eq, value = token.partition("=")
+        if option not in options:
+            return None
+        convert = options[option][0]
+        if convert is None:  # a flag takes no value
+            if eq:
+                return None
+            values[_dest(option)] = True
+        else:
+            if not eq:
+                value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                values[_dest(option)] = convert(value)
+            except ValueError:
+                return None
+        seen.add(option)
+    if len(given) != len(positionals) or any(
+        required and option not in seen for option, (_, _, required, _) in options.items()
+    ):
+        return None
+    return SimpleNamespace(command=argv[0], **values, **dict(zip(positionals, given)))
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="signed-spectra",
         description="Signed-graph spectra, exact invariants and bound checking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", help="eigenvalues of a .sg file")
-    p_spec.add_argument("file")
-
-    p_inv = sub.add_parser("invariants", help="combinatorial invariants of a .sg file")
-    p_inv.add_argument("file")
-    p_inv.add_argument(
-        "--force",
-        action="store_true",
-        help="run exact enumerations even past their guards",
-    )
-
-    p_bounds = sub.add_parser("bounds", help="evaluate every registered bound")
-    p_bounds.add_argument("file")
-    p_bounds.add_argument("--json", action="store_true", help="machine-readable report")
-    p_bounds.add_argument("--r", type=int, default=None, help="walk order for B10/B11")
-    p_bounds.add_argument("--q", type=int, default=None, help="walk order q for B11")
-
-    p_search = sub.add_parser("search", help="random search for bound violations")
-    p_search.add_argument("--target", required=True, help="bound id to probe")
-    p_search.add_argument("--n", required=True, help="order range A:B")
-    p_search.add_argument("--p", type=float, required=True, help="edge probability")
-    p_search.add_argument("--qneg", type=float, required=True, help="negative-sign probability")
-    p_search.add_argument("--samples", type=int, required=True)
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--triangle-free", action="store_true")
-    p_search.add_argument("--r", type=int, default=None, help="walk order for B10/B11 targets")
-    p_search.add_argument("--q", type=int, default=None, help="walk order q for B11 targets")
-    p_search.add_argument("--json", action="store_true")
+    for command, (help_text, positionals, options) in _GRAMMAR.items():
+        p_cmd = sub.add_parser(command, help=help_text)
+        for name in positionals:
+            p_cmd.add_argument(name)
+        for option, (convert, default, required, option_help) in options.items():
+            if convert is None:
+                p_cmd.add_argument(option, action="store_true", help=option_help)
+            else:
+                p_cmd.add_argument(option, type=convert, default=default, required=required, help=option_help)
 
     p_gen = sub.add_parser("gen", help="write a named or random instance")
     p_gen.add_argument("kind")
@@ -227,12 +290,18 @@ _HANDLERS = {
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for item in argv:
+        if not isinstance(item, str):
+            print(f"error: arguments must be strings, got {item!r} ({type(item).__name__})", file=sys.stderr)
+            return 2
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         return _HANDLERS[args.command](args)
     except FileNotFoundError as exc:

@@ -30,7 +30,7 @@ from signed_spectra import (
 )
 from signed_spectra import bounds
 from signed_spectra.bounds import _underlying
-from signed_spectra.cli import _violated_enforced, run_cli
+from signed_spectra.cli import _GRAMMAR, _read_argv, _violated_enforced, build_parser, run_cli
 
 from .conftest import random_graphs
 from .oracles import brute_balanced_clique, deletion_frustration
@@ -391,8 +391,9 @@ class TestBounds:
 
 
 class TestParserReuse:
-    """``run_cli`` parses with one parser per process; a run of calls must
-    print and exit as a fresh process per call would."""
+    """``run_cli`` reads well-formed calls itself and builds one argparse
+    parser per process for the rest; a run of calls must print and exit as
+    a fresh process per call would."""
 
     def test_calls_in_one_process_match_fresh_processes(self, c5_file, capsys):
         calls = [
@@ -417,6 +418,96 @@ class TestParserReuse:
             fresh.append((done.returncode, done.stdout, done.stderr))
         assert in_process == fresh
         assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0]
+
+
+#: the required options of ``search``, well-formed
+SEARCH_REQUIRED = ("--target", "B8u", "--n", "3:7", "--p", "0.5", "--qneg", "0.5", "--samples", "10")
+#: option values by converter: mostly well formed, then some that argparse
+#: refuses or that the reader leaves to it
+ARGV_VALUES = {
+    int: ("3", "0", " 4 ", "12", "-1", "x", "1e3"),
+    float: ("0.5", "1e3", "nan", "1", "-0.5", "x"),
+    str: ("B8u", "3:7", "", "a b", "-x", "--json"),
+}
+#: tokens that argparse reads otherwise than as a plain ``--opt value``, or refuses
+ARGV_EDGE_TOKENS = (
+    "--", "-", "--js", "--sam", "--tri", "--bogus", "--help", "-h", "-o", "--output", "--seed=-1",
+    "--r=", "extra.sg",
+)
+
+
+@st.composite
+def reader_argvs(draw) -> list:
+    """A command, then in any order option units drawn from its grammar (for
+    ``gen`` and unknown commands, that of ``bounds``), often the positionals
+    and required options that make the call well formed, and now and then
+    an edge token."""
+    command = draw(st.sampled_from(["spectrum", "invariants", "bounds", "search", "gen", "bogus", "--json"]))
+    _, positionals, options = _GRAMMAR.get(command, _GRAMMAR["bounds"])
+    units = [] if draw(st.integers(0, 3)) else [[draw(st.sampled_from(ARGV_EDGE_TOKENS))]]
+    for option in draw(st.lists(st.sampled_from(sorted(options)), max_size=3)) if options else ():
+        convert = options[option][0]
+        if convert is None:
+            units.append([draw(st.sampled_from([option, option, option, f"{option}=1"]))])
+        else:
+            value = draw(st.sampled_from(ARGV_VALUES[convert]))
+            units.append(draw(st.sampled_from([[option, value], [f"{option}={value}"]])))
+    if draw(st.integers(0, 3)):
+        units += [["c5.sg"] for _ in positionals]
+        units += [SEARCH_REQUIRED[i:i + 2] for i in range(0, 10, 2)] if command == "search" else []
+    return [command, *(token for unit in draw(st.permutations(units)) for token in unit)]
+
+
+class TestArgvReader:
+    """``_read_argv`` reads well-formed calls from the grammar table; what it
+    reads must be what argparse reads, and argparse is then never built."""
+
+    @given(argv=reader_argvs())
+    @settings(max_examples=600, deadline=None)
+    def test_a_read_argv_matches_argparse(self, argv):
+        read = _read_argv(argv)
+        event("read" if read is not None else "left to argparse")
+        if read is None:
+            return
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = vars(build_parser().parse_args(argv))
+        # repr, so that a NaN from ``--p nan`` compares equal
+        assert repr(sorted(vars(read).items())) == repr(sorted(parsed.items())), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "c5.sg", "--r=3", "--q", "2", "--json", "--json"],
+        ["invariants", "--force", "c5.sg"],
+        ["spectrum", ""],
+        ["search", *SEARCH_REQUIRED, "--seed", "4", "--p=nan", "--triangle-free", "--target=a=b"],
+    ])
+    def test_well_formed_calls_are_read(self, argv):
+        assert _read_argv(argv) is not None
+
+    def test_well_formed_calls_never_build_the_parser(self, c5_file):
+        calls = [["bounds", c5_file, "--json"], ["search", *SEARCH_REQUIRED, "--seed", "3"]]
+        script = (
+            "import contextlib, io, sys\n"
+            "from signed_spectra.cli import build_parser, run_cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    codes = [run_cli(c) for c in {calls!r}]\n"
+            "    state = ['argparse' in sys.modules, build_parser.cache_info().currsize]\n"
+            "    codes.append(run_cli(['bounds']))\n"
+            "print(codes, state, ['argparse' in sys.modules, build_parser.cache_info().currsize])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(), check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0, 2] [False, 0] [True, 1]\n", "")
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["bounds", 5], "5 (int)"),
+        (["search", "--target", "B8u", "--p", 0.5], "0.5 (float)"),
+        ([b"bounds", "c5.sg"], "b'bounds' (bytes)"),
+        (["bounds", None, "--json"], "None (NoneType)"),
+    ])
+    def test_a_non_str_argument_exit_2(self, argv, shown, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", f"error: arguments must be strings, got {shown}\n")
 
 
 class TestExitOne:

@@ -9,15 +9,23 @@ missing path.  Seeded G(n, p) graphs on each side of every exact guard
 ``SIGNED_SPECTRA_MAX_N`` unset and set to 22, and three calls that check no
 guard run with it set to a value that is not an integer.  Each call runs in
 process, in a directory that holds the input files recorded with the
-transcript, with ``SIGNED_SPECTRA_MAX_N`` set as recorded.
+transcript, with ``SIGNED_SPECTRA_MAX_N`` set as recorded and ``COLUMNS``
+set to 80, so argparse wraps help and usage text the same way on any
+terminal.  Help for the program and each command, usage errors (a
+missing file or required option, an unknown option or command, a flag
+given a value, a value that does not convert) and the forms argparse
+accepts beyond the plain ``--opt value`` (an abbreviation, ``--opt=value``,
+a value that starts with ``-``) pin every byte the parser writes.
 
 A change that alters output on purpose re-records the transcript with
 
-    python tests/test_cli_transcript.py --record
+    python tests/test_cli_transcript.py --record [--src DIR]
 
 and says which outputs changed and why.  New calls are recorded on a
 checkout of the parent commit, so they pin the behaviour from before the
-change that adds them.
+change that adds them: ``--src`` imports the package from DIR (the ``src/``
+of that checkout) instead of this checkout's ``src/``, and runs this
+file's calls on it.
 """
 
 from __future__ import annotations
@@ -28,9 +36,14 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
-if __name__ == "__main__":  # run as a script from a checkout
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+if __name__ == "__main__":  # run as a script: import the package from --src DIR or this checkout
+    _args = sys.argv[1:]
+    if _args[:1] != ["--record"] or _args[1:] and (len(_args) != 3 or _args[1] != "--src"):
+        sys.exit("usage: python tests/test_cli_transcript.py --record [--src DIR]")
+    SRC = Path(_args[2] if _args[1:] else Path(__file__).resolve().parents[1] / "src").resolve()
+    sys.path.insert(0, str(SRC))
 
 import pytest  # noqa: E402
 
@@ -107,6 +120,33 @@ CALLS: list[tuple[list[str], str | None]] = [
     (["spectrum", "c5.sg"], "abc"),
     (["invariants", "c5.sg", "--force"], "abc"),
     (_search("B8u", "3:7", "0.5", "0.5", 100, 8, "--json"), "abc"),
+    # help, usage errors and the forms argparse reads beyond ``--opt value``
+    (["--help"], None),
+    (["spectrum", "--help"], None),
+    (["invariants", "--help"], None),
+    (["bounds", "--help"], None),
+    (["search", "--help"], None),
+    (["gen", "--help"], None),
+    ([], None),
+    (["bogus"], None),
+    (["bounds"], None),
+    (["bounds", "c5.sg", "er6.sg"], None),
+    (["bounds", "c5.sg", "--bogus"], None),
+    (["bounds", "c5.sg", "--json=1"], None),
+    (["bounds", "c5.sg", "--r"], None),
+    (["bounds", "c5.sg", "--r", "x"], None),
+    (["bounds", "c5.sg", "--js"], None),
+    (["bounds", "c5.sg", "--r=3", "--json"], None),
+    (["bounds", "--", "c5.sg"], None),
+    (["bounds", "-h", "c5.sg"], None),
+    (["invariants", "c5.sg", "--force", "--force"], None),
+    (["search", "--target", "B8u"], None),
+    (_search("B8u", "3:5", "0.5", "0.5", 10, 0, "--samples", "x"), None),
+    (_search("B8u", "3:5", "0.5", "0.5", 10, 0, "--seed=3"), None),
+    (_search("B8u", "3:5", "0.5", "0.5", 10, 0, "--seed", "-1"), None),
+    (_search("B8u", "3:5", "0.5", "0.5", 10, 0, "--p", "-0.5"), None),
+    (_search("B8u", "3:5", "0.5", "0.5", 10, 0, "--seed", "5", "--json", "--json"), None),
+    (_search("B8u", "3:5", "0.5", "0.5", 10, 0, "extra"), None),
 ]
 
 
@@ -133,20 +173,18 @@ def _input_files() -> dict[str, str]:
 
 def _run(argv: list[str], max_n: str | None, directory: Path) -> dict:
     """One in-process call in ``directory``; the environment and cwd are restored."""
-    saved_env, saved_cwd = os.environ.get("SIGNED_SPECTRA_MAX_N"), os.getcwd()
+    saved_cwd = os.getcwd()
     out, err = io.StringIO(), io.StringIO()
-    try:
+    with mock.patch.dict(os.environ, COLUMNS="80"):
         os.environ.pop("SIGNED_SPECTRA_MAX_N", None)
         if max_n is not None:
             os.environ["SIGNED_SPECTRA_MAX_N"] = max_n
-        os.chdir(directory)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_cli(argv)
-    finally:
-        os.chdir(saved_cwd)
-        os.environ.pop("SIGNED_SPECTRA_MAX_N", None)
-        if saved_env is not None:
-            os.environ["SIGNED_SPECTRA_MAX_N"] = saved_env
+        try:
+            os.chdir(directory)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+        finally:
+            os.chdir(saved_cwd)
     return {"argv": argv, "max_n": max_n, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -184,8 +222,10 @@ def record(directory: Path) -> None:
 if __name__ == "__main__":
     import tempfile
 
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_cli_transcript.py --record")
+    import signed_spectra
+
+    if not Path(signed_spectra.__file__).resolve().is_relative_to(SRC):
+        sys.exit(f"imported {signed_spectra.__file__}, not the package under {SRC}")
     with tempfile.TemporaryDirectory() as tmp:
         record(Path(tmp))
     print(f"wrote {TRANSCRIPT}")
