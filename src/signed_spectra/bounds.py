@@ -572,18 +572,34 @@ def _evaluate(ctx: _Ctx, info: BoundInfo, params: dict[str, int]) -> BoundEvalua
 _UNREAD_PARAMS = {"B13": {"iters": 2, "seed": 0}}
 
 
-@lru_cache(maxsize=16)
+# plans of at most this many walk orders and (q, r) pairs together are kept;
+# B10 fans out over the orders and B11 over the pairs, so a kept plan has at
+# most len(REGISTRY) + 30 rows (the default plan and every CLI plan have 19)
+_KEPT_PLAN_VALUES = 32
+
+
 def _plan(rs: tuple[int, ...], qr_pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[str, dict[str, int]], ...]:
     """The rows of ``evaluate_all`` for checked walk orders, in registry
     order: each entry's id and its params, which each row takes a copy of.
     An entry fans out over ``rs`` or ``qr_pairs`` by its ``required_params``.
-    Ids, not entries, so each call reads the registry as it is."""
+    Ids, not entries, so each call reads the registry as it is.  The last
+    16 plans of at most ``_KEPT_PLAN_VALUES`` values are kept; a longer one
+    is built per call, so no caller's long ``rs`` stays in memory."""
+    if len(rs) + len(qr_pairs) <= _KEPT_PLAN_VALUES:
+        return _kept_plan(rs, qr_pairs)
+    return _build_plan(rs, qr_pairs)
+
+
+def _build_plan(rs: tuple[int, ...], qr_pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[str, dict[str, int]], ...]:
     values = {(): [()], ("r",): [(r,) for r in rs], ("q", "r"): qr_pairs}
     return tuple(
         (bound_id, dict(_UNREAD_PARAMS.get(bound_id, zip(info.required_params, v))))
         for bound_id, info in REGISTRY.items()
         for v in values[info.required_params]
     )
+
+
+_kept_plan = lru_cache(maxsize=16)(_build_plan)
 
 
 def evaluate_all(

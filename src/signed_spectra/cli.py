@@ -290,6 +290,9 @@ _HANDLERS = {
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
+    if isinstance(argv, str):  # a str is a sequence of strings too, and would be read a character a time
+        print(f"error: arguments must be a sequence of strings, got one string {argv!r}", file=sys.stderr)
+        return 2
     argv = sys.argv[1:] if argv is None else list(argv)
     for item in argv:
         if not isinstance(item, str):

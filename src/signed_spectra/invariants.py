@@ -17,6 +17,7 @@ OverflowError once the count of unsigned walks exceeds 2^63 - 1.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -40,9 +41,9 @@ _GUARDS = {
 
 _INT64_MAX = 2**63 - 1
 # entries per block: of one GEMM block of the switching kernel (256 KiB in
-# float64, 128 KiB in float32), of the restarts that each form of
-# ``_frustration_uppers`` descends together (one draw per block, shared by
-# the forms), and of the samples ``search`` decomposes together
+# float64, 128 KiB in float32), of the restarts of one draw in
+# ``_frustration_uppers`` (each form descends a copy of them, all in one
+# stack), and of the samples ``search`` decomposes together
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -86,6 +87,13 @@ _PRODUCT_MAX_N = 10
 _INCUMBENT_ROWS = 32
 
 
+# entries of the largest half table ``_half_table`` keeps: that of a = 13,
+# for the largest guarded order n = 25, at most 852 KB (in float64 or
+# int64); the larger tables of forced orders are built per call
+_KEPT_HALF_ENTRIES = 13 << 13
+_kept_half: tuple = (None, None)  # ((a, dtype), table) of the kept half table
+
+
 @lru_cache(maxsize=None)  # n <= _PRODUCT_MAX_N and three dtypes: about 0.2 MB at most
 def _switching_table(n: int, dtype: type) -> np.ndarray:
     """The +-1 rows of the 2^(n-1) switchings of order n with x_0 = +1, in
@@ -99,6 +107,39 @@ def _switching_table(n: int, dtype: type) -> np.ndarray:
     return table
 
 
+def _half_table(n: int, dtype: type) -> np.ndarray:
+    """The read-only (2^a, a) table of the blocked kernel at order n,
+    a = ceil(n/2): row i is the +-1 vector of the bits of i (bit v set
+    <=> -1), in ``dtype``.
+
+    The last table built within ``_KEPT_HALF_ENTRIES`` entries is kept, so
+    every form of one order and dtype shares it (n = 21 and 22 share
+    a = 11); a larger one is built per call and kept by no one.  One that
+    cannot be allocated raises TooLargeError.
+    """
+    global _kept_half
+    a = (n + 1) // 2
+    key, table = _kept_half
+    if key == (a, dtype):
+        return table
+    try:
+        table = np.empty((1 << a, a), dtype=dtype)
+    except (MemoryError, ValueError):  # numpy's errors for a table past memory or past intp
+        raise TooLargeError(
+            f"switching-class kernel: n={n} needs a sign table of 2^{a} rows, "
+            "which cannot be allocated",
+            n=n,
+        ) from None
+    table[0] = 1
+    for v in range(a):  # rows 2^v .. 2^(v+1) - 1 are the rows below them with x_v = -1
+        table[1 << v : 2 << v] = table[: 1 << v]
+        table[1 << v : 2 << v, v] = -1
+    table.flags.writeable = False
+    if table.size <= _KEPT_HALF_ENTRIES:
+        _kept_half = ((a, dtype), table)  # one tuple, so a reader sees a key with its own table
+    return table
+
+
 def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ...]]:
     """max x^T M x over x in {+-1}^n with x_0 = +1, and an x attaining it.
 
@@ -108,7 +149,8 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     (``_switching_table``), x^T M x is row k of ((T M) * T) summed, and its
     first maximum is the certificate.  Past that the vertices split into
     L = [0, a) and H = [a, n); with X_L and X_H the +-1 tables of the halves
-    (x_0 pinned in X_L),
+    (x_0 pinned in X_L), both views of one read-only ``_half_table`` that
+    the forms of one a and dtype share,
 
         x^T M x = q_L + q_H + x_L^T (2 M_LH) x_H,
 
@@ -122,9 +164,10 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
     some maximiser with x_0 = +1 and moves with that constant (it does on
     -K_20).  Every partial sum is an integer of magnitude at most
     sum |M_ij|, and a float with a p-bit significand holds every integer up
-    to 2^p, so the tables and products are exact in any summation order:
-    they run in float32 while ``bound`` is below 2^24, in float64 while it
-    is below 2^53, and in int64 from there on.  A sign table that cannot be
+    to 2^p, so the tables and products are exact in any summation order,
+    row sums taken as products with a vector of ones among them: they run
+    in float32 while ``bound`` is below 2^24, in float64 while it is below
+    2^53, and in int64 from there on.  A sign table that cannot be
     allocated raises TooLargeError.
 
     The blocked scan skips the left rows that cannot hold a maximiser.  No
@@ -134,8 +177,9 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
 
     whose partial sums are integers of magnitude at most sum |M_ij| too, so
     it is exact in every dtype.  The incumbent is the best value over the
-    ``_INCUMBENT_ROWS`` rows of the largest bounds, taken in blocks of at
-    most ``_BLOCK_ENTRIES`` values.  The scan then runs over the rows whose
+    ``_INCUMBENT_ROWS`` rows of the largest bounds (which of the rows tied
+    at the cut moves only the incumbent), taken in blocks of at most
+    ``_BLOCK_ENTRIES`` values.  The scan then runs over the rows whose
     bound is at least the incumbent, in the full scan's order: every row
     that holds a maximiser is among them, so the first maximiser, and with
     it the certificate, is that of the full scan.
@@ -150,29 +194,22 @@ def _max_switching_form(mat: np.ndarray, bound: int) -> tuple[int, tuple[int, ..
         values = ((table @ m) * table) @ np.ones(n, dtype=dtype)
         k = int(values.argmax())
         return int(values[k]), tuple(table[k].astype(int).tolist())
-    try:
-        table = np.empty((1 << a, a), dtype=dtype)
-    except (MemoryError, ValueError):  # numpy's errors for a table past memory or past intp
-        raise TooLargeError(
-            f"switching-class kernel: n={n} needs a sign table of 2^{a} rows, "
-            "which cannot be allocated",
-            n=n,
-        ) from None
-    # row i of the table is the +-1 vector of the bits of i (bit v set <=> -1)
-    table[:] = 1 - 2 * ((np.arange(1 << a)[:, None] >> np.arange(a)) & 1)
+    table = _half_table(n, dtype)
     xl, xh = table[::2], table[: 1 << h, :h]
+    ones = np.ones(a, dtype=dtype)  # row sums as products: on rows this short, sum(axis=1) is 3-4x slower
     xl_m = xl @ m[:a]
     left = np.empty((len(xl), h + 2), dtype=dtype)
     left[:, :h] = 2 * xl_m[:, a:]
-    left[:, h] = (xl_m[:, :a] * xl).sum(axis=1)
+    left[:, h] = (xl_m[:, :a] * xl) @ ones
     left[:, h + 1] = 1
     right = np.empty((h + 2, len(xh)), dtype=dtype)
     right[:h] = xh.T
     right[h] = 1
-    right[h + 1] = ((xh @ m[a:, a:]) * xh).sum(axis=1)
+    right[h + 1] = ((xh @ m[a:, a:]) * xh) @ ones[:h]
     # scan only the left rows whose bound reaches the incumbent
-    row_bound = left[:, h] + np.abs(left[:, :h]).sum(axis=1) + right[h + 1].max()
-    top = left[np.argsort(row_bound)[-_INCUMBENT_ROWS:]]
+    row_bound = left[:, h] + np.abs(left[:, :h]) @ ones[:h] + right[h + 1].max()
+    kth = max(0, len(row_bound) - _INCUMBENT_ROWS)
+    top = left[np.argpartition(row_bound, kth)[kth:]]
     step = max(1, _BLOCK_ENTRIES // _INCUMBENT_ROWS)
     incumbent = max((top @ right[:, c0 : c0 + step]).max() for c0 in range(0, len(xh), step))
     rows = np.flatnonzero(row_bound >= incumbent)
@@ -218,22 +255,34 @@ def _frustration(a: np.ndarray, m: int) -> int:
     return (m - best // 2) // 2
 
 
-def _choice_signs(rng: random.Random, k: int) -> np.ndarray:
+def _choice_signs(rng: random.Random, k: int, last: bool = False) -> np.ndarray:
     """``[rng.choice((1, -1)) for _ in range(k)]`` as an int64 array, drawn in bulk.
 
     Each try of ``choice`` over two items takes one 32-bit word w and keeps
     it when w >> 30 < 2, picking 1 for 0 and -1 for 1.  Every value still
     missing takes at least one more word, so asking ``getrandbits`` for one
     word per missing value never draws past the loop and leaves ``rng`` in
-    the loop's state.
+    the loop's state.  That takes about log2(k) rounds.  A ``last`` draw,
+    after which the caller reads no more of ``rng``, asks for 2k words and
+    a margin of 8 sqrt(k) + 8 in its first round instead.  A word is kept
+    with probability 1/2, so that round falls short with probability below
+    1e-4 for any k (about 1e-8 at the 6,000 and 8,000 signs of a
+    200-restart draw at n = 30 and 40), and one that does is followed by
+    the loop's rounds.  The picks are the loop's either way, but a last
+    draw leaves ``rng`` at no promised state.
     """
-    picks = np.empty(0, dtype=np.int64)
-    while len(picks) < k:
-        need = k - len(picks)
+    chunks, got = [np.empty(0, dtype=np.uint32)], 0
+    need = 2 * k + 8 * math.isqrt(k) + 8 if last and k else k
+    while got < k:
         words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4")
-        tries = (words >> 30).astype(np.int64)
-        picks = np.concatenate((picks, tries[tries < 2]))
-    return 1 - 2 * picks
+        tries = words >> 30
+        chunks.append(tries.compress(tries < 2))
+        got += len(chunks[-1])
+        need = k - got
+    signs = np.concatenate(chunks, dtype=np.int64)[:k]
+    signs *= -2
+    signs += 1
+    return signs
 
 
 def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> int:
@@ -260,79 +309,107 @@ def _frustration_uppers(graphs: Sequence[SignedGraph], iters: int, seed: int) ->
     """``frustration_index_upper(h, iters, seed)`` for each h of ``graphs``,
     graphs of one order and one edge count, from one draw of restarts.
 
-    Each restart is drawn once and descends in every form, in blocks of
-    at most max(1, ``_BLOCK_ENTRIES`` // n) restarts so memory stays bounded
-    for any ``iters``; the labeling's row joins each form's first block.
-    The rows of a block descend together, each reaching what its start
-    would reach alone.  A form is the ``_flip_table`` of a graph that is
-    neither edgeless nor balanced; no restart is drawn when none is left.
-    The descent runs in float32, which is exact: every value it holds, an
-    entry of x (2A) or a partial sum of one, is an integer of magnitude at
-    most 2 deg v <= 2(n - 1), below 2^24 for every n <= 2^23, and past that
-    a (2n, n) table of over 2^47 entries cannot be allocated.  Row totals are
-    summed in float64.  The float32 tables of two forms take the 16 n^2
-    bytes of one float64 A and 2A.  A table that cannot be allocated raises
-    TooLargeError before the balance test.
+    Each graph's ``_flip_table`` is written in place into one (2 n F, n)
+    table, F = len(graphs), before its balance test; a graph that is
+    neither edgeless nor balanced is a form.  Each restart is drawn once
+    and descends in every form: a block of at most max(1,
+    ``_BLOCK_ENTRIES`` // n) restarts is copied once per form into one
+    stack, the labeling's row heading each form's copy in the first block,
+    and ``_descend`` runs the stack, each row on its own form's rows of the
+    table.  Memory stays bounded for any ``iters``, and no restart is drawn
+    when no form is left.  The last block is drawn with ``last``, as
+    nothing reads the stream after it.  The descent runs in float32, which
+    is exact: every value it holds, an entry of x (2A) or a partial sum of
+    one, is an integer of magnitude at most 2 deg v <= 2(n - 1), below 2^24
+    for every n <= 2^23, and past that a (2n, n) table of over 2^47 entries
+    cannot be allocated.  Row totals are summed in float64.  The float32
+    table of two graphs takes the 16 n^2 bytes of one float64 A and 2A.  A
+    table that cannot be allocated raises TooLargeError before the balance
+    test.
     """
     n, m = graphs[0].n, graphs[0].m
     if m == 0:
         return (0,) * len(graphs)
+    table = _dense_zeros(2 * len(graphs), n, np.float32).reshape(-1, n)
     best = [0] * len(graphs)
     forms = []
     for i, h in enumerate(graphs):
-        table = _flip_table(h)
-        labels, conflict, _ = propagation_labels(h)
+        _flip_table(h, table[2 * n * i : 2 * n * (i + 1)])
+        labels, conflict = propagation_labels(h)[:2]  # the parent dict is dropped at once
         if conflict is not None:
             best[i] = m
-            forms.append((i, table, labels))
+            forms.append((i, labels))
     rng = random.Random(seed)
     block = max(1, _BLOCK_ENTRIES // n)
+    bases = [2 * n * i for i, _ in forms]
     for first in range(0, iters if forms else 0, block):
-        signs = _choice_signs(rng, min(block, iters - first) * n).reshape(-1, n).astype(np.float32)
-        for i, table, labels in forms:
-            x = np.concatenate((np.array([labels], np.float32), signs)) if first == 0 else signs.copy()
-            best[i] = min(best[i], _descend(table, x, m))
+        rows = min(block, iters - first)
+        head = int(first == 0)  # the labeling's row heads each form's copy
+        x = np.empty((len(forms), head + rows, n), dtype=np.float32)
+        x[:, head:] = _choice_signs(rng, rows * n, first + rows == iters).reshape(rows, n)
+        if head:
+            x[:, 0] = [labels for _, labels in forms]
+        values = _descend(table, x.reshape(-1, n), bases).reshape(len(forms), -1)
+        for (i, _), top in zip(forms, values.max(axis=1)):
+            best[i] = min(best[i], (m - int(top) // 2) // 2)  # (m - x^T A x / 2) / 2 negative edges
     return tuple(best)
 
 
-def _flip_table(g: SignedGraph) -> np.ndarray:
-    """The float32 (2n, n) table whose rows v and n + v are -2 A[v] and
-    2 A[v], for A the signed matrix of ``g``: the change to x A when x_v
-    flips from +1 and from -1.  It is set from the edges; one that cannot
-    be allocated raises TooLargeError."""
+def _flip_table(g: SignedGraph, table: np.ndarray) -> np.ndarray:
+    """Fill the zeroed float32 (2n, n) ``table`` so that its rows v and
+    n + v are -2 A[v] and 2 A[v], for A the signed matrix of ``g``: the
+    change to x A when x_v flips from +1 and from -1.  It is set from the
+    edges, in place, and returned."""
     n = g.n
-    table = _dense_zeros(2, n, np.float32).reshape(2 * n, n)
     u, v, s = np.fromiter(chain.from_iterable(g.edges), np.intp, 3 * g.m).reshape(-1, 3).T
     table[u, v] = table[v, u] = -2 * s
     table[n + u, v] = table[n + v, u] = 2 * s
     return table
 
 
-def _descend(table: np.ndarray, x: np.ndarray, m: int) -> int:
-    """The fewest negative edges over the local minima that steepest
-    single-vertex flips reach from the rows of x, on the graph with m edges
-    whose ``_flip_table`` is ``table``; x is overwritten."""
+def _descend(table: np.ndarray, x: np.ndarray, bases: Sequence[int]) -> np.ndarray:
+    """x^T A x at the local minimum that steepest single-vertex flips reach
+    from each row of x, in float64, with ties broken by lowest vertex.
+
+    x stacks ``len(bases)`` forms' rows, the same number of rows each, in
+    order; the rows of form f descend on the graph whose ``_flip_table``
+    is ``table[bases[f] : bases[f] + 2n]``, and each row goes as it would
+    alone.  Every flip of the stack takes its table rows in one ``take``,
+    at each row's own base.  A row's x^T A x is recorded once, when it
+    stops.  x is overwritten.
+    """
     k, n = x.shape
+    per = k // len(bases)
     # with ax = x A, flipping v changes a row's negative-edge count by
-    # d_v = x_v (ax)_v = deg v - 2 neg v, and ax by row v or n + v of the table
-    ax = x @ table[n:]
+    # d_v = x_v (ax)_v = deg v - 2 neg v, and ax by row v or n + v of its table
+    ax = np.empty_like(x)
+    for f, b in enumerate(bases):
+        np.matmul(x[f * per : (f + 1) * per], table[b + n : b + 2 * n], out=ax[f * per : (f + 1) * per])
     ax /= 2
-    starts = np.arange(0, k * n, n)
-    best = m
+    base = np.repeat(np.asarray(bases, dtype=np.intp), per)
+    rows = np.arange(k)
+    starts = rows * n
+    values = np.empty(k)
+    spare = np.empty_like(x)  # d, then the flips' table rows
     while len(x):
-        d = x * ax
+        d = np.multiply(x, ax, out=spare[: len(x)])
         v = d.argmin(axis=1)  # the lowest vertex on ties
         at = starts[: len(x)] + v
-        go = d.reshape(-1)[at] < 0
-        if not go.all():  # a stopped row leaves (m - x^T A x / 2) / 2 negative edges
-            best = min(best, (m - int(d[~go].sum(axis=1, dtype=np.float64).max()) // 2) // 2)
-            x, ax, v = x[go], ax[go], v[go]
+        go = d.take(at) < 0
+        if not go.all():
+            stop = ~go
+            values[rows[stop]] = d[stop].sum(axis=1, dtype=np.float64)
+            keep = np.flatnonzero(go)
+            # the kept rows move to the spare buffer, and the one they leave is the next spare
+            x, spare = x.take(keep, axis=0, out=spare[: len(keep)], mode="clip"), x
+            ax, spare = ax.take(keep, axis=0, out=spare[: len(keep)], mode="clip"), ax
+            v, rows, base = v[keep], rows[keep], base[keep]
             at = starts[: len(x)] + v
-        flat = x.reshape(-1)
-        s = flat[at]
-        flat[at] = -s
-        ax += table.take(np.where(s > 0, v, v + n), axis=0)
-    return best
+        s = x.take(at)
+        np.put(x, at, -s)
+        # every index is in range; "clip" lets take write to ``out`` with no buffer of its own
+        ax += table.take(np.where(s > 0, v, v + n) + base, axis=0, out=spare[: len(x)], mode="clip")
+    return values
 
 
 def edge_bipartiteness(g: SignedGraph, *, force: bool = False) -> int:

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -1449,6 +1450,35 @@ class TestBuiltValues:
         for r in (1, 2, 3, 5, 126):
             with contextlib.suppress(OverflowError):  # r = 126 on a graph with a 2-path
                 _assert_like_constructed(walk_census(g, r))
+
+
+class TestPlan:
+    """``evaluate_all``'s row plans: short ones are kept, long ones are
+    built per call and leave nothing behind."""
+
+    def test_default_and_cli_plans_are_kept(self, c5):
+        bounds._kept_plan.cache_clear()
+        evaluate_all(c5)
+        evaluate_all(c5, rs=(3,), qr_pairs=((2, 3),))  # what ``bounds --q 2 --r 3`` asks for
+        evaluate_all(c5)
+        assert bounds._kept_plan.cache_info()[:2] == (1, 2)  # hits, misses
+        assert len(bounds._plan(DEFAULT_B10_RS, DEFAULT_B11_QRS)) == 19
+
+    def test_a_long_plan_is_not_kept(self, c5):
+        # 2,001 walk orders make a plan of about 0.6 MB: kept per key, as
+        # by an entry-bounded cache, each such call would leave its own
+        evaluate_all(c5, rs=(1, 2))  # module state that any call sets up
+        _underlying.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in (1, 2):
+                assert len(evaluate_all(c5, rs=tuple(range(k, 2_002 + k)))) == 2_018
+                _underlying.cache_clear()
+                gc.collect()  # the skipped rows' exceptions sit in cycles
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert left < 64 * 1024
 
 
 class TestMemo:

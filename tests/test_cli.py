@@ -509,6 +509,12 @@ class TestArgvReader:
         assert run_cli(argv) == 2
         assert capsys.readouterr() == ("", f"error: arguments must be strings, got {shown}\n")
 
+    @pytest.mark.parametrize("argv", ["bounds", "", "invariants c5.sg"])
+    def test_a_bare_string_argv_exit_2(self, argv, capsys):
+        # iterated, it would be read as one argument per character
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", f"error: arguments must be a sequence of strings, got one string {argv!r}\n")
+
 
 class TestExitOne:
     def test_violated_enforced_helper(self):

@@ -298,6 +298,65 @@ class TestPrunedKernel:
         assert pruned_peak <= full_peak + 2**20
 
 
+class TestKeptHalfTable:
+    """The blocked kernel keeps the half table of the last (ceil(n/2),
+    dtype) it met, within ``_KEPT_HALF_ENTRIES``; the slot never changes a
+    value or a certificate."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(invariants, "_kept_half", (None, None))
+
+    def test_cap_is_the_table_of_the_largest_guarded_order(self):
+        kernel_guards = ("frustration_index_exact", "edge_bipartiteness", "r_frustration_index")
+        a = (max(invariants._GUARDS[name] for name in kernel_guards) + 1) // 2
+        assert invariants._KEPT_HALF_ENTRIES == a << a == 13 << 13
+        table = invariants._half_table(25, np.float64)
+        assert invariants._kept_half[1] is table and table.nbytes == 851_968
+
+    def test_kept_table_is_read_only_and_shared(self):
+        table = invariants._half_table(22, np.float32)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2
+        assert table.tolist() == (1 - 2 * ((np.arange(2**11)[:, None] >> np.arange(11)) & 1)).tolist()
+        assert invariants._half_table(21, np.float32) is table  # ceil(21/2) = ceil(22/2)
+        assert invariants._half_table(21, np.float64) is not table
+        assert invariants._kept_half[0] == (11, np.float64)
+
+    def test_values_and_certificates_do_not_depend_on_the_slot(self):
+        forms = [m_bound for n in (21, 22) for _, *m_bound in pruning_forms(n)]
+        forms += [(m, bound) for g in kernel_graphs(21)[2:] for m, bound, _ in kernel_forms(g)]  # every dtype at a = 11
+        expected = []
+        for m, bound in forms:
+            invariants._kept_half = (None, None)
+            expected.append(invariants._max_switching_form(m, bound))
+            assert expected[-1] == max_switching_form_full_scan(m, bound)
+        # the slot holding the table of the form before, of another order,
+        # another dtype or the same, then warm with the form's own
+        pairs = list(zip(forms, expected))
+        for order in (pairs, pairs[::-1]):
+            for (m, bound), want in order:
+                assert invariants._max_switching_form(m, bound) == want
+                assert invariants._max_switching_form(m, bound) == want
+
+    def test_a_forced_kernel_past_the_cap_keeps_nothing(self):
+        invariants._half_table(22, np.float32)
+        held = invariants._kept_half
+        g = erdos_renyi_signed(27, 0.2, 0.5, seed=27)  # a = 14: 2^14 x 14 float32 entries, 917 KB
+        full, _ = max_switching_form_full_scan(invariants._signed_matrix(g), 2 * g.m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            eps = frustration_index_exact(g, force=True)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert eps == (g.m - full // 2) // 2
+        assert invariants._kept_half is held
+        assert left < 64 * 1024
+
+
 class TestFrustrationUpper:
     def test_balanced_graph_reaches_zero(self):
         g = signed_cycle(4, negative_edges=(0, 1, 2, 3))
@@ -352,7 +411,7 @@ class TestFrustrationUpper:
         g = apply_switching(g, tuple((1, -1)[v % 3 == 0] for v in range(g.n)))
         assert g.m_minus > 0
 
-        def no_draw(rng, k):
+        def no_draw(rng, k, last):
             raise AssertionError("a restart was drawn")
 
         monkeypatch.setattr(invariants, "_choice_signs", no_draw)
@@ -394,6 +453,27 @@ class TestChoiceSigns:
             assert invariants._choice_signs(rng, k).tolist() == [loop.choice((1, -1)) for _ in range(k)]
             assert rng.getstate() == loop.getstate(), (seed, k)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_last_draw_keeps_the_loops_picks(self, seed):
+        # every draw but the last leaves rng where the loop does; the last
+        # may draw past it, and its picks are still the loop's
+        sizes = (7, 40, 1, 8040)
+        rng, loop = random.Random(seed), random.Random(seed)
+        for i, k in enumerate(sizes):
+            last = i == len(sizes) - 1
+            assert invariants._choice_signs(rng, k, last).tolist() == [loop.choice((1, -1)) for _ in range(k)]
+            assert last or rng.getstate() == loop.getstate()
+
+    def test_a_last_draw_that_falls_short_draws_on(self):
+        # the first 18 words of seed 146572 all have their top bit set, so a
+        # last draw of one sign, which asks for 2 + 8 + 8 words at first,
+        # keeps none of them and goes on as the loop does
+        rng, loop = random.Random(146_572), random.Random(146_572)
+        assert all(rng.getrandbits(32) >> 31 for _ in range(18))
+        rng.seed(146_572)
+        assert invariants._choice_signs(rng, 1, last=True).tolist() == [loop.choice((1, -1))]
+        assert invariants._choice_signs(random.Random(3), 0, last=True).tolist() == []
+
     @pytest.mark.parametrize("rows", (1, 7))
     def test_blocks_of_restarts_match_the_recount(self, rows, monkeypatch):
         # eps and eps_b from one draw over several blocks, each drawn on from
@@ -424,19 +504,40 @@ def early_exits() -> dict[str, SignedGraph]:
     }
 
 
+def descend_alone(g: SignedGraph, x) -> tuple[float, int]:
+    """(x^T A x, flips) at the local minimum that steepest single-vertex
+    flips reach from x on ``g``, lowest vertex on ties, recounting
+    d_v = x_v (A x)_v after every flip."""
+    a = invariants._signed_matrix(g)
+    x = np.array(x, dtype=np.int64)
+    flips = 0
+    while True:
+        d = x * (a @ x)
+        v = int(d.argmin())
+        if d[v] >= 0:
+            return float(d.sum()), flips
+        x[v] = -x[v]
+        flips += 1
+
+
 class TestSharedDraw:
     """``_frustration_uppers`` descends eps and eps_b from one draw of
     restarts; each value is the one its form reaches alone."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """The number of restart signs of each ``_choice_signs`` call."""
+        """The number of restart signs of each ``_choice_signs`` call; no
+        draw may follow one marked ``last`` on the same stream."""
         sizes: list[int] = []
+        finished: list[random.Random] = []
         choice_signs = invariants._choice_signs
 
-        def counted(rng, k):
+        def counted(rng, k, last=False):
+            assert not any(rng is done for done in finished), "a draw followed the last one"
             sizes.append(k)
-            return choice_signs(rng, k)
+            if last:
+                finished.append(rng)
+            return choice_signs(rng, k, last)
 
         monkeypatch.setattr(invariants, "_choice_signs", counted)
         return sizes
@@ -473,6 +574,50 @@ class TestSharedDraw:
             blocks = [min(rows, 30 - first) * g.n for first in range(0, 30, rows)]
             assert draws == blocks
 
+    @pytest.mark.parametrize("rows", (1, 4))
+    def test_matches_each_form_alone_over_several_blocks(self, rows, monkeypatch):
+        # one form balanced, forms that stop at different steps, and the
+        # restarts split over several blocks, the last drawn past the loop
+        for g in (*pair_corpus()[::5], *early_exits().values()):
+            h = all_negative(g)
+            expected = tuple(frustration_upper_by_recount(f, 9, 1) for f in (g, h))
+            monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", rows * g.n)
+            assert tuple(frustration_index_upper(f, 9, 1) for f in (g, h)) == expected, g.to_sg()
+            assert invariants._frustration_uppers((g, h), 9, 1) == expected, g.to_sg()
+
+    def test_blocks_draw_the_choice_stream(self, monkeypatch):
+        g = pair_corpus()[4]
+        drawn = []
+        choice_signs = invariants._choice_signs
+
+        def kept(rng, k, last):
+            signs = choice_signs(rng, k, last)
+            drawn.append((signs.tolist(), last))
+            return signs
+
+        monkeypatch.setattr(invariants, "_choice_signs", kept)
+        monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", 7 * g.n)
+        invariants._frustration_uppers((g, all_negative(g)), 30, 2)
+        loop = random.Random(2)
+        assert [s for signs, _ in drawn for s in signs] == [loop.choice((1, -1)) for _ in range(30 * g.n)]
+        assert [last for _, last in drawn] == [False] * 4 + [True]  # 30 restarts in blocks of 7
+
+    def test_stacked_rows_descend_as_each_alone(self):
+        # each row of a two-form stack reaches the x^T A x it reaches alone,
+        # on its own form's rows of the table, and the forms stop apart
+        for g in pair_corpus()[::6]:
+            n, h = g.n, all_negative(g)
+            table = np.zeros((4 * n, n), np.float32)
+            invariants._flip_table(g, table[: 2 * n])
+            invariants._flip_table(h, table[2 * n :])
+            rng = random.Random(n)
+            x = np.array([[rng.choice((1, -1)) for _ in range(n)] for _ in range(2 * 9)], np.float32)
+            alone = [descend_alone(f, row) for f, row in zip((g,) * 9 + (h,) * 9, x)]
+            assert invariants._descend(table, x.copy(), [0, 2 * n]).tolist() == [value for value, _ in alone]
+            for rows, base, want in ((x[:9], 0, alone[:9]), (x[9:], 2 * n, alone[9:])):
+                assert invariants._descend(table, rows.copy(), [base]).tolist() == [value for value, _ in want]
+            assert max(flips for _, flips in alone[:9]) != max(flips for _, flips in alone[9:]), g.to_sg()
+
     @pytest.mark.parametrize("name", tuple(early_exits()))
     def test_early_exits(self, name, draws):
         g = early_exits()[name]
@@ -488,7 +633,7 @@ class TestSharedDraw:
         for g in (paper_c5(), *pair_corpus()[:3], early_exits()["edgeless"]):
             for h in (g, all_negative(g)):
                 a = invariants._signed_matrix(h)
-                table = invariants._flip_table(h)
+                table = invariants._flip_table(h, np.zeros((2 * h.n, h.n), np.float32))
                 assert table.dtype == np.float32
                 assert np.array_equal(table, np.concatenate((-2 * a, 2 * a)))
 
@@ -879,7 +1024,7 @@ class TestInvariantReport:
         expected = (frustration_index_upper(g, 200, 0), frustration_index_upper(all_negative(g), 200, 0))
         draws = []
         choice_signs = invariants._choice_signs
-        monkeypatch.setattr(invariants, "_choice_signs", lambda rng, k: draws.append(k) or choice_signs(rng, k))
+        monkeypatch.setattr(invariants, "_choice_signs", lambda rng, k, last: draws.append(k) or choice_signs(rng, k, last))
         ctx = _Ctx(g)
         assert (ctx.exact_or_bound("eps"), ctx.exact_or_bound("eps_b")) == ((expected[0], False), (expected[1], False))
         assert draws == [200 * g.n]
