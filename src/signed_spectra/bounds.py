@@ -41,7 +41,6 @@ import math
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -572,25 +571,11 @@ def _evaluate(ctx: _Ctx, info: BoundInfo, params: dict[str, int]) -> BoundEvalua
 _UNREAD_PARAMS = {"B13": {"iters": 2, "seed": 0}}
 
 
-# plans of at most this many walk orders and (q, r) pairs together are kept;
-# B10 fans out over the orders and B11 over the pairs, so a kept plan has at
-# most len(REGISTRY) + 30 rows (the default plan and every CLI plan have 19)
-_KEPT_PLAN_VALUES = 32
-
-
-def _plan(rs: tuple[int, ...], qr_pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[str, dict[str, int]], ...]:
+def _build_plan(rs: tuple[int, ...], qr_pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[str, dict[str, int]], ...]:
     """The rows of ``evaluate_all`` for checked walk orders, in registry
     order: each entry's id and its params, which each row takes a copy of.
     An entry fans out over ``rs`` or ``qr_pairs`` by its ``required_params``.
-    Ids, not entries, so each call reads the registry as it is.  The last
-    16 plans of at most ``_KEPT_PLAN_VALUES`` values are kept; a longer one
-    is built per call, so no caller's long ``rs`` stays in memory."""
-    if len(rs) + len(qr_pairs) <= _KEPT_PLAN_VALUES:
-        return _kept_plan(rs, qr_pairs)
-    return _build_plan(rs, qr_pairs)
-
-
-def _build_plan(rs: tuple[int, ...], qr_pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[str, dict[str, int]], ...]:
+    Ids, not entries, so each call reads the registry as it is."""
     values = {(): [()], ("r",): [(r,) for r in rs], ("q", "r"): qr_pairs}
     return tuple(
         (bound_id, dict(_UNREAD_PARAMS.get(bound_id, zip(info.required_params, v))))
@@ -599,7 +584,22 @@ def _build_plan(rs: tuple[int, ...], qr_pairs: tuple[tuple[int, int], ...]) -> t
     )
 
 
-_kept_plan = lru_cache(maxsize=16)(_build_plan)
+_DEFAULT_PLAN = _build_plan(DEFAULT_B10_RS, DEFAULT_B11_QRS)
+
+
+def _walk_orders(rs: Sequence[int], qr_pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """``rs`` and ``qr_pairs`` as tuples of integers.  A value that is not a
+    sequence of orders, or of (q, r) pairs, or an order that is not an
+    integer, raises InvalidParamsError naming B10 or B11."""
+    try:
+        rs = tuple(_int_param("B10", "r", r) for r in rs)
+    except TypeError:
+        raise InvalidParamsError(f"B10 walk orders must be a sequence of integers, got {rs!r}") from None
+    try:
+        pairs = [(q, r) for q, r in qr_pairs]
+    except (TypeError, ValueError):
+        raise InvalidParamsError(f"B11 walk orders must be a sequence of (q, r) pairs, got {qr_pairs!r}") from None
+    return rs, tuple((_int_param("B11", "q", q), _int_param("B11", "r", r)) for q, r in pairs)
 
 
 def evaluate_all(
@@ -610,7 +610,10 @@ def evaluate_all(
 ) -> list[BoundEvaluation]:
     """Evaluate every registry entry in deterministic id order.
 
-    B10 fans out over ``rs`` and B11 over ``qr_pairs``.  Entries whose
+    B10 fans out over ``rs`` and B11 over ``qr_pairs``.  The default
+    orders themselves use the plan built at import; any other ``rs`` or
+    ``qr_pairs`` is checked by ``_walk_orders`` and planned on each call,
+    so nothing a caller passes is kept but the rows' key.  Entries whose
     guarded invariants overflow their guard, or whose walk counts leave the
     64-bit range, come back with verdict ``skipped`` instead of aborting
     the sequence.  The memo keeps the most recently used underlying graphs,
@@ -622,14 +625,14 @@ def evaluate_all(
     tolerance.  B13 decides in integers: its witness attains the closed
     form exactly when its pair sum is (omega_b - 1) omega_b / 2.
     """
-    if rs is not DEFAULT_B10_RS:  # the defaults are integers already
-        rs = tuple(_int_param("B10", "r", r) for r in rs)
-    if qr_pairs is not DEFAULT_B11_QRS:
-        qr_pairs = tuple((_int_param("B11", "q", q), _int_param("B11", "r", r)) for q, r in qr_pairs)
+    if rs is DEFAULT_B10_RS and qr_pairs is DEFAULT_B11_QRS:
+        plan = _DEFAULT_PLAN
+    else:
+        rs, qr_pairs = _walk_orders(rs, qr_pairs)
+        plan = _build_plan(rs, qr_pairs)
     if g.n == 0:
         raise InvalidParamsError("bounds need at least one vertex")
     ctx = _Ctx(g, shared=True)
-    plan = _plan(rs, qr_pairs)
     kept = ctx._class
     key = (*ctx.limits.values(), rs, qr_pairs)  # a guard override can turn a row into a skip
     if kept.rows_key != key:

@@ -244,33 +244,27 @@ def _cmd_search(args) -> int:
     return 0
 
 
+# kind -> (usage, a converter per fixed param by name, (name, converter) of
+# any further params or None when the fixed ones are all)
+_GEN_PARAMS = {
+    "paper_c5": ("gen paper_c5", {}, None),
+    "all_negative_complete": ("gen all_negative_complete <n>", {"n": int}, None),
+    "signed_cycle": ("gen signed_cycle <n> [negative edge indices...]", {"n": int}, ("negative_edges", int)),
+    "erdos_renyi_signed": ("gen erdos_renyi_signed <n> <p> <q_neg>", {"n": int, "p": float, "q_neg": float}, None),
+    "all_negative": ("gen all_negative <input.sg>", {"g": _load_graph}, None),
+}
+
+
 def _cmd_gen(args) -> int:
-    kind = args.kind
-    raw = list(args.params)
-    params: dict = {}
-    if kind == "paper_c5":
-        pass
-    elif kind == "all_negative_complete":
-        if len(raw) != 1:
-            raise InvalidParamsError("usage: gen all_negative_complete <n>")
-        params["n"] = int(raw[0])
-    elif kind == "signed_cycle":
-        if not raw:
-            raise InvalidParamsError("usage: gen signed_cycle <n> [negative edge indices...]")
-        params["n"] = int(raw[0])
-        params["negative_edges"] = tuple(int(x) for x in raw[1:])
-    elif kind == "erdos_renyi_signed":
-        if len(raw) != 3:
-            raise InvalidParamsError("usage: gen erdos_renyi_signed <n> <p> <q_neg>")
-        params["n"] = int(raw[0])
-        params["p"] = float(raw[1])
-        params["q_neg"] = float(raw[2])
-    elif kind == "all_negative":
-        if len(raw) != 1:
-            raise InvalidParamsError("usage: gen all_negative <input.sg>")
-        params["g"] = _load_graph(raw[0])
-    else:
+    kind, raw = args.kind, list(args.params)
+    if kind not in _GEN_PARAMS:
         raise InvalidParamsError(f"unknown generator {kind!r}")
+    usage, fixed, rest = _GEN_PARAMS[kind]
+    if len(raw) < len(fixed) or (rest is None and len(raw) > len(fixed)):
+        raise InvalidParamsError(f"usage: {usage}")
+    params = {name: convert(value) for (name, convert), value in zip(fixed.items(), raw)}
+    if rest is not None:
+        params[rest[0]] = tuple(rest[1](value) for value in raw[len(fixed):])
     g = generate(kind, seed=args.seed, **params)
     text = g.to_sg()
     if args.output is None:

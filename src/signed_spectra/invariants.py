@@ -17,13 +17,12 @@ OverflowError once the count of unsigned walks exceeds 2^63 - 1.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -255,34 +254,30 @@ def _frustration(a: np.ndarray, m: int) -> int:
     return (m - best // 2) // 2
 
 
-def _choice_signs(rng: random.Random, k: int, last: bool = False) -> np.ndarray:
-    """``[rng.choice((1, -1)) for _ in range(k)]`` as an int64 array, drawn in bulk.
+def _choice_stream(rng: random.Random, sizes: Iterable[int]) -> Iterator[np.ndarray]:
+    """For each k of ``sizes`` in turn, the next k picks of
+    ``rng.choice((1, -1))`` as an int64 array, drawn in bulk: for any split
+    into sizes, the picks of ``[rng.choice((1, -1)) for _ in range(sum(sizes))]``.
 
     Each try of ``choice`` over two items takes one 32-bit word w and keeps
-    it when w >> 30 < 2, picking 1 for 0 and -1 for 1.  Every value still
-    missing takes at least one more word, so asking ``getrandbits`` for one
-    word per missing value never draws past the loop and leaves ``rng`` in
-    the loop's state.  That takes about log2(k) rounds.  A ``last`` draw,
-    after which the caller reads no more of ``rng``, asks for 2k words and
-    a margin of 8 sqrt(k) + 8 in its first round instead.  A word is kept
-    with probability 1/2, so that round falls short with probability below
-    1e-4 for any k (about 1e-8 at the 6,000 and 8,000 signs of a
-    200-restart draw at n = 30 and 40), and one that does is followed by
-    the loop's rounds.  The picks are the loop's either way, but a last
-    draw leaves ``rng`` at no promised state.
+    it when w >> 30 < 2, picking 1 for 0 and -1 for 1.  A word is kept with
+    probability 1/2, so each round asks ``getrandbits`` for about twice the
+    picks still missing, and a round that falls short is followed by
+    another.  Picks past a block are carried into the next one, so ``rng``
+    ends past where the loop leaves it, and nothing else may read it.
     """
-    chunks, got = [np.empty(0, dtype=np.uint32)], 0
-    need = 2 * k + 8 * math.isqrt(k) + 8 if last and k else k
-    while got < k:
-        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4")
-        tries = words >> 30
-        chunks.append(tries.compress(tries < 2))
-        got += len(chunks[-1])
-        need = k - got
-    signs = np.concatenate(chunks, dtype=np.int64)[:k]
-    signs *= -2
-    signs += 1
-    return signs
+    left = np.empty(0, dtype=np.int64)
+    for k in sizes:
+        rounds, got = [left], len(left)
+        while got < k:
+            need = 2 * (k - got) + 8
+            tries = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4") >> 30
+            rounds.append(tries.compress(tries < 2))
+            got += len(rounds[-1])
+        tries = None  # a suspended stream holds none of the words it drew
+        rounds = np.split(np.concatenate(rounds, dtype=np.int64), [k])
+        left = rounds.pop().copy()
+        yield 1 - 2 * rounds.pop()  # nor the block it yields
 
 
 def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> int:
@@ -292,11 +287,11 @@ def frustration_index_upper(g: SignedGraph, iters: int = 100, seed: int = 0) -> 
     ``propagation_labels`` finds no conflict.  Otherwise steepest
     single-vertex-flip local search runs from the spanning-forest
     propagation labeling and from ``iters`` random restarts whose signs are
-    the stream of ``random.Random(seed).choice((1, -1))``, n per restart,
-    with ties broken by lowest vertex index.  The restarts descend together
-    in blocks, in float32: ``_frustration_uppers`` runs them, and
-    ``bounds`` asks it for eps and eps_b at once, from one draw of the
-    restarts.
+    the stream of ``random.Random(seed).choice((1, -1))``, n per restart
+    (``_choice_stream`` draws them in bulk), with ties broken by lowest
+    vertex index.  The restarts descend together in blocks, in float32:
+    ``_frustration_uppers`` runs them, and ``bounds`` asks it for eps and
+    eps_b at once, from one draw of the restarts.
     """
     iters = _int_param("frustration_index_upper", "iters", iters)
     seed = _int_param("frustration_index_upper", "seed", seed)
@@ -317,15 +312,15 @@ def _frustration_uppers(graphs: Sequence[SignedGraph], iters: int, seed: int) ->
     stack, the labeling's row heading each form's copy in the first block,
     and ``_descend`` runs the stack, each row on its own form's rows of the
     table.  Memory stays bounded for any ``iters``, and no restart is drawn
-    when no form is left.  The last block is drawn with ``last``, as
-    nothing reads the stream after it.  The descent runs in float32, which
-    is exact: every value it holds, an entry of x (2A) or a partial sum of
-    one, is an integer of magnitude at most 2 deg v <= 2(n - 1), below 2^24
-    for every n <= 2^23, and past that a (2n, n) table of over 2^47 entries
-    cannot be allocated.  Row totals are summed in float64.  The float32
-    table of two graphs takes the 16 n^2 bytes of one float64 A and 2A.  A
-    table that cannot be allocated raises TooLargeError before the balance
-    test.
+    when no form is left.  The blocks read one ``_choice_stream`` of a
+    ``random.Random(seed)`` that nothing else reads.  The descent runs in
+    float32, which is exact: every value it holds, an entry of x (2A) or a
+    partial sum of one, is an integer of magnitude at most 2 deg v <=
+    2(n - 1), below 2^24 for every n <= 2^23, and past that a (2n, n) table
+    of over 2^47 entries cannot be allocated.  Row totals are summed in
+    float64.  The float32 table of two graphs takes the 16 n^2 bytes of one
+    float64 A and 2A.  A table that cannot be allocated raises TooLargeError
+    before the balance test.
     """
     n, m = graphs[0].n, graphs[0].m
     if m == 0:
@@ -339,14 +334,15 @@ def _frustration_uppers(graphs: Sequence[SignedGraph], iters: int, seed: int) ->
         if conflict is not None:
             best[i] = m
             forms.append((i, labels))
-    rng = random.Random(seed)
     block = max(1, _BLOCK_ENTRIES // n)
     bases = [2 * n * i for i, _ in forms]
-    for first in range(0, iters if forms else 0, block):
+    firsts = range(0, iters if forms else 0, block)
+    signs = _choice_stream(random.Random(seed), (min(block, iters - first) * n for first in firsts))
+    for first in firsts:
         rows = min(block, iters - first)
         head = int(first == 0)  # the labeling's row heads each form's copy
         x = np.empty((len(forms), head + rows, n), dtype=np.float32)
-        x[:, head:] = _choice_signs(rng, rows * n, first + rows == iters).reshape(rows, n)
+        x[:, head:] = next(signs).reshape(rows, n)
         if head:
             x[:, 0] = [labels for _, labels in forms]
         values = _descend(table, x.reshape(-1, n), bases).reshape(len(forms), -1)

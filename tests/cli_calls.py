@@ -46,22 +46,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+sys.path[:0] = [str(ROOT), str(ROOT / "bench")]
 
+from tests.sweep_paths import _quartiles, import_package  # noqa: E402
 from worker import cli_inputs, sg_text  # noqa: E402
-
-
-def import_package(src: Path):
-    """``signed_spectra`` imported from the directory ``src``.  A process
-    holds one copy of the package, so one already imported from elsewhere
-    is refused."""
-    sys.path.insert(0, str(src))
-    import signed_spectra.cli
-
-    found = Path(signed_spectra.__file__).resolve().parent.parent
-    if found != src.resolve():
-        raise SystemExit(f"signed_spectra is already imported from {found}, not from {src}")
-    return signed_spectra
 
 
 def clear_caches(package) -> None:
@@ -90,14 +78,6 @@ def run_pass(package, calls: list[list[str]]) -> list[float]:
             raise SystemExit(f"{' '.join(argv)} exited {code}: {err.getvalue().strip()}")
         times.append(elapsed)
     return times
-
-
-def _quartiles(values: list[float]) -> tuple[float, float]:
-    """The first and third quartiles of values, inclusive of their range."""
-    if len(values) < 2:
-        return (values[0],) * 2 if values else (float("nan"),) * 2
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q3
 
 
 def _line(label: str, seconds: list[float]) -> str:

@@ -54,9 +54,9 @@ PATHS = ("known class", "new class", "new underlying")
 def import_package(src: Path):
     """``signed_spectra`` imported from the directory ``src``.  A process
     holds one copy of the package, so one already imported from elsewhere
-    is refused."""
+    is refused.  ``cli_calls.py`` imports this too, and reads its ``cli``."""
     sys.path.insert(0, str(src))
-    import signed_spectra.bounds
+    import signed_spectra.cli
 
     found = Path(signed_spectra.__file__).resolve().parent.parent
     if found != src.resolve():

@@ -407,11 +407,20 @@ class TestEvaluateAll:
             ("B10", {"r": "3"}),
             ("B11", {"q": 1.9, "r": 1}),
             ("B11", {"q": 1, "r": 2.0}),
+            ("B10", {"rs": 5}),
+            ("B11", {"qr_pairs": [5]}),
+            ("B11", {"qr_pairs": [(1,)]}),
+            ("B11", {"qr_pairs": [(1, 2, 3)]}),
         ),
     )
     def test_walk_orders_must_be_integers(self, c5, bound_id, params):
         # int() used to read 2.7 as 2, and evaluate_bound let islice raise a
-        # bare ValueError or TypeError
+        # bare ValueError or TypeError; evaluate_all let walk orders that are
+        # not a sequence of orders or of (q, r) pairs raise one too
+        if "rs" in params or "qr_pairs" in params:
+            with pytest.raises(InvalidParamsError, match=f"{bound_id} walk orders must be a sequence"):
+                evaluate_all(c5, **params)
+            return
         name = next(k for k, v in params.items() if not isinstance(v, int))
         message = f"{bound_id} parameter {name!r} must be an integer"
         with pytest.raises(InvalidParamsError, match=message):
@@ -425,8 +434,9 @@ class TestEvaluateAll:
     @pytest.mark.parametrize("bad", (2.0, "2", np.float64(2.0)), ids=("float", "str", "numpy-float"))
     @pytest.mark.parametrize("where", ("rs", "q", "r"))
     def test_walk_orders_are_checked_on_every_call(self, c5, where, bad):
-        # the plan is cached on checked integers; a cached plan for 2 must
-        # not let an equal float or a string through on a later call
+        # a class keeps its rows under the walk orders they were made for;
+        # rows kept for 2 must not let an equal float or a string through on
+        # a later call
         def plan(value):
             if where == "rs":
                 return {"rs": (value,)}
@@ -1453,16 +1463,28 @@ class TestBuiltValues:
 
 
 class TestPlan:
-    """``evaluate_all``'s row plans: short ones are kept, long ones are
-    built per call and leave nothing behind."""
+    """``evaluate_all``'s row plans: the default walk orders read the plan
+    built at import, any others are planned per call and leave nothing
+    behind."""
 
-    def test_default_and_cli_plans_are_kept(self, c5):
-        bounds._kept_plan.cache_clear()
-        evaluate_all(c5)
+    def test_only_the_default_orders_read_the_constant(self, c5, monkeypatch):
+        built = []
+        build = bounds._build_plan
+        monkeypatch.setattr(bounds, "_build_plan", lambda rs, qr_pairs: built.append((rs, qr_pairs)) or build(rs, qr_pairs))
+        default = evaluate_all(c5)
+        assert built == []
+        assert [(ev.bound_id, ev.params) for ev in default] == list(bounds._DEFAULT_PLAN)
+        assert len(bounds._DEFAULT_PLAN) == 19
         evaluate_all(c5, rs=(3,), qr_pairs=((2, 3),))  # what ``bounds --q 2 --r 3`` asks for
-        evaluate_all(c5)
-        assert bounds._kept_plan.cache_info()[:2] == (1, 2)  # hits, misses
-        assert len(bounds._plan(DEFAULT_B10_RS, DEFAULT_B11_QRS)) == 19
+        assert evaluate_all(c5, rs=list(DEFAULT_B10_RS)) == default  # equal orders, another object
+        assert built == [((3,), ((2, 3),)), (DEFAULT_B10_RS, DEFAULT_B11_QRS)]
+
+    def test_rows_do_not_share_the_constants_params(self, c5):
+        rows = evaluate_all(c5)
+        for row in rows:
+            row.params["r"] = 99
+        assert [(ev.bound_id, ev.params) for ev in evaluate_all(c5)] == _plan()
+        assert list(bounds._DEFAULT_PLAN) == _plan()
 
     def test_a_long_plan_is_not_kept(self, c5):
         # 2,001 walk orders make a plan of about 0.6 MB: kept per key, as

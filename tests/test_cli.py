@@ -711,6 +711,23 @@ class TestGen:
         assert run_cli(["gen", "erdos_renyi_signed", "8"]) == 2
         assert run_cli(["gen", "nonsense_kind"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        (
+            (["paper_c5", "7"], "gen paper_c5"),
+            (["paper_c5", "7", "junk"], "gen paper_c5"),
+            (["all_negative"], "gen all_negative <input.sg>"),
+            (["all_negative", "a.sg", "b.sg"], "gen all_negative <input.sg>"),
+            (["all_negative_complete"], "gen all_negative_complete <n>"),
+            (["all_negative_complete", "4", "5"], "gen all_negative_complete <n>"),
+            (["signed_cycle"], "gen signed_cycle <n> [negative edge indices...]"),
+            (["erdos_renyi_signed", "6", "0.5", "0.5", "1"], "gen erdos_renyi_signed <n> <p> <q_neg>"),
+        ),
+    )
+    def test_gen_wrong_param_count_is_a_usage_error(self, capsys, argv, usage):
+        assert run_cli(["gen", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: usage: {usage}\n")
+
     def test_gen_output_directory_exit_2(self, tmp_path, capsys):
         assert run_cli(["gen", "paper_c5", "-o", str(tmp_path)]) == 2
         captured = capsys.readouterr()

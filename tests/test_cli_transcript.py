@@ -147,6 +147,7 @@ CALLS: list[tuple[list[str], str | None]] = [
     (_search("B8u", "3:5", "0.5", "0.5", 10, 0, "--p", "-0.5"), None),
     (_search("B8u", "3:5", "0.5", "0.5", 10, 0, "--seed", "5", "--json", "--json"), None),
     (_search("B8u", "3:5", "0.5", "0.5", 10, 0, "extra"), None),
+    (["gen", "paper_c5", "7", "junk"], None),
 ]
 
 

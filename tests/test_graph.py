@@ -1,6 +1,7 @@
 """Parsing, serialization, adjacency matrices and generators."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,24 @@ class TestLookups:
                     assert not (p_bit and n_bit)
                 assert pos[u] >> g.n == neg[u] >> g.n == 0
 
+    def test_sign_of_a_non_edge_is_a_key_error(self):
+        g = paper_c5()
+        assert g.sign(1, 0) == g.sign(0, 1) == -1
+        with pytest.raises(KeyError) as info:
+            g.sign(3, 0)
+        assert info.value.args == ((0, 3),)
+
+    def test_induced_subgraph_rejects_a_vertex_outside_range(self):
+        g = paper_c5()
+        assert g.induced_subgraph([4, 0, 0, 1]) == SignedGraph.from_edges(3, [(0, 1, -1), (0, 2, 1)])
+        for v in (-1, 5):
+            with pytest.raises(IndexOutOfRangeError, match=rf"vertex {v} outside \[0, 5\)"):
+                g.induced_subgraph([0, v])
+
+    def test_repr_names_the_sizes(self):
+        assert repr(paper_c5()) == "SignedGraph(n=5, m=5, m-=1)"
+        assert repr(SignedGraph(0)) == "SignedGraph(n=0, m=0, m-=0)"
+
     def test_built_once_per_graph_as_immutable_tuples(self):
         g = erdos_renyi_signed(12, 0.5, 0.5, seed=3)
         masks, adjacency = g._masks, g._signed_adjacency
@@ -404,6 +423,11 @@ class TestNegate:
     def test_flips_all_signs(self):
         g = all_negative_complete(3)
         assert g.negate() == g.with_all_signs(1)
+
+    @pytest.mark.parametrize("sign", (0, 2, -2, "+", 1.5))
+    def test_with_all_signs_takes_only_plus_or_minus_one(self, sign):
+        with pytest.raises(InvalidParamsError, match=f"sign must be \\+1 or -1, got {re.escape(repr(sign))}"):
+            paper_c5().with_all_signs(sign)
 
     @given(signed_graphs())
     def test_involution(self, g):

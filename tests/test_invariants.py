@@ -411,11 +411,13 @@ class TestFrustrationUpper:
         g = apply_switching(g, tuple((1, -1)[v % 3 == 0] for v in range(g.n)))
         assert g.m_minus > 0
 
-        def no_draw(rng, k, last):
+        def no_draw(rng, sizes):
             raise AssertionError("a restart was drawn")
+            yield
 
-        monkeypatch.setattr(invariants, "_choice_signs", no_draw)
+        monkeypatch.setattr(invariants, "_choice_stream", no_draw)
         assert frustration_index_upper(g, iters=200, seed=0) == 0
+        assert invariants._frustration_uppers((g, SignedGraph(30)), 200, 0) == (0, 0)
 
     def test_edgeless_and_isolated_vertices(self):
         assert frustration_index_upper(SignedGraph(30), iters=200, seed=0) == 0
@@ -428,51 +430,53 @@ class TestFrustrationUpper:
             )
 
 
-class TestChoiceSigns:
+class TestChoiceStream:
+    @staticmethod
+    def loop(seed: int, k: int) -> list[int]:
+        rng = random.Random(seed)
+        return [rng.choice((1, -1)) for _ in range(k)]
+
     @pytest.mark.parametrize("k", (0, 1, 7, 8000))
     def test_matches_choice_loop(self, k):
-        rng, loop = random.Random(k), random.Random(k)
-        drawn = invariants._choice_signs(rng, k)
+        (drawn,) = invariants._choice_stream(random.Random(k), (k,))
         assert drawn.dtype == np.int64
-        assert drawn.tolist() == [loop.choice((1, -1)) for _ in range(k)]
-        assert rng.getstate() == loop.getstate()
+        assert drawn.tolist() == self.loop(k, k)
 
-    def test_blocks_continue_one_stream(self):
-        rng, loop = random.Random(5), random.Random(5)
-        sizes = (3, 40, 1, 0, 200)
-        drawn = np.concatenate([invariants._choice_signs(rng, k) for k in sizes])
-        assert drawn.tolist() == [loop.choice((1, -1)) for _ in range(sum(sizes))]
-        assert rng.getstate() == loop.getstate()
+    @pytest.mark.parametrize(
+        "sizes", ((3, 40, 1, 0, 200), (0, 0, 5), (1,) * 50, (7, 40, 1, 8040), (6000, 6000, 1800), (8040, 0, 3))
+    )
+    def test_any_split_into_blocks_reads_the_loops_picks(self, sizes):
+        for seed in range(8):
+            drawn = list(invariants._choice_stream(random.Random(seed), sizes))
+            assert [len(signs) for signs in drawn] == list(sizes)
+            assert np.concatenate(drawn).tolist() == self.loop(seed, sum(sizes)), (seed, sizes)
 
     @pytest.mark.parametrize("seed", range(21))
     def test_matches_choice_at_every_size(self, seed):
         # the restart sizes of ``frustration_index_upper`` at n = 30 and 40
-        # among them: the same picks, and rng left where ``choice`` leaves it
+        # among them, alone and as the second block after 8,040
         for k in (*range(1, 65), 6000, 8040):
-            rng, loop = random.Random(seed), random.Random(seed)
-            assert invariants._choice_signs(rng, k).tolist() == [loop.choice((1, -1)) for _ in range(k)]
-            assert rng.getstate() == loop.getstate(), (seed, k)
+            (drawn,) = invariants._choice_stream(random.Random(seed), (k,))
+            assert drawn.tolist() == self.loop(seed, k), (seed, k)
+            assert np.concatenate(list(invariants._choice_stream(random.Random(seed), (8040, k)))).tolist() == (
+                self.loop(seed, 8040 + k)
+            ), (seed, k)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_a_last_draw_keeps_the_loops_picks(self, seed):
-        # every draw but the last leaves rng where the loop does; the last
-        # may draw past it, and its picks are still the loop's
-        sizes = (7, 40, 1, 8040)
-        rng, loop = random.Random(seed), random.Random(seed)
-        for i, k in enumerate(sizes):
-            last = i == len(sizes) - 1
-            assert invariants._choice_signs(rng, k, last).tolist() == [loop.choice((1, -1)) for _ in range(k)]
-            assert last or rng.getstate() == loop.getstate()
-
-    def test_a_last_draw_that_falls_short_draws_on(self):
+    def test_a_round_that_falls_short_draws_on(self):
         # the first 18 words of seed 146572 all have their top bit set, so a
-        # last draw of one sign, which asks for 2 + 8 + 8 words at first,
-        # keeps none of them and goes on as the loop does
-        rng, loop = random.Random(146_572), random.Random(146_572)
+        # draw of one sign, which asks for 2 + 8 words at first, keeps none
+        # of them and goes on to a second round
+        rng = random.Random(146_572)
         assert all(rng.getrandbits(32) >> 31 for _ in range(18))
-        rng.seed(146_572)
-        assert invariants._choice_signs(rng, 1, last=True).tolist() == [loop.choice((1, -1))]
-        assert invariants._choice_signs(random.Random(3), 0, last=True).tolist() == []
+        assert [s.tolist() for s in invariants._choice_stream(random.Random(146_572), (1, 2))] == [
+            self.loop(146_572, 1), self.loop(146_572, 3)[1:]
+        ]
+
+    def test_an_empty_split_draws_nothing(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert list(invariants._choice_stream(rng, ())) == []
+        assert rng.getstate() == state
 
     @pytest.mark.parametrize("rows", (1, 7))
     def test_blocks_of_restarts_match_the_recount(self, rows, monkeypatch):
@@ -526,20 +530,17 @@ class TestSharedDraw:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """The number of restart signs of each ``_choice_signs`` call; no
-        draw may follow one marked ``last`` on the same stream."""
+        """The number of restart signs of each block ``_choice_stream``
+        yields."""
         sizes: list[int] = []
-        finished: list[random.Random] = []
-        choice_signs = invariants._choice_signs
+        choice_stream = invariants._choice_stream
 
-        def counted(rng, k, last=False):
-            assert not any(rng is done for done in finished), "a draw followed the last one"
-            sizes.append(k)
-            if last:
-                finished.append(rng)
-            return choice_signs(rng, k, last)
+        def counted(rng, blocks):
+            for signs in choice_stream(rng, blocks):
+                sizes.append(len(signs))
+                yield signs
 
-        monkeypatch.setattr(invariants, "_choice_signs", counted)
+        monkeypatch.setattr(invariants, "_choice_stream", counted)
         return sizes
 
     @pytest.mark.parametrize("iters", (1, 7, 200))
@@ -577,7 +578,7 @@ class TestSharedDraw:
     @pytest.mark.parametrize("rows", (1, 4))
     def test_matches_each_form_alone_over_several_blocks(self, rows, monkeypatch):
         # one form balanced, forms that stop at different steps, and the
-        # restarts split over several blocks, the last drawn past the loop
+        # restarts split over several blocks of one stream
         for g in (*pair_corpus()[::5], *early_exits().values()):
             h = all_negative(g)
             expected = tuple(frustration_upper_by_recount(f, 9, 1) for f in (g, h))
@@ -588,19 +589,19 @@ class TestSharedDraw:
     def test_blocks_draw_the_choice_stream(self, monkeypatch):
         g = pair_corpus()[4]
         drawn = []
-        choice_signs = invariants._choice_signs
+        choice_stream = invariants._choice_stream
 
-        def kept(rng, k, last):
-            signs = choice_signs(rng, k, last)
-            drawn.append((signs.tolist(), last))
-            return signs
+        def kept(rng, sizes):
+            for signs in choice_stream(rng, sizes):
+                drawn.append(signs.tolist())
+                yield signs
 
-        monkeypatch.setattr(invariants, "_choice_signs", kept)
+        monkeypatch.setattr(invariants, "_choice_stream", kept)
         monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", 7 * g.n)
         invariants._frustration_uppers((g, all_negative(g)), 30, 2)
         loop = random.Random(2)
-        assert [s for signs, _ in drawn for s in signs] == [loop.choice((1, -1)) for _ in range(30 * g.n)]
-        assert [last for _, last in drawn] == [False] * 4 + [True]  # 30 restarts in blocks of 7
+        assert [s for signs in drawn for s in signs] == [loop.choice((1, -1)) for _ in range(30 * g.n)]
+        assert [len(signs) for signs in drawn] == [7 * g.n] * 4 + [2 * g.n]  # 30 restarts in blocks of 7
 
     def test_stacked_rows_descend_as_each_alone(self):
         # each row of a two-form stack reaches the x^T A x it reaches alone,
@@ -1023,8 +1024,14 @@ class TestInvariantReport:
         g = erdos_renyi_signed(30, 0.3, 0.5, seed=3)
         expected = (frustration_index_upper(g, 200, 0), frustration_index_upper(all_negative(g), 200, 0))
         draws = []
-        choice_signs = invariants._choice_signs
-        monkeypatch.setattr(invariants, "_choice_signs", lambda rng, k, last: draws.append(k) or choice_signs(rng, k, last))
+        choice_stream = invariants._choice_stream
+
+        def counted(rng, sizes):
+            for signs in choice_stream(rng, sizes):
+                draws.append(len(signs))
+                yield signs
+
+        monkeypatch.setattr(invariants, "_choice_stream", counted)
         ctx = _Ctx(g)
         assert (ctx.exact_or_bound("eps"), ctx.exact_or_bound("eps_b")) == ((expected[0], False), (expected[1], False))
         assert draws == [200 * g.n]

@@ -54,6 +54,10 @@ class TestApplySwitching:
         with pytest.raises(InvalidParamsError):
             Switching((1, 0))
 
+    def test_length_is_the_number_of_signs(self):
+        assert len(Switching((1, -1, -1))) == 3
+        assert len(Switching(())) == 0
+
     def test_matches_diagonal_conjugation(self, c5):
         eta = random_switching(5, seed=3)
         d = np.diag(eta.signs)
